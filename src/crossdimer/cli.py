@@ -15,14 +15,15 @@ from fractions import Fraction
 
 from . import formulas
 from .families import (
-    parse_spec, InvalidParams, assign_cross_weights, weight_point,
+    FAMILY_HEADS, parse_spec, split_spec, InvalidParams,
+    assign_cross_weights, weight_point,
 )
 from .harness import (
     SuiteConfig, run_suite, render_svg, conjecture_probe,
     ConjectureExponents, BadProbePoint,
 )
 from .matchcount import count_matchings, TooLarge
-from .formulas import factor_small
+from .formulas import factor_small, HypothesisViolated
 
 
 def _load_config(path):
@@ -58,9 +59,8 @@ def cmd_count(args):
 
 
 def cmd_formula(args):
-    head = args.spec.split(":")[0].upper()
-    nums = [int(t) for t in args.spec.split(":")[1].split("@")[0].split(",")]
-    if head in ("A1", "A2", "A3", "F1", "F2", "F3"):
+    head, nums, _ = split_spec(args.spec)
+    if head in FAMILY_HEADS:
         i = int(head[1])
         fc = formulas.phi(i, *nums) if head[0] == "A" \
             else formulas.psi(i, *nums)
@@ -88,9 +88,8 @@ def cmd_verify(args):
 
 
 def cmd_probe(args):
-    head = args.spec.split(":")[0].upper()
-    nums = [int(t) for t in args.spec.split(":")[1].split(",")]
-    if head[0] not in ("A", "F") or len(nums) != 3:
+    head, nums, _ = split_spec(args.spec)
+    if head not in FAMILY_HEADS:
         raise InvalidParams("probe expects a family spec like A1:2,2,0")
     points = []
     for tok in args.points.split(";"):
@@ -139,7 +138,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidParams, BadProbePoint, TooLarge, ValueError) as exc:
+    except (InvalidParams, HypothesisViolated, BadProbePoint, TooLarge,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

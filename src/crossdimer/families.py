@@ -182,9 +182,7 @@ def build_aztec_rectangle(lat, m, n, alignment="east", corner_uv=None):
         raise InvalidParams("m, n must be >= 1")
     if corner_uv is None:
         corner_uv = _corner_uv(lat, alignment)
-    pts = [p for p in aztec_rectangle_points(m, n, corner_uv)
-           if lat.has_vertex(p)]
-    return graph_on_points(lat, pts)
+    return graph_on_points(lat, aztec_rectangle_points(m, n, corner_uv))
 
 
 def build_augmented_aztec(lat, m, n, alignment="east", corner_uv=None):
@@ -196,7 +194,6 @@ def build_augmented_aztec(lat, m, n, alignment="east", corner_uv=None):
     base = aztec_rectangle_points(m, n, corner_uv)
     pts = set(base)
     pts.update((x - 1, y) for x, y in base)
-    pts = [p for p in sorted(pts) if lat.has_vertex(p)]
     return graph_on_points(lat, pts)
 
 
@@ -338,15 +335,15 @@ def weight_point(x, y, z):
     return WeightPoint(Fraction(x), Fraction(y), Fraction(z))
 
 
-def assign_cross_weights(g, w, table=None):
+def assign_cross_weights(g, w):
     """Attach the periodic cross weight pattern to every edge of g."""
-    table = table or WEIGHT_TABLE
     symbols = {"x": Fraction(w.x), "y": Fraction(w.y), "z": Fraction(w.z)}
     weights = {}
     for u, v in g.edges():
-        if not GRID_B.edge_exists(u, v):
+        offset = GRID_B.edge_offset(u, v)
+        if offset is None:
             raise NotGridB(f"edge {u}-{v} is not a cross-lattice edge")
-        sym = table.get(GRID_B.edge_offset(u, v))
+        sym = WEIGHT_TABLE.get(offset)
         if sym is not None:
             weights[edge_key(u, v)] = symbols[sym]
     return g.with_weights(weights)
@@ -355,12 +352,24 @@ def assign_cross_weights(g, w, table=None):
 # -- family spec strings ---------------------------------------------------------------
 
 
-def parse_spec(text):
-    """Build the graph named by a CLI string like A1:9,8,2 or AR:2,2@full."""
+FAMILY_HEADS = ("A1", "A2", "A3", "F1", "F2", "F3")
+SPEC_PARAMS = {**dict.fromkeys(FAMILY_HEADS, "a,b,c"), "TR": "a,b",
+               "TA": "m,n,h1,h2", "TB": "m,n,h1,h2", "AR": "m,n", "AAR": "m,n"}
+
+
+def split_spec(text):
+    """Split a spec like A1:9,8,2 or AR:2,2@full into (head, nums, lattice).
+
+    lattice is None when the spec names none.  An unknown family, a wrong
+    parameter count or a malformed string raises InvalidParams.
+    """
     text = text.strip()
     if ":" not in text:
         raise InvalidParams(f"malformed spec {text!r}")
     head, rest = text.split(":", 1)
+    head = head.upper()
+    if head not in SPEC_PARAMS:
+        raise InvalidParams(f"unknown family {head!r}")
     lat = None
     if "@" in rest:
         rest, latname = rest.split("@", 1)
@@ -374,27 +383,22 @@ def parse_spec(text):
         nums = [int(t) for t in rest.split(",")]
     except ValueError as exc:
         raise InvalidParams(f"bad numbers in {text!r}") from exc
-    head = head.upper()
-    if head in ("A1", "A2", "A3", "F1", "F2", "F3"):
-        if len(nums) != 3:
-            raise InvalidParams(f"{head} needs a,b,c")
+    if len(nums) != len(SPEC_PARAMS[head].split(",")):
+        raise InvalidParams(f"{head} needs {SPEC_PARAMS[head]}")
+    return head, nums, lat
+
+
+def parse_spec(text):
+    """Build the graph named by a CLI string like A1:9,8,2 or AR:2,2@full."""
+    head, nums, lat = split_spec(text)
+    if head in FAMILY_HEADS:
         fn = build_A if head[0] == "A" else build_F
         return fn(int(head[1]), *nums, lat=lat or GRID_B)
     if head == "TR":
-        if len(nums) != 2:
-            raise InvalidParams("TR needs a,b")
         return build_TR(*nums)
     if head in ("TA", "TB"):
-        if len(nums) != 4:
-            raise InvalidParams(f"{head} needs m,n,h1,h2")
         p = TrimRectParams(*nums, variant=head)
         return build_TA(p) if head == "TA" else build_TB(p)
     if head == "AR":
-        if len(nums) != 2:
-            raise InvalidParams("AR needs m,n")
         return build_aztec_rectangle(lat or FULL_GRID, *nums)
-    if head == "AAR":
-        if len(nums) != 2:
-            raise InvalidParams("AAR needs m,n")
-        return build_augmented_aztec(lat or FULL_GRID, *nums)
-    raise InvalidParams(f"unknown family {head!r}")
+    return build_augmented_aztec(lat or FULL_GRID, *nums)

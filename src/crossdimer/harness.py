@@ -115,14 +115,6 @@ class CountCache:
                                      "method": method}) + "\n")
 
 
-def cache_get(cache, key):
-    return cache.get(key)
-
-
-def cache_put(cache, key, count, method="fkt"):
-    cache.put(key, count, method)
-
-
 def cached_count(g, cache=None, method="fkt", cap=700):
     if cache is not None:
         hit = cache.get(g.graph_hash())
@@ -724,7 +716,7 @@ def render_svg(g, out, show_weights=False, show_removed=False, scale=24):
         present = set(vs)
         for x in range(xmin, xmax + 1):
             for y in range(ymin, ymax + 1):
-                if (x, y) not in present and GRID_B.has_vertex((x, y)):
+                if (x, y) not in present:
                     lines.append(
                         f'<circle cx="{sx(x)}" cy="{sy(y)}" r="2" '
                         f'fill="#cccccc"/>')

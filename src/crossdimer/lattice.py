@@ -1,13 +1,16 @@
 """Square grid and cross-lattice geometry.
 
-The cross lattice (grid "B") is the square grid with two adjacent vertical
-edges deleted per period: for every base point beta of the lattice
-L = {(4i+2j, 2j)}, the edges (bx+1, by)-(bx+1, by+1) and
-(bx+2, by)-(bx+2, by+1) are absent.  Equivalently it is glued from
-14-edge cross patterns, one per diamond of the tiling with centers at
-beta + (1/2, 1/2).  The edge table and every trim/strip rule below were
-frozen by exhaustive calibration against the closed-form counts; the
-acceptance suite re-verifies the transcription end to end.
+The cross lattice (grid "B") is the square grid without the vertical
+edges (x, y)-(x, y+1) with y even and x - y = 1 or 2 (mod 4): two per
+period of L = <(4,0), (2,2)>.  It is glued from 14-edge crosses, one per
+diamond centered at beta + (1/2, 1/2) for beta in L.  Lattice questions
+are residue arithmetic: a point's class mod L is residue(p) =
+((x - 2*(y//2)) mod 4, y mod 2), and a unit edge is fixed up to a period
+by its direction and the class of its lower-left end.  CROSS_EDGES, the
+transcribed cross, remains the source of the 14-entry edge table
+CROSS_OFFSETS.  The cross and every trim/strip rule below were frozen by
+exhaustive calibration against the closed-form counts; the acceptance
+suite re-verifies the transcription end to end.
 
 Contours anchor at cross centers, which sit at half-integer points, so
 polygon corners are stored in doubled coordinates: one diagonal step of a
@@ -56,79 +59,48 @@ CROSS_EDGES = frozenset((
     ((0, -1), (1, -1)),                        # south tip
 ))
 
-PERIOD_VECTORS = ((4, 0), (2, 2))
+
+def residue(p):
+    """Class of p in Z^2 / L, one of eight; cross bases are (0, 0)."""
+    x, y = p
+    return ((x - 2 * (y // 2)) % 4, y % 2)
+
+
+# (direction, residue of the lower-left end) -> position in the cross.  The
+# 14 cross edges fill 14 of the 16 unit-edge classes; the other two are
+# the slits.
+CROSS_OFFSETS = {((b[0] - a[0], b[1] - a[1]), residue(a)): (a, b)
+                 for a, b in CROSS_EDGES}
+
+
+def _edge_class(p, q):
+    a, b = min(p, q), max(p, q)
+    return (b[0] - a[0], b[1] - a[1]), residue(a)
 
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Either the full square grid or a periodic cross lattice."""
+    """Either the full square grid or the periodic cross lattice."""
 
     kind: str  # "full" | "cross"
-    cross_table: frozenset = CROSS_EDGES
-    periods: tuple = PERIOD_VECTORS
-    anchor: tuple = (0, 0)
-
-    def __post_init__(self):
-        if self.kind == "cross":
-            pts = frozenset(p for e in self.cross_table for p in e)
-            object.__setattr__(self, "_offsets", pts)
-
-    def is_base(self, p):
-        """True iff p is a cross base point (center at p + (1/2, 1/2))."""
-        bx, by = p[0] - self.anchor[0], p[1] - self.anchor[1]
-        return bx % 2 == 0 and by % 2 == 0 and (bx - by) % 4 == 0
-
-    def _owning_base(self, mx2, my2):
-        """Base of the diamond owning the point with doubled coords (mx2, my2)."""
-        by0 = (my2 // 2) & ~1
-        bx0 = (mx2 // 2) & ~1
-        for dy in (0, -2, 2):
-            by = by0 + dy
-            for dx in (-3, -2, -1, 0, 1, 2, 3):
-                bx = bx0 + dx
-                if bx % 2 or (bx - self.anchor[0] - (by - self.anchor[1])) % 4:
-                    continue
-                if abs(mx2 - 2 * bx - 1) + abs(my2 - 2 * by - 1) <= 3:
-                    return (bx, by)
-        raise AssertionError("no owning diamond found")
 
     def has_vertex(self, p):
-        if self.kind == "full":
-            return True
-        x, y = p
-        for bx in range(x - 2, x + 3):
-            for by in range(y - 2, y + 3):
-                if self.is_base((bx, by)) and \
-                        (x - bx, y - by) in self._offsets:
-                    return True
-        return False
+        """Both lattices contain every point of Z^2."""
+        return True
 
     def edge_exists(self, p, q):
         """True iff {p, q} is an edge of this lattice; symmetric in p, q."""
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        if abs(dx) + abs(dy) != 1:
-            return False
         if self.kind == "full":
-            return True
-        bx, by = self._owning_base(p[0] + q[0], p[1] + q[1])
-        a = (p[0] - bx, p[1] - by)
-        b = (q[0] - bx, q[1] - by)
-        return (min(a, b), max(a, b)) in self.cross_table
+            return abs(q[0] - p[0]) + abs(q[1] - p[1]) == 1
+        return _edge_class(p, q) in CROSS_OFFSETS
 
     def edge_offset(self, p, q):
-        """Position of the edge {p, q} within its cross, as a table key."""
-        bx, by = self._owning_base(p[0] + q[0], p[1] + q[1])
-        a = (p[0] - bx, p[1] - by)
-        b = (q[0] - bx, q[1] - by)
-        return (min(a, b), max(a, b))
+        """The element of CROSS_EDGES that {p, q} translates, or None."""
+        return CROSS_OFFSETS.get(_edge_class(p, q))
 
 
 FULL_GRID = LatticeSpec(kind="full")
 GRID_B = LatticeSpec(kind="cross")
-
-
-def edge_exists(lat, p, q):
-    return lat.edge_exists(p, q)
 
 
 # -- contours --------------------------------------------------------------------
@@ -183,51 +155,34 @@ def trace_contour(spec):
     return corners
 
 
-def _segments(corners2):
-    return [(corners2[i], corners2[i + 1]) for i in range(len(corners2) - 1)
-            if corners2[i] != corners2[i + 1]]
+def row_span(corners2, y):
+    """Lattice x-interval (lo, hi) of row y inside or on the polygon.
 
-
-def on_boundary(corners2, p):
-    """True iff lattice point p lies on the polygon boundary."""
-    px2, py2 = 2 * p[0], 2 * p[1]
-    for (x1, y1), (x2, y2) in _segments(corners2):
-        if y1 == y2:
-            if py2 == y1 and min(x1, x2) <= px2 <= max(x1, x2):
-                return True
-        else:
-            if abs(px2 - x1) == abs(py2 - y1) and \
-                    (px2 - x1) * (x2 - x1) >= 0 and \
-                    (py2 - y1) * (y2 - y1) >= 0 and \
-                    abs(px2 - x1) <= abs(x2 - x1) and \
-                    (x2 - x1) * (py2 - y1) == (y2 - y1) * (px2 - x1):
-                return True
-    return False
-
-
-def inside_strict(corners2, p):
-    """Even-odd parity test for a lattice point not on the boundary."""
-    px2, py2 = 2 * p[0], 2 * p[1]
-    crossings = 0
-    for (x1, y1), (x2, y2) in _segments(corners2):
-        if y1 == y2:
-            continue
-        if min(y1, y2) <= py2 < max(y1, y2):
-            cx = x1 + (py2 - y1) * (x2 - x1) // (y2 - y1)
-            if cx > px2:
-                crossings += 1
-    return crossings % 2 == 1
+    None when the row misses the polygon.  Contour corners sit at odd
+    doubled coordinates, so a row never runs along a side or through a
+    corner, and meets a diagonal side at a lattice point.  Family contours
+    are y-monotone: each row is crossed at most twice.
+    """
+    h = 2 * y
+    xs = sorted(x1 + (h - y1) * (x2 - x1) // (y2 - y1)
+                for (x1, y1), (x2, y2) in zip(corners2, corners2[1:])
+                if min(y1, y2) <= h < max(y1, y2))
+    if not xs:
+        return None
+    if len(xs) != 2:
+        raise ValueError(f"contour is not y-monotone: row {y} crosses it "
+                         f"{len(xs)} times")
+    return (xs[0] + 1) // 2, xs[1] // 2
 
 
 def region_points(corners2):
     """Lattice points inside or on the closed polyline."""
-    xs = [c[0] for c in corners2]
     ys = [c[1] for c in corners2]
-    for x in range(min(xs) // 2 - 1, max(xs) // 2 + 2):
-        for y in range(min(ys) // 2 - 1, max(ys) // 2 + 2):
-            p = (x, y)
-            if on_boundary(corners2, p) or inside_strict(corners2, p):
-                yield p
+    for y in range(min(ys) // 2, max(ys) // 2 + 1):
+        span = row_span(corners2, y)
+        if span:
+            for x in range(span[0], span[1] + 1):
+                yield (x, y)
 
 
 def graph_on_points(lat, pts):
@@ -242,8 +197,7 @@ def graph_on_points(lat, pts):
 
 def induced_subgraph(lat, corners2):
     """Lattice graph induced by the points inside or on the polyline."""
-    pts = [p for p in region_points(corners2) if lat.has_vertex(p)]
-    return graph_on_points(lat, pts)
+    return graph_on_points(lat, region_points(corners2))
 
 
 # -- side strips -----------------------------------------------------------------
@@ -263,11 +217,6 @@ def points_on_segment(p1_2, p2_2):
         if X % 2 == 0 and Y % 2 == 0:
             out.append((X // 2, Y // 2))
     return out
-
-
-def strip_segment(g, p1_2, p2_2):
-    """Drop every vertex of g lying on the closed doubled segment."""
-    return g.without(points_on_segment(p1_2, p2_2))
 
 
 # -- zigzag trims ----------------------------------------------------------------
@@ -306,10 +255,10 @@ def trim_zigzag_side(g, corners2, side_idx, sweep=None, delta=None):
     if delta is None:
         delta = SWEEP_DELTA[sweep]
     y2 = p1[1]
-    below = (((p1[0] + p2[0]) // 2) // 2, (y2 - 1) // 2)
-    interior_is_below = on_boundary(corners2, below) or \
-        inside_strict(corners2, below)
-    row_y = (y2 - 1) // 2 if interior_is_below else (y2 + 1) // 2
+    below_x, below_y = ((p1[0] + p2[0]) // 2) // 2, (y2 - 1) // 2
+    span = row_span(corners2, below_y)
+    interior_is_below = span is not None and span[0] <= below_x <= span[1]
+    row_y = below_y if interior_is_below else (y2 + 1) // 2
     x_lo = (min(p1[0], p2[0]) + 1) // 2
     x_hi = (max(p1[0], p2[0]) - 1) // 2
     return g.without(zigzag_trim_row(row_y, x_lo, x_hi, delta))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -33,6 +33,11 @@ class ConditionsViolated(Exception):
 
 class NonPlanarEmbedding(Exception):
     """Internal assertion: lattice graphs must embed without crossings."""
+
+
+class InexactArithmetic(ArithmeticError):
+    """An exactness guard failed: a CRT determinant outside its Hadamard
+    bound, or a scaled edge weight that is not an integer."""
 
 
 def edge_key(u, v):
@@ -245,14 +250,20 @@ def _brute(adj, weights):
 # -- planar embedding: faces ------------------------------------------------
 
 
-def _sorted_rotations(g):
-    """Neighbors of each vertex in counterclockwise angular order."""
-    from math import atan2
+# Counterclockwise rank of each unit step, starting east.
+_CCW_RANK = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
 
+
+def _sorted_rotations(g):
+    """Neighbors of each vertex in counterclockwise order (E, N, W, S)."""
     rot = {}
     for v in g.vertices:
-        nbrs = sorted(g.adj[v], key=lambda u: atan2(u[1] - v[1], u[0] - v[0]))
-        rot[v] = nbrs
+        try:
+            rot[v] = sorted(g.adj[v],
+                            key=lambda u: _CCW_RANK[u[0] - v[0], u[1] - v[1]])
+        except KeyError:
+            raise NonPlanarEmbedding(
+                f"vertex {v} has an edge that is not a unit step") from None
     return rot
 
 
@@ -479,7 +490,10 @@ def det_exact(mat):
         pr *= p
     if acc > pr // 2:
         acc -= pr
-    assert abs(acc) <= bound
+    if abs(acc) > bound:
+        raise InexactArithmetic(
+            f"CRT determinant has {abs(acc).bit_length()} bits, above the "
+            f"Hadamard bound of {bound.bit_length()}")
     return acc
 
 
@@ -516,17 +530,15 @@ def _fkt_component(g):
     if len(ev) != len(od):
         return 0
     orient = _orient_component(g)
-    scale = 1
-    for w in g.weights.values():
-        if isinstance(w, Fraction) and w.denominator != 1:
-            scale = scale * w.denominator // _gcd(scale, w.denominator)
+    scale = lcm(*(w.denominator for w in g.weights.values()))
     rows = {v: i for i, v in enumerate(ev)}
     cols = {v: i for i, v in enumerate(od)}
     n = len(ev)
     mat = [[0] * n for _ in range(n)]
     for u, v in g.edges():
         w = g.weight(u, v) * scale
-        assert w == int(w)
+        if w != int(w):
+            raise InexactArithmetic(f"weight of {u}-{v} scales to {w}")
         w = int(w)
         tail, _ = orient[edge_key(u, v)]
         sgn = 1 if (tail[0] + tail[1]) % 2 == 0 else -1
@@ -536,12 +548,6 @@ def _fkt_component(g):
     if scale == 1:
         return det
     return Fraction(det, scale ** n)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def count_matchings(g, method="auto", brute_cap=BRUTE_CAP, fkt_cap=FKT_CAP):

@@ -42,6 +42,9 @@ def test_probe_command(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["count", "XX:1,1"]) == 2
     assert main(["gen", "A1:1,1,0"]) == 2
+    assert main(["formula", "TR"]) == 2
+    assert main(["formula", "TR:1,1"]) == 2
+    assert main(["probe", "A1", "--points", "3,5,7"]) == 2
 
 
 def test_verify_exit_code(capsys):

@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from crossdimer.families import family_contour
 from crossdimer.lattice import (
-    CROSS_EDGES, FULL_GRID, GRID_B, ContourSpec, NonClosing,
-    SelfIntersecting, induced_subgraph, on_boundary, points_on_segment,
-    region_points, trace_contour, trim_zigzag_side, zigzag_trim_row,
+    CROSS_EDGES, CROSS_OFFSETS, FULL_GRID, GRID_B, ContourSpec, NonClosing,
+    SelfIntersecting, induced_subgraph, points_on_segment, region_points,
+    slit_base, trace_contour, trim_zigzag_side, zigzag_trim_row,
 )
 
 
@@ -33,6 +33,18 @@ def test_grid_b_missing_slits():
     # every lattice point is a vertex of the cross lattice
     assert all(GRID_B.has_vertex((x, y)) for x in range(-3, 4)
                for y in range(-3, 4))
+
+
+def test_grid_b_residue_rule():
+    # each cross edge is its own class mod the period lattice, and the
+    # only absent unit edges are the two slits per period
+    assert len(CROSS_OFFSETS) == len(CROSS_EDGES)
+    for x in range(-12, 12):
+        for y in range(-12, 12):
+            assert GRID_B.edge_exists((x, y), (x + 1, y))
+            slit = y % 2 == 0 and (x - slit_base(y)) % 4 in (0, 1)
+            assert GRID_B.edge_exists((x, y), (x, y + 1)) == (not slit)
+            assert (GRID_B.edge_offset((x, y), (x, y + 1)) is None) == slit
 
 
 @settings(max_examples=100, deadline=None)
@@ -118,5 +130,13 @@ def test_region_points_boundary_inclusive():
     corners = trace_contour(family_contour(1, 2, 2, 0))
     pts = set(region_points(corners))
     assert (1, 0) in pts            # on the first diagonal side
-    assert on_boundary(corners, (1, 0))
     assert len(pts) == 40
+
+
+def test_region_points_rejects_non_monotone_contour():
+    # a U shape: rows across its arms cross the contour four times
+    u_shape = ContourSpec("u", (0, 0), (
+        ("E", 12), ("N", 8), ("W", 4), ("S", 4),
+        ("W", 4), ("N", 4), ("W", 4), ("S", 8)))
+    with pytest.raises(ValueError):
+        list(region_points(trace_contour(u_shape)))

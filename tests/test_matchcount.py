@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from crossdimer.families import build_aztec_rectangle, build_augmented_aztec
 from crossdimer.lattice import FULL_GRID
+from crossdimer import matchcount
 from crossdimer.matchcount import (
-    Graph, BadVertexSelection, ConditionsViolated, TooLarge,
+    Graph, BadVertexSelection, ConditionsViolated, InexactArithmetic,
+    NonPlanarEmbedding, TooLarge,
     count_brute, count_fkt, count_matchings, det_exact, edge_key,
     face_area2, kuo_check, pfaffian_orientation, planar_faces,
     reduce_forced, split_check,
@@ -117,6 +119,21 @@ def test_det_exact_small():
     assert det_exact([[2, 1], [1, 2]]) == 3
     assert det_exact([[0, 0], [0, 0]]) == 0
     assert det_exact([]) == 1
+
+
+def test_det_exact_rejects_residues_beyond_bound(monkeypatch):
+    # a residue of (p - 1) / 2 = -1/2 mod every prime reconstructs to a
+    # value far outside the Hadamard bound
+    monkeypatch.setattr(matchcount, "_det_mod", lambda mat, p: p // 2)
+    with pytest.raises(InexactArithmetic):
+        det_exact([[2, 1], [1, 2]])
+
+
+def test_faces_reject_non_unit_edge():
+    g = Graph([(0, 0), (1, 0), (0, 1), (2, 2)],
+              [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (2, 2))])
+    with pytest.raises(NonPlanarEmbedding):
+        planar_faces(g)
 
 
 @settings(max_examples=40, deadline=None)
