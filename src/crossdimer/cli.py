@@ -20,7 +20,7 @@ from .families import (
 )
 from .harness import (
     SuiteConfig, run_suite, render_svg, conjecture_probe,
-    ConjectureExponents, BadProbePoint,
+    ConjectureExponents, BadProbePoint, check_trim_domain,
 )
 from .matchcount import count_matchings, TooLarge
 from .formulas import factor_small, HypothesisViolated
@@ -66,10 +66,9 @@ def cmd_formula(args):
             else formulas.psi(i, *nums)
     elif head == "TR":
         fc = formulas.thm_TR(*nums)
-    elif head == "TA":
-        fc = formulas.thm_TA(*nums)
-    elif head == "TB":
-        fc = formulas.thm_TB(*nums)
+    elif head in ("TA", "TB"):
+        check_trim_domain(head, *nums)
+        fc = (formulas.thm_TA if head == "TA" else formulas.thm_TB)(*nums)
     else:
         raise InvalidParams(f"no closed form for {head!r}")
     print(json.dumps(fc.as_dict()))

@@ -21,7 +21,7 @@ from .families import (
 )
 from .formulas import (
     phi, psi, phi_value, psi_value, thm_TR, thm_TA, thm_TB,
-    recurrence_check, factor_small, alpha_w, beta_w,
+    recurrence_check, factor_small, alpha_w, beta_w, HypothesisViolated,
 )
 from .lattice import FULL_GRID, GRID_B
 from .matchcount import (
@@ -297,22 +297,33 @@ def trim_rect_domain(m_cap=5, n_cap=7):
     return out
 
 
+def check_trim_domain(variant, m, n, h1, h2):
+    """Raise HypothesisViolated unless theorem 1.3 covers this trimmed
+    rectangle: its core triple must be a valid family triple, and neither
+    cut may leave its corner."""
+    spec = f"{variant}:{m},{n},{h1},{h2}"
+    mapping = formulas.TA_MAPPING_DEFAULT if variant == "TA" \
+        else formulas.TB_MAPPING_DEFAULT
+    try:
+        derive_params(*formulas.trim_rect_triple(m, n, h1, h2, mapping))
+    except InvalidParams as exc:
+        raise HypothesisViolated(f"{spec} has no valid core: {exc}") from None
+    short_side = 2 * m if variant == "TA" else 2 * m - 1
+    if h1 >= short_side or h2 >= short_side:
+        raise HypothesisViolated(
+            f"{spec}: a cut leaves its corner (side {short_side})")
+
+
 def suite_theorem13(cfg):
     rep = SuiteReport("theorem13")
     cache = CountCache(cfg.cache_path)
     for (m, n, h1, h2) in trim_rect_domain():
         for variant, thm, builder in (("TA", thm_TA, build_TA),
                                       ("TB", thm_TB, build_TB)):
-            mapping = formulas.TA_MAPPING_DEFAULT if variant == "TA" \
-                else formulas.TB_MAPPING_DEFAULT
-            a, b, c = formulas.trim_rect_triple(m, n, h1, h2, mapping)
             try:
-                derive_params(a, b, c)
-            except InvalidParams:
-                continue  # no valid core: outside the theorem's domain
-            short_side = 2 * m if variant == "TA" else 2 * m - 1
-            if h1 >= short_side or h2 >= short_side:
-                continue  # cut would leave its corner: not a corner trim
+                check_trim_domain(variant, m, n, h1, h2)
+            except HypothesisViolated:
+                continue
             want = thm(m, n, h1, h2).value()
             g = builder(TrimRectParams(m, n, h1, h2, variant=variant))
             got = cached_count(g, cache, cap=cfg.vertex_cap_fkt)
@@ -557,6 +568,8 @@ def screen_probe_point(pt):
     """Require the six divisor bases to be pairwise coprime and non-unit."""
     from math import gcd
 
+    if len(pt) != 3:
+        raise BadProbePoint(f"{pt}: a probe point has three coordinates")
     x, y, z = pt
     if any(t != int(t) or t < 1 for t in pt):
         raise BadProbePoint(f"{pt}: coordinates must be positive integers")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 import numpy as np
 
@@ -277,15 +277,17 @@ def planar_faces(g):
     """
     rot = _sorted_rotations(g)
     pos = {v: {u: i for i, u in enumerate(rot[v])} for v in g.vertices}
-    unused = {(u, v) for u in g.vertices for v in g.adj[u]}
+    used = set()
     faces = []
-    while unused:
-        start = min(unused)
+    # a face is traced from its least dart, so faces keep that order
+    for start in sorted((u, v) for u in g.vertices for v in g.adj[u]):
+        if start in used:
+            continue
         cycle = []
         dart = start
         while True:
             cycle.append(dart[0])
-            unused.discard(dart)
+            used.add(dart)
             u, v = dart
             nbrs = rot[v]
             i = pos[v][u]
@@ -412,80 +414,110 @@ def _is_probable_prime(n):
     return True
 
 
-def _primes(k):
-    n = _PRIME_POOL[-1] - 2 if _PRIME_POOL else (1 << 30) - 1
-    while len(_PRIME_POOL) < k:
-        if _is_probable_prime(n):
+def _crt_primes(need):
+    """The fewest of the largest primes below 2^30 whose product >= need."""
+    k, cover = 0, 1
+    while cover < need:
+        if k == len(_PRIME_POOL):
+            n = _PRIME_POOL[-1] - 2 if _PRIME_POOL else (1 << 30) - 1
+            while not _is_probable_prime(n):
+                n -= 2
             _PRIME_POOL.append(n)
-        n -= 2
+        cover *= _PRIME_POOL[k]
+        k += 1
     return _PRIME_POOL[:k]
 
 
-def _det_mod(mat, p):
-    """Determinant of an int64 numpy matrix mod p (p < 2^31)."""
-    a = np.mod(mat, p).astype(np.int64)
+# Between two reductions of the window an entry takes at most this many
+# updates x - f*y with f, y < p < 2^30, so it stays above -7 * 2^60 and fits
+# in int64.
+_STEPS_PER_REDUCTION = 7
+
+
+def _det_residues(a, primes):
+    """Determinant of the square integer array a modulo every prime at once.
+
+    One banded Gaussian elimination serves all primes: a window of shape
+    (primes, L+1, L+H+1) slides down the diagonal, where L and H are the
+    lower and upper bandwidths of a.  Each prime picks its own pivot row
+    (the first in the window that is nonzero in the pivot column), so the
+    upper band of the eliminated rows grows to at most L+H and no nonzero
+    leaves the window.  a is int64, or object when an entry does not fit;
+    either way each row is reduced mod every prime as it enters.  Returns
+    the residues as a list of ints in [0, p).
+    """
     n = a.shape[0]
-    det = 1
-    for k in range(n):
-        col = a[k:, k]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            return 0
-        i = k + int(nz[0])
-        if i != k:
-            a[[k, i]] = a[[i, k]]
-            det = -det
-        pivot = int(a[k, k])
-        det = det * pivot % p
-        inv = pow(pivot, p - 2, p)
-        rows = a[k + 1:, k]
-        nzr = np.nonzero(rows)[0]
-        if nzr.size:
-            factors = (rows[nzr] * inv) % p
-            a[k + 1 + nzr, k:] = (
-                a[k + 1 + nzr, k:] - factors[:, None] * a[k, k:]) % p
-    return det % p
+    rows, cols = np.nonzero(a)
+    lo = max(int((rows - cols).max()), 0)
+    width = lo + max(int((cols - rows).max()), 0) + 1
+    k = len(primes)
+    pr = np.array(primes, dtype=np.int64)
+    p1, p2 = pr[:, None], pr[:, None, None]
+    each = np.arange(k)
+
+    def band(r, first):
+        """Row r at columns first .. first+width-1, mod every prime."""
+        out = np.zeros((k, width), dtype=np.int64)
+        if r < n:
+            stop = min(first + width, n)
+            out[:, :stop - first] = a[r, first:stop] % p1
+        return out
+
+    win = np.zeros((k, lo + 1, width), dtype=np.int64)
+    for r in range(min(lo + 1, n)):
+        win[:, r] = band(r, 0)
+    nxt = np.empty_like(win)
+    det = np.ones(k, dtype=np.int64)
+    flips = np.zeros(k, dtype=bool)
+    for step in range(n):
+        if step % _STEPS_PER_REDUCTION == 0:
+            np.remainder(win, p2, out=win)
+        col = win[:, :, 0] % p1
+        piv = (col != 0).argmax(axis=1)
+        pivot = col[each, piv]
+        prow = win[each, piv] % p1
+        det = det * pivot % pr
+        if piv.any():
+            flips ^= piv != 0
+            win[each, piv] = win[:, 0]
+            col[each, piv] = col[:, 0]
+        # a prime with no pivot has det 0 and eliminates nothing
+        inv = np.array([pow(x, -1, p) if x else 0
+                        for x, p in zip(pivot.tolist(), primes)],
+                       dtype=np.int64)
+        f = col[:, 1:] * inv[:, None] % p1
+        np.subtract(win[:, 1:, 1:], f[:, :, None] * prow[:, None, 1:],
+                    out=nxt[:, :lo, :-1])
+        nxt[:, :lo, -1] = 0
+        nxt[:, lo] = band(step + 1 + lo, step + 1)
+        win, nxt = nxt, win
+    return np.where(flips, (pr - det) % pr, det).tolist()
 
 
 def det_exact(mat):
     """Exact determinant of a Python-int matrix by CRT reconstruction.
 
-    The number of primes is bounded by the Hadamard row bound.
+    Uses the fewest primes whose product covers twice the Hadamard row
+    bound, with every residue from one banded elimination.
     """
     n = len(mat)
     if n == 0:
         return 1
-    b2 = 1
-    for row in mat:
-        s = sum(x * x for x in row)
-        if s == 0:
-            return 0
-        b2 *= s
-    bound = isqrt(b2) + 1
-    need = 2 * bound + 1
-    primes, prod = [], 1
-    k = 0
-    while prod < need:
-        k += 16
-        primes = _primes(k)
-        prod = 1
-        for p in primes:
-            prod *= p
-    maxabs = max(abs(x) for row in mat for x in row)
-    fast = None
-    if maxabs < (1 << 31):
-        fast = np.array(mat, dtype=np.int64)
+    try:
+        a = np.array(mat, dtype=np.int64)
+    except OverflowError:
+        a = np.array(mat, dtype=object)
+    amax = max(int(a.max()), -int(a.min()))
+    sq = a if amax * amax * n < 1 << 63 else a.astype(object)
+    row_sums = np.einsum("ij,ij->i", sq, sq).tolist()
+    if 0 in row_sums:
+        return 0
+    bound = isqrt(prod(row_sums)) + 1
+    primes = _crt_primes(2 * bound + 1)
     acc, pr = 0, 1
-    for p in primes:
-        if fast is not None:
-            small = np.mod(fast, p)
-        else:
-            small = np.array([[int(x) % p for x in row] for row in mat],
-                             dtype=np.int64)
-        r = _det_mod(small, p)
+    for p, r in zip(primes, _det_residues(a, primes)):
         # incremental CRT
-        t = (r - acc) % p
-        t = t * pow(pr % p, p - 2, p) % p
+        t = (r - acc) * pow(pr, -1, p) % p
         acc += pr * t
         pr *= p
     if acc > pr // 2:

@@ -23,6 +23,9 @@ def test_formula_command(capsys):
     assert main(["formula", "TR:2,4"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["value"] == "12100000000"
+    # inside theorem 1.3 (the theorem13 suite counts it as 5)
+    assert main(["formula", "TA:1,1,0,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "5"
 
 
 def test_gen_command(capsys, tmp_path):
@@ -45,6 +48,12 @@ def test_usage_error_exit_code(capsys):
     assert main(["formula", "TR"]) == 2
     assert main(["formula", "TR:1,1"]) == 2
     assert main(["probe", "A1", "--points", "3,5,7"]) == 2
+    # trimmed rectangles outside theorem 1.3: no valid core, cut past corner
+    assert main(["formula", "TB:1,1,0,0"]) == 2
+    assert main(["formula", "TA:1,2,2,1"]) == 2
+    assert main(["probe", "A1:2,2,0", "--points", "3,5"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 8 and "(3, 5)" in err[-1]
 
 
 def test_verify_exit_code(capsys):

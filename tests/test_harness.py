@@ -56,6 +56,8 @@ def test_probe_consistent_and_reconstructs():
 def test_probe_rejects_bad_point():
     with pytest.raises(BadProbePoint):
         conjecture_probe("A", 1, 2, 2, 0, ((1, 1, 1),))
+    with pytest.raises(BadProbePoint, match=r"\(3, 5\)"):
+        conjecture_probe("A", 1, 2, 2, 0, ((3, 5),))
 
 
 def test_probe_inconsistent_on_broken_weights(monkeypatch):

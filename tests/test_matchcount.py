@@ -1,10 +1,16 @@
-import pytest
+import random
 from fractions import Fraction
+from math import isqrt, prod
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from crossdimer.families import build_aztec_rectangle, build_augmented_aztec
-from crossdimer.lattice import FULL_GRID
+from crossdimer.families import (
+    build_aztec_rectangle, build_augmented_aztec, build_TR,
+)
+from crossdimer.formulas import thm_TR
+from crossdimer.lattice import FULL_GRID, GRID_B
 from crossdimer import matchcount
 from crossdimer.matchcount import (
     Graph, BadVertexSelection, ConditionsViolated, InexactArithmetic,
@@ -124,9 +130,102 @@ def test_det_exact_small():
 def test_det_exact_rejects_residues_beyond_bound(monkeypatch):
     # a residue of (p - 1) / 2 = -1/2 mod every prime reconstructs to a
     # value far outside the Hadamard bound
-    monkeypatch.setattr(matchcount, "_det_mod", lambda mat, p: p // 2)
+    monkeypatch.setattr(matchcount, "_det_residues",
+                        lambda a, primes: [p // 2 for p in primes])
     with pytest.raises(InexactArithmetic):
         det_exact([[2, 1], [1, 2]])
+
+
+def fraction_det(mat):
+    """Reference determinant: Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+# the largest pool prime: a row scaled by it makes the matrix zero mod it
+P0 = matchcount._crt_primes(2)[0]
+
+
+@st.composite
+def banded_matrices(draw):
+    """Square integer matrices of random bandwidths (full band = dense),
+    with small or huge entries, repeated rows and rows scaled by P0."""
+    n = draw(st.integers(1, 7))
+    lo, hi = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    entry = draw(st.sampled_from([st.integers(-2, 2), st.integers(-9, 9),
+                                  st.integers(-(2 ** 70), 2 ** 70),
+                                  st.sampled_from([0, 1, 2 ** 31,
+                                                   -(2 ** 62), 2 ** 63])]))
+    mat = [[draw(entry) if -lo <= j - i <= hi else 0 for j in range(n)]
+           for i in range(n)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    how = draw(st.sampled_from(["none", "repeat", "scale"]))
+    if how == "repeat":
+        mat[i] = list(mat[j])
+    elif how == "scale":
+        mat[i] = [x * P0 for x in mat[i]]
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(banded_matrices())
+@example([[5]])
+@example([[0, 1], [1, 0]])
+@example([[1, 2], [2, 4]])
+@example([[P0, 0], [0, 1]])
+@example([[2 ** 31, 1], [1, 2 ** 31]])
+@example([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+def test_det_exact_matches_fraction_det(mat):
+    seen = []
+    residues = matchcount._det_residues
+
+    def spy(a, primes):
+        seen.append(primes)
+        return residues(a, primes)
+
+    with mock.patch.object(matchcount, "_det_residues", spy):
+        assert det_exact(mat) == fraction_det(mat)
+    row_sums = [sum(x * x for x in row) for row in mat]
+    if 0 in row_sums:
+        assert not seen
+        return
+    (primes,) = seen
+    need = 2 * (isqrt(prod(row_sums)) + 1) + 1
+    assert prod(primes) >= need > prod(primes[:-1])
+
+
+def test_det_exact_dense_past_reduction_period():
+    # 40 elimination steps run through several lazy-reduction periods
+    rng = random.Random(7)
+    mat = [[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)]
+    assert det_exact(mat) == fraction_det(mat)
+
+
+def test_fkt_tr_6_12_above_cap():
+    g = build_TR(6, 12)
+    assert len(g) == 2208
+    assert count_fkt(g, cap=len(g)) == thm_TR(6, 12).value()
+
+
+def test_faces_start_at_least_dart_in_order():
+    # the orientation solve depends on the face order: each face is traced
+    # from the least dart not yet used
+    faces = planar_faces(build_augmented_aztec(GRID_B, 3, 2))
+    darts = [list(zip(f, f[1:] + f[:1])) for f in faces]
+    assert all(d[0] == min(d) for d in darts)
+    assert [d[0] for d in darts] == sorted(d[0] for d in darts)
 
 
 def test_faces_reject_non_unit_edge():
