@@ -86,6 +86,9 @@ class FactoredCount:
 
     def value(self):
         """Exact value; an int unless some exponent is negative."""
+        if not self.has_negative:
+            return (self.prefactor * 2 ** self.exp2 * 3 ** self.exp3
+                    * 5 ** self.exp5 * 11 ** self.exp11)
         v = Fraction(self.prefactor)
         for base, e in ((2, self.exp2), (3, self.exp3),
                         (5, self.exp5), (11, self.exp11)):

@@ -7,6 +7,7 @@ check.  Suites are deterministic given the seed in SuiteConfig.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
@@ -476,6 +477,7 @@ def suite_recurrences(cfg):
     # graph-level recurrences, within the stated hypotheses
     cache = CountCache(cfg.cache_path)
 
+    @functools.cache  # recurrences share graphs: build and hash each once
     def gm(kind, i, t):
         g = build_A(i, *t) if kind == "A" else build_F(i, *t)
         return cached_count(g, cache, cap=cfg.vertex_cap_fkt)

@@ -315,75 +315,70 @@ def face_area2(cycle):
 def pfaffian_orientation(g):
     """Orient edges so every bounded face is clockwise-odd.
 
-    Works per connected component via a GF(2) solve over edge flips; robust
-    to bridges.  Returns {edge_key: (tail, head)}.
+    Works per connected component by Kasteleyn's spanning-tree
+    construction, in time linear in the edges; robust to bridges and
+    isolated vertices.  Returns {edge_key: (tail, head)}.
     """
     orient = {}
-    for comp in g.components() if len(g) else []:
+    for comp in g.components():
         orient.update(_orient_component(comp))
     return orient
 
 
 def _orient_component(g):
-    edges = g.edges()
-    eidx = {e: i for i, e in enumerate(edges)}
+    """Kasteleyn's construction on one connected plane graph.
+
+    Spanning-tree edges keep their edge_key direction.  The other edges
+    join two faces each and form a tree on the faces, rooted at the outer
+    face; visiting the faces leaves first, each face has one edge left
+    unset (the one to its parent), which is set to make the face odd.
+    """
+    E = g.n_edges()
+    if not E:
+        return {}
     faces = planar_faces(g)
-    if len(g.vertices) >= 1:
-        # Euler check doubles as a non-crossing assertion for lattice input
-        V, E, F = len(g.vertices), len(edges), len(faces)
-        if V - E + F != 2:
-            raise NonPlanarEmbedding(f"V-E+F={V - E + F} != 2")
-    rows, rhs = [], []
-    for cycle in faces:
-        if face_area2(cycle) <= 0:
-            continue  # outer face is unconstrained
-        mask = 0
-        passes = 0
-        agree = 0
-        n = len(cycle)
-        for i in range(n):
-            u, v = cycle[i], cycle[(i + 1) % n]
-            mask ^= 1 << eidx[edge_key(u, v)]
-            passes += 1
-            if (u, v) == edge_key(u, v):
-                agree += 1
-        # want: #edges oriented against the CCW traversal to be odd
-        rows.append(mask)
-        rhs.append((passes - 1 - agree) % 2)
-    flips = _solve_gf2(rows, rhs, len(edges))
-    out = {}
-    for e, i in eidx.items():
-        out[e] = e if not (flips >> i) & 1 else (e[1], e[0])
-    return out
-
-
-def _solve_gf2(rows, rhs, nvars):
-    """Solve a GF(2) system given as bitmask rows; any solution returned."""
-    pivots = {}
-    sol = 0
-    for mask, b in zip(rows, rhs):
-        for p, (pm, pb) in pivots.items():
-            if (mask >> p) & 1:
-                mask ^= pm
-                b ^= pb
-        if mask == 0:
-            if b:
-                raise NonPlanarEmbedding("inconsistent face parity system")
-            continue
-        p = mask.bit_length() - 1
-        pivots[p] = (mask, b)
-    for p in sorted(pivots):
-        mask, b = pivots[p]
-        val = b
-        low = mask & ((1 << p) - 1)
-        while low:
-            q = low & -low
-            if sol & q:
-                val ^= 1
-            low ^= q
-        if val:
-            sol |= 1 << p
-    return sol
+    # Euler check doubles as a non-crossing assertion for lattice input
+    V, F = len(g.vertices), len(faces)
+    if V - E + F != 2:
+        raise NonPlanarEmbedding(f"V-E+F={V - E + F} != 2")
+    outer = [f for f, cycle in enumerate(faces) if face_area2(cycle) <= 0]
+    if len(outer) != 1:
+        raise NonPlanarEmbedding(f"{len(outer)} outer faces")
+    darts = [list(zip(cycle, cycle[1:] + cycle[:1])) for cycle in faces]
+    face_of = {d: f for f, ds in enumerate(darts) for d in ds}
+    root = g.vertices[0]
+    seen, stack, tree = {root}, [root], set()
+    while stack:
+        v = stack.pop()
+        for u in g.adj[v]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+                tree.add(edge_key(u, v))
+    dual = [[] for _ in faces]
+    for (u, v), f in face_of.items():
+        if u < v and (u, v) not in tree:
+            h = face_of[v, u]
+            dual[f].append((h, (u, v)))
+            dual[h].append((f, (u, v)))
+    parent = {outer[0]: None}
+    order = [outer[0]]
+    for f in order:
+        for h, e in dual[f]:
+            if h not in parent:
+                parent[h] = e
+                order.append(h)
+    if len(order) != F:
+        raise NonPlanarEmbedding(
+            f"the dual tree reaches {len(order)} of {F} faces")
+    flipped = set()  # both darts of each reversed edge
+    for f in reversed(order[1:]):
+        # edges against the counterclockwise traversal must be odd in number
+        against = sum((d[0] > d[1]) ^ (d in flipped) for d in darts[f])
+        if against % 2 == 0:
+            u, v = parent[f]
+            flipped.update(((u, v), (v, u)))
+    return {e: (e[1], e[0]) if e in flipped else e for e in g.edges()}
 
 
 # -- exact determinant via CRT ----------------------------------------------

@@ -1,5 +1,7 @@
 import pytest
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 from crossdimer.formulas import (
     FactoredCount, HypothesisViolated, NotInteger, alpha_fn, alpha_w,
@@ -40,6 +42,17 @@ def test_tau_examples():
 def test_phi_psi_examples():
     assert phi_value(1, 9, 8, 2) == 302_500_000_000
     assert psi_value(1, 5, 8, 4) == 48_000_000_000_000
+
+
+def test_factored_count_value_matches_fractions():
+    # ints when no exponent is negative, Fractions otherwise; same values
+    for args in product((1, -3), (0, 5, -1), (0, 2), (0, -2), (0, 1)):
+        fc = FactoredCount(*args)
+        want = args[0] * prod(Fraction(b) ** e
+                              for b, e in zip((2, 3, 5, 11), args[1:]))
+        assert fc.value() == want
+        if not fc.has_negative:
+            assert type(fc.value()) is int
 
 
 def test_factored_count_negative_exponent():

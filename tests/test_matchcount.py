@@ -65,23 +65,46 @@ def test_brute_cap():
         count_brute(g, cap=10)
 
 
+def assert_pfaffian(g, orient):
+    """orient covers every edge once and leaves each bounded face with an
+    odd number of edges against its counterclockwise traversal."""
+    assert sorted(orient) == sorted(g.edges())
+    for e, (tail, head) in orient.items():
+        assert (tail, head) in (e, e[::-1])
+    for cyc in planar_faces(g):
+        if face_area2(cyc) > 0:
+            clockwise = sum(orient[edge_key(u, v)] == (v, u)
+                            for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+            assert clockwise % 2 == 1
+
+
 def test_orientation_square_is_odd():
     g = square()
-    orient = pfaffian_orientation(g)
-    faces = [f for f in planar_faces(g) if face_area2(f) > 0]
-    assert len(faces) == 1
-    cyc = faces[0]
-    clockwise = 0
-    for i in range(len(cyc)):
-        u, v = cyc[i], cyc[(i + 1) % len(cyc)]
-        if orient[edge_key(u, v)] == (v, u):
-            clockwise += 1
-    assert clockwise % 2 == 1
+    assert len([f for f in planar_faces(g) if face_area2(f) > 0]) == 1
+    assert_pfaffian(g, pfaffian_orientation(g))
 
 
 def test_orientation_forest():
     g = path(4)
     assert pfaffian_orientation(g)  # any orientation valid, must not raise
+
+
+def test_orientation_edgeless_components():
+    assert pfaffian_orientation(Graph([], [])) == {}
+    assert pfaffian_orientation(Graph([(0, 0)], [])) == {}
+    g = Graph(list(square().vertices) + [(5, 5)], square().edges())
+    assert_pfaffian(g, pfaffian_orientation(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_orientation_odd_on_random_subgraphs(m, n, data):
+    # dropped vertices leave holes, bridges and several components
+    g = build_augmented_aztec(FULL_GRID, m, n)
+    drop = data.draw(st.sets(st.sampled_from(sorted(g.vertices)),
+                             max_size=4))
+    h = g.without(drop)
+    assert_pfaffian(h, pfaffian_orientation(h))
 
 
 def test_orientation_determinant_is_count_squared():
@@ -219,9 +242,15 @@ def test_fkt_tr_6_12_above_cap():
     assert count_fkt(g, cap=len(g)) == thm_TR(6, 12).value()
 
 
+def test_fkt_tr_8_16_above_cap():
+    g = build_TR(8, 16)
+    assert len(g) == 3968
+    assert count_fkt(g, cap=len(g)) == thm_TR(8, 16).value()
+
+
 def test_faces_start_at_least_dart_in_order():
-    # the orientation solve depends on the face order: each face is traced
-    # from the least dart not yet used
+    # the face order is deterministic: each face is traced from the least
+    # dart not yet used
     faces = planar_faces(build_augmented_aztec(GRID_B, 3, 2))
     darts = [list(zip(f, f[1:] + f[:1])) for f in faces]
     assert all(d[0] == min(d) for d in darts)
