@@ -30,7 +30,11 @@ def _load_config(path):
     if not path:
         return SuiteConfig()
     with open(path) as fh:
-        return SuiteConfig(**json.load(fh))
+        doc = json.load(fh)
+    try:
+        return SuiteConfig(**doc)
+    except TypeError as exc:
+        raise InvalidParams(f"{path}: {exc}") from None
 
 
 def cmd_gen(args):
@@ -45,7 +49,11 @@ def cmd_gen(args):
 def cmd_count(args):
     g = parse_spec(args.spec)
     if args.weights:
-        x, y, z = (Fraction(t) for t in args.weights.split(","))
+        try:
+            x, y, z = (Fraction(t) for t in args.weights.split(","))
+        except ZeroDivisionError:
+            raise InvalidParams(
+                f"--weights {args.weights}: a zero denominator") from None
         g = assign_cross_weights(g, weight_point(x, y, z))
     n = count_matchings(g, method=args.method)
     fac = {}

@@ -26,7 +26,7 @@ from .formulas import (
 )
 from .lattice import FULL_GRID, GRID_B
 from .matchcount import (
-    count_brute, count_fkt, count_matchings, kuo_check, split_check,
+    FKT_CAP, count_brute, count_fkt, count_matchings, kuo_check, split_check,
     planar_faces,
 )
 
@@ -46,7 +46,7 @@ DEFAULT_CACHE_ENV = "CROSSDIMER_CACHE"
 class SuiteConfig:
     perimeter_cap: int = 28
     vertex_cap_brute: int = 44
-    vertex_cap_fkt: int = 700
+    vertex_cap_fkt: int = FKT_CAP
     recurrence_grid: int = 20
     cache_path: str | None = None
     seed: int = 20260808
@@ -116,7 +116,7 @@ class CountCache:
                                      "method": method}) + "\n")
 
 
-def cached_count(g, cache=None, method="fkt", cap=700):
+def cached_count(g, cache=None, method="fkt", cap=FKT_CAP):
     if cache is not None:
         hit = cache.get(g.graph_hash())
         if hit is not None:
@@ -602,7 +602,7 @@ def _signed_exponents(value, bases):
     return out, Fraction(num, den)
 
 
-def conjecture_probe(family, i, a, b, c, points, cap=700):
+def conjecture_probe(family, i, a, b, c, points, cap=FKT_CAP):
     """Extract the conjectured exponent vector from exact weighted counts.
 
     Every point must pass the coprimality screen; the vector is returned

@@ -11,12 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from itertools import chain
 from math import isqrt, lcm, prod
 
 import numpy as np
 
 BRUTE_CAP = 44
-FKT_CAP = 700
+FKT_CAP = 4000
 
 
 class TooLarge(Exception):
@@ -128,21 +129,26 @@ class Graph:
         return Graph([fn(v) for v in self.vertices], edges, w)
 
     def components(self):
+        """Connected components; a connected graph is its own component."""
         seen = set()
         comps = []
         for start in self.vertices:
             if start in seen:
                 continue
-            stack, comp = [start], []
+            stack, comp = [start], [start]
             seen.add(start)
             while stack:
                 v = stack.pop()
-                comp.append(v)
                 for u in self.adj[v]:
                     if u not in seen:
                         seen.add(u)
                         stack.append(u)
-            comps.append(self.induced(comp))
+                        comp.append(u)
+            if len(comp) == len(self.vertices):
+                return [self]
+            edges = [(v, u) for v in comp for u in self.adj[v] if v < u]
+            comps.append(Graph(comp, edges, {e: self.weights[e] for e in edges
+                                             if e in self.weights}))
         return comps
 
     # -- canonical serialization ------------------------------------------
@@ -169,11 +175,14 @@ def reduce_forced(g):
     """Repeatedly match degree-1 vertices away.
 
     Returns (reduced graph, multiplier): M(g) = multiplier * M(reduced).
-    An isolated vertex short-circuits to (empty graph, 0).
+    With nothing forced, g itself comes back with multiplier 1.  An
+    isolated vertex short-circuits to (empty graph, 0).
     """
+    queue = [v for v, s in g.adj.items() if len(s) <= 1]
+    if not queue:
+        return g, 1
     adj = {v: set(s) for v, s in g.adj.items()}
     mult = 1
-    queue = [v for v, s in adj.items() if len(s) <= 1]
     dead = set()
     while queue:
         v = queue.pop()
@@ -429,38 +438,48 @@ def _crt_primes(need):
 _STEPS_PER_REDUCTION = 7
 
 
-def _det_residues(a, primes):
-    """Determinant of the square integer array a modulo every prime at once.
+def _det_residues(vals, cols, primes):
+    """Determinant of a row-sparse integer matrix modulo every prime at once.
 
-    One banded Gaussian elimination serves all primes: a window of shape
+    Row i holds vals[i] at the distinct columns cols[i].  One banded
+    Gaussian elimination serves all primes: a window of shape
     (primes, L+1, L+H+1) slides down the diagonal, where L and H are the
-    lower and upper bandwidths of a.  Each prime picks its own pivot row
-    (the first in the window that is nonzero in the pivot column), so the
-    upper band of the eliminated rows grows to at most L+H and no nonzero
-    leaves the window.  a is int64, or object when an entry does not fit;
-    either way each row is reduced mod every prime as it enters.  Returns
-    the residues as a list of ints in [0, p).
+    lower and upper bandwidths.  When H < L the transpose is eliminated
+    instead (same determinant, narrower window).  Each prime picks its own
+    pivot row (the first in the window that is nonzero in the pivot
+    column), so the upper band of the eliminated rows grows to at most L+H
+    and no nonzero leaves the window.  Every entry is reduced mod every
+    prime once, up front.  Returns the residues as a list of ints in [0, p).
     """
-    n = a.shape[0]
-    rows, cols = np.nonzero(a)
-    lo = max(int((rows - cols).max()), 0)
-    width = lo + max(int((cols - rows).max()), 0) + 1
+    n = len(vals)
+    lens = [len(c) for c in cols]
+    r = np.repeat(np.arange(n), lens)
+    c = np.fromiter(chain.from_iterable(cols), dtype=np.int64, count=len(r))
+    flat = list(chain.from_iterable(vals))
     k = len(primes)
     pr = np.array(primes, dtype=np.int64)
     p1, p2 = pr[:, None], pr[:, None, None]
+    try:
+        red = np.array(flat, dtype=np.int64) % p1
+    except OverflowError:
+        red = (np.array(flat, dtype=object) % p1).astype(np.int64)
+    lo = max(int((r - c).max(initial=0)), 0)
+    hi = max(int((c - r).max(initial=0)), 0)
+    if hi < lo:
+        order = np.argsort(c, kind="stable")
+        r, c, red, lo, hi = c[order], r[order], red[:, order], hi, lo
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(r, minlength=n), out=start[1:])
+    start = start.tolist()
+    # a row entering at step s has its band start at column s - L
+    rel = c - r + lo
+    width = lo + hi + 1
     each = np.arange(k)
 
-    def band(r, first):
-        """Row r at columns first .. first+width-1, mod every prime."""
-        out = np.zeros((k, width), dtype=np.int64)
-        if r < n:
-            stop = min(first + width, n)
-            out[:, :stop - first] = a[r, first:stop] % p1
-        return out
-
     win = np.zeros((k, lo + 1, width), dtype=np.int64)
-    for r in range(min(lo + 1, n)):
-        win[:, r] = band(r, 0)
+    for i in range(min(lo + 1, n)):
+        s, e = start[i], start[i + 1]
+        win[:, i, c[s:e]] = red[:, s:e]
     nxt = np.empty_like(win)
     det = np.ones(k, dtype=np.int64)
     flips = np.zeros(k, dtype=bool)
@@ -484,33 +503,32 @@ def _det_residues(a, primes):
         np.subtract(win[:, 1:, 1:], f[:, :, None] * prow[:, None, 1:],
                     out=nxt[:, :lo, :-1])
         nxt[:, :lo, -1] = 0
-        nxt[:, lo] = band(step + 1 + lo, step + 1)
+        nxt[:, lo] = 0
+        i = step + 1 + lo
+        if i < n:
+            s, e = start[i], start[i + 1]
+            nxt[:, lo, rel[s:e]] = red[:, s:e]
         win, nxt = nxt, win
     return np.where(flips, (pr - det) % pr, det).tolist()
 
 
-def det_exact(mat):
-    """Exact determinant of a Python-int matrix by CRT reconstruction.
+def det_exact(vals, cols):
+    """Exact determinant of a row-sparse integer matrix by CRT.
 
-    Uses the fewest primes whose product covers twice the Hadamard row
-    bound, with every residue from one banded elimination.
+    Row i holds the Python ints vals[i] at the distinct columns cols[i];
+    every other entry is 0.  Uses the fewest primes whose product covers
+    twice the Hadamard row bound, with every residue from one banded
+    elimination.
     """
-    n = len(mat)
-    if n == 0:
+    if not vals:
         return 1
-    try:
-        a = np.array(mat, dtype=np.int64)
-    except OverflowError:
-        a = np.array(mat, dtype=object)
-    amax = max(int(a.max()), -int(a.min()))
-    sq = a if amax * amax * n < 1 << 63 else a.astype(object)
-    row_sums = np.einsum("ij,ij->i", sq, sq).tolist()
+    row_sums = [sum(x * x for x in row) for row in vals]
     if 0 in row_sums:
         return 0
     bound = isqrt(prod(row_sums)) + 1
     primes = _crt_primes(2 * bound + 1)
     acc, pr = 0, 1
-    for p, r in zip(primes, _det_residues(a, primes)):
+    for p, r in zip(primes, _det_residues(vals, cols, primes)):
         # incremental CRT
         t = (r - acc) * pow(pr, -1, p) % p
         acc += pr * t
@@ -558,23 +576,26 @@ def _fkt_component(g):
         return 0
     orient = _orient_component(g)
     scale = lcm(*(w.denominator for w in g.weights.values()))
-    rows = {v: i for i, v in enumerate(ev)}
-    cols = {v: i for i, v in enumerate(od)}
-    n = len(ev)
-    mat = [[0] * n for _ in range(n)]
-    for u, v in g.edges():
-        w = g.weight(u, v) * scale
-        if w != int(w):
-            raise InexactArithmetic(f"weight of {u}-{v} scales to {w}")
-        w = int(w)
-        tail, _ = orient[edge_key(u, v)]
-        sgn = 1 if (tail[0] + tail[1]) % 2 == 0 else -1
-        a, b = (u, v) if (u[0] + u[1]) % 2 == 0 else (v, u)
-        mat[rows[a]][cols[b]] = sgn * w
-    det = abs(det_exact(mat))
+    index = {v: j for j, v in enumerate(od)}
+    # row i of the Kasteleyn matrix: the edges of the i-th even vertex,
+    # signed + when oriented out of it
+    vals, cols = [], []
+    for a in ev:
+        row, at = [], []
+        for b in g.adj[a]:
+            w = g.weight(a, b) * scale
+            if w != int(w):
+                raise InexactArithmetic(f"weight of {a}-{b} scales to {w}")
+            w = int(w)
+            tail, _ = orient[edge_key(a, b)]
+            row.append(w if tail == a else -w)
+            at.append(index[b])
+        vals.append(row)
+        cols.append(at)
+    det = abs(det_exact(vals, cols))
     if scale == 1:
         return det
-    return Fraction(det, scale ** n)
+    return Fraction(det, scale ** len(ev))
 
 
 def count_matchings(g, method="auto", brute_cap=BRUTE_CAP, fkt_cap=FKT_CAP):

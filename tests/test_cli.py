@@ -42,7 +42,7 @@ def test_probe_command(capsys):
     assert rc == 0 and out["consistent"]
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(capsys, tmp_path):
     assert main(["count", "XX:1,1"]) == 2
     assert main(["gen", "A1:1,1,0"]) == 2
     assert main(["formula", "TR"]) == 2
@@ -52,8 +52,16 @@ def test_usage_error_exit_code(capsys):
     assert main(["formula", "TB:1,1,0,0"]) == 2
     assert main(["formula", "TA:1,2,2,1"]) == 2
     assert main(["probe", "A1:2,2,0", "--points", "3,5"]) == 2
+    assert main(["count", "A1:2,2,0", "--weights", "1/0,1,1"]) == 2
+    # a config file must be a JSON object of SuiteConfig fields
+    unknown, array = tmp_path / "unknown.json", tmp_path / "array.json"
+    unknown.write_text('{"perimeter_cap": 12, "no_such_key": 1}')
+    array.write_text("[12]")
+    assert main(["verify", "sanity", "--config", str(unknown)]) == 2
+    assert main(["verify", "sanity", "--config", str(array)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 8 and "(3, 5)" in err[-1]
+    assert len(err) == 11 and "(3, 5)" in err[-4]
+    assert "no_such_key" in err[-2] and "mapping" in err[-1]
 
 
 def test_verify_exit_code(capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import isqrt, prod
 from unittest import mock
@@ -19,6 +20,13 @@ from crossdimer.matchcount import (
     face_area2, kuo_check, pfaffian_orientation, planar_faces,
     reduce_forced, split_check,
 )
+
+
+def sparse(mat):
+    """A dense matrix as det_exact's (vals, cols): the nonzeros of each row
+    and their columns."""
+    return ([[x for x in row if x] for row in mat],
+            [[j for j, x in enumerate(row) if x] for row in mat])
 
 
 def path(n):
@@ -116,7 +124,7 @@ def test_orientation_determinant_is_count_squared():
     for e, (tail, head) in orient.items():
         skew[idx[tail]][idx[head]] = 1
         skew[idx[head]][idx[tail]] = -1
-    assert det_exact(skew) == 64  # = M(AD_2)^2
+    assert det_exact(*sparse(skew)) == 64  # = M(AD_2)^2
 
 
 def test_fkt_matches_known_counts():
@@ -145,18 +153,20 @@ def test_fkt_weighted_rational():
 
 
 def test_det_exact_small():
-    assert det_exact([[2, 1], [1, 2]]) == 3
-    assert det_exact([[0, 0], [0, 0]]) == 0
-    assert det_exact([]) == 1
+    assert det_exact(*sparse([[2, 1], [1, 2]])) == 3
+    assert det_exact(*sparse([[0, 0], [0, 0]])) == 0
+    assert det_exact([], []) == 1
+    # columns within a row may come in any order
+    assert det_exact([[1, 2], [1, 2]], [[1, 0], [0, 1]]) == 3
 
 
 def test_det_exact_rejects_residues_beyond_bound(monkeypatch):
     # a residue of (p - 1) / 2 = -1/2 mod every prime reconstructs to a
     # value far outside the Hadamard bound
     monkeypatch.setattr(matchcount, "_det_residues",
-                        lambda a, primes: [p // 2 for p in primes])
+                        lambda vals, cols, primes: [p // 2 for p in primes])
     with pytest.raises(InexactArithmetic):
-        det_exact([[2, 1], [1, 2]])
+        det_exact(*sparse([[2, 1], [1, 2]]))
 
 
 def fraction_det(mat):
@@ -210,16 +220,21 @@ def banded_matrices(draw):
 @example([[P0, 0], [0, 1]])
 @example([[2 ** 31, 1], [1, 2 ** 31]])
 @example([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+# lower bandwidth above the upper, with a row swap: the transpose is
+# eliminated
+@example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+@example([[0, 1, 0, 0], [1, 0, 0, 0], [3, 0, 0, 1], [0, 2, 1, 0]])
+@example([[0, 2 ** 70, 0], [5, 0, 0], [1, -3, 2 ** 63]])
 def test_det_exact_matches_fraction_det(mat):
     seen = []
     residues = matchcount._det_residues
 
-    def spy(a, primes):
+    def spy(vals, cols, primes):
         seen.append(primes)
-        return residues(a, primes)
+        return residues(vals, cols, primes)
 
     with mock.patch.object(matchcount, "_det_residues", spy):
-        assert det_exact(mat) == fraction_det(mat)
+        assert det_exact(*sparse(mat)) == fraction_det(mat)
     row_sums = [sum(x * x for x in row) for row in mat]
     if 0 in row_sums:
         assert not seen
@@ -233,7 +248,11 @@ def test_det_exact_dense_past_reduction_period():
     # 40 elimination steps run through several lazy-reduction periods
     rng = random.Random(7)
     mat = [[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)]
-    assert det_exact(mat) == fraction_det(mat)
+    assert det_exact(*sparse(mat)) == fraction_det(mat)
+    # a lower Hessenberg matrix is eliminated through its transpose
+    low = [[x if j <= i + 1 else 0 for j, x in enumerate(row)]
+           for i, row in enumerate(mat)]
+    assert det_exact(*sparse(low)) == fraction_det(low)
 
 
 def test_fkt_tr_6_12_above_cap():
@@ -245,7 +264,19 @@ def test_fkt_tr_6_12_above_cap():
 def test_fkt_tr_8_16_above_cap():
     g = build_TR(8, 16)
     assert len(g) == 3968
-    assert count_fkt(g, cap=len(g)) == thm_TR(8, 16).value()
+    assert count_fkt(g) == thm_TR(8, 16).value()
+
+
+def test_fkt_tr_6_12_memory():
+    # the Kasteleyn matrix is row-sparse: no n x n array (n = 1104) is built
+    g = build_TR(6, 12)
+    tracemalloc.start()
+    try:
+        assert count_fkt(g) == thm_TR(6, 12).value()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_faces_start_at_least_dart_in_order():
