@@ -20,7 +20,7 @@ from .families import (
 )
 from .harness import (
     SuiteConfig, run_suite, render_svg, conjecture_probe,
-    ConjectureExponents, BadProbePoint, check_trim_domain,
+    ConjectureExponents, BadProbePoint, CacheCorrupt, check_trim_domain,
 )
 from .matchcount import count_matchings, TooLarge
 from .formulas import factor_small, HypothesisViolated
@@ -146,7 +146,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (InvalidParams, HypothesisViolated, BadProbePoint, TooLarge,
-            ValueError) as exc:
+            CacheCorrupt, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

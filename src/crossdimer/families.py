@@ -1,10 +1,12 @@
 """Builders for every named graph family on the cross lattice.
 
-Pipeline, fixed: trace contour -> induce subgraph -> strip diagonal sides
--> zigzag-trim horizontal sides.  Which sides are stripped per family
-(with the tall/flat case split), the trim sweeps and offsets, and the
-rotated-rectangle anchor classes are frozen calibration results; the
-acceptance suite is the authority that they are right.
+Pipeline, fixed: trace contour -> region points -> strip diagonal sides
+-> zigzag-trim horizontal sides -> one induced lattice graph.  Induced
+subgraphs compose, induced(induced(G, A), B) = induced(G, A & B), so each
+builder subtracts point sets and builds its graph once.  Which sides are
+stripped per family (with the tall/flat case split), the trim sweeps and
+offsets, and the rotated-rectangle anchor classes are frozen calibration
+results; the acceptance suite is the authority that they are right.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import (
-    FULL_GRID, GRID_B, ContourSpec, trace_contour, induced_subgraph,
+    FULL_GRID, GRID_B, ContourSpec, trace_contour, region_points,
     graph_on_points, points_on_segment, trim_zigzag_side, corner_cut,
 )
 from .matchcount import edge_key
@@ -83,19 +85,10 @@ def family_contour(i, a, b, c, start=(0, 0)):
     return ContourSpec(family=f"C{i}", start=start, sides=sides)
 
 
-def strip_side_vertices(g, corners2, which):
-    """Remove the vertices of g lying on one contour side."""
+def strip_side_vertices(corners2, which):
+    """The lattice points lying on one contour side, which a strip removes."""
     idx = SIDE_NAMES.index(which)
-    p1, p2 = corners2[idx], corners2[idx + 1]
-    if p1 == p2:
-        return g
-    return g.without(points_on_segment(p1, p2))
-
-
-def apply_zigzag_trim(g, corners2, which, sweep=None, delta=None):
-    """Zigzag-trim one horizontal contour side of g."""
-    idx = SIDE_NAMES.index(which)
-    return trim_zigzag_side(g, corners2, idx, sweep=sweep, delta=delta)
+    return points_on_segment(corners2[idx], corners2[idx + 1])
 
 
 # Sides stripped per family: (always, when tall, when flat);
@@ -124,7 +117,7 @@ _TRIM_RULES = {
 def _build_family(kind, i, a, b, c, lat=GRID_B):
     p = derive_params(a, b, c)
     corners2 = trace_contour(family_contour(i, a, b, c))
-    g = induced_subgraph(lat, corners2)
+    pts = set(region_points(corners2))
     always, if_tall, if_flat = _STRIP_RULES[(kind, i)]
     sides = list(always)
     if if_tall and p.case_tall:
@@ -132,10 +125,11 @@ def _build_family(kind, i, a, b, c, lat=GRID_B):
     if if_flat and not p.case_tall:
         sides.append(if_flat)
     for s in sides:
-        g = strip_side_vertices(g, corners2, s)
+        pts.difference_update(strip_side_vertices(corners2, s))
     for which, delta in _TRIM_RULES[(kind, i)]:
-        g = apply_zigzag_trim(g, corners2, which, delta=delta)
-    return g
+        pts -= trim_zigzag_side(corners2, SIDE_NAMES.index(which),
+                                delta=delta)
+    return graph_on_points(lat, pts)
 
 
 def build_A(i, a, b, c, lat=GRID_B):
@@ -166,6 +160,8 @@ def _corner_uv(lat, alignment):
 
 def aztec_rectangle_points(m, n, corner_uv):
     """Vertices of the rotated rectangle with SE side m and NE side n."""
+    if m < 1 or n < 1:
+        raise InvalidParams("m, n must be >= 1")
     u_max, v_max = corner_uv
     if (u_max + v_max) % 2 == 0:
         raise InvalidParams("rectangle corner must be a unit-square center")
@@ -178,23 +174,24 @@ def aztec_rectangle_points(m, n, corner_uv):
 
 
 def build_aztec_rectangle(lat, m, n, alignment="east", corner_uv=None):
-    if m < 1 or n < 1:
-        raise InvalidParams("m, n must be >= 1")
     if corner_uv is None:
         corner_uv = _corner_uv(lat, alignment)
     return graph_on_points(lat, aztec_rectangle_points(m, n, corner_uv))
 
 
-def build_augmented_aztec(lat, m, n, alignment="east", corner_uv=None):
-    """Rectangle stretched one unit west: one extra square per row."""
-    if m < 1 or n < 1:
-        raise InvalidParams("m, n must be >= 1")
-    if corner_uv is None:
-        corner_uv = _corner_uv(lat, alignment)
+def augmented_aztec_points(m, n, corner_uv):
+    """The rectangle's vertices and their western neighbours."""
     base = aztec_rectangle_points(m, n, corner_uv)
     pts = set(base)
     pts.update((x - 1, y) for x, y in base)
-    return graph_on_points(lat, pts)
+    return pts
+
+
+def build_augmented_aztec(lat, m, n, alignment="east", corner_uv=None):
+    """Rectangle stretched one unit west: one extra square per row."""
+    if corner_uv is None:
+        corner_uv = _corner_uv(lat, alignment)
+    return graph_on_points(lat, augmented_aztec_points(m, n, corner_uv))
 
 
 def build_TR(a, b):
@@ -204,13 +201,13 @@ def build_TR(a, b):
     m = 2 * b + 2 * a - 2
     n = 2 * b + 4 * a - 2
     u_max, v_max = ALIGN_UV["east"]
-    g = build_augmented_aztec(GRID_B, m, n, corner_uv=(u_max, v_max))
+    pts = augmented_aztec_points(m, n, (u_max, v_max))
     east_y2 = u_max - v_max
     level_n = (east_y2 - 1) // 2 + (2 * a - 1) + 1
     level_s = (east_y2 + 1) // 2 - (4 * a - 1) - 1
-    g = corner_cut(g, level_n, "below", delta=3)
-    g = corner_cut(g, level_s, "above", delta=3)
-    return g
+    pts = corner_cut(pts, level_n, "below", delta=3)
+    pts = corner_cut(pts, level_s, "above", delta=3)
+    return graph_on_points(GRID_B, pts)
 
 
 @dataclass(frozen=True)
@@ -233,18 +230,18 @@ class TrimRectParams:
 
 
 def _build_trim_rect(rect_m, rect_n, h1, h2, corner_uv):
-    g = build_aztec_rectangle(GRID_B, rect_m, rect_n, corner_uv=corner_uv)
+    pts = aztec_rectangle_points(rect_m, rect_n, corner_uv)
     u_max, v_max = corner_uv
     north_y2 = u_max - (v_max - 2 * rect_m)
     south_y2 = (u_max - 2 * rect_n) - v_max
     level_top = (north_y2 - 1) // 2 - h1
     level_bot = (south_y2 + 1) // 2 + h2
     # these two cuts anchor at the ragged row ends, not at slit phase
-    g = corner_cut(g, level_top, "below", sweep="right_to_left",
-                   anchor_offset=3)
-    g = corner_cut(g, level_bot, "above", sweep="left_to_right",
-                   anchor_offset=3)
-    return g
+    pts = corner_cut(pts, level_top, "below", sweep="right_to_left",
+                     anchor_offset=3)
+    pts = corner_cut(pts, level_bot, "above", sweep="left_to_right",
+                     anchor_offset=3)
+    return graph_on_points(GRID_B, pts)
 
 
 def build_TA(p):

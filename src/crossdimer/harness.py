@@ -26,13 +26,13 @@ from .formulas import (
 )
 from .lattice import FULL_GRID, GRID_B
 from .matchcount import (
-    FKT_CAP, count_brute, count_fkt, count_matchings, kuo_check, split_check,
+    FKT_CAP, count_brute, count_fkt, count_many, kuo_check, split_check,
     planar_faces,
 )
 
 
 class CacheCorrupt(Exception):
-    pass
+    """A count cache file holds a torn, malformed or conflicting line."""
 
 
 class BadProbePoint(Exception):
@@ -91,12 +91,23 @@ class CountCache:
         self.mem = {}
         if self.path and os.path.exists(self.path):
             with open(self.path) as fh:
-                for line in fh:
+                for no, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line:
                         continue
-                    rec = json.loads(line)
-                    self._absorb(rec["key"], rec["count"])
+                    try:
+                        rec = json.loads(line)
+                        self._absorb(rec["key"], rec["count"])
+                    except json.JSONDecodeError as exc:
+                        raise CacheCorrupt(
+                            f"{self.path}: line {no}, column {exc.colno}: "
+                            f"{exc.msg}") from None
+                    except (TypeError, KeyError):
+                        raise CacheCorrupt(f"{self.path}: line {no} is not "
+                                           f"a key/count record") from None
+                    except CacheCorrupt as exc:
+                        raise CacheCorrupt(
+                            f"{self.path}: line {no}: {exc}") from None
 
     def _absorb(self, key, count):
         if key in self.mem and self.mem[key] != count:
@@ -107,24 +118,45 @@ class CountCache:
     def get(self, key):
         return self.mem.get(key)
 
-    def put(self, key, count, method="fkt"):
+    def put(self, key, count):
         count = str(count)
         self._absorb(key, count)
         if self.path:
             with open(self.path, "a") as fh:
                 fh.write(json.dumps({"key": key, "count": count,
-                                     "method": method}) + "\n")
+                                     "method": "fkt"}) + "\n")
 
 
-def cached_count(g, cache=None, method="fkt", cap=FKT_CAP):
-    if cache is not None:
-        hit = cache.get(g.graph_hash())
-        if hit is not None:
-            return int(hit)
-    n = count_matchings(g, method=method, fkt_cap=cap)
-    if cache is not None and not isinstance(n, Fraction):
-        cache.put(g.graph_hash(), n, method)
-    return n
+def cached_count(graphs, cache=None, cap=FKT_CAP):
+    """Exact FKT counts of an iterable of graphs, in order.
+
+    Each graph is hashed once.  The distinct graphs that the cache does not
+    hold are counted together by one count_many, so a graph repeated in
+    the input is counted once; integer counts are then stored.  Graphs are
+    consumed one at a time and not kept, so a generator of graphs never
+    holds them all in memory.
+    """
+    keys, counts, todo = [], {}, {}
+
+    def misses():
+        for g in graphs:
+            key = g.graph_hash()
+            keys.append(key)
+            if key in counts or key in todo:
+                continue
+            hit = cache.get(key) if cache is not None else None
+            if hit is None:
+                todo[key] = None
+                yield g
+            else:
+                counts[key] = int(hit)
+
+    found = count_many(misses(), cap=cap)
+    for key, n in zip(todo, found):
+        counts[key] = n
+        if cache is not None and not isinstance(n, Fraction):
+            cache.put(key, n)
+    return [counts[key] for key in keys]
 
 
 # -- small oracles ----------------------------------------------------------------
@@ -214,16 +246,18 @@ def suite_sanity(cfg):
 def suite_theorem21(cfg):
     rep = SuiteReport("theorem21")
     cache = CountCache(cfg.cache_path)
+    checks = []
     for (a, b, c) in valid_triples(range(2, 7), cfg.perimeter_cap):
         for i in (1, 2, 3):
-            got = cached_count(build_A(i, a, b, c), cache,
-                               cap=cfg.vertex_cap_fkt)
-            rep.add("A_closed_form", f"A{i}:{a},{b},{c}",
-                    phi_value(i, a, b, c), got)
-            got = cached_count(build_F(i, a, b, c), cache,
-                               cap=cfg.vertex_cap_fkt)
-            rep.add("F_closed_form", f"F{i}:{a},{b},{c}",
-                    psi_value(i, a, b, c), got)
+            checks.append(("A_closed_form", f"A{i}:{a},{b},{c}",
+                           phi_value(i, a, b, c), build_A, (i, a, b, c)))
+            checks.append(("F_closed_form", f"F{i}:{a},{b},{c}",
+                           psi_value(i, a, b, c), build_F, (i, a, b, c)))
+    # built one at a time inside the batch, so they are never all held
+    counts = cached_count((build(*args) for *_, build, args in checks),
+                          cache, cap=cfg.vertex_cap_fkt)
+    for (check, spec_str, want, _, _), got in zip(checks, counts):
+        rep.add(check, spec_str, want, got)
     return rep
 
 
@@ -318,6 +352,7 @@ def check_trim_domain(variant, m, n, h1, h2):
 def suite_theorem13(cfg):
     rep = SuiteReport("theorem13")
     cache = CountCache(cfg.cache_path)
+    checks = []
     for (m, n, h1, h2) in trim_rect_domain():
         for variant, thm, builder in (("TA", thm_TA, build_TA),
                                       ("TB", thm_TB, build_TB)):
@@ -325,13 +360,15 @@ def suite_theorem13(cfg):
                 check_trim_domain(variant, m, n, h1, h2)
             except HypothesisViolated:
                 continue
-            want = thm(m, n, h1, h2).value()
-            g = builder(TrimRectParams(m, n, h1, h2, variant=variant))
-            got = cached_count(g, cache, cap=cfg.vertex_cap_fkt)
-            spec_str = f"{variant}:{m},{n},{h1},{h2}"
-            rep.add("trim_rect_value", spec_str, want, got)
-            fac = factor_small(got) if got > 0 else {"cofactor": 0}
-            rep.add("small_prime_factors", spec_str, 1, fac["cofactor"])
+            checks.append((f"{variant}:{m},{n},{h1},{h2}",
+                           thm(m, n, h1, h2).value(), builder,
+                           TrimRectParams(m, n, h1, h2, variant=variant)))
+    counts = cached_count((builder(p) for *_, builder, p in checks), cache,
+                          cap=cfg.vertex_cap_fkt)
+    for (spec_str, want, _, _), got in zip(checks, counts):
+        rep.add("trim_rect_value", spec_str, want, got)
+        fac = factor_small(got) if got > 0 else {"cofactor": 0}
+        rep.add("small_prime_factors", spec_str, 1, fac["cofactor"])
     return rep
 
 
@@ -480,7 +517,7 @@ def suite_recurrences(cfg):
     @functools.cache  # recurrences share graphs: build and hash each once
     def gm(kind, i, t):
         g = build_A(i, *t) if kind == "A" else build_F(i, *t)
-        return cached_count(g, cache, cap=cfg.vertex_cap_fkt)
+        return cached_count([g], cache, cap=cfg.vertex_cap_fkt)[0]
 
     for (a, b, c) in valid_triples(range(2, 8), 20):
         p = derive_params(a, b, c)

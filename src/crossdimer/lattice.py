@@ -245,11 +245,11 @@ def zigzag_trim_row(row_y, x_lo, x_hi, delta):
     return {(x, row_y) for x in range(x_lo, x_hi + 1) if x % 4 == r}
 
 
-def trim_zigzag_side(g, corners2, side_idx, sweep=None, delta=None):
-    """Apply the zigzag trim along one horizontal contour side of g."""
+def trim_zigzag_side(corners2, side_idx, sweep=None, delta=None):
+    """Points the zigzag trim removes along one horizontal contour side."""
     p1, p2 = corners2[side_idx], corners2[side_idx + 1]
     if p1 == p2:
-        return g
+        return set()
     if p1[1] != p2[1]:
         raise NotHorizontalSide(f"{p1}..{p2} is not horizontal")
     if delta is None:
@@ -261,41 +261,35 @@ def trim_zigzag_side(g, corners2, side_idx, sweep=None, delta=None):
     row_y = below_y if interior_is_below else (y2 + 1) // 2
     x_lo = (min(p1[0], p2[0]) + 1) // 2
     x_hi = (max(p1[0], p2[0]) - 1) // 2
-    return g.without(zigzag_trim_row(row_y, x_lo, x_hi, delta))
+    return zigzag_trim_row(row_y, x_lo, x_hi, delta)
 
 
-def corner_cut(g, level, keep, delta=None, sweep=None, anchor_offset=None):
-    """Zigzag corner cut at a horizontal level.
+def corner_cut(pts, level, keep, delta=None, sweep=None, anchor_offset=None):
+    """Zigzag corner cut at a horizontal level: the points of pts it keeps.
 
-    keep="below" removes every vertex above `level` and then the zigzag
+    keep="below" removes every point above `level` and then the zigzag
     pattern of the exposed row y=level itself; keep="above" mirrors this.
     The pattern is slit-locked via `delta`, or anchored at the sweep end
     of the exposed row when `anchor_offset` is given instead.
     """
     if keep == "below":
-        beyond = {v for v in g.vertices if v[1] > level}
+        kept = {v for v in pts if v[1] <= level}
     elif keep == "above":
-        beyond = {v for v in g.vertices if v[1] < level}
+        kept = {v for v in pts if v[1] >= level}
     else:
         raise ValueError(f"keep must be 'below' or 'above', got {keep!r}")
-    trimmed = g.without(beyond)
-    row = sorted(x for (x, y) in trimmed.vertices if y == level)
+    row = sorted(x for (x, y) in kept if y == level)
     if not row:
-        return trimmed
+        return kept
     if anchor_offset is not None:
-        drop = set()
         if sweep == "right_to_left":
-            x = row[-1] - anchor_offset
-            while x >= row[0]:
-                drop.add((x, level))
-                x -= ZIGZAG_PERIOD
+            drop = {(x, level) for x in range(row[-1] - anchor_offset,
+                                              row[0] - 1, -ZIGZAG_PERIOD)}
         else:
-            x = row[0] + anchor_offset
-            while x <= row[-1]:
-                drop.add((x, level))
-                x += ZIGZAG_PERIOD
+            drop = {(x, level) for x in range(row[0] + anchor_offset,
+                                              row[-1] + 1, ZIGZAG_PERIOD)}
     else:
         if delta is None:
             delta = SWEEP_DELTA[sweep]
         drop = zigzag_trim_row(level, row[0], row[-1], delta)
-    return trimmed.without(drop)
+    return kept - drop

@@ -146,10 +146,15 @@ class Graph:
                         comp.append(u)
             if len(comp) == len(self.vertices):
                 return [self]
-            edges = [(v, u) for v in comp for u in self.adj[v] if v < u]
-            comps.append(Graph(comp, edges, {e: self.weights[e] for e in edges
-                                             if e in self.weights}))
+            comps.append(self._on_adjacency({v: self.adj[v] for v in comp}))
         return comps
+
+    def _on_adjacency(self, adj):
+        """The graph with adjacency adj, a closed part of self's, carrying
+        self's weights; no edge of self outside adj is visited."""
+        edges = [(v, u) for v, s in adj.items() for u in s if v < u]
+        return Graph(adj, edges, {e: self.weights[e] for e in edges
+                                  if e in self.weights})
 
     # -- canonical serialization ------------------------------------------
 
@@ -204,11 +209,9 @@ def reduce_forced(g):
         dead.add(u)
         del adj[v]
         del adj[u]
-    keep = list(adj)
-    reduced = g.induced(keep)
-    if any(reduced.degree(v) == 0 for v in reduced.vertices):
+    if not all(adj.values()):
         return Graph([], []), 0
-    return reduced, mult
+    return g._on_adjacency(adj), mult
 
 
 # -- brute-force oracle ------------------------------------------------------
@@ -438,51 +441,113 @@ def _crt_primes(need):
 _STEPS_PER_REDUCTION = 7
 
 
-def _det_residues(vals, cols, primes):
-    """Determinant of a row-sparse integer matrix modulo every prime at once.
+def _packed(vals, cols):
+    """A row-sparse matrix (row i holds the Python ints vals[i] at the
+    distinct columns cols[i]) packed as _det_residues takes it.
 
-    Row i holds vals[i] at the distinct columns cols[i].  One banded
-    Gaussian elimination serves all primes: a window of shape
-    (primes, L+1, L+H+1) slides down the diagonal, where L and H are the
-    lower and upper bandwidths.  When H < L the transpose is eliminated
-    instead (same determinant, narrower window).  Each prime picks its own
-    pivot row (the first in the window that is nonzero in the pivot
-    column), so the upper band of the eliminated rows grows to at most L+H
-    and no nonzero leaves the window.  Every entry is reduced mod every
-    prime once, up front.  Returns the residues as a list of ints in [0, p).
+    Returns (sq, lens, cols, vals): sq the product of the rows' sums of
+    squares (0 exactly when a row is zero), the row lengths, and the
+    columns and entries of all rows, in row order, as arrays.  Entries
+    that do not fit int64 make the entry array an object array.
     """
-    n = len(vals)
     lens = [len(c) for c in cols]
-    r = np.repeat(np.arange(n), lens)
-    c = np.fromiter(chain.from_iterable(cols), dtype=np.int64, count=len(r))
     flat = list(chain.from_iterable(vals))
-    k = len(primes)
-    pr = np.array(primes, dtype=np.int64)
-    p1, p2 = pr[:, None], pr[:, None, None]
     try:
-        red = np.array(flat, dtype=np.int64) % p1
+        v = np.array(flat, dtype=np.int64)
     except OverflowError:
-        red = (np.array(flat, dtype=object) % p1).astype(np.int64)
-    lo = max(int((r - c).max(initial=0)), 0)
-    hi = max(int((c - r).max(initial=0)), 0)
-    if hi < lo:
-        order = np.argsort(c, kind="stable")
-        r, c, red, lo, hi = c[order], r[order], red[:, order], hi, lo
-    start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(r, minlength=n), out=start[1:])
-    start = start.tolist()
-    # a row entering at step s has its band start at column s - L
-    rel = c - r + lo
-    width = lo + hi + 1
-    each = np.arange(k)
+        v = np.array(flat, dtype=object)
+    return (prod(sum(x * x for x in row) for row in vals),
+            np.array(lens, dtype=np.int32),
+            np.fromiter(chain.from_iterable(cols), dtype=np.int32,
+                        count=len(flat)), v)
 
-    win = np.zeros((k, lo + 1, width), dtype=np.int64)
-    for i in range(min(lo + 1, n)):
+
+def _lane_entries(mats, primes, n):
+    """Every nonzero of every matrix, one copy per lane, for _det_residues.
+
+    A matrix whose upper bandwidth is below its lower one is transposed
+    (same determinant, narrower band).  Returns (lo, width, red, at,
+    start): lo and width = lo + hi + 1 from the largest lower and upper
+    bandwidths; the copies ordered by row, red holding each copy's entry
+    reduced mod its lane's prime and at its flat index in a window of
+    shape (lanes, lo + 1, width) when its row enters as the last window
+    row; and start[i] the first copy of row i, for i = 0..n.
+    """
+    sizes = np.array([len(lens) for _, lens, _, _ in mats])
+    lens = np.concatenate([lens for _, lens, _, _ in mats])
+    row_of = np.repeat(np.arange(len(lens), dtype=np.int32), lens)
+    mat = np.repeat(np.arange(len(mats), dtype=np.int32), sizes)[row_of]
+    r = row_of - (np.cumsum(sizes) - sizes).astype(np.int32)[mat]
+    d = np.concatenate([cols for _, _, cols, _ in mats]) - r
+    v = np.concatenate([vals for _, _, _, vals in mats])
+    lo = np.zeros(len(mats), dtype=np.int32)
+    hi = np.zeros(len(mats), dtype=np.int32)
+    np.maximum.at(lo, mat, -d)
+    np.maximum.at(hi, mat, d)
+    flip = hi < lo
+    lo, hi = int(np.where(flip, hi, lo).max()), int(np.maximum(hi, lo).max())
+    width = lo + hi + 1
+    flip = flip[mat]
+    r[flip] += d[flip]
+    np.negative(d, out=d, where=flip)
+    order = np.argsort(r, kind="stable")
+    r, d, mat, v = r[order], d[order], mat[order], v[order]
+    k = np.array([len(ps) for ps in primes])
+    copies = k[mat]
+    ends = np.cumsum(copies)
+    # the lane of each copy: its matrix's first lane plus its place in
+    # the run of copies of one entry
+    lane = np.arange(ends[-1] if len(ends) else 0, dtype=np.int32)
+    lane -= np.repeat(ends - copies - (np.cumsum(k) - k)[mat], copies)
+    red = np.repeat(v, copies)
+    red %= np.fromiter(chain.from_iterable(primes), dtype=np.int64)[lane]
+    # an entering row's band starts at column step - lo
+    at = lane.astype(np.int64) * ((lo + 1) * width)
+    at += np.repeat(d + lo * (width + 1), copies)
+    start = np.concatenate(([0], ends))[np.searchsorted(r, np.arange(n + 1))]
+    return lo, width, red.astype(np.int64, copy=False), at, start.tolist()
+
+
+def _det_residues(mats, primes):
+    """Determinants of row-sparse integer matrices modulo primes, all from
+    one elimination.
+
+    mats[j] is a matrix packed by _packed, and primes[j] lists the primes
+    wanted for it; each (matrix, prime) pair is one lane.  Every matrix is
+    padded with identity rows to the largest size n, and one banded
+    Gaussian elimination serves all lanes: a window of shape
+    (lanes, L+1, L+H+1) slides down the
+    diagonal, where L and H are the largest lower and upper bandwidths
+    (after _lane_entries transposes the matrices that are narrower that
+    way).  Each lane picks its own pivot row (the first in the window that
+    is nonzero in the pivot column), so the upper band of the eliminated
+    rows grows to at most L+H and no nonzero leaves the window.  Every
+    entry is reduced mod each of its matrix's primes once, up front.
+    Returns, per matrix, the list of residues in [0, p).
+    """
+    if not mats:
+        return []
+    sizes = [len(lens) for _, lens, _, _ in mats]
+    n = max(sizes)
+    lo, width, red, at, start = _lane_entries(mats, primes, n)
+    pr = np.fromiter(chain.from_iterable(primes), dtype=np.int64)
+    plist = pr.tolist()
+    p1, p2 = pr[:, None], pr[:, None, None]
+    # row i of a lane is an identity row once i reaches its matrix's size
+    size = np.repeat(sizes, [len(ps) for ps in primes])
+    smallest = min(sizes)
+    lanes = len(pr)
+    each = np.arange(lanes)
+
+    win = np.zeros((lanes, lo + 1, width), dtype=np.int64)
+    first = np.arange(min(lo + 1, n))
+    win[:, first, first] = size[:, None] <= first
+    for i in first.tolist():
         s, e = start[i], start[i + 1]
-        win[:, i, c[s:e]] = red[:, s:e]
+        np.put(win, at[s:e] - (lo - i) * (width + 1), red[s:e])
     nxt = np.empty_like(win)
-    det = np.ones(k, dtype=np.int64)
-    flips = np.zeros(k, dtype=bool)
+    det = np.ones(lanes, dtype=np.int64)
+    flips = np.zeros(lanes, dtype=bool)
     for step in range(n):
         if step % _STEPS_PER_REDUCTION == 0:
             np.remainder(win, p2, out=win)
@@ -495,9 +560,9 @@ def _det_residues(vals, cols, primes):
             flips ^= piv != 0
             win[each, piv] = win[:, 0]
             col[each, piv] = col[:, 0]
-        # a prime with no pivot has det 0 and eliminates nothing
+        # a lane with no pivot has det 0 and eliminates nothing
         inv = np.array([pow(x, -1, p) if x else 0
-                        for x, p in zip(pivot.tolist(), primes)],
+                        for x, p in zip(pivot.tolist(), plist)],
                        dtype=np.int64)
         f = col[:, 1:] * inv[:, None] % p1
         np.subtract(win[:, 1:, 1:], f[:, :, None] * prow[:, None, 1:],
@@ -506,29 +571,20 @@ def _det_residues(vals, cols, primes):
         nxt[:, lo] = 0
         i = step + 1 + lo
         if i < n:
+            if i >= smallest:
+                nxt[:, lo, lo] = size <= i
             s, e = start[i], start[i + 1]
-            nxt[:, lo, rel[s:e]] = red[:, s:e]
+            np.put(nxt, at[s:e], red[s:e])
         win, nxt = nxt, win
-    return np.where(flips, (pr - det) % pr, det).tolist()
+    res = np.where(flips, (pr - det) % pr, det).tolist()
+    ends = np.cumsum([len(ps) for ps in primes]).tolist()
+    return [res[e - len(ps):e] for e, ps in zip(ends, primes)]
 
 
-def det_exact(vals, cols):
-    """Exact determinant of a row-sparse integer matrix by CRT.
-
-    Row i holds the Python ints vals[i] at the distinct columns cols[i];
-    every other entry is 0.  Uses the fewest primes whose product covers
-    twice the Hadamard row bound, with every residue from one banded
-    elimination.
-    """
-    if not vals:
-        return 1
-    row_sums = [sum(x * x for x in row) for row in vals]
-    if 0 in row_sums:
-        return 0
-    bound = isqrt(prod(row_sums)) + 1
-    primes = _crt_primes(2 * bound + 1)
+def _crt(primes, residues, bound):
+    """The integer in [-bound, bound] with the given residues, by CRT."""
     acc, pr = 0, 1
-    for p, r in zip(primes, _det_residues(vals, cols, primes)):
+    for p, r in zip(primes, residues):
         # incremental CRT
         t = (r - acc) * pow(pr, -1, p) % p
         acc += pr * t
@@ -542,43 +598,94 @@ def det_exact(vals, cols):
     return acc
 
 
+def _dets_exact(mats):
+    """Exact determinants of matrices packed by _packed.
+
+    Each matrix uses the fewest primes whose product covers twice its
+    Hadamard row bound; the residues of all of them come from one banded
+    elimination.  An empty matrix has determinant 1, and one with a zero
+    row 0.
+    """
+    dets = [1 if not len(lens) else 0 for _, lens, _, _ in mats]
+    todo, bounds, primes = [], [], []
+    for j, (sq, lens, _, _) in enumerate(mats):
+        if len(lens) and sq:
+            bound = isqrt(sq) + 1
+            todo.append(j)
+            bounds.append(bound)
+            primes.append(_crt_primes(2 * bound + 1))
+    residues = _det_residues([mats[j] for j in todo], primes)
+    for j, ps, rs, bound in zip(todo, primes, residues, bounds):
+        dets[j] = _crt(ps, rs, bound)
+    return dets
+
+
+def det_exact(vals, cols):
+    """Exact determinant of a row-sparse integer matrix by CRT.
+
+    Row i holds the Python ints vals[i] at the distinct columns cols[i];
+    every other entry is 0.  The one-matrix case of _dets_exact.
+    """
+    return _dets_exact([_packed(vals, cols)])[0]
+
+
 # -- FKT counting -------------------------------------------------------------
 
 
-def count_fkt(g, cap=FKT_CAP):
-    """Exact matching count via Pfaffian orientation and exact determinants.
+def count_many(graphs, cap=FKT_CAP):
+    """Exact matching counts of graphs, in order, by Pfaffian orientations
+    and exact determinants.
 
-    Runs per connected component after forced-edge reduction; exact for
-    arbitrary Fraction edge weights.
+    Each graph runs per connected component after forced-edge reduction;
+    exact for arbitrary Fraction edge weights.  The Kasteleyn matrices of
+    all components of all graphs share one elimination.
     """
-    reduced, mult = reduce_forced(g)
-    if mult == 0:
-        return 0
-    total = mult
-    for comp in reduced.components():
-        if len(comp) == 0:
-            continue
-        if len(comp) % 2:
-            return 0
-        if len(comp) > cap:
-            raise TooLarge(f"component of {len(comp)} vertices exceeds {cap}")
-        total *= _fkt_component(comp)
-        if total == 0:
-            return 0
-    if isinstance(total, Fraction) and total.denominator == 1:
-        total = int(total)
-    return total
+    counts, mats, owners = [], [], []
+    for g in graphs:
+        reduced, total = reduce_forced(g)
+        parts = []
+        for comp in reduced.components() if total else ():
+            if len(comp) % 2:
+                total = 0
+                break
+            if len(comp) > cap:
+                raise TooLarge(f"component of {len(comp)} vertices exceeds "
+                               f"{cap}")
+            part = _kasteleyn(comp)
+            if part is None:
+                total = 0
+                break
+            parts.append(part)
+        if total:
+            for vals, cols, scale in parts:
+                mats.append(_packed(vals, cols))
+                owners.append((len(counts), scale ** len(vals)))
+        counts.append(total)
+    for (gi, den), det in zip(owners, _dets_exact(mats)):
+        counts[gi] *= abs(det) if den == 1 else Fraction(abs(det), den)
+    return [int(t) if isinstance(t, Fraction) and t.denominator == 1 else t
+            for t in counts]
 
 
-def _fkt_component(g):
+def count_fkt(g, cap=FKT_CAP):
+    """Exact matching count of one graph: count_many([g], cap)[0]."""
+    return count_many([g], cap)[0]
+
+
+def _kasteleyn(g):
+    """Row-sparse Kasteleyn matrix of one connected plane graph.
+
+    Returns (vals, cols, scale): row i holds the edges of the i-th even
+    vertex, signed + when oriented out of it, at the columns of their odd
+    ends, with weights scaled by `scale` to integers.  None when the two
+    classes differ in size, so no perfect matching exists.
+    """
     ev, od = g.classes()
     if len(ev) != len(od):
-        return 0
+        return None
     orient = _orient_component(g)
     scale = lcm(*(w.denominator for w in g.weights.values()))
     index = {v: j for j, v in enumerate(od)}
-    # row i of the Kasteleyn matrix: the edges of the i-th even vertex,
-    # signed + when oriented out of it
     vals, cols = [], []
     for a in ev:
         row, at = [], []
@@ -592,10 +699,7 @@ def _fkt_component(g):
             at.append(index[b])
         vals.append(row)
         cols.append(at)
-    det = abs(det_exact(vals, cols))
-    if scale == 1:
-        return det
-    return Fraction(det, scale ** len(ev))
+    return vals, cols, scale
 
 
 def count_matchings(g, method="auto", brute_cap=BRUTE_CAP, fkt_cap=FKT_CAP):

@@ -42,7 +42,7 @@ def test_probe_command(capsys):
     assert rc == 0 and out["consistent"]
 
 
-def test_usage_error_exit_code(capsys, tmp_path):
+def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
     assert main(["count", "XX:1,1"]) == 2
     assert main(["gen", "A1:1,1,0"]) == 2
     assert main(["formula", "TR"]) == 2
@@ -62,6 +62,19 @@ def test_usage_error_exit_code(capsys, tmp_path):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 11 and "(3, 5)" in err[-4]
     assert "no_such_key" in err[-2] and "mapping" in err[-1]
+    # a torn cache line and conflicting cached counts name the file line
+    torn, clash = tmp_path / "torn.jsonl", tmp_path / "clash.jsonl"
+    torn.write_text('{"key": "k1", "count": "5"}\n{"key": "k2", "cou')
+    clash.write_text('{"key": "k", "count": "5"}\n\n'
+                     '{"key": "k", "count": "6"}\n')
+    monkeypatch.setenv("CROSSDIMER_CACHE", str(torn))
+    assert main(["verify", "theorem13"]) == 2
+    monkeypatch.setenv("CROSSDIMER_CACHE", str(clash))
+    assert main(["verify", "theorem13"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert str(torn) in err[0] and "line 2," in err[0]
+    assert str(clash) in err[1] and "line 3:" in err[1]
 
 
 def test_verify_exit_code(capsys):

@@ -7,7 +7,7 @@ from crossdimer.families import (
     parse_spec, reflect, translate, weight_point,
 )
 from crossdimer.lattice import FULL_GRID, GRID_B
-from crossdimer.matchcount import count_brute, count_fkt
+from crossdimer.matchcount import Graph, count_brute, count_fkt
 
 
 def test_derive_params_examples():
@@ -63,6 +63,30 @@ def test_tr_values():
     assert count_fkt(build_TR(2, 4)) == 12_100_000_000
     with pytest.raises(InvalidParams):
         build_TR(2, 3)
+
+
+def test_builders_construct_one_graph(monkeypatch):
+    # strips, trims and cuts compose point sets; the graph is built once
+    made = []
+    init = Graph.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", spy)
+    builds = {
+        "A1": lambda: build_A(1, 9, 8, 2),
+        "A3": lambda: build_A(3, 6, 6, 1),
+        "F2": lambda: build_F(2, 5, 8, 4),
+        "TR": lambda: build_TR(2, 4),
+        "TA": lambda: build_TA(TrimRectParams(5, 7, 4, 3, variant="TA")),
+        "TB": lambda: build_TB(TrimRectParams(5, 7, 4, 3, variant="TB")),
+    }
+    for name, build in builds.items():
+        made.clear()
+        assert len(build()) > 0
+        assert len(made) == 1, name
 
 
 def test_tr_b_independence():

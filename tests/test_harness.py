@@ -3,10 +3,11 @@ import os
 
 import pytest
 
-from crossdimer.families import build_A, build_TR
+from crossdimer import harness
+from crossdimer.families import build_A, build_F, build_TR
 from crossdimer.harness import (
     BadProbePoint, CacheCorrupt, ConjectureExponents, CountCache,
-    SuiteConfig, conjecture_probe, corner_kuo_quad, delannoy,
+    SuiteConfig, cached_count, conjecture_probe, corner_kuo_quad, delannoy,
     reconstruct_weighted_count, render_svg, run_suite, screen_probe_point,
     seeded_kuo_quads, tr_three_way_split,
 )
@@ -30,6 +31,48 @@ def test_cache_round_trip(tmp_path):
     assert c2.get("k") == "12345"
     with pytest.raises(CacheCorrupt):
         c2.put("k", 54321)
+
+
+def test_cache_reports_file_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"key": "a", "count": "1"}\n\n{"key": "b", "cou')
+    with pytest.raises(CacheCorrupt, match=r"cache\.jsonl: line 3,"):
+        CountCache(str(path))
+    path.write_text('{"key": "a", "count": "1"}\n["a", "1"]\n')
+    with pytest.raises(CacheCorrupt, match="line 2 is not"):
+        CountCache(str(path))
+    path.write_text('{"key": "a", "count": "1"}\n{"key": "a", "count": "2"}')
+    with pytest.raises(CacheCorrupt, match="line 2: conflicting"):
+        CountCache(str(path))
+
+
+def test_cached_count_hashes_once_counts_duplicates_once(monkeypatch):
+    hashed, batches = [], []
+    graph_hash = Graph.graph_hash
+    count_many = harness.count_many
+
+    def hash_spy(self):
+        hashed.append(self)
+        return graph_hash(self)
+
+    def count_spy(graphs, cap):
+        graphs = list(graphs)
+        batches.append(len(graphs))
+        return count_many(graphs, cap=cap)
+
+    monkeypatch.setattr(Graph, "graph_hash", hash_spy)
+    monkeypatch.setattr(harness, "count_many", count_spy)
+    monkeypatch.delenv("CROSSDIMER_CACHE", raising=False)
+    a, f = build_A(1, 2, 2, 0), build_F(1, 3, 3, 1)
+    graphs = [a, f, build_A(1, 2, 2, 0), build_TR(1, 2)]
+    want = [count_fkt(g) for g in graphs]
+    hashed.clear()
+    cache = CountCache(None)
+    assert cached_count(iter(graphs), cache) == want
+    assert len(hashed) == 4 and batches == [3]
+    # a second call is served by the cache, without a count
+    assert cached_count(graphs[:2], cache) == want[:2]
+    assert len(hashed) == 6 and batches == [3, 0]
 
 
 def test_probe_screen_rejects_unit_and_collisions():

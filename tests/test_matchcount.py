@@ -16,7 +16,7 @@ from crossdimer import matchcount
 from crossdimer.matchcount import (
     Graph, BadVertexSelection, ConditionsViolated, InexactArithmetic,
     NonPlanarEmbedding, TooLarge,
-    count_brute, count_fkt, count_matchings, det_exact, edge_key,
+    count_brute, count_fkt, count_many, count_matchings, det_exact, edge_key,
     face_area2, kuo_check, pfaffian_orientation, planar_faces,
     reduce_forced, split_check,
 )
@@ -152,6 +152,29 @@ def test_fkt_weighted_rational():
     assert count_fkt(g) == Fraction(7, 6)
 
 
+def grid(w, h, x0=0):
+    pts = [(x0 + x, y) for x in range(w) for y in range(h)]
+    return Graph(pts, [(p, q) for p in pts for q in pts
+                       if q in ((p[0] + 1, p[1]), (p[0], p[1] + 1))])
+
+
+def test_count_many_matches_count_fkt():
+    weighted = square().with_weights({((0, 0), (1, 0)): Fraction(1, 2),
+                                      ((0, 1), (1, 1)): Fraction(1, 3)})
+    two = Graph(list(square().vertices) + list(grid(2, 3, 5).vertices),
+                square().edges() + grid(2, 3, 5).edges())
+    odd = Graph(list(square().vertices) + list(grid(3, 3, 5).vertices),
+                square().edges() + grid(3, 3, 5).edges())
+    batch = [weighted, two, path(3), odd, Graph([], []), build_TR(2, 4),
+             two, grid(4, 3)]
+    got = count_many(batch)
+    assert got == [count_fkt(g) for g in batch]
+    assert got == [Fraction(7, 6), 6, 0, 0, 1, 12_100_000_000, 6, 11]
+    assert [count_brute(g) for g in batch if len(g) <= 44] == \
+        [x for g, x in zip(batch, got) if len(g) <= 44]
+    assert type(got[1]) is int and count_many([]) == []
+
+
 def test_det_exact_small():
     assert det_exact(*sparse([[2, 1], [1, 2]])) == 3
     assert det_exact(*sparse([[0, 0], [0, 0]])) == 0
@@ -164,7 +187,8 @@ def test_det_exact_rejects_residues_beyond_bound(monkeypatch):
     # a residue of (p - 1) / 2 = -1/2 mod every prime reconstructs to a
     # value far outside the Hadamard bound
     monkeypatch.setattr(matchcount, "_det_residues",
-                        lambda vals, cols, primes: [p // 2 for p in primes])
+                        lambda mats, primes: [[p // 2 for p in ps]
+                                              for ps in primes])
     with pytest.raises(InexactArithmetic):
         det_exact(*sparse([[2, 1], [1, 2]]))
 
@@ -229,9 +253,9 @@ def test_det_exact_matches_fraction_det(mat):
     seen = []
     residues = matchcount._det_residues
 
-    def spy(vals, cols, primes):
-        seen.append(primes)
-        return residues(vals, cols, primes)
+    def spy(mats, primes):
+        seen.extend(primes)
+        return residues(mats, primes)
 
     with mock.patch.object(matchcount, "_det_residues", spy):
         assert det_exact(*sparse(mat)) == fraction_det(mat)
@@ -242,6 +266,26 @@ def test_det_exact_matches_fraction_det(mat):
     (primes,) = seen
     need = 2 * (isqrt(prod(row_sums)) + 1) + 1
     assert prod(primes) >= need > prod(primes[:-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(banded_matrices(), st.integers(0, 2)),
+                min_size=1, max_size=4))
+# several sizes and bandwidths in one batch, one transposed, one singular
+# and one zero mod the first prime
+@example([([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1), ([[5]], 0),
+          ([[1, 2], [2, 4]], 2), ([[P0, 0], [0, 1]], 1),
+          ([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]], 0)])
+def test_det_residues_batch_matches_fraction_det(batch):
+    pool = matchcount._crt_primes(2 ** 90)
+    mats = [matchcount._packed(*sparse(mat)) for mat, _ in batch]
+    primes = [pool[:1] + pool[len(pool) - extra:] if extra else pool[:1]
+              for _, extra in batch]
+    got = matchcount._det_residues(mats, primes)
+    assert len(got) == len(batch)
+    for (mat, _), ps, residues in zip(batch, primes, got):
+        want = int(fraction_det(mat))
+        assert residues == [want % p for p in ps]
 
 
 def test_det_exact_dense_past_reduction_period():
