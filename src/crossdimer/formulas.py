@@ -146,12 +146,10 @@ def psi_value(i, a, b, c):
 # -- theorem right-hand sides -------------------------------------------------
 
 # The trimmed-rectangle theorem maps (m, n, h1, h2) onto a family triple.
-# Two candidate readings exist in the source (its statement derives the
-# triple from (m, h1), its proof from (n, h2)); both are kept inspectable.
-# Calibration resolved the statement reading for the even rectangles and
-# the statement reading shifted by one for the odd (west-anchored) ones.
+# Two readings are in use, both resolved by calibration: the triple of the
+# source's statement for the even rectangles (TA), and that triple shifted
+# by one for the odd, west-anchored ones (TB).
 MAPPING_STATEMENT = "statement"
-MAPPING_PROOF = "proof"
 MAPPING_STATEMENT_SHIFTED = "statement_shifted"
 TA_MAPPING_DEFAULT = MAPPING_STATEMENT
 TB_MAPPING_DEFAULT = MAPPING_STATEMENT_SHIFTED
@@ -164,8 +162,6 @@ def trim_rect_triple(m, n, h1, h2, mapping):
         return (m - s1 + 1, n - s1 + 1, s2)
     if mapping == MAPPING_STATEMENT_SHIFTED:
         return (m - s1, n - s1, s2)
-    if mapping == MAPPING_PROOF:
-        return (n - s2 + 1, m - s2 + 1, s1)
     raise ValueError(f"unknown mapping {mapping!r}")
 
 

@@ -639,28 +639,32 @@ def _signed_exponents(value, bases):
     return out, Fraction(num, den)
 
 
-def conjecture_probe(family, i, a, b, c, points, cap=FKT_CAP):
-    """Extract the conjectured exponent vector from exact weighted counts.
+def _weighted_counts(family, i, a, b, c, points, cap):
+    """Exact counts of one family graph at each of the screened points.
 
-    Every point must pass the coprimality screen; the vector is returned
-    only when identical across all points with residue exactly 1.
+    The graph is built once, and its weighted copies share one count_many.
     """
-    if family == "A":
-        g = build_A(i, a, b, c)
-        prefactor = lambda pt: alpha_w(a, b, c, pt)
-    elif family == "F":
-        g = build_F(i, a, b, c)
-        prefactor = lambda pt: beta_w(a, b, c, pt)
-    else:
+    if family not in ("A", "F"):
         raise ValueError(f"family must be A or F, not {family!r}")
-    vec = None
-    residues = []
     for pt in points:
         screen_probe_point(pt)
+    g = (build_A if family == "A" else build_F)(i, a, b, c)
+    return count_many((assign_cross_weights(g, weight_point(*map(int, pt)))
+                       for pt in points), cap=cap)
+
+
+def _probe_vector(family, a, b, c, points, counts):
+    """The exponent vector read off the weighted counts at the points.
+
+    It is returned only when identical across all points with residue
+    exactly 1; otherwise Inconsistent carries the residues seen.
+    """
+    prefactor = alpha_w if family == "A" else beta_w
+    vec = None
+    residues = []
+    for pt, w in zip(points, counts):
         x, y, z = (int(t) for t in pt)
-        gw = assign_cross_weights(g, weight_point(x, y, z))
-        w = count_fkt(gw, cap=cap)
-        ratio = Fraction(w) / prefactor((x, y, z))
+        ratio = Fraction(w) / prefactor(a, b, c, (x, y, z))
         exps, residue = _signed_exponents(
             ratio, (2, x, y, z, _p5(x, y, z), _p11(x, y, z)))
         residues.append(residue)
@@ -678,6 +682,17 @@ def conjecture_probe(family, i, a, b, c, points, cap=FKT_CAP):
     return vec
 
 
+def conjecture_probe(family, i, a, b, c, points, cap=FKT_CAP):
+    """Extract the conjectured exponent vector from exact weighted counts.
+
+    Every point must pass the coprimality screen before anything is
+    counted; the vector is returned only when identical across all points
+    with residue exactly 1.
+    """
+    counts = _weighted_counts(family, i, a, b, c, points, cap)
+    return _probe_vector(family, a, b, c, points, counts)
+
+
 def reconstruct_weighted_count(family, a, b, c, vec, pt):
     x, y, z = (Fraction(t) for t in pt)
     pre = alpha_w(a, b, c, pt) if family == "A" else beta_w(a, b, c, pt)
@@ -691,21 +706,19 @@ HELD_OUT_POINT = (3, 5, 11)
 
 def suite_conjecture(cfg):
     rep = SuiteReport("conjecture")
+    points = PROBE_POINTS + (HELD_OUT_POINT,)
     for (a, b, c) in valid_triples(range(2, 7), 16):
         for i in (1, 2, 3):
             for family in ("A", "F"):
                 spec_str = f"{family}{i}:{a},{b},{c}"
-                vec = conjecture_probe(family, i, a, b, c, PROBE_POINTS,
-                                       cap=cfg.vertex_cap_fkt)
+                *probed, got = _weighted_counts(family, i, a, b, c, points,
+                                                cfg.vertex_cap_fkt)
+                vec = _probe_vector(family, a, b, c, PROBE_POINTS, probed)
                 consistent = isinstance(vec, ConjectureExponents)
                 rep.add("probe_consistency", spec_str, True, consistent,
                         ok=consistent)
                 if not consistent:
                     continue
-                g = build_A(i, a, b, c) if family == "A" \
-                    else build_F(i, a, b, c)
-                gw = assign_cross_weights(g, weight_point(*HELD_OUT_POINT))
-                got = count_fkt(gw, cap=cfg.vertex_cap_fkt)
                 want = reconstruct_weighted_count(family, a, b, c, vec,
                                                   HELD_OUT_POINT)
                 rep.add("probe_heldout", spec_str, want, got)

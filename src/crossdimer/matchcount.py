@@ -638,9 +638,12 @@ def count_many(graphs, cap=FKT_CAP):
 
     Each graph runs per connected component after forced-edge reduction;
     exact for arbitrary Fraction edge weights.  The Kasteleyn matrices of
-    all components of all graphs share one elimination.
+    all components of all graphs share one elimination.  A component with
+    the same adjacency as the one before it (another weighting of one
+    graph) reuses its orientation, which depends on nothing else.
     """
     counts, mats, owners = [], [], []
+    prev_adj = orient = None
     for g in graphs:
         reduced, total = reduce_forced(g)
         parts = []
@@ -651,11 +654,13 @@ def count_many(graphs, cap=FKT_CAP):
             if len(comp) > cap:
                 raise TooLarge(f"component of {len(comp)} vertices exceeds "
                                f"{cap}")
-            part = _kasteleyn(comp)
-            if part is None:
+            # classes of unequal size admit no perfect matching
+            if 2 * sum((x + y) % 2 for x, y in comp.vertices) != len(comp):
                 total = 0
                 break
-            parts.append(part)
+            if comp.adj != prev_adj:
+                prev_adj, orient = comp.adj, _orient_component(comp)
+            parts.append(_kasteleyn(comp, orient))
         if total:
             for vals, cols, scale in parts:
                 mats.append(_packed(vals, cols))
@@ -672,18 +677,15 @@ def count_fkt(g, cap=FKT_CAP):
     return count_many([g], cap)[0]
 
 
-def _kasteleyn(g):
-    """Row-sparse Kasteleyn matrix of one connected plane graph.
+def _kasteleyn(g, orient):
+    """Row-sparse Kasteleyn matrix of one connected, balanced plane graph
+    under its Pfaffian orientation orient ({edge_key: (tail, head)}).
 
     Returns (vals, cols, scale): row i holds the edges of the i-th even
     vertex, signed + when oriented out of it, at the columns of their odd
-    ends, with weights scaled by `scale` to integers.  None when the two
-    classes differ in size, so no perfect matching exists.
+    ends, with weights scaled by `scale` to integers.
     """
     ev, od = g.classes()
-    if len(ev) != len(od):
-        return None
-    orient = _orient_component(g)
     scale = lcm(*(w.denominator for w in g.weights.values()))
     index = {v: j for j, v in enumerate(od)}
     vals, cols = [], []

@@ -96,11 +96,21 @@ def test_probe_consistent_and_reconstructs():
     assert count_fkt(gw) == reconstruct_weighted_count("A", 2, 2, 0, vec, held)
 
 
-def test_probe_rejects_bad_point():
+def test_probe_rejects_bad_point(monkeypatch):
+    import crossdimer.families as fams
+
     with pytest.raises(BadProbePoint):
         conjecture_probe("A", 1, 2, 2, 0, ((1, 1, 1),))
     with pytest.raises(BadProbePoint, match=r"\(3, 5\)"):
         conjecture_probe("A", 1, 2, 2, 0, ((3, 5),))
+    # every point is screened before anything is counted, so a bad point
+    # is reported even after a point that would read inconsistent
+    broken = dict(fams.WEIGHT_TABLE)
+    broken[((0, 0), (0, 1))] = "x"
+    for table in (fams.WEIGHT_TABLE, broken):
+        monkeypatch.setattr(fams, "WEIGHT_TABLE", table)
+        with pytest.raises(BadProbePoint, match=r"\(1, 1, 1\)"):
+            conjecture_probe("A", 1, 2, 2, 0, ((3, 5, 7), (1, 1, 1)))
 
 
 def test_probe_inconsistent_on_broken_weights(monkeypatch):
@@ -112,6 +122,35 @@ def test_probe_inconsistent_on_broken_weights(monkeypatch):
     monkeypatch.setattr(fams, "WEIGHT_TABLE", broken)
     out = conjecture_probe("A", 1, 2, 2, 0, ((3, 5, 7), (5, 7, 3)))
     assert isinstance(out, Inconsistent)
+
+
+def test_suite_conjecture_matches_per_point_counts(monkeypatch):
+    from crossdimer.families import assign_cross_weights, weight_point
+    from crossdimer.harness import (
+        HELD_OUT_POINT, PROBE_POINTS, _probe_vector, valid_triples,
+    )
+
+    monkeypatch.setattr(harness, "valid_triples",
+                        lambda r, cap: valid_triples(r, min(cap, 10)))
+    want = []
+    for (a, b, c) in valid_triples(range(2, 7), 10):
+        for i in (1, 2, 3):
+            for family, build in (("A", build_A), ("F", build_F)):
+                spec = f"{family}{i}:{a},{b},{c}"
+                counts = [count_fkt(assign_cross_weights(
+                    build(i, a, b, c), weight_point(*pt)))
+                    for pt in PROBE_POINTS + (HELD_OUT_POINT,)]
+                vec = _probe_vector(family, a, b, c, PROBE_POINTS, counts)
+                ok = isinstance(vec, ConjectureExponents)
+                want.append(("probe_consistency", spec, "True", str(ok), ok))
+                if ok:
+                    exp = reconstruct_weighted_count(family, a, b, c, vec,
+                                                     HELD_OUT_POINT)
+                    want.append(("probe_heldout", spec, str(exp),
+                                 str(counts[3]), exp == counts[3]))
+    got = [(r["check"], r["spec"], r["expected"], r["computed"], r["pass"])
+           for r in run_suite("conjecture", SuiteConfig()).records]
+    assert len(want) > 12 and got == want
 
 
 def test_render_svg(tmp_path):

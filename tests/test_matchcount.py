@@ -175,6 +175,35 @@ def test_count_many_matches_count_fkt():
     assert type(got[1]) is int and count_many([]) == []
 
 
+def test_count_many_orients_each_structure_once(monkeypatch):
+    from crossdimer.families import assign_cross_weights, build_A, weight_point
+
+    calls = []
+    orient = matchcount._orient_component
+
+    def spy(g):
+        calls.append(g)
+        return orient(g)
+
+    g = build_A(1, 4, 4, 2)
+    weighted = [assign_cross_weights(g, weight_point(*pt))
+                for pt in ((3, 5, 7), (5, 7, 3), (7, 3, 5), (3, 5, 11))]
+    want = [count_fkt(gw) for gw in weighted]
+    monkeypatch.setattr(matchcount, "_orient_component", spy)
+    assert count_many(weighted) == want
+    assert len(calls) == 1
+    # same vertex set, one interior rung fewer: a different structure
+    ladder = grid(2, 4)
+    cut = Graph(ladder.vertices,
+                [e for e in ladder.edges() if e != ((0, 1), (1, 1))])
+    assert cut.vertices == ladder.vertices
+    assert cut.n_edges() == ladder.n_edges() - 1
+    calls.clear()
+    assert count_many([ladder, cut]) == [count_brute(ladder),
+                                         count_brute(cut)]
+    assert len(calls) == 2
+
+
 def test_det_exact_small():
     assert det_exact(*sparse([[2, 1], [1, 2]])) == 3
     assert det_exact(*sparse([[0, 0], [0, 0]])) == 0
