@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import formulas
 from .families import (
-    FAMILY_HEADS, parse_spec, split_spec, InvalidParams,
+    FAMILY_HEADS, derive_params, parse_spec, split_spec, InvalidParams,
     assign_cross_weights, weight_point,
 )
 from .harness import (
@@ -69,6 +69,7 @@ def cmd_count(args):
 def cmd_formula(args):
     head, nums, _ = split_spec(args.spec)
     if head in FAMILY_HEADS:
+        derive_params(*nums)
         i = int(head[1])
         fc = formulas.phi(i, *nums) if head[0] == "A" \
             else formulas.psi(i, *nums)

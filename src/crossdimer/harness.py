@@ -52,6 +52,11 @@ class SuiteConfig:
     seed: int = 20260808
 
     def __post_init__(self):
+        for name in ("perimeter_cap", "vertex_cap_brute", "vertex_cap_fkt",
+                     "recurrence_grid", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise TypeError(f"{name} must be an integer, not {v!r}")
         if min(self.perimeter_cap, self.vertex_cap_brute,
                self.vertex_cap_fkt, self.recurrence_grid) <= 0:
             raise ValueError("caps must be positive")
@@ -466,114 +471,78 @@ def suite_kuo(cfg):
     return rep
 
 
-def _phi_fn(i):
-    return lambda a, b, c: phi(i, a, b, c).value()
-
-
-def _psi_fn(i):
-    return lambda a, b, c: psi(i, a, b, c).value()
-
-
 def suite_recurrences(cfg):
     rep = SuiteReport("recurrences")
     G = cfg.recurrence_grid
-    fns = [(f"phi{i}", _phi_fn(i)) for i in (1, 2, 3)] + \
-          [(f"psi{i}", _psi_fn(i)) for i in (1, 2, 3)]
+    # one memo per closed form, dropped when the suite returns: each
+    # (function, point) value is computed once per call
+    fn = {f"{tag}{i}": functools.cache(
+              lambda a, b, c, f=f, i=i: f(i, a, b, c).value())
+          for tag, f in (("phi", phi), ("psi", psi)) for i in (1, 2, 3)}
     box = [(a, b, c) for a in range(G + 1) for b in range(G + 1)
            for c in range(G + 1)]
+    plane = [(a, b, 0) for a in range(G + 1) for b in range(G + 1)]
+
+    def bad(r, star, points, diamond=None):
+        return sum(not recurrence_check(r, fn[star], fn.get(diamond),
+                                        *t)["equal"] for t in points)
+
     for r in ("R1", "R2", "R4"):
-        for name, fn in fns:
-            bad = 0
-            for (a, b, c) in box:
-                if not recurrence_check(r, fn, None, a, b, c)["equal"]:
-                    bad += 1
-            rep.add(f"formula_{r}", name, 0, bad)
-    grid2 = [(a, b) for a in range(G + 1) for b in range(G + 1)]
-    for name, fn in (("phi1", _phi_fn(1)), ("psi1", _psi_fn(1))):
-        bad = sum(0 if recurrence_check("R3", fn, None, a, b, 0)["equal"]
-                  else 1 for a, b in grid2)
-        rep.add("formula_R3", name, 0, bad)
-    for mk, tag in ((_phi_fn, "phi"), (_psi_fn, "psi")):
+        for name in fn:
+            rep.add(f"formula_{r}", name, 0, bad(r, name, box))
+    for name in ("phi1", "psi1"):
+        rep.add("formula_R3", name, 0, bad("R3", name, plane))
+    for tag in ("phi", "psi"):
         for i in (2, 3):
-            bad = sum(0 if recurrence_check("R6", mk(i), mk(5 - i),
-                                            a, b, 0)["equal"] else 1
-                      for a, b in grid2)
-            rep.add("formula_R6", f"({tag}{i},{tag}{5 - i})", 0, bad)
+            s, d = f"{tag}{i}", f"{tag}{5 - i}"
+            rep.add("formula_R6", f"({s},{d})", 0, bad("R6", s, plane, d))
     for i in (1, 2, 3):
-        for s, d, tag in ((_phi_fn(i), _psi_fn(4 - i), f"(phi{i},psi{4 - i})"),
-                          (_psi_fn(i), _phi_fn(4 - i), f"(psi{i},phi{4 - i})")):
-            bad = 0
-            for (a, b, c) in box:
-                if not recurrence_check("R5", s, d, a, b, c)["equal"]:
-                    bad += 1
-            rep.add("formula_R5", tag, 0, bad)
-    bad = sum(0 if phi_value(1, a - 2, b - 2, -1)
-              == phi_value(1, 3 * b - 2 * a, 2 * b - a, 1) else 1
-              for a, b in grid2)
-    rep.add("formula_reflection_c0", "phi1", 0, bad)
-    # graph-level recurrences, within the stated hypotheses
-    cache = CountCache(cfg.cache_path)
-
-    @functools.cache  # recurrences share graphs: build and hash each once
-    def gm(kind, i, t):
-        g = build_A(i, *t) if kind == "A" else build_F(i, *t)
-        return cached_count([g], cache, cap=cfg.vertex_cap_fkt)[0]
-
-    for (a, b, c) in valid_triples(range(2, 8), 20):
-        p = derive_params(a, b, c)
+        for s, d in ((f"phi{i}", f"psi{4 - i}"), (f"psi{i}", f"phi{4 - i}")):
+            rep.add("formula_R5", f"({s},{d})", 0, bad("R5", s, box, d))
+    phi1 = fn["phi1"]
+    rep.add("formula_reflection_c0", "phi1", 0,
+            sum(phi1(a - 2, b - 2, -1) != phi1(3 * b - 2 * a, 2 * b - a, 1)
+                for a, b, _ in plane))
+    # graph-level recurrences, within the stated hypotheses; a check is
+    # (recurrence, star (family, i), diamond (family, j) or None, triple)
+    checks = []
+    for t in valid_triples(range(2, 8), 20):
+        a, b, c = t
+        p = derive_params(*t)
         d, e = p.d, p.e
-        if b >= 5 and c >= 2 and a > c + d:
-            trs = [(a, b, c), (a - 3, b - 3, c - 2), (a - 2, b - 1, c),
-                   (a - 1, b - 2, c - 2), (a - 1, b - 1, c - 1),
-                   (a - 2, b - 2, c - 1)]
-            for kind in ("A", "F"):
+        r4_r5 = a >= 2 and b >= 5 and c >= 2 and a <= c + d
+        for r, holds in (
+                ("R1", b >= 5 and c >= 2 and a > c + d),
+                ("R2", a >= 2 and b >= 4 and d >= 2 and e >= 2 and c >= 1),
+                ("R3", a >= 2 and b >= 4 and d >= 2 and e >= 2 and c == 0),
+                ("R4", r4_r5 and d >= 1), ("R5", r4_r5 and d == 0)):
+            if not holds:
+                continue
+            for kind, other in (("A", "F"), ("F", "A")):
                 for i in (1, 2, 3):
-                    v = [gm(kind, i, t) for t in trs]
-                    ok = v[0] * v[1] == v[2] * v[3] + v[4] * v[5]
-                    rep.add("graph_R1", f"{kind}{i}:{a},{b},{c}", True, ok,
-                            ok=ok)
-        if a >= 2 and b >= 4 and d >= 2 and e >= 2 and c >= 1:
-            trs = [(a, b, c), (a - 2, b - 2, c), (a - 1, b - 1, c),
-                   (a, b, c + 1), (a - 2, b - 2, c - 1)]
-            for kind in ("A", "F"):
-                for i in (1, 2, 3):
-                    v = [gm(kind, i, t) for t in trs]
-                    ok = v[0] * v[1] == v[2] ** 2 + v[3] * v[4]
-                    rep.add("graph_R2", f"{kind}{i}:{a},{b},{c}", True, ok,
-                            ok=ok)
-        if a >= 2 and b >= 4 and d >= 2 and e >= 2 and c == 0:
-            e0, d0 = 3 * b - 2 * a, 2 * b - a
-            for kind in ("A", "F"):
-                for i in (1, 2, 3):
-                    j = 1 if i == 1 else 5 - i
-                    lhs = gm(kind, i, (a, b, 0)) * gm(kind, i, (a - 2, b - 2, 0))
-                    rhs = gm(kind, i, (a - 1, b - 1, 0)) ** 2 \
-                        + gm(kind, i, (a, b, 1)) * gm(kind, j, (e0, d0, 1))
-                    nm = "graph_R3" if i == 1 else "graph_R6"
-                    rep.add(nm, f"{kind}{i}:{a},{b},0", True, lhs == rhs,
-                            ok=lhs == rhs)
-        if a >= 2 and b >= 5 and c >= 2 and a <= c + d:
-            if d >= 1:
-                trs = [(a, b, c), (a - 2, b - 3, c - 2), (a - 1, b - 1, c),
-                       (a - 1, b - 2, c - 2), (a - 2, b - 2, c - 1),
-                       (a, b - 1, c - 1)]
-                for kind in ("A", "F"):
-                    for i in (1, 2, 3):
-                        v = [gm(kind, i, t) for t in trs]
-                        ok = v[0] * v[1] == v[2] * v[3] + v[4] * v[5]
-                        rep.add("graph_R4", f"{kind}{i}:{a},{b},{c}", True,
-                                ok, ok=ok)
-            if d == 0:
-                for kind, other in (("A", "F"), ("F", "A")):
-                    for i in (1, 2, 3):
-                        lhs = gm(kind, i, (a, b, c)) \
-                            * gm(kind, i, (a - 2, b - 3, c - 2))
-                        rhs = gm(other, 4 - i, (c, b - 1, a - 1)) \
-                            * gm(kind, i, (a - 1, b - 2, c - 2)) \
-                            + gm(kind, i, (a - 2, b - 2, c - 1)) \
-                            * gm(kind, i, (a, b - 1, c - 1))
-                        rep.add("graph_R5", f"{kind}{i}:{a},{b},{c}", True,
-                                lhs == rhs, ok=lhs == rhs)
+                    if r == "R5":
+                        checks.append((r, (kind, i), (other, 4 - i), t))
+                    elif r == "R3" and i > 1:
+                        checks.append(("R6", (kind, i), (kind, 5 - i), t))
+                    else:
+                        checks.append((r, (kind, i), None, t))
+
+    def verdicts(value):
+        def closed(fam):
+            if fam is not None:
+                return lambda a, b, c: value(*fam, (a, b, c))
+        return [recurrence_check(r, closed(s), closed(d), *t)["equal"]
+                for r, s, d, t in checks]
+
+    graphs = {}  # every (family, i, triple) a check reads, first seen first
+    verdicts(lambda *key: graphs.setdefault(key, 0))
+    counts = dict(zip(graphs, cached_count(
+        ((build_A if kind == "A" else build_F)(i, *t)
+         for kind, i, t in graphs),
+        CountCache(cfg.cache_path), cap=cfg.vertex_cap_fkt)))
+    for (r, (kind, i), _, (a, b, c)), ok in zip(
+            checks, verdicts(lambda *key: counts[key])):
+        rep.add(f"graph_{r}", f"{kind}{i}:{a},{b},{c}", True, ok, ok=ok)
     return rep
 
 

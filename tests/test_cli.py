@@ -47,21 +47,32 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
     assert main(["gen", "A1:1,1,0"]) == 2
     assert main(["formula", "TR"]) == 2
     assert main(["formula", "TR:1,1"]) == 2
+    # family triples outside the domain that `count` accepts
+    assert main(["formula", "A1:9,1,0"]) == 2
+    assert main(["formula", "F2:1,1,5"]) == 2
     assert main(["probe", "A1", "--points", "3,5,7"]) == 2
     # trimmed rectangles outside theorem 1.3: no valid core, cut past corner
     assert main(["formula", "TB:1,1,0,0"]) == 2
     assert main(["formula", "TA:1,2,2,1"]) == 2
     assert main(["probe", "A1:2,2,0", "--points", "3,5"]) == 2
     assert main(["count", "A1:2,2,0", "--weights", "1/0,1,1"]) == 2
-    # a config file must be a JSON object of SuiteConfig fields
+    # a config file must be a JSON object of integer SuiteConfig fields
     unknown, array = tmp_path / "unknown.json", tmp_path / "array.json"
     unknown.write_text('{"perimeter_cap": 12, "no_such_key": 1}')
     array.write_text("[12]")
+    fraction, flag = tmp_path / "fraction.json", tmp_path / "flag.json"
+    fraction.write_text('{"recurrence_grid": 2.5}')
+    flag.write_text('{"perimeter_cap": true}')
     assert main(["verify", "sanity", "--config", str(unknown)]) == 2
     assert main(["verify", "sanity", "--config", str(array)]) == 2
+    assert main(["verify", "recurrences", "--config", str(fraction)]) == 2
+    assert main(["verify", "sanity", "--config", str(flag)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 11 and "(3, 5)" in err[-4]
-    assert "no_such_key" in err[-2] and "mapping" in err[-1]
+    assert len(err) == 15 and "(3, 5)" in err[-6]
+    assert "b=1 < 2" in err[4] and "b=1 < 2" in err[5]
+    assert "no_such_key" in err[-4] and "mapping" in err[-3]
+    assert "recurrence_grid" in err[-2] and "2.5" in err[-2]
+    assert "perimeter_cap" in err[-1] and "True" in err[-1]
     # a torn cache line and conflicting cached counts name the file line
     torn, clash = tmp_path / "torn.jsonl", tmp_path / "clash.jsonl"
     torn.write_text('{"key": "k1", "count": "5"}\n{"key": "k2", "cou')

@@ -153,6 +153,141 @@ def test_suite_conjecture_matches_per_point_counts(monkeypatch):
     assert len(want) > 12 and got == want
 
 
+def _graph_recurrence_reference(triples):
+    """The graph_* records, from hand-written shift lists and one fresh
+    build and count_fkt per distinct graph; returns (records, graph hashes).
+    """
+    import functools
+
+    from crossdimer.families import derive_params
+
+    hashes = set()
+
+    @functools.cache
+    def gm(kind, i, t):
+        g = build_A(i, *t) if kind == "A" else build_F(i, *t)
+        hashes.add(g.graph_hash())
+        return count_fkt(g)
+
+    want = []
+
+    def add(name, spec, ok):
+        want.append((name, spec, "True", str(ok), ok))
+
+    for (a, b, c) in triples:
+        p = derive_params(a, b, c)
+        d, e = p.d, p.e
+        if b >= 5 and c >= 2 and a > c + d:
+            trs = [(a, b, c), (a - 3, b - 3, c - 2), (a - 2, b - 1, c),
+                   (a - 1, b - 2, c - 2), (a - 1, b - 1, c - 1),
+                   (a - 2, b - 2, c - 1)]
+            for kind in ("A", "F"):
+                for i in (1, 2, 3):
+                    v = [gm(kind, i, t) for t in trs]
+                    add("graph_R1", f"{kind}{i}:{a},{b},{c}",
+                        v[0] * v[1] == v[2] * v[3] + v[4] * v[5])
+        if a >= 2 and b >= 4 and d >= 2 and e >= 2 and c >= 1:
+            trs = [(a, b, c), (a - 2, b - 2, c), (a - 1, b - 1, c),
+                   (a, b, c + 1), (a - 2, b - 2, c - 1)]
+            for kind in ("A", "F"):
+                for i in (1, 2, 3):
+                    v = [gm(kind, i, t) for t in trs]
+                    add("graph_R2", f"{kind}{i}:{a},{b},{c}",
+                        v[0] * v[1] == v[2] ** 2 + v[3] * v[4])
+        if a >= 2 and b >= 4 and d >= 2 and e >= 2 and c == 0:
+            e0, d0 = 3 * b - 2 * a, 2 * b - a
+            for kind in ("A", "F"):
+                for i in (1, 2, 3):
+                    j = 1 if i == 1 else 5 - i
+                    lhs = gm(kind, i, (a, b, 0)) * gm(kind, i, (a - 2, b - 2, 0))
+                    rhs = gm(kind, i, (a - 1, b - 1, 0)) ** 2 \
+                        + gm(kind, i, (a, b, 1)) * gm(kind, j, (e0, d0, 1))
+                    add("graph_R3" if i == 1 else "graph_R6",
+                        f"{kind}{i}:{a},{b},0", lhs == rhs)
+        if a >= 2 and b >= 5 and c >= 2 and a <= c + d and d >= 1:
+            trs = [(a, b, c), (a - 2, b - 3, c - 2), (a - 1, b - 1, c),
+                   (a - 1, b - 2, c - 2), (a - 2, b - 2, c - 1),
+                   (a, b - 1, c - 1)]
+            for kind in ("A", "F"):
+                for i in (1, 2, 3):
+                    v = [gm(kind, i, t) for t in trs]
+                    add("graph_R4", f"{kind}{i}:{a},{b},{c}",
+                        v[0] * v[1] == v[2] * v[3] + v[4] * v[5])
+        if a >= 2 and b >= 5 and c >= 2 and a <= c + d and d == 0:
+            for kind, other in (("A", "F"), ("F", "A")):
+                for i in (1, 2, 3):
+                    lhs = gm(kind, i, (a, b, c)) \
+                        * gm(kind, i, (a - 2, b - 3, c - 2))
+                    rhs = gm(other, 4 - i, (c, b - 1, a - 1)) \
+                        * gm(kind, i, (a - 1, b - 2, c - 2)) \
+                        + gm(kind, i, (a - 2, b - 2, c - 1)) \
+                        * gm(kind, i, (a, b - 1, c - 1))
+                    add("graph_R5", f"{kind}{i}:{a},{b},{c}", lhs == rhs)
+    return want, hashes
+
+
+def test_suite_recurrences_matches_per_graph_counts(monkeypatch):
+    from crossdimer.harness import valid_triples
+
+    monkeypatch.setattr(harness, "valid_triples",
+                        lambda r, cap: valid_triples(r, min(cap, 16)))
+    monkeypatch.delenv("CROSSDIMER_CACHE", raising=False)
+    batches = []
+    count_many = harness.count_many
+
+    def count_spy(graphs, cap):
+        graphs = list(graphs)
+        batches.append([g.graph_hash() for g in graphs])
+        return count_many(graphs, cap=cap)
+
+    monkeypatch.setattr(harness, "count_many", count_spy)
+    rep = run_suite("recurrences", SuiteConfig(recurrence_grid=2))
+    got = [(r["check"], r["spec"], r["expected"], r["computed"], r["pass"])
+           for r in rep.records if r["check"].startswith("graph_")]
+    want, hashes = _graph_recurrence_reference(
+        valid_triples(range(2, 8), 16))
+    assert {w[0] for w in want} == {f"graph_R{k}" for k in range(1, 7)}
+    assert got == want and all(w[4] for w in want)
+    # one elimination, each distinct graph in it once
+    assert len(batches) == 1
+    assert len(set(batches[0])) == len(batches[0])
+    assert set(batches[0]) == hashes
+
+
+def test_suite_recurrences_memo_lives_one_call(monkeypatch):
+    from crossdimer import formulas
+    from crossdimer.harness import valid_triples
+
+    monkeypatch.setattr(harness, "valid_triples",
+                        lambda r, cap: valid_triples(r, min(cap, 12)))
+    built, values = [], []
+    value = formulas.FactoredCount.value
+
+    def value_spy(self):
+        values.append(self)
+        return value(self)
+
+    def closed_spy(tag, f):
+        def spy(i, a, b, c):
+            built.append((tag, i, a, b, c))
+            return f(i, a, b, c)
+        return spy
+
+    monkeypatch.setattr(formulas.FactoredCount, "value", value_spy)
+    monkeypatch.setattr(harness, "phi", closed_spy("phi", formulas.phi))
+    monkeypatch.setattr(harness, "psi", closed_spy("psi", formulas.psi))
+    calls = []
+    for _ in range(2):
+        built.clear()
+        values.clear()
+        assert run_suite("recurrences", SuiteConfig(recurrence_grid=3)).passed
+        # one value() per distinct (function, point), none served by an
+        # earlier call
+        assert len(values) == len(built) == len(set(built)) > 0
+        calls.append(len(values))
+    assert calls[0] == calls[1]
+
+
 def test_render_svg(tmp_path):
     out = str(tmp_path / "g.svg")
     g = build_TR(1, 2)
