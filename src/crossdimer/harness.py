@@ -57,6 +57,9 @@ class SuiteConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int):
                 raise TypeError(f"{name} must be an integer, not {v!r}")
+        if not isinstance(self.cache_path, (str, type(None))):
+            raise TypeError(f"cache_path must be a string or null, not "
+                            f"{self.cache_path!r}")
         if min(self.perimeter_cap, self.vertex_cap_brute,
                self.vertex_cap_fkt, self.recurrence_grid) <= 0:
             raise ValueError("caps must be positive")

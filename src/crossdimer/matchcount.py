@@ -266,17 +266,22 @@ def _brute(adj, weights):
 _CCW_RANK = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
 
 
+def _require_unit_steps(g):
+    """Raise NonPlanarEmbedding unless every edge of g is a unit step of
+    Z^2: face tracing and the sign rule of _points_from cover no other."""
+    for (x, y), s in g.adj.items():
+        for u, v in s:
+            if abs(u - x) + abs(v - y) != 1:
+                raise NonPlanarEmbedding(
+                    f"edge {(x, y)}-{(u, v)} is not a unit step")
+
+
 def _sorted_rotations(g):
     """Neighbors of each vertex in counterclockwise order (E, N, W, S)."""
-    rot = {}
-    for v in g.vertices:
-        try:
-            rot[v] = sorted(g.adj[v],
-                            key=lambda u: _CCW_RANK[u[0] - v[0], u[1] - v[1]])
-        except KeyError:
-            raise NonPlanarEmbedding(
-                f"vertex {v} has an edge that is not a unit step") from None
-    return rot
+    _require_unit_steps(g)
+    return {v: sorted(g.adj[v],
+                      key=lambda u: _CCW_RANK[u[0] - v[0], u[1] - v[1]])
+            for v in g.vertices}
 
 
 def planar_faces(g):
@@ -310,87 +315,56 @@ def planar_faces(g):
     return faces
 
 
-def face_area2(cycle):
-    """Twice the signed (shoelace) area of a face cycle."""
-    s = 0
-    n = len(cycle)
-    for i in range(n):
-        x1, y1 = cycle[i]
-        x2, y2 = cycle[(i + 1) % n]
-        s += x1 * y2 - x2 * y1
-    return s
-
-
 # -- Pfaffian orientation ----------------------------------------------------
 
 
-def pfaffian_orientation(g):
-    """Orient edges so every bounded face is clockwise-odd.
+def _row_ranks(g):
+    """rank[v]: how many vertices of g lie left of v in its row.  One pass
+    over g.vertices, which are sorted by x and then y."""
+    rank, seen = {}, {}
+    for v in g.vertices:
+        rank[v] = seen.get(v[1], 0)
+        seen[v[1]] = rank[v] + 1
+    return rank
 
-    Works per connected component by Kasteleyn's spanning-tree
-    construction, in time linear in the edges; robust to bridges and
-    isolated vertices.  Returns {edge_key: (tail, head)}.
+
+def _points_from(a, b, rank):
+    """Whether the unit-step edge a-b is oriented a -> b.
+
+    Kasteleyn's square-lattice rule: a horizontal edge in row y points
+    east iff y is even, and a vertical edge (x, y)-(x, y+1) points north
+    iff x + rank[x, y] is even, where rank holds the _row_ranks of a
+    connected graph.
     """
+    if a[1] == b[1]:
+        return (b[0] > a[0]) == (a[1] % 2 == 0)
+    up = b[1] > a[1]
+    low = a if up else b
+    return up == ((low[0] + rank[low]) % 2 == 0)
+
+
+def pfaffian_orientation(g):
+    """Orient the edges of a unit-step graph so every bounded face is
+    clockwise-odd, by _points_from's rule on each connected component.
+
+    With every vertical pointing north, each unit square is clockwise-odd,
+    so a cycle C has #clockwise = 1 + #(points of Z^2 inside C) mod 2.
+    For any x0 left of the component, x + rank[x, y] = x0 + #(points
+    (x', y) outside it with x0 <= x' < x) mod 2.  The constant flips every
+    vertical, and C has an even number of them.  Each such point flips the
+    verticals that an eastward ray from it at height y + 1/2 crosses, and
+    the ray crosses C an odd number of times iff the point is inside C.
+    So #clockwise = 1 + #(vertices inside C) mod 2, which is 1 on a face.
+    Returns {edge_key: (tail, head)}; a non-unit edge raises
+    NonPlanarEmbedding.
+    """
+    _require_unit_steps(g)
     orient = {}
     for comp in g.components():
-        orient.update(_orient_component(comp))
+        rank = _row_ranks(comp)
+        for u, v in comp.edges():
+            orient[u, v] = (u, v) if _points_from(u, v, rank) else (v, u)
     return orient
-
-
-def _orient_component(g):
-    """Kasteleyn's construction on one connected plane graph.
-
-    Spanning-tree edges keep their edge_key direction.  The other edges
-    join two faces each and form a tree on the faces, rooted at the outer
-    face; visiting the faces leaves first, each face has one edge left
-    unset (the one to its parent), which is set to make the face odd.
-    """
-    E = g.n_edges()
-    if not E:
-        return {}
-    faces = planar_faces(g)
-    # Euler check doubles as a non-crossing assertion for lattice input
-    V, F = len(g.vertices), len(faces)
-    if V - E + F != 2:
-        raise NonPlanarEmbedding(f"V-E+F={V - E + F} != 2")
-    outer = [f for f, cycle in enumerate(faces) if face_area2(cycle) <= 0]
-    if len(outer) != 1:
-        raise NonPlanarEmbedding(f"{len(outer)} outer faces")
-    darts = [list(zip(cycle, cycle[1:] + cycle[:1])) for cycle in faces]
-    face_of = {d: f for f, ds in enumerate(darts) for d in ds}
-    root = g.vertices[0]
-    seen, stack, tree = {root}, [root], set()
-    while stack:
-        v = stack.pop()
-        for u in g.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-                tree.add(edge_key(u, v))
-    dual = [[] for _ in faces]
-    for (u, v), f in face_of.items():
-        if u < v and (u, v) not in tree:
-            h = face_of[v, u]
-            dual[f].append((h, (u, v)))
-            dual[h].append((f, (u, v)))
-    parent = {outer[0]: None}
-    order = [outer[0]]
-    for f in order:
-        for h, e in dual[f]:
-            if h not in parent:
-                parent[h] = e
-                order.append(h)
-    if len(order) != F:
-        raise NonPlanarEmbedding(
-            f"the dual tree reaches {len(order)} of {F} faces")
-    flipped = set()  # both darts of each reversed edge
-    for f in reversed(order[1:]):
-        # edges against the counterclockwise traversal must be odd in number
-        against = sum((d[0] > d[1]) ^ (d in flipped) for d in darts[f])
-        if against % 2 == 0:
-            u, v = parent[f]
-            flipped.update(((u, v), (v, u)))
-    return {e: (e[1], e[0]) if e in flipped else e for e in g.edges()}
 
 
 # -- exact determinant via CRT ----------------------------------------------
@@ -638,13 +612,13 @@ def count_many(graphs, cap=FKT_CAP):
 
     Each graph runs per connected component after forced-edge reduction;
     exact for arbitrary Fraction edge weights.  The Kasteleyn matrices of
-    all components of all graphs share one elimination.  A component with
-    the same adjacency as the one before it (another weighting of one
-    graph) reuses its orientation, which depends on nothing else.
+    all components of all graphs share one elimination.  A graph with an
+    edge that is not a unit step raises NonPlanarEmbedding, even when
+    forced-edge reduction would remove that edge.
     """
     counts, mats, owners = [], [], []
-    prev_adj = orient = None
     for g in graphs:
+        _require_unit_steps(g)
         reduced, total = reduce_forced(g)
         parts = []
         for comp in reduced.components() if total else ():
@@ -658,9 +632,7 @@ def count_many(graphs, cap=FKT_CAP):
             if 2 * sum((x + y) % 2 for x, y in comp.vertices) != len(comp):
                 total = 0
                 break
-            if comp.adj != prev_adj:
-                prev_adj, orient = comp.adj, _orient_component(comp)
-            parts.append(_kasteleyn(comp, orient))
+            parts.append(_kasteleyn(comp))
         if total:
             for vals, cols, scale in parts:
                 mats.append(_packed(vals, cols))
@@ -677,27 +649,31 @@ def count_fkt(g, cap=FKT_CAP):
     return count_many([g], cap)[0]
 
 
-def _kasteleyn(g, orient):
-    """Row-sparse Kasteleyn matrix of one connected, balanced plane graph
-    under its Pfaffian orientation orient ({edge_key: (tail, head)}).
+def _kasteleyn(g):
+    """Row-sparse Kasteleyn matrix of one connected, balanced unit-step
+    graph, signed by pfaffian_orientation's rule.
 
-    Returns (vals, cols, scale): row i holds the edges of the i-th even
-    vertex, signed + when oriented out of it, at the columns of their odd
-    ends, with weights scaled by `scale` to integers.
+    The rule gives every cycle C #clockwise = 1 + #(vertices inside C)
+    mod 2 (the ray argument of pfaffian_orientation); inside a nice cycle
+    the vertices match among themselves, so the count is odd.  Returns
+    (vals, cols, scale): row i holds the edges of the i-th even vertex,
+    signed + when oriented out of it, at the columns of their odd ends,
+    with weights scaled by `scale` to integers.
     """
     ev, od = g.classes()
     scale = lcm(*(w.denominator for w in g.weights.values()))
     index = {v: j for j, v in enumerate(od)}
+    rank = _row_ranks(g)
+    weights = g.weights
     vals, cols = [], []
     for a in ev:
         row, at = [], []
         for b in g.adj[a]:
-            w = g.weight(a, b) * scale
+            w = weights.get(edge_key(a, b), 1) * scale
             if w != int(w):
                 raise InexactArithmetic(f"weight of {a}-{b} scales to {w}")
             w = int(w)
-            tail, _ = orient[edge_key(a, b)]
-            row.append(w if tail == a else -w)
+            row.append(w if _points_from(a, b, rank) else -w)
             at.append(index[b])
         vals.append(row)
         cols.append(at)

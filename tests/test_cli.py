@@ -63,16 +63,21 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
     fraction, flag = tmp_path / "fraction.json", tmp_path / "flag.json"
     fraction.write_text('{"recurrence_grid": 2.5}')
     flag.write_text('{"perimeter_cap": true}')
+    # an integer cache path would be opened as a file descriptor
+    fd = tmp_path / "fd.json"
+    fd.write_text('{"cache_path": 1}')
     assert main(["verify", "sanity", "--config", str(unknown)]) == 2
     assert main(["verify", "sanity", "--config", str(array)]) == 2
     assert main(["verify", "recurrences", "--config", str(fraction)]) == 2
     assert main(["verify", "sanity", "--config", str(flag)]) == 2
+    assert main(["verify", "theorem13", "--config", str(fd)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 15 and "(3, 5)" in err[-6]
+    assert len(err) == 16 and "(3, 5)" in err[-7]
     assert "b=1 < 2" in err[4] and "b=1 < 2" in err[5]
-    assert "no_such_key" in err[-4] and "mapping" in err[-3]
-    assert "recurrence_grid" in err[-2] and "2.5" in err[-2]
-    assert "perimeter_cap" in err[-1] and "True" in err[-1]
+    assert "no_such_key" in err[-5] and "mapping" in err[-4]
+    assert "recurrence_grid" in err[-3] and "2.5" in err[-3]
+    assert "perimeter_cap" in err[-2] and "True" in err[-2]
+    assert "cache_path" in err[-1] and err[-1].endswith("not 1")
     # a torn cache line and conflicting cached counts name the file line
     torn, clash = tmp_path / "torn.jsonl", tmp_path / "clash.jsonl"
     torn.write_text('{"key": "k1", "count": "5"}\n{"key": "k2", "cou')

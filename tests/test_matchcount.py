@@ -17,7 +17,7 @@ from crossdimer.matchcount import (
     Graph, BadVertexSelection, ConditionsViolated, InexactArithmetic,
     NonPlanarEmbedding, TooLarge,
     count_brute, count_fkt, count_many, count_matchings, det_exact, edge_key,
-    face_area2, kuo_check, pfaffian_orientation, planar_faces,
+    kuo_check, pfaffian_orientation, planar_faces,
     reduce_forced, split_check,
 )
 
@@ -71,6 +71,17 @@ def test_brute_cap():
     g = build_aztec_rectangle(FULL_GRID, 5, 5)
     with pytest.raises(TooLarge):
         count_brute(g, cap=10)
+
+
+def face_area2(cycle):
+    """Twice the signed (shoelace) area of a face cycle."""
+    s = 0
+    n = len(cycle)
+    for i in range(n):
+        x1, y1 = cycle[i]
+        x2, y2 = cycle[(i + 1) % n]
+        s += x1 * y2 - x2 * y1
+    return s
 
 
 def assert_pfaffian(g, orient):
@@ -175,33 +186,61 @@ def test_count_many_matches_count_fkt():
     assert type(got[1]) is int and count_many([]) == []
 
 
-def test_count_many_orients_each_structure_once(monkeypatch):
+def test_count_many_traces_no_faces(monkeypatch):
     from crossdimer.families import assign_cross_weights, build_A, weight_point
 
     calls = []
-    orient = matchcount._orient_component
+    faces = matchcount.planar_faces
 
     def spy(g):
         calls.append(g)
-        return orient(g)
+        return faces(g)
 
     g = build_A(1, 4, 4, 2)
     weighted = [assign_cross_weights(g, weight_point(*pt))
                 for pt in ((3, 5, 7), (5, 7, 3), (7, 3, 5), (3, 5, 11))]
     want = [count_fkt(gw) for gw in weighted]
-    monkeypatch.setattr(matchcount, "_orient_component", spy)
+    monkeypatch.setattr(matchcount, "planar_faces", spy)
     assert count_many(weighted) == want
-    assert len(calls) == 1
     # same vertex set, one interior rung fewer: a different structure
     ladder = grid(2, 4)
     cut = Graph(ladder.vertices,
                 [e for e in ladder.edges() if e != ((0, 1), (1, 1))])
     assert cut.vertices == ladder.vertices
     assert cut.n_edges() == ladder.n_edges() - 1
-    calls.clear()
     assert count_many([ladder, cut]) == [count_brute(ladder),
                                          count_brute(cut)]
-    assert len(calls) == 2
+    assert calls == []
+
+
+@st.composite
+def holey_grids(draw):
+    """Subgraphs of a w x h grid (w, h <= 7) with up to 8 vertices dropped
+    and each edge kept with probability 0.9: holes, bridges and several
+    components.  Some edges carry random Fraction weights."""
+    w, h = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    pts = [(x, y) for x in range(w) for y in range(h)]
+    drop = draw(st.sets(st.sampled_from(pts), max_size=8))
+    pts = [p for p in pts if p not in drop]
+    kept = set(pts)
+    edges, weights = [], {}
+    for x, y in pts:
+        for q in ((x + 1, y), (x, y + 1)):
+            if q in kept and draw(st.integers(0, 9)):
+                edges.append(((x, y), q))
+                if draw(st.integers(0, 3)) == 0:
+                    weights[(x, y), q] = Fraction(draw(st.integers(1, 9)),
+                                                  draw(st.integers(1, 9)))
+    return Graph(pts, edges, weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(holey_grids())
+# a ring around one missing point: the rank term must flip the verticals
+# right of the hole
+@example(grid(3, 3).without([(1, 1)]))
+def test_fkt_matches_brute_on_holey_grids(g):
+    assert count_fkt(g) == count_brute(g, cap=len(g))
 
 
 def test_det_exact_small():
@@ -366,6 +405,8 @@ def test_faces_reject_non_unit_edge():
               [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (2, 2))])
     with pytest.raises(NonPlanarEmbedding):
         planar_faces(g)
+    with pytest.raises(NonPlanarEmbedding):
+        count_fkt(g)
 
 
 @settings(max_examples=40, deadline=None)
