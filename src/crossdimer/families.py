@@ -18,7 +18,6 @@ from .lattice import (
     FULL_GRID, GRID_B, ContourSpec, trace_contour, region_points,
     graph_on_points, points_on_segment, trim_zigzag_side, corner_cut,
 )
-from .matchcount import edge_key
 
 
 class InvalidParams(Exception):
@@ -332,18 +331,30 @@ def weight_point(x, y, z):
     return WeightPoint(Fraction(x), Fraction(y), Fraction(z))
 
 
-def assign_cross_weights(g, w):
-    """Attach the periodic cross weight pattern to every edge of g."""
-    symbols = {"x": Fraction(w.x), "y": Fraction(w.y), "z": Fraction(w.z)}
-    weights = {}
+def cross_weightings(g, points):
+    """Copies of g carrying the periodic cross weight pattern, one per
+    WeightPoint in points.  Each edge's lattice offset is looked up once,
+    and every copy shares g's structure (Graph.with_weights)."""
+    by_symbol = {"x": [], "y": [], "z": []}
     for u, v in g.edges():
         offset = GRID_B.edge_offset(u, v)
         if offset is None:
             raise NotGridB(f"edge {u}-{v} is not a cross-lattice edge")
         sym = WEIGHT_TABLE.get(offset)
         if sym is not None:
-            weights[edge_key(u, v)] = symbols[sym]
-    return g.with_weights(weights)
+            by_symbol[sym].append((u, v))
+    out = []
+    for w in points:
+        weights = {}
+        for sym, t in zip("xyz", w.as_tuple()):
+            weights.update(dict.fromkeys(by_symbol[sym], Fraction(t)))
+        out.append(g.with_weights(weights))
+    return out
+
+
+def assign_cross_weights(g, w):
+    """Attach the periodic cross weight pattern to every edge of g."""
+    return cross_weightings(g, [w])[0]
 
 
 # -- family spec strings ---------------------------------------------------------------

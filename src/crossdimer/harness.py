@@ -18,7 +18,7 @@ from . import families, formulas
 from .families import (
     build_A, build_F, build_TR, build_TA, build_TB, TrimRectParams,
     build_aztec_rectangle, build_augmented_aztec, derive_params,
-    assign_cross_weights, weight_point, InvalidParams,
+    cross_weightings, weight_point, InvalidParams,
 )
 from .formulas import (
     phi, psi, phi_value, psi_value, thm_TR, thm_TA, thm_TB,
@@ -621,8 +621,8 @@ def _weighted_counts(family, i, a, b, c, points, cap):
     for pt in points:
         screen_probe_point(pt)
     g = (build_A if family == "A" else build_F)(i, a, b, c)
-    return count_many((assign_cross_weights(g, weight_point(*map(int, pt)))
-                       for pt in points), cap=cap)
+    return count_many(cross_weightings(
+        g, [weight_point(*map(int, pt)) for pt in points]), cap=cap)
 
 
 def _probe_vector(family, a, b, c, points, counts):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import isqrt, lcm, prod
 
 import numpy as np
@@ -38,7 +38,7 @@ class NonPlanarEmbedding(Exception):
 
 class InexactArithmetic(ArithmeticError):
     """An exactness guard failed: a CRT determinant outside its Hadamard
-    bound, or a scaled edge weight that is not an integer."""
+    bound."""
 
 
 def edge_key(u, v):
@@ -49,8 +49,10 @@ class Graph:
     """Undirected graph on integer lattice points.
 
     Vertices are (x, y) tuples; the bipartition is by (x + y) parity.
+    adj maps each vertex, in sorted order, to its set of neighbours.
     Edge weights default to 1 and are stored sparsely as exact Fractions
-    (or ints) only where they differ from 1.
+    (or ints) only where they differ from 1.  No Graph changes its adj
+    after construction, so weighted copies share it (with_weights).
     """
 
     __slots__ = ("vertices", "adj", "weights")
@@ -70,11 +72,7 @@ class Graph:
             else:
                 raise ValueError(f"edge {u}-{v} joins same parity class")
         self.adj = adj
-        self.weights = {}
-        if weights:
-            for (u, v), w in weights.items():
-                if w != 1:
-                    self.weights[edge_key(u, v)] = w
+        self.weights = _checked_weights(adj, weights)
 
     # -- basic accessors ------------------------------------------------
 
@@ -120,7 +118,12 @@ class Graph:
         return self.induced(v for v in self.vertices if v not in drop)
 
     def with_weights(self, weights):
-        return Graph(self.vertices, self.edges(), weights)
+        """This graph with the given edge weights in place of its own.  The
+        copy shares vertices and adj with self; no edge is checked again."""
+        g = Graph.__new__(Graph)
+        g.vertices, g.adj = self.vertices, self.adj
+        g.weights = _checked_weights(self.adj, weights)
+        return g
 
     def mapped(self, fn):
         """Relabel vertices through fn (must stay parity-preserving)."""
@@ -130,24 +133,11 @@ class Graph:
 
     def components(self):
         """Connected components; a connected graph is its own component."""
-        seen = set()
-        comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            stack, comp = [start], [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                for u in self.adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-                        comp.append(u)
-            if len(comp) == len(self.vertices):
-                return [self]
-            comps.append(self._on_adjacency({v: self.adj[v] for v in comp}))
-        return comps
+        comps = _components(self.adj)
+        if len(comps) == 1:
+            return [self]
+        return [self._on_adjacency({v: self.adj[v] for v in comp})
+                for comp in comps]
 
     def _on_adjacency(self, adj):
         """The graph with adjacency adj, a closed part of self's, carrying
@@ -173,7 +163,75 @@ class Graph:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
+def _checked_weights(adj, weights):
+    """The weights that differ from 1, keyed by edge_key.  A weight on a
+    pair that is not an edge of adj, or one that is not an int or a
+    Fraction (bool is not allowed), raises ValueError naming the pair."""
+    out = {}
+    for (u, v), w in (weights or {}).items():
+        if v not in adj.get(u, ()):
+            raise ValueError(f"weight on {u}-{v}, which is not an edge")
+        if type(w) is not Fraction and (
+                type(w) is bool or not isinstance(w, int)):
+            raise ValueError(
+                f"weight {w!r} on {u}-{v} is not an int or Fraction")
+        if w != 1:
+            out[edge_key(u, v)] = w
+    return out
+
+
+def _components(adj):
+    """Vertex lists of the connected components of adjacency adj, each in
+    adj's order, and ordered by their first vertex in adj."""
+    label, comps = {}, []
+    for start in adj:
+        if start in label:
+            continue
+        label[start] = k = len(comps)
+        comps.append([])
+        stack = [start]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u not in label:
+                    label[u] = k
+                    stack.append(u)
+    for v in adj:
+        comps[label[v]].append(v)
+    return comps
+
+
 # -- forced-edge reduction -------------------------------------------------
+
+
+def _forced(adj):
+    """Repeatedly match degree-1 vertices away, without reading weights.
+
+    Returns (pairs, rest): the forced edges as edge_keys, and the
+    adjacency they leave, in adj's order; rest is adj itself when nothing
+    is forced, and None when a vertex is left isolated (no perfect
+    matching).  adj is not modified.
+    """
+    queue = [v for v, s in adj.items() if len(s) <= 1]
+    if not queue:
+        return [], adj
+    rest = {v: set(s) for v, s in adj.items()}
+    pairs = []
+    while queue:
+        v = queue.pop()
+        if v not in rest:
+            continue
+        # degrees only fall, so a queued vertex has at most one neighbour
+        nbrs = rest.pop(v)
+        if not nbrs:
+            return pairs, None
+        (u,) = nbrs
+        pairs.append(edge_key(u, v))
+        for w in rest.pop(u):
+            if w != v:
+                rest[w].discard(u)
+                if len(rest[w]) <= 1:
+                    queue.append(w)
+    return pairs, rest
 
 
 def reduce_forced(g):
@@ -183,35 +241,12 @@ def reduce_forced(g):
     With nothing forced, g itself comes back with multiplier 1.  An
     isolated vertex short-circuits to (empty graph, 0).
     """
-    queue = [v for v, s in g.adj.items() if len(s) <= 1]
-    if not queue:
-        return g, 1
-    adj = {v: set(s) for v, s in g.adj.items()}
-    mult = 1
-    dead = set()
-    while queue:
-        v = queue.pop()
-        if v in dead or v not in adj:
-            continue
-        nbrs = adj[v]
-        if not nbrs:
-            return Graph([], []), 0
-        if len(nbrs) > 1:
-            continue
-        (u,) = nbrs
-        mult *= g.weight(u, v)
-        for w in adj[u]:
-            if w != v:
-                adj[w].discard(u)
-                if len(adj[w]) <= 1:
-                    queue.append(w)
-        dead.add(v)
-        dead.add(u)
-        del adj[v]
-        del adj[u]
-    if not all(adj.values()):
+    pairs, rest = _forced(g.adj)
+    if rest is None:
         return Graph([], []), 0
-    return g._on_adjacency(adj), mult
+    if not pairs:
+        return g, 1
+    return g._on_adjacency(rest), prod(g.weight(u, v) for u, v in pairs)
 
 
 # -- brute-force oracle ------------------------------------------------------
@@ -225,7 +260,12 @@ def count_brute(g, cap=BRUTE_CAP):
     if len(g) > cap:
         raise TooLarge(f"{len(g)} vertices exceeds brute cap {cap}")
     adj = {v: set(s) for v, s in g.adj.items()}
-    return _brute(adj, g.weights)
+    return _exact(_brute(adj, g.weights))
+
+
+def _exact(t):
+    """t, with an integral Fraction turned into an int."""
+    return int(t) if isinstance(t, Fraction) and t.denominator == 1 else t
 
 
 def _brute(adj, weights):
@@ -318,11 +358,11 @@ def planar_faces(g):
 # -- Pfaffian orientation ----------------------------------------------------
 
 
-def _row_ranks(g):
-    """rank[v]: how many vertices of g lie left of v in its row.  One pass
-    over g.vertices, which are sorted by x and then y."""
+def _row_ranks(vertices):
+    """rank[v]: how many of the vertices lie left of v in its row.  One
+    pass over the vertices, which must be sorted by x and then y."""
     rank, seen = {}, {}
-    for v in g.vertices:
+    for v in vertices:
         rank[v] = seen.get(v[1], 0)
         seen[v[1]] = rank[v] + 1
     return rank
@@ -361,7 +401,7 @@ def pfaffian_orientation(g):
     _require_unit_steps(g)
     orient = {}
     for comp in g.components():
-        rank = _row_ranks(comp)
+        rank = _row_ranks(comp.vertices)
         for u, v in comp.edges():
             orient[u, v] = (u, v) if _points_from(u, v, rank) else (v, u)
     return orient
@@ -415,25 +455,24 @@ def _crt_primes(need):
 _STEPS_PER_REDUCTION = 7
 
 
-def _packed(vals, cols):
-    """A row-sparse matrix (row i holds the Python ints vals[i] at the
-    distinct columns cols[i]) packed as _det_residues takes it.
+def _packed(vals, lens, cols):
+    """A row-sparse matrix packed as _det_residues takes it.  Row i holds
+    the next lens[i] of the Python ints vals, at the distinct columns
+    that cols (a list or an int32 array) gives in the same order.
 
     Returns (sq, lens, cols, vals): sq the product of the rows' sums of
-    squares (0 exactly when a row is zero), the row lengths, and the
-    columns and entries of all rows, in row order, as arrays.  Entries
-    that do not fit int64 make the entry array an object array.
+    squares (0 exactly when a row is zero), and the row lengths, columns
+    and entries as arrays.  Entries that do not fit int64 make the entry
+    array an object array.
     """
-    lens = [len(c) for c in cols]
-    flat = list(chain.from_iterable(vals))
+    entries = iter(vals)
+    sq = prod(sum(x * x for x in islice(entries, n)) for n in lens)
     try:
-        v = np.array(flat, dtype=np.int64)
+        v = np.array(vals, dtype=np.int64)
     except OverflowError:
-        v = np.array(flat, dtype=object)
-    return (prod(sum(x * x for x in row) for row in vals),
-            np.array(lens, dtype=np.int32),
-            np.fromiter(chain.from_iterable(cols), dtype=np.int32,
-                        count=len(flat)), v)
+        v = np.array(vals, dtype=object)
+    return (sq, np.array(lens, dtype=np.int32),
+            np.asarray(cols, dtype=np.int32), v)
 
 
 def _lane_entries(mats, primes, n):
@@ -600,10 +639,55 @@ def det_exact(vals, cols):
     Row i holds the Python ints vals[i] at the distinct columns cols[i];
     every other entry is 0.  The one-matrix case of _dets_exact.
     """
-    return _dets_exact([_packed(vals, cols)])[0]
+    return _dets_exact([_packed(list(chain.from_iterable(vals)),
+                                [len(c) for c in cols],
+                                list(chain.from_iterable(cols)))])[0]
 
 
 # -- FKT counting -------------------------------------------------------------
+
+
+def _plan(g, cap):
+    """The weight-free part of counting g, shared by every graph with g's
+    adj.
+
+    Returns (pairs, parts): the edges that forced-edge reduction matches,
+    and per component of what it leaves, (keys, signs, lens, cols) for a
+    Kasteleyn matrix: the edge_key and the sign of every entry, in row
+    order, the row lengths, and the entries' columns as an int32 array.
+    parts is None when no perfect matching exists: a vertex is left
+    isolated, or a component has odd size or unequal classes.  Row i and
+    column j are the component's i-th even and j-th odd vertex in sorted
+    order, and an entry is + when _points_from orients its edge out of the
+    even vertex; every nice cycle is then clockwise-odd
+    (pfaffian_orientation).
+    """
+    _require_unit_steps(g)
+    pairs, rest = _forced(g.adj)
+    if rest is None:
+        return pairs, None
+    parts = []
+    for comp in _components(rest):
+        if len(comp) % 2:
+            return pairs, None
+        if len(comp) > cap:
+            raise TooLarge(f"component of {len(comp)} vertices exceeds {cap}")
+        ev = [v for v in comp if (v[0] + v[1]) % 2 == 0]
+        # classes of unequal size admit no perfect matching
+        if 2 * len(ev) != len(comp):
+            return pairs, None
+        index = {v: j for j, v in enumerate(v for v in comp
+                                            if (v[0] + v[1]) % 2)}
+        rank = _row_ranks(comp)
+        keys, signs, lens, cols = [], [], [], []
+        for a in ev:
+            lens.append(len(rest[a]))
+            for b in rest[a]:
+                keys.append(edge_key(a, b))
+                signs.append(1 if _points_from(a, b, rank) else -1)
+                cols.append(index[b])
+        parts.append((keys, signs, lens, np.array(cols, dtype=np.int32)))
+    return pairs, parts
 
 
 def count_many(graphs, cap=FKT_CAP):
@@ -611,73 +695,46 @@ def count_many(graphs, cap=FKT_CAP):
     and exact determinants.
 
     Each graph runs per connected component after forced-edge reduction;
-    exact for arbitrary Fraction edge weights.  The Kasteleyn matrices of
+    exact for arbitrary Fraction edge weights.  Consecutive graphs that
+    share one adj object, as Graph.with_weights copies do, share one
+    _plan; each then adds only its weight product over the forced edges
+    and its entries sign * numerator * (scale // denominator), scale being
+    the lcm of the component's denominators.  The Kasteleyn matrices of
     all components of all graphs share one elimination.  A graph with an
     edge that is not a unit step raises NonPlanarEmbedding, even when
     forced-edge reduction would remove that edge.
     """
     counts, mats, owners = [], [], []
+    adj = None
     for g in graphs:
-        _require_unit_steps(g)
-        reduced, total = reduce_forced(g)
-        parts = []
-        for comp in reduced.components() if total else ():
-            if len(comp) % 2:
-                total = 0
-                break
-            if len(comp) > cap:
-                raise TooLarge(f"component of {len(comp)} vertices exceeds "
-                               f"{cap}")
-            # classes of unequal size admit no perfect matching
-            if 2 * sum((x + y) % 2 for x, y in comp.vertices) != len(comp):
-                total = 0
-                break
-            parts.append(_kasteleyn(comp))
-        if total:
-            for vals, cols, scale in parts:
-                mats.append(_packed(vals, cols))
-                owners.append((len(counts), scale ** len(vals)))
+        if g.adj is not adj:
+            adj, (pairs, parts) = g.adj, _plan(g, cap)
+        weights = g.weights
+        if parts is None:
+            total = 0
+        else:
+            forced = [weights.get(e, 1) for e in pairs]
+            total = Fraction(prod(w.numerator for w in forced),
+                             prod(w.denominator for w in forced))
+        for keys, signs, lens, cols in parts if total else ():
+            if weights:
+                ws = [weights.get(k, 1) for k in keys]
+                scale = lcm(*(w.denominator for w in ws))
+                vals = [s * w.numerator * (scale // w.denominator)
+                        for s, w in zip(signs, ws)]
+            else:
+                scale, vals = 1, signs
+            mats.append(_packed(vals, lens, cols))
+            owners.append((len(counts), scale ** len(lens)))
         counts.append(total)
     for (gi, den), det in zip(owners, _dets_exact(mats)):
-        counts[gi] *= abs(det) if den == 1 else Fraction(abs(det), den)
-    return [int(t) if isinstance(t, Fraction) and t.denominator == 1 else t
-            for t in counts]
+        counts[gi] *= Fraction(abs(det), den)
+    return [_exact(t) for t in counts]
 
 
 def count_fkt(g, cap=FKT_CAP):
     """Exact matching count of one graph: count_many([g], cap)[0]."""
     return count_many([g], cap)[0]
-
-
-def _kasteleyn(g):
-    """Row-sparse Kasteleyn matrix of one connected, balanced unit-step
-    graph, signed by pfaffian_orientation's rule.
-
-    The rule gives every cycle C #clockwise = 1 + #(vertices inside C)
-    mod 2 (the ray argument of pfaffian_orientation); inside a nice cycle
-    the vertices match among themselves, so the count is odd.  Returns
-    (vals, cols, scale): row i holds the edges of the i-th even vertex,
-    signed + when oriented out of it, at the columns of their odd ends,
-    with weights scaled by `scale` to integers.
-    """
-    ev, od = g.classes()
-    scale = lcm(*(w.denominator for w in g.weights.values()))
-    index = {v: j for j, v in enumerate(od)}
-    rank = _row_ranks(g)
-    weights = g.weights
-    vals, cols = [], []
-    for a in ev:
-        row, at = [], []
-        for b in g.adj[a]:
-            w = weights.get(edge_key(a, b), 1) * scale
-            if w != int(w):
-                raise InexactArithmetic(f"weight of {a}-{b} scales to {w}")
-            w = int(w)
-            row.append(w if _points_from(a, b, rank) else -w)
-            at.append(index[b])
-        vals.append(row)
-        cols.append(at)
-    return vals, cols, scale
 
 
 def count_matchings(g, method="auto", brute_cap=BRUTE_CAP, fkt_cap=FKT_CAP):

@@ -14,6 +14,15 @@ def test_count_weighted(capsys):
     assert main(["count", "A1:2,2,0", "--weights", "1,1,1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["count"] == "5"
+    # an integral weighted count is factored whichever method counts it
+    outs = {}
+    for method in ("brute", "fkt"):
+        assert main(["count", "A1:2,2,0", "--weights", "3,5,7",
+                     "--method", method]) == 0
+        outs[method] = json.loads(capsys.readouterr().out)
+        assert outs[method].pop("method") == method
+    assert outs["brute"] == outs["fkt"]
+    assert outs["fkt"]["count"] == "57674421" and outs["fkt"]["factors"]
 
 
 def test_formula_command(capsys):

@@ -1,5 +1,7 @@
 import random
+import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import isqrt, prod
 from unittest import mock
@@ -43,6 +45,24 @@ def square():
 def test_graph_rejects_same_parity_edge():
     with pytest.raises(ValueError):
         Graph([(0, 0), (1, 1)], [((0, 0), (1, 1))])
+
+
+def test_graph_rejects_bad_weights():
+    sq = square()
+    # a weight off the edges, or one that is not an int or a Fraction
+    for pair, w in ((((0, 0), (1, 1)), 5), (((0, 0), (7, 0)), 5),
+                    (((0, 0), (1, 0)), 0.5), (((0, 0), (1, 0)), True)):
+        named = re.escape(f"{pair[0]}-{pair[1]}")
+        with pytest.raises(ValueError, match=named):
+            sq.with_weights({pair: w})
+        with pytest.raises(ValueError, match=named):
+            Graph(sq.vertices, sq.edges(), {pair: w})
+    g = sq.with_weights({((1, 0), (0, 0)): Fraction(2), ((0, 1), (1, 1)): 1})
+    assert g.weights == {((0, 0), (1, 0)): 2}
+    assert g.adj is sq.adj and g.vertices is sq.vertices
+    # an integral weighted count is an int from both methods
+    assert count_brute(g) == count_fkt(g) == 3
+    assert type(count_brute(g)) is type(count_fkt(g)) is int
 
 
 def test_reduce_forced_path2():
@@ -243,6 +263,50 @@ def test_fkt_matches_brute_on_holey_grids(g):
     assert count_fkt(g) == count_brute(g, cap=len(g))
 
 
+@settings(max_examples=60, deadline=None)
+@given(holey_grids(), holey_grids(), st.data())
+def test_count_many_shares_plans_across_weightings(g, h, data):
+    # g's weighted copies share one plan, with their own forced-edge
+    # weights; h, and g2 (equal to g but built apart), each need a new one
+    def weighted(base):
+        fraction = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+        return base.with_weights({e: data.draw(fraction) for e in base.edges()
+                                  if data.draw(st.booleans())})
+
+    g2 = Graph(g.vertices, g.edges(), g.weights)
+    batch = [weighted(g), weighted(g), h, weighted(g), weighted(g2)]
+    assert count_many(batch) == [count_brute(x, cap=len(x)) for x in batch]
+
+
+def test_count_many_plans_each_structure_once(monkeypatch):
+    from crossdimer.families import (
+        assign_cross_weights, build_A, cross_weightings, weight_point,
+    )
+    from crossdimer.lattice import LatticeSpec
+
+    g = build_A(1, 4, 4, 2)
+    points = [weight_point(*pt)
+              for pt in ((3, 5, 7), (5, 7, 3), (7, 3, 5), (3, 5, 11))]
+    want = [count_fkt(assign_cross_weights(g, w)) for w in points]
+    calls = Counter()
+
+    def spy(owner, name, label):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[label] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(matchcount, "_require_unit_steps", "unit steps")
+    spy(matchcount, "_forced", "forced")
+    spy(Graph, "__init__", "Graph")
+    spy(LatticeSpec, "edge_offset", "edge_offset")
+    assert count_many(cross_weightings(g, points)) == want
+    assert calls == {"unit steps": 1, "forced": 1, "edge_offset": g.n_edges()}
+
+
 def test_det_exact_small():
     assert det_exact(*sparse([[2, 1], [1, 2]])) == 3
     assert det_exact(*sparse([[0, 0], [0, 0]])) == 0
@@ -346,7 +410,11 @@ def test_det_exact_matches_fraction_det(mat):
           ([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]], 0)])
 def test_det_residues_batch_matches_fraction_det(batch):
     pool = matchcount._crt_primes(2 ** 90)
-    mats = [matchcount._packed(*sparse(mat)) for mat, _ in batch]
+    mats = [matchcount._packed([x for row in mat for x in row if x],
+                               [sum(1 for x in row if x) for row in mat],
+                               [j for row in mat for j, x in enumerate(row)
+                                if x])
+            for mat, _ in batch]
     primes = [pool[:1] + pool[len(pool) - extra:] if extra else pool[:1]
               for _, extra in batch]
     got = matchcount._det_residues(mats, primes)
