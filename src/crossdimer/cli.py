@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import formulas
 from .families import (
     FAMILY_HEADS, derive_params, parse_spec, split_spec, InvalidParams,
-    assign_cross_weights, weight_point,
+    NotGridB, assign_cross_weights, weight_point,
 )
 from .harness import (
     SuiteConfig, run_suite, render_svg, conjecture_probe,
@@ -49,6 +49,9 @@ def cmd_gen(args):
 def cmd_count(args):
     g = parse_spec(args.spec)
     if args.weights:
+        if args.weights.count(",") != 2:
+            raise InvalidParams(f"--weights {args.weights}: expected three "
+                                f"values, as in --weights x,y,z")
         try:
             x, y, z = (Fraction(t) for t in args.weights.split(","))
         except ZeroDivisionError:
@@ -146,8 +149,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidParams, HypothesisViolated, BadProbePoint, TooLarge,
-            CacheCorrupt, ValueError) as exc:
+    except (InvalidParams, NotGridB, HypothesisViolated, BadProbePoint,
+            TooLarge, CacheCorrupt, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

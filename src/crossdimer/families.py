@@ -3,8 +3,10 @@
 Pipeline, fixed: trace contour -> region points -> strip diagonal sides
 -> zigzag-trim horizontal sides -> one induced lattice graph.  Induced
 subgraphs compose, induced(induced(G, A), B) = induced(G, A & B), so each
-builder subtracts point sets and builds its graph once.  Which sides are
-stripped per family (with the tall/flat case split), the trim sweeps and
+family has a point-set form (family_points, tr_points, trim_rect_points,
+aztec_rectangle_points, augmented_aztec_points) that subtracts point
+sets, and each build_* is graph_on_points of its point set.  Which sides
+are stripped per family (with the tall/flat case split), the trim sweeps and
 offsets, and the rotated-rectangle anchor classes are frozen calibration
 results; the acceptance suite is the authority that they are right.
 """
@@ -15,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import (
-    FULL_GRID, GRID_B, ContourSpec, trace_contour, region_points,
-    graph_on_points, points_on_segment, trim_zigzag_side, corner_cut,
+    CROSS_OFFSETS, FULL_GRID, GRID_B, ContourSpec, trace_contour,
+    region_points, graph_on_points, points_on_segment, trim_zigzag_side,
+    corner_cut, unit_edge_table,
 )
 
 
@@ -113,7 +116,8 @@ _TRIM_RULES = {
 }
 
 
-def _build_family(kind, i, a, b, c, lat=GRID_B):
+def family_points(kind, i, a, b, c):
+    """The point set of family graph A_i(a, b, c) (kind "A") or F_i."""
     p = derive_params(a, b, c)
     corners2 = trace_contour(family_contour(i, a, b, c))
     pts = set(region_points(corners2))
@@ -128,17 +132,17 @@ def _build_family(kind, i, a, b, c, lat=GRID_B):
     for which, delta in _TRIM_RULES[(kind, i)]:
         pts -= trim_zigzag_side(corners2, SIDE_NAMES.index(which),
                                 delta=delta)
-    return graph_on_points(lat, pts)
+    return pts
 
 
 def build_A(i, a, b, c, lat=GRID_B):
     """The i-th family graph with all bounding diagonals stripped bare."""
-    return _build_family("A", i, a, b, c, lat=lat)
+    return graph_on_points(lat, family_points("A", i, a, b, c))
 
 
 def build_F(i, a, b, c, lat=GRID_B):
     """The i-th family graph that keeps its diagonal boundary rows."""
-    return _build_family("F", i, a, b, c, lat=lat)
+    return graph_on_points(lat, family_points("F", i, a, b, c))
 
 
 # -- rotated rectangles ------------------------------------------------------------
@@ -193,8 +197,8 @@ def build_augmented_aztec(lat, m, n, alignment="east", corner_uv=None):
     return graph_on_points(lat, augmented_aztec_points(m, n, corner_uv))
 
 
-def build_TR(a, b):
-    """Trimmed augmented rectangle; counted by powers of 10 and 11."""
+def tr_points(a, b):
+    """The point set of the trimmed augmented rectangle TR(a, b)."""
     if a < 1 or b < 2 * a:
         raise InvalidParams(f"need a >= 1 and b >= 2a, got {(a, b)}")
     m = 2 * b + 2 * a - 2
@@ -205,8 +209,12 @@ def build_TR(a, b):
     level_n = (east_y2 - 1) // 2 + (2 * a - 1) + 1
     level_s = (east_y2 + 1) // 2 - (4 * a - 1) - 1
     pts = corner_cut(pts, level_n, "below", delta=3)
-    pts = corner_cut(pts, level_s, "above", delta=3)
-    return graph_on_points(GRID_B, pts)
+    return corner_cut(pts, level_s, "above", delta=3)
+
+
+def build_TR(a, b):
+    """Trimmed augmented rectangle; counted by powers of 10 and 11."""
+    return graph_on_points(GRID_B, tr_points(a, b))
 
 
 @dataclass(frozen=True)
@@ -228,32 +236,35 @@ class TrimRectParams:
             raise InvalidParams(f"variant must be TA or TB, not {self.variant}")
 
 
-def _build_trim_rect(rect_m, rect_n, h1, h2, corner_uv):
+def trim_rect_points(p):
+    """The point set of the trimmed rectangle that p (TA or TB) names."""
+    if p.variant == "TA":
+        rect_m, rect_n, corner_uv = 2 * p.m, 2 * p.n, ALIGN_UV["east"]
+    else:
+        rect_m, rect_n, corner_uv = 2 * p.m - 1, 2 * p.n - 1, ALIGN_UV["west"]
     pts = aztec_rectangle_points(rect_m, rect_n, corner_uv)
     u_max, v_max = corner_uv
     north_y2 = u_max - (v_max - 2 * rect_m)
     south_y2 = (u_max - 2 * rect_n) - v_max
-    level_top = (north_y2 - 1) // 2 - h1
-    level_bot = (south_y2 + 1) // 2 + h2
+    level_top = (north_y2 - 1) // 2 - p.h1
+    level_bot = (south_y2 + 1) // 2 + p.h2
     # these two cuts anchor at the ragged row ends, not at slit phase
     pts = corner_cut(pts, level_top, "below", sweep="right_to_left",
                      anchor_offset=3)
-    pts = corner_cut(pts, level_bot, "above", sweep="left_to_right",
-                     anchor_offset=3)
-    return graph_on_points(GRID_B, pts)
+    return corner_cut(pts, level_bot, "above", sweep="left_to_right",
+                      anchor_offset=3)
 
 
 def build_TA(p):
     if p.variant != "TA":
         raise InvalidParams("params are not TA params")
-    return _build_trim_rect(2 * p.m, 2 * p.n, p.h1, p.h2, ALIGN_UV["east"])
+    return graph_on_points(GRID_B, trim_rect_points(p))
 
 
 def build_TB(p):
     if p.variant != "TB":
         raise InvalidParams("params are not TB params")
-    return _build_trim_rect(2 * p.m - 1, 2 * p.n - 1, p.h1, p.h2,
-                            ALIGN_UV["west"])
+    return graph_on_points(GRID_B, trim_rect_points(p))
 
 
 # -- reflections --------------------------------------------------------------------
@@ -333,22 +344,30 @@ def weight_point(x, y, z):
 
 def cross_weightings(g, points):
     """Copies of g carrying the periodic cross weight pattern, one per
-    WeightPoint in points.  Each edge's lattice offset is looked up once,
-    and every copy shares g's structure (Graph.with_weights)."""
+    WeightPoint in points.  Each edge takes its symbol from the class of
+    its lower-left end (lattice.unit_edge_table, the table the lattice's
+    edges come from), once per call.  The weights are derived from g's
+    own edges and from positive WeightPoints, so the copies take them
+    unchecked, and every copy shares g's structure (Graph.with_weights).
+    """
+    table = unit_edge_table(lambda e: WEIGHT_TABLE.get(CROSS_OFFSETS[e], "")
+                            if e in CROSS_OFFSETS else None)
     by_symbol = {"x": [], "y": [], "z": []}
     for u, v in g.edges():
-        offset = GRID_B.edge_offset(u, v)
-        if offset is None:
+        step = (v[0] - u[0], v[1] - u[1])
+        sym = table[step[1]][u[0] % 4][u[1] % 4] \
+            if step in ((1, 0), (0, 1)) else None
+        if sym is None:
             raise NotGridB(f"edge {u}-{v} is not a cross-lattice edge")
-        sym = WEIGHT_TABLE.get(offset)
-        if sym is not None:
+        if sym:
             by_symbol[sym].append((u, v))
     out = []
     for w in points:
         weights = {}
         for sym, t in zip("xyz", w.as_tuple()):
-            weights.update(dict.fromkeys(by_symbol[sym], Fraction(t)))
-        out.append(g.with_weights(weights))
+            if t != 1:
+                weights.update(dict.fromkeys(by_symbol[sym], Fraction(t)))
+        out.append(g.with_weights(weights, check=False))
     return out
 
 

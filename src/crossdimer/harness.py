@@ -8,6 +8,7 @@ check.  Suites are deterministic given the seed in SuiteConfig.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import random
@@ -16,15 +17,15 @@ from fractions import Fraction
 
 from . import families, formulas
 from .families import (
-    build_A, build_F, build_TR, build_TA, build_TB, TrimRectParams,
-    build_aztec_rectangle, build_augmented_aztec, derive_params,
-    cross_weightings, weight_point, InvalidParams,
+    build_A, build_F, build_TR, TrimRectParams, build_aztec_rectangle,
+    build_augmented_aztec, derive_params, cross_weightings, family_points,
+    trim_rect_points, weight_point, InvalidParams,
 )
 from .formulas import (
     phi, psi, phi_value, psi_value, thm_TR, thm_TA, thm_TB,
     recurrence_check, factor_small, alpha_w, beta_w, HypothesisViolated,
 )
-from .lattice import FULL_GRID, GRID_B
+from .lattice import FULL_GRID, GRID_B, grid_on_points
 from .matchcount import (
     FKT_CAP, count_brute, count_fkt, count_many, kuo_check, split_check,
     planar_faces,
@@ -40,6 +41,8 @@ class BadProbePoint(Exception):
 
 
 DEFAULT_CACHE_ENV = "CROSSDIMER_CACHE"
+# The version of count_key's format; keys of other formats never match.
+CACHE_KEY_PREFIX = "points-v1:"
 
 
 @dataclass
@@ -92,7 +95,11 @@ class SuiteReport:
 
 
 class CountCache:
-    """Append-only JSON-lines store of exact counts keyed by graph hash."""
+    """Append-only JSON-lines store of exact counts keyed by count_key.
+
+    Lines keyed otherwise (the graph_hash keys of earlier versions) still
+    load and are checked for conflicts, but no count_key matches them.
+    """
 
     def __init__(self, path=None):
         self.path = path or os.environ.get(DEFAULT_CACHE_ENV)
@@ -135,27 +142,37 @@ class CountCache:
                                      "method": "fkt"}) + "\n")
 
 
-def cached_count(graphs, cache=None, cap=FKT_CAP):
-    """Exact FKT counts of an iterable of graphs, in order.
+def count_key(lat, grid):
+    """The cache key of the graph that lattice lat induces on a point set,
+    given as its Grid: CACHE_KEY_PREFIX and the sha256 of the lattice kind
+    and the sorted little-endian int64 point array."""
+    digest = hashlib.sha256(lat.kind.encode() + b"\0")
+    digest.update(grid.points().astype("<i8").tobytes())
+    return CACHE_KEY_PREFIX + digest.hexdigest()
 
-    Each graph is hashed once.  The distinct graphs that the cache does not
-    hold are counted together by one count_many, so a graph repeated in
-    the input is counted once; integer counts are then stored.  Graphs are
-    consumed one at a time and not kept, so a generator of graphs never
-    holds them all in memory.
+
+def cached_count(items, cache=None, cap=FKT_CAP):
+    """Exact FKT counts of an iterable of (lattice, points) pairs, in order:
+    each counts the graph that the lattice induces on the points.
+
+    Each item becomes a Grid and is keyed once (count_key).  The distinct
+    graphs that the cache does not hold are counted together by one
+    count_many, straight from their Grids, so a graph repeated in the
+    input is counted once; integer counts are then stored.
     """
     keys, counts, todo = [], {}, {}
 
     def misses():
-        for g in graphs:
-            key = g.graph_hash()
+        for lat, pts in items:
+            grid = grid_on_points(lat, pts)
+            key = count_key(lat, grid)
             keys.append(key)
             if key in counts or key in todo:
                 continue
             hit = cache.get(key) if cache is not None else None
             if hit is None:
                 todo[key] = None
-                yield g
+                yield grid
             else:
                 counts[key] = int(hit)
 
@@ -258,13 +275,14 @@ def suite_theorem21(cfg):
     for (a, b, c) in valid_triples(range(2, 7), cfg.perimeter_cap):
         for i in (1, 2, 3):
             checks.append(("A_closed_form", f"A{i}:{a},{b},{c}",
-                           phi_value(i, a, b, c), build_A, (i, a, b, c)))
+                           phi_value(i, a, b, c), ("A", i, a, b, c)))
             checks.append(("F_closed_form", f"F{i}:{a},{b},{c}",
-                           psi_value(i, a, b, c), build_F, (i, a, b, c)))
-    # built one at a time inside the batch, so they are never all held
-    counts = cached_count((build(*args) for *_, build, args in checks),
+                           psi_value(i, a, b, c), ("F", i, a, b, c)))
+    # each point set is dropped once it is a Grid inside the batch
+    counts = cached_count(((GRID_B, family_points(*args))
+                           for *_, args in checks),
                           cache, cap=cfg.vertex_cap_fkt)
-    for (check, spec_str, want, _, _), got in zip(checks, counts):
+    for (check, spec_str, want, _), got in zip(checks, counts):
         rep.add(check, spec_str, want, got)
     return rep
 
@@ -362,18 +380,18 @@ def suite_theorem13(cfg):
     cache = CountCache(cfg.cache_path)
     checks = []
     for (m, n, h1, h2) in trim_rect_domain():
-        for variant, thm, builder in (("TA", thm_TA, build_TA),
-                                      ("TB", thm_TB, build_TB)):
+        for variant, thm in (("TA", thm_TA), ("TB", thm_TB)):
             try:
                 check_trim_domain(variant, m, n, h1, h2)
             except HypothesisViolated:
                 continue
             checks.append((f"{variant}:{m},{n},{h1},{h2}",
-                           thm(m, n, h1, h2).value(), builder,
+                           thm(m, n, h1, h2).value(),
                            TrimRectParams(m, n, h1, h2, variant=variant)))
-    counts = cached_count((builder(p) for *_, builder, p in checks), cache,
-                          cap=cfg.vertex_cap_fkt)
-    for (spec_str, want, _, _), got in zip(checks, counts):
+    counts = cached_count(((GRID_B, trim_rect_points(p))
+                           for *_, p in checks),
+                          cache, cap=cfg.vertex_cap_fkt)
+    for (spec_str, want, _), got in zip(checks, counts):
         rep.add("trim_rect_value", spec_str, want, got)
         fac = factor_small(got) if got > 0 else {"cofactor": 0}
         rep.add("small_prime_factors", spec_str, 1, fac["cofactor"])
@@ -540,8 +558,7 @@ def suite_recurrences(cfg):
     graphs = {}  # every (family, i, triple) a check reads, first seen first
     verdicts(lambda *key: graphs.setdefault(key, 0))
     counts = dict(zip(graphs, cached_count(
-        ((build_A if kind == "A" else build_F)(i, *t)
-         for kind, i, t in graphs),
+        ((GRID_B, family_points(kind, i, *t)) for kind, i, t in graphs),
         CountCache(cfg.cache_path), cap=cfg.vertex_cap_fkt)))
     for (r, (kind, i), _, (a, b, c)), ok in zip(
             checks, verdicts(lambda *key: counts[key])):
@@ -611,18 +628,27 @@ def _signed_exponents(value, bases):
     return out, Fraction(num, den)
 
 
-def _weighted_counts(family, i, a, b, c, points, cap):
-    """Exact counts of one family graph at each of the screened points.
+def _weighted_counts(specs, points, cap):
+    """Exact counts of the family graphs that specs name, (family, i, a,
+    b, c) each, at each of the screened points: one list per spec.
 
-    The graph is built once, and its weighted copies share one count_many.
+    Every point is screened before anything is built.  Each graph is
+    built once, and the weighted copies of all of them share one
+    count_many.
     """
-    if family not in ("A", "F"):
-        raise ValueError(f"family must be A or F, not {family!r}")
     for pt in points:
         screen_probe_point(pt)
-    g = (build_A if family == "A" else build_F)(i, a, b, c)
-    return count_many(cross_weightings(
-        g, [weight_point(*map(int, pt)) for pt in points]), cap=cap)
+    weightings = [weight_point(*map(int, pt)) for pt in points]
+
+    def copies():
+        for family, i, a, b, c in specs:
+            if family not in ("A", "F"):
+                raise ValueError(f"family must be A or F, not {family!r}")
+            g = (build_A if family == "A" else build_F)(i, a, b, c)
+            yield from cross_weightings(g, weightings)
+
+    counts, k = count_many(copies(), cap=cap), len(points)
+    return [counts[j * k:(j + 1) * k] for j in range(len(specs))]
 
 
 def _probe_vector(family, a, b, c, points, counts):
@@ -661,7 +687,7 @@ def conjecture_probe(family, i, a, b, c, points, cap=FKT_CAP):
     counted; the vector is returned only when identical across all points
     with residue exactly 1.
     """
-    counts = _weighted_counts(family, i, a, b, c, points, cap)
+    (counts,) = _weighted_counts([(family, i, a, b, c)], points, cap)
     return _probe_vector(family, a, b, c, points, counts)
 
 
@@ -674,26 +700,31 @@ def reconstruct_weighted_count(family, a, b, c, vec, pt):
 
 PROBE_POINTS = ((3, 5, 7), (5, 7, 3), (7, 3, 5))
 HELD_OUT_POINT = (3, 5, 11)
+# Families whose weightings the conjecture suite counts in one count_many:
+# 32 weighted graphs, whose elimination window stays small.
+PROBE_BATCH = 8
 
 
 def suite_conjecture(cfg):
     rep = SuiteReport("conjecture")
-    points = PROBE_POINTS + (HELD_OUT_POINT,)
-    for (a, b, c) in valid_triples(range(2, 7), 16):
-        for i in (1, 2, 3):
-            for family in ("A", "F"):
-                spec_str = f"{family}{i}:{a},{b},{c}"
-                *probed, got = _weighted_counts(family, i, a, b, c, points,
-                                                cfg.vertex_cap_fkt)
-                vec = _probe_vector(family, a, b, c, PROBE_POINTS, probed)
-                consistent = isinstance(vec, ConjectureExponents)
-                rep.add("probe_consistency", spec_str, True, consistent,
-                        ok=consistent)
-                if not consistent:
-                    continue
-                want = reconstruct_weighted_count(family, a, b, c, vec,
-                                                  HELD_OUT_POINT)
-                rep.add("probe_heldout", spec_str, want, got)
+    specs = [(family, i, a, b, c)
+             for (a, b, c) in valid_triples(range(2, 7), 16)
+             for i in (1, 2, 3) for family in ("A", "F")]
+    points, counts = PROBE_POINTS + (HELD_OUT_POINT,), []
+    for k in range(0, len(specs), PROBE_BATCH):
+        counts += _weighted_counts(specs[k:k + PROBE_BATCH], points,
+                                   cfg.vertex_cap_fkt)
+    for (family, i, a, b, c), (*probed, got) in zip(specs, counts):
+        spec_str = f"{family}{i}:{a},{b},{c}"
+        vec = _probe_vector(family, a, b, c, PROBE_POINTS, probed)
+        consistent = isinstance(vec, ConjectureExponents)
+        rep.add("probe_consistency", spec_str, True, consistent,
+                ok=consistent)
+        if not consistent:
+            continue
+        want = reconstruct_weighted_count(family, a, b, c, vec,
+                                          HELD_OUT_POINT)
+        rep.add("probe_heldout", spec_str, want, got)
     return rep
 
 

@@ -21,8 +21,11 @@ vertex (x, y) appears as (2x, 2y).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .matchcount import Graph
+import numpy as np
+
+from .matchcount import Grid
 
 
 class NonClosing(Exception):
@@ -71,6 +74,19 @@ def residue(p):
 # the slits.
 CROSS_OFFSETS = {((b[0] - a[0], b[1] - a[1]), residue(a)): (a, b)
                  for a, b in CROSS_EDGES}
+
+
+def unit_edge_table(fn):
+    """fn of the class of each unit edge, as table[d][x % 4][y % 4] for the
+    edge from (x, y) east (d = 0) or north (d = 1).  (4, 0) and (0, 4) lie
+    in L, so a class depends on x and y mod 4 only."""
+    return [[[fn((step, residue((x, y)))) for y in range(4)]
+             for x in range(4)] for step in ((1, 0), (0, 1))]
+
+
+# Which unit edges each lattice has, as unit_edge_table arrays.
+UNIT_EDGES = {"full": np.ones((2, 4, 4), dtype=bool),
+              "cross": np.array(unit_edge_table(CROSS_OFFSETS.__contains__))}
 
 
 def _edge_class(p, q):
@@ -185,14 +201,15 @@ def region_points(corners2):
                 yield (x, y)
 
 
+def grid_on_points(lat, pts):
+    """The graph that lat induces on the distinct points pts, as a Grid."""
+    pts = np.fromiter(chain.from_iterable(pts), dtype=np.int64).reshape(-1, 2)
+    return Grid(pts, *UNIT_EDGES[lat.kind][:, pts[:, 0] % 4, pts[:, 1] % 4])
+
+
 def graph_on_points(lat, pts):
-    keep = set(pts)
-    edges = []
-    for x, y in keep:
-        for q in ((x + 1, y), (x, y + 1)):
-            if q in keep and lat.edge_exists((x, y), q):
-                edges.append(((x, y), q))
-    return Graph(keep, edges)
+    """The graph that lat induces on the points pts."""
+    return grid_on_points(lat, pts).graph()
 
 
 def induced_subgraph(lat, corners2):

@@ -88,21 +88,12 @@ class Graph:
     def weight(self, u, v):
         return self.weights.get(edge_key(u, v), 1)
 
-    def degree(self, v):
-        return len(self.adj[v])
-
     def has_edge(self, u, v):
         return v in self.adj.get(u, ())
 
-    def classes(self):
-        """Vertices by (x+y) parity: (even list, odd list), both sorted."""
-        ev = [v for v in self.vertices if (v[0] + v[1]) % 2 == 0]
-        od = [v for v in self.vertices if (v[0] + v[1]) % 2 == 1]
-        return ev, od
-
     def is_balanced(self):
-        ev, od = self.classes()
-        return len(ev) == len(od)
+        """Whether both (x + y) parity classes have equally many vertices."""
+        return 2 * sum((x + y) % 2 for x, y in self.vertices) == len(self)
 
     # -- derived graphs --------------------------------------------------
 
@@ -117,12 +108,14 @@ class Graph:
         drop = set(drop)
         return self.induced(v for v in self.vertices if v not in drop)
 
-    def with_weights(self, weights):
+    def with_weights(self, weights, check=True):
         """This graph with the given edge weights in place of its own.  The
-        copy shares vertices and adj with self; no edge is checked again."""
+        copy shares vertices and adj with self; no edge is checked again.
+        With check=False the weights are taken as they are: edge_keys of
+        edges of self, each an int or Fraction above 0 and not 1."""
         g = Graph.__new__(Graph)
         g.vertices, g.adj = self.vertices, self.adj
-        g.weights = _checked_weights(self.adj, weights)
+        g.weights = _checked_weights(self.adj, weights) if check else weights
         return g
 
     def mapped(self, fn):
@@ -130,21 +123,6 @@ class Graph:
         edges = [(fn(u), fn(v)) for u, v in self.edges()]
         w = {edge_key(fn(u), fn(v)): wt for (u, v), wt in self.weights.items()}
         return Graph([fn(v) for v in self.vertices], edges, w)
-
-    def components(self):
-        """Connected components; a connected graph is its own component."""
-        comps = _components(self.adj)
-        if len(comps) == 1:
-            return [self]
-        return [self._on_adjacency({v: self.adj[v] for v in comp})
-                for comp in comps]
-
-    def _on_adjacency(self, adj):
-        """The graph with adjacency adj, a closed part of self's, carrying
-        self's weights; no edge of self outside adj is visited."""
-        edges = [(v, u) for v, s in adj.items() for u in s if v < u]
-        return Graph(adj, edges, {e: self.weights[e] for e in edges
-                                  if e in self.weights})
 
     # -- canonical serialization ------------------------------------------
 
@@ -165,8 +143,10 @@ class Graph:
 
 def _checked_weights(adj, weights):
     """The weights that differ from 1, keyed by edge_key.  A weight on a
-    pair that is not an edge of adj, or one that is not an int or a
-    Fraction (bool is not allowed), raises ValueError naming the pair."""
+    pair that is not an edge of adj, one that is not an int or a Fraction
+    (bool is not allowed), or one that is not above 0 raises ValueError
+    naming the pair: the counts are |det|, which is the weighted count
+    only for positive weights."""
     out = {}
     for (u, v), w in (weights or {}).items():
         if v not in adj.get(u, ()):
@@ -175,9 +155,74 @@ def _checked_weights(adj, weights):
                 type(w) is bool or not isinstance(w, int)):
             raise ValueError(
                 f"weight {w!r} on {u}-{v} is not an int or Fraction")
+        if w <= 0:
+            raise ValueError(f"weight {w} on {u}-{v} is not positive")
         if w != 1:
             out[edge_key(u, v)] = w
     return out
+
+
+class Grid:
+    """A unit-step graph as boolean arrays on its bounding box, indexed
+    [x - x0, y - y0] for origin (x0, y0), so that ravel order is the
+    x-major order of Graph.vertices: occ marks the n vertices, and
+    edges[0] and edges[1] the edges (x, y)-(x+1, y) and (x, y)-(x, y+1)
+    at (x, y).  A Grid carries no weights; its arrays are not changed.
+    """
+
+    __slots__ = ("origin", "occ", "edges", "n")
+
+    def __init__(self, pts, east, north):
+        """The points pts (an int array of shape (n, 2)) and the unit edges
+        east and north of each that east and north allow (a flag per
+        point, or one for all) and whose other end is a point too."""
+        lo = pts.min(0) if len(pts) else np.zeros(2, dtype=np.int64)
+        shape = tuple(pts.max(0) - lo + 1) if len(pts) else (0, 0)
+        self.origin, self.occ = tuple(lo.tolist()), np.zeros(shape, dtype=bool)
+        self.edges = np.zeros((2,) + shape, dtype=bool)
+        at = tuple((pts - lo).T)
+        self.occ[at], self.edges[(0,) + at], self.edges[(1,) + at] = (
+            True, east, north)
+        self.edges[0, :-1] &= self.occ[1:]
+        self.edges[1, :, :-1] &= self.occ[:, 1:]
+        self.edges[0, -1:] = self.edges[1, :, -1:] = False
+        self.n = int(np.count_nonzero(self.occ))
+
+    @classmethod
+    def of_graph(cls, g):
+        """g's structure; NonPlanarEmbedding unless every edge of g is a
+        unit step."""
+        n = len(g.adj)
+        pts = np.fromiter(chain.from_iterable(g.adj), np.int64, 2 * n)
+        east, north = (np.fromiter(((x + dx, y + dy) in s
+                                    for (x, y), s in g.adj.items()), bool, n)
+                       for dx, dy in ((1, 0), (0, 1)))
+        # each unit edge is found once, at its lower-left end
+        if 2 * (east.sum() + north.sum()) != sum(map(len, g.adj.values())):
+            _require_unit_steps(g)
+        return cls(pts.reshape(n, 2), east, north)
+
+    def points(self):
+        """The vertices as an int64 array of shape (n, 2), sorted."""
+        return np.argwhere(self.occ) + self.origin
+
+    def graph(self):
+        """This structure as a Graph, whose edges share its vertex tuples."""
+        pts = list(map(tuple, self.points().tolist()))
+        at = np.cumsum(self.occ.ravel()) - 1  # the vertex at each cell
+        d, cell = np.divmod(np.flatnonzero(self.edges), self.occ.size)
+        ends = at[cell + np.where(d, 1, self.occ.shape[1])].tolist()
+        return Graph(pts, [(pts[i], pts[j])
+                           for i, j in zip(at[cell].tolist(), ends)])
+
+
+def _edge_keys(ids, shape, shift):
+    """The edge_keys of the edges at flat indices ids of raveled edges
+    arrays (as a Grid's) of shape (2,) + shape, whose cell [X, Y] is the
+    point (X, Y) + shift."""
+    d, x, y = np.unravel_index(ids, (2,) + tuple(shape))
+    x, y = (x + shift[0]).tolist(), (y + shift[1]).tolist()
+    return [((u, v), (u + 1 - k, v + k)) for k, u, v in zip(d.tolist(), x, y)]
 
 
 def _components(adj):
@@ -203,50 +248,66 @@ def _components(adj):
 # -- forced-edge reduction -------------------------------------------------
 
 
-def _forced(adj):
-    """Repeatedly match degree-1 vertices away, without reading weights.
+def _degrees(east, north, h):
+    """Per cell of raveled arrays of height h, how many of the edges east
+    and north (at their lower-left cells) it lies on."""
+    deg = east.astype(np.int8)
+    deg[h:] += east[:-h]
+    deg += north
+    deg[1:] += north[:-1]
+    return deg
 
-    Returns (pairs, rest): the forced edges as edge_keys, and the
-    adjacency they leave, in adj's order; rest is adj itself when nothing
-    is forced, and None when a vertex is left isolated (no perfect
-    matching).  adj is not modified.
+
+def _peel(occ, edges, h):
+    """Match forced edges away, in place, on the raveled occ and edges of
+    one Grid or more side by side, of height h, without reading weights.
+
+    In rounds, every vertex of degree 1 is matched to its neighbour, and
+    both leave with their edges.  Returns (forced, bad): the matched
+    edges, and the vertices that show no perfect matching exists: a
+    vertex left isolated, and a vertex that two leaves claim.
     """
-    queue = [v for v, s in adj.items() if len(s) <= 1]
-    if not queue:
-        return [], adj
-    rest = {v: set(s) for v, s in adj.items()}
-    pairs = []
-    while queue:
-        v = queue.pop()
-        if v not in rest:
-            continue
-        # degrees only fall, so a queued vertex has at most one neighbour
-        nbrs = rest.pop(v)
-        if not nbrs:
-            return pairs, None
-        (u,) = nbrs
-        pairs.append(edge_key(u, v))
-        for w in rest.pop(u):
-            if w != v:
-                rest[w].discard(u)
-                if len(rest[w]) <= 1:
-                    queue.append(w)
-    return pairs, rest
+    n = len(occ)
+    pair, east, north = edges.reshape(2, n), edges[:n], edges[n:]
+    forced, bad = np.zeros_like(edges), np.zeros_like(occ)
+    while True:
+        leaf = occ & (_degrees(east, north, h) < 2)
+        if not leaf.any():
+            return forced, bad
+        # cell i's east neighbour is i + h, and its north one i + 1
+        new = (pair & leaf).ravel()
+        new[:n - h] |= east[:-h] & leaf[h:]
+        new[n:-1] |= north[:-1] & leaf[1:]
+        hit = _degrees(new[:n], new[n:], h)
+        gone = leaf | (hit > 0)
+        bad |= gone & (hit != 1)
+        occ &= ~gone
+        pair &= occ
+        east[:-h] &= occ[h:]
+        north[:-1] &= occ[1:]
+        forced |= new
 
 
 def reduce_forced(g):
     """Repeatedly match degree-1 vertices away.
 
     Returns (reduced graph, multiplier): M(g) = multiplier * M(reduced).
-    With nothing forced, g itself comes back with multiplier 1.  An
-    isolated vertex short-circuits to (empty graph, 0).
+    With nothing forced, g itself comes back with multiplier 1.  A vertex
+    left isolated, or claimed by two degree-1 vertices, short-circuits to
+    (empty graph, 0).  An edge that is not a unit step raises
+    NonPlanarEmbedding.
     """
-    pairs, rest = _forced(g.adj)
-    if rest is None:
+    grid = Grid.of_graph(g)
+    occ, edges = grid.occ.ravel().copy(), grid.edges.ravel().copy()
+    forced, bad = _peel(occ, edges, grid.occ.shape[1])
+    if bad.any():
         return Graph([], []), 0
-    if not pairs:
+    if occ.sum() == len(g):
         return g, 1
-    return g._on_adjacency(rest), prod(g.weight(u, v) for u, v in pairs)
+    keep = np.argwhere(occ.reshape(grid.occ.shape)) + grid.origin
+    return g.induced(map(tuple, keep.tolist())), prod(
+        g.weight(u, v) for u, v in _edge_keys(
+            np.flatnonzero(forced), grid.occ.shape, grid.origin))
 
 
 # -- brute-force oracle ------------------------------------------------------
@@ -308,7 +369,7 @@ _CCW_RANK = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
 
 def _require_unit_steps(g):
     """Raise NonPlanarEmbedding unless every edge of g is a unit step of
-    Z^2: face tracing and the sign rule of _points_from cover no other."""
+    Z^2: face tracing and the sign rule of _flips cover no other."""
     for (x, y), s in g.adj.items():
         for u, v in s:
             if abs(u - x) + abs(v - y) != 1:
@@ -358,34 +419,24 @@ def planar_faces(g):
 # -- Pfaffian orientation ----------------------------------------------------
 
 
-def _row_ranks(vertices):
-    """rank[v]: how many of the vertices lie left of v in its row.  One
-    pass over the vertices, which must be sorted by x and then y."""
-    rank, seen = {}, {}
-    for v in vertices:
-        rank[v] = seen.get(v[1], 0)
-        seen[v[1]] = rank[v] + 1
-    return rank
-
-
-def _points_from(a, b, rank):
-    """Whether the unit-step edge a-b is oriented a -> b.
-
-    Kasteleyn's square-lattice rule: a horizontal edge in row y points
-    east iff y is even, and a vertical edge (x, y)-(x, y+1) points north
-    iff x + rank[x, y] is even, where rank holds the _row_ranks of a
-    connected graph.
-    """
-    if a[1] == b[1]:
-        return (b[0] > a[0]) == (a[1] % 2 == 0)
-    up = b[1] > a[1]
-    low = a if up else b
-    return up == ((low[0] + rank[low]) % 2 == 0)
+def _flips(occ, x0, y0):
+    """Kasteleyn's square-lattice rule on the vertex array occ of a Grid
+    (or of several side by side) with origin (x0, y0), which matters mod
+    2 only: per cell, whether its east edge points west, and whether its
+    north edge points south, as an array shaped like Grid.edges.  A
+    horizontal edge in row y points east iff y is even, and a vertical
+    edge (x, y)-(x, y+1) north iff x + rank is even, rank being the number
+    of vertices left of (x, y) in its row."""
+    w, h = occ.shape
+    flips = np.empty((2, w, h), dtype=np.int64)
+    flips[0] = np.arange(y0, y0 + h)
+    flips[1] = np.cumsum(occ, 0) - occ + np.arange(x0, x0 + w)[:, None]
+    return flips & 1
 
 
 def pfaffian_orientation(g):
     """Orient the edges of a unit-step graph so every bounded face is
-    clockwise-odd, by _points_from's rule on each connected component.
+    clockwise-odd, by the rule of _flips on each connected component.
 
     With every vertical pointing north, each unit square is clockwise-odd,
     so a cycle C has #clockwise = 1 + #(points of Z^2 inside C) mod 2.
@@ -397,13 +448,22 @@ def pfaffian_orientation(g):
     So #clockwise = 1 + #(vertices inside C) mod 2, which is 1 on a face.
     Returns {edge_key: (tail, head)}; a non-unit edge raises
     NonPlanarEmbedding.
+
+    Counting needs less: Kasteleyn's theorem asks only that every nice
+    cycle C (one whose inside has a perfect matching of its own) be
+    clockwise-odd.  So _plan ranks each vertex among all vertices of its
+    row, with no component split: the vertices of other components inside
+    a nice cycle come in even number, and the other graphs stacked beside
+    it lie in other columns, never inside C.
     """
-    _require_unit_steps(g)
     orient = {}
-    for comp in g.components():
-        rank = _row_ranks(comp.vertices)
-        for u, v in comp.edges():
-            orient[u, v] = (u, v) if _points_from(u, v, rank) else (v, u)
+    for comp in _components(g.adj):
+        grid = Grid.of_graph(g.induced(comp))
+        ids = np.flatnonzero(grid.edges)
+        back = _flips(grid.occ, *grid.origin).ravel()[ids].tolist()
+        for (u, v), f in zip(_edge_keys(ids, grid.occ.shape, grid.origin),
+                             back):
+            orient[u, v] = (v, u) if f else (u, v)
     return orient
 
 
@@ -647,89 +707,127 @@ def det_exact(vals, cols):
 # -- FKT counting -------------------------------------------------------------
 
 
-def _plan(g, cap):
-    """The weight-free part of counting g, shared by every graph with g's
-    adj.
+# Structures planned and eliminated together: few enough that the stacked
+# arrays and the elimination window of a chunk stay small.
+_CHUNK = 32
 
-    Returns (pairs, parts): the edges that forced-edge reduction matches,
-    and per component of what it leaves, (keys, signs, lens, cols) for a
-    Kasteleyn matrix: the edge_key and the sign of every entry, in row
-    order, the row lengths, and the entries' columns as an int32 array.
-    parts is None when no perfect matching exists: a vertex is left
-    isolated, or a component has odd size or unequal classes.  Row i and
-    column j are the component's i-th even and j-th odd vertex in sorted
-    order, and an entry is + when _points_from orients its edge out of the
-    even vertex; every nice cycle is then clockwise-odd
-    (pfaffian_orientation).
+
+def _plan(grids, cap, keyed):
+    """The Kasteleyn matrices of grids, planned on one stacked array.
+
+    The grids lie side by side, with empty columns between them, and
+    _peel reduces all of them at once.  Per grid the result is None when
+    it has no perfect matching (_peel's bad vertices, or classes of
+    unequal size), and otherwise (lens, cols, signs, keys): the row
+    lengths, columns and +-1 entries of a Kasteleyn matrix of what is
+    left.  Row i and column j are its i-th even and j-th odd vertex in
+    x-major order; an entry is + when _flips orients its edge out of the
+    even vertex, with ranks over whole rows of the stack
+    (pfaffian_orientation).  keys is None unless keyed[j], and then the
+    edge_keys of the forced edges and of the entries.  A grid left with
+    more than cap vertices raises TooLarge.
     """
-    _require_unit_steps(g)
-    pairs, rest = _forced(g.adj)
-    if rest is None:
-        return pairs, None
-    parts = []
-    for comp in _components(rest):
-        if len(comp) % 2:
-            return pairs, None
-        if len(comp) > cap:
-            raise TooLarge(f"component of {len(comp)} vertices exceeds {cap}")
-        ev = [v for v in comp if (v[0] + v[1]) % 2 == 0]
-        # classes of unequal size admit no perfect matching
-        if 2 * len(ev) != len(comp):
-            return pairs, None
-        index = {v: j for j, v in enumerate(v for v in comp
-                                            if (v[0] + v[1]) % 2)}
-        rank = _row_ranks(comp)
-        keys, signs, lens, cols = [], [], [], []
-        for a in ev:
-            lens.append(len(rest[a]))
-            for b in rest[a]:
-                keys.append(edge_key(a, b))
-                signs.append(1 if _points_from(a, b, rank) else -1)
-                cols.append(index[b])
-        parts.append((keys, signs, lens, np.array(cols, dtype=np.int32)))
-    return pairs, parts
+    # a grid's point (x, y) goes to cell (x - dx, y - dy), dx a multiple
+    # of 4 and dy of 2, so parities (and Kasteleyn's rule) are kept
+    starts, x = [], 1
+    for g in grids:
+        x += (g.origin[0] - x) % 4
+        starts.append(x)
+        x += g.occ.shape[0] + 1
+    h = max([1] + [g.origin[1] % 2 + g.occ.shape[1] for g in grids])
+    occ, edges = np.zeros((x, h), dtype=bool), np.zeros((2, x, h), dtype=bool)
+    owner = np.full(x, len(grids))  # gap columns belong to no grid
+    for j, (g, s) in enumerate(zip(grids, starts)):
+        at = np.s_[s:s + g.occ.shape[0],
+                   g.origin[1] % 2:g.origin[1] % 2 + g.occ.shape[1]]
+        occ[at], edges[(slice(None),) + at] = g.occ, g.edges
+        owner[at[0]] = j
+    forced, bad = _peel(occ.ravel(), edges.ravel(), h)
+
+    odd = (np.arange(x)[:, None] + np.arange(h)) % 2
+    od = occ * odd  # the odd vertices
+    size = np.bincount(owner, occ.sum(1), len(grids) + 1)
+    dead = size != 2 * np.bincount(owner, od.sum(1), len(grids) + 1)
+    dead[owner[bad.reshape(x, h).any(1)]] = True
+    dead[-1] = True
+    if (size[~dead] > cap).any():
+        raise TooLarge(f"{int(size[~dead].max())} vertices after forced-edge "
+                       f"reduction exceed {cap}")
+    a = np.flatnonzero(occ & (odd == 0) & ~dead[owner][:, None])  # the rows
+    before = np.cumsum(od) - od.ravel()  # odd vertices before each cell
+    n = x * h
+    slot = a[:, None] + [0, -h, n, n - 1]  # the edges E, W, N, S of a
+    valid = edges.ravel()[slot]
+    signs = ((1 - 2 * _flips(occ, 0, 0).ravel()[slot])
+             * [1, -1, 1, -1])[valid]
+    cols = before[(a[:, None] + [h, -h, 1, -1])[valid]].astype(np.int32)
+    lens, slot = valid.sum(1, dtype=np.int32), slot[valid]
+    rows = np.searchsorted(a, [(s * h, (s + g.occ.shape[0]) * h)
+                               for g, s in zip(grids, starts)]).tolist()
+    at = [0] + np.cumsum(lens).tolist()
+    out = []
+    for j, ((r0, r1), g, s) in enumerate(zip(rows, grids, starts)):
+        e0, e1, keys = at[r0], at[r1], None
+        if keyed[j] and not dead[j]:
+            w, dy = g.occ.shape[0], g.origin[1] - g.origin[1] % 2
+            mine = forced.reshape(2, x, h)[:, s:s + w]
+            keys = (_edge_keys(np.flatnonzero(mine), (w, h),
+                               (g.origin[0], dy)),
+                    _edge_keys(slot[e0:e1], (x, h), (g.origin[0] - s, dy)))
+        out.append(None if dead[j] else (lens[r0:r1], cols[e0:e1]
+                                         - before[s * h], signs[e0:e1], keys))
+    return out
 
 
 def count_many(graphs, cap=FKT_CAP):
-    """Exact matching counts of graphs, in order, by Pfaffian orientations
-    and exact determinants.
+    """Exact matching counts of graphs (each a Graph or a Grid), in order,
+    by Pfaffian orientations and exact determinants.
 
-    Each graph runs per connected component after forced-edge reduction;
-    exact for arbitrary Fraction edge weights.  Consecutive graphs that
-    share one adj object, as Graph.with_weights copies do, share one
-    _plan; each then adds only its weight product over the forced edges
-    and its entries sign * numerator * (scale // denominator), scale being
-    the lcm of the component's denominators.  The Kasteleyn matrices of
-    all components of all graphs share one elimination.  A graph with an
-    edge that is not a unit step raises NonPlanarEmbedding, even when
-    forced-edge reduction would remove that edge.
+    Consecutive Graphs that share one adj, as Graph.with_weights copies
+    do, share one Grid.  The Grids are sorted by size into chunks of
+    _CHUNK, each planned by one _plan and eliminated by one _dets_exact.
+    A weighted copy adds its weight product over the forced edges, and
+    its entries are sign * numerator * (scale // denominator), scale being
+    the lcm of the denominators: exact for positive Fraction weights.  A
+    non-unit edge raises NonPlanarEmbedding, even on a forced edge, and a
+    graph left with more than cap vertices after forced-edge reduction
+    raises TooLarge.
     """
-    counts, mats, owners = [], [], []
-    adj = None
+    grids, items, adj = [], [], None  # structures; (structure, weights)
     for g in graphs:
-        if g.adj is not adj:
-            adj, (pairs, parts) = g.adj, _plan(g, cap)
-        weights = g.weights
-        if parts is None:
-            total = 0
-        else:
-            forced = [weights.get(e, 1) for e in pairs]
-            total = Fraction(prod(w.numerator for w in forced),
-                             prod(w.denominator for w in forced))
-        for keys, signs, lens, cols in parts if total else ():
-            if weights:
-                ws = [weights.get(k, 1) for k in keys]
+        if isinstance(g, Grid) or g.adj is not adj:
+            adj = getattr(g, "adj", None)
+            grids.append(g if adj is None else Grid.of_graph(g))
+        items.append((len(grids) - 1, getattr(g, "weights", {})))
+    users = [[] for _ in grids]
+    for i, (j, _) in enumerate(items):
+        users[j].append(i)
+    counts = [0] * len(items)
+    order = sorted(range(len(grids)), key=lambda j: grids[j].n)
+    for k in range(0, len(order), _CHUNK):
+        chunk = order[k:k + _CHUNK]
+        plans = _plan([grids[j] for j in chunk], cap,
+                      [any(items[i][1] for i in users[j]) for j in chunk])
+        mats, owners = [], []
+        for j, plan in zip(chunk, plans):
+            for i in users[j] if plan else ():
+                (lens, cols, signs, keys), weights = plan, items[i][1]
+                if not weights:  # a row's sum of squares is its length
+                    mats.append((prod(lens.tolist()), lens, cols, signs))
+                    owners.append((i, 1))
+                    continue
+                ws = [weights.get(e, 1) for e in keys[0]]
+                total = Fraction(prod(w.numerator for w in ws),
+                                 prod(w.denominator for w in ws))
+                ws = [weights.get(e, 1) for e in keys[1]]
                 scale = lcm(*(w.denominator for w in ws))
-                vals = [s * w.numerator * (scale // w.denominator)
-                        for s, w in zip(signs, ws)]
-            else:
-                scale, vals = 1, signs
-            mats.append(_packed(vals, lens, cols))
-            owners.append((len(counts), scale ** len(lens)))
-        counts.append(total)
-    for (gi, den), det in zip(owners, _dets_exact(mats)):
-        counts[gi] *= Fraction(abs(det), den)
-    return [_exact(t) for t in counts]
+                mats.append(_packed([s * w.numerator * (scale // w.denominator)
+                                     for s, w in zip(signs.tolist(), ws)],
+                                    lens, cols))
+                owners.append((i, total / scale ** len(lens)))
+        for (i, total), det in zip(owners, _dets_exact(mats)):
+            counts[i] = _exact(total * abs(det))
+    return counts
 
 
 def count_fkt(g, cap=FKT_CAP):

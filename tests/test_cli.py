@@ -107,3 +107,18 @@ def test_verify_exit_code(capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     recs = [json.loads(l) for l in lines]
     assert all(r["pass"] for r in recs)
+
+
+def test_count_weights_errors(capsys):
+    # weights on a graph off the cross lattice, and the wrong number of
+    # weight values, exit 2 with one stderr line each
+    for argv in (["count", "AR:2,2@full", "--weights", "3,5,7"],
+                 ["count", "A1:2,2,0@full", "--weights", "3,5,7"],
+                 ["count", "A1:2,2,0", "--weights", "1,2"],
+                 ["count", "A1:2,2,0", "--weights", "3,5,7,9"]):
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 4
+    assert all("not a cross-lattice edge" in line for line in err[:2])
+    assert all("--weights x,y,z" in line for line in err[2:])

@@ -89,6 +89,39 @@ def test_builders_construct_one_graph(monkeypatch):
         assert len(made) == 1, name
 
 
+def test_point_sets_count_like_their_graphs():
+    # counting straight from point sets, in one batch, gives the count of
+    # each built graph alone, on the reduced benchmark domains
+    from crossdimer.harness import (
+        HypothesisViolated, check_trim_domain, trim_rect_domain,
+        valid_triples,
+    )
+    from crossdimer.families import family_points, tr_points, trim_rect_points
+    from crossdimer.lattice import grid_on_points
+    from crossdimer.matchcount import count_many
+
+    specs = [(kind, (i, a, b, c))
+             for (a, b, c) in valid_triples(range(2, 7), 16)
+             for i in (1, 2, 3) for kind in ("A", "F")]
+    for (m, n, h1, h2) in trim_rect_domain():
+        for variant in ("TA", "TB"):
+            try:
+                check_trim_domain(variant, m, n, h1, h2)
+            except HypothesisViolated:
+                continue
+            specs.append((variant, (TrimRectParams(m, n, h1, h2, variant),)))
+    specs += [("TR", (a, 2 * a)) for a in (1, 2, 3)]
+    points = {"A": lambda *t: family_points("A", *t),
+              "F": lambda *t: family_points("F", *t),
+              "TA": trim_rect_points, "TB": trim_rect_points, "TR": tr_points}
+    builds = {"A": build_A, "F": build_F, "TA": build_TA, "TB": build_TB,
+              "TR": build_TR}
+    got = count_many(grid_on_points(GRID_B, points[kind](*args))
+                     for kind, args in specs)
+    assert len(got) == 216 + 152 + 3
+    assert got == [count_fkt(builds[kind](*args)) for kind, args in specs]
+
+
 def test_tr_b_independence():
     assert count_fkt(build_TR(1, 2)) == count_fkt(build_TR(1, 3)) \
         == count_fkt(build_TR(1, 4)) == 100

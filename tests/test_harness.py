@@ -11,6 +11,7 @@ from crossdimer.harness import (
     reconstruct_weighted_count, render_svg, run_suite, screen_probe_point,
     seeded_kuo_quads, tr_three_way_split,
 )
+from crossdimer.lattice import GRID_B
 from crossdimer.matchcount import Graph, count_fkt, kuo_check
 
 
@@ -47,32 +48,37 @@ def test_cache_reports_file_line(tmp_path):
 
 
 def test_cached_count_hashes_once_counts_duplicates_once(monkeypatch):
-    hashed, batches = [], []
-    graph_hash = Graph.graph_hash
+    from crossdimer.families import family_points, tr_points
+
+    keyed, batches = [], []
+    count_key = harness.count_key
     count_many = harness.count_many
 
-    def hash_spy(self):
-        hashed.append(self)
-        return graph_hash(self)
+    def key_spy(lat, grid):
+        keyed.append(grid)
+        return count_key(lat, grid)
 
     def count_spy(graphs, cap):
         graphs = list(graphs)
         batches.append(len(graphs))
         return count_many(graphs, cap=cap)
 
-    monkeypatch.setattr(Graph, "graph_hash", hash_spy)
+    monkeypatch.setattr(harness, "count_key", key_spy)
     monkeypatch.setattr(harness, "count_many", count_spy)
     monkeypatch.delenv("CROSSDIMER_CACHE", raising=False)
-    a, f = build_A(1, 2, 2, 0), build_F(1, 3, 3, 1)
-    graphs = [a, f, build_A(1, 2, 2, 0), build_TR(1, 2)]
-    want = [count_fkt(g) for g in graphs]
-    hashed.clear()
+    items = [(GRID_B, family_points("A", 1, 2, 2, 0)),
+             (GRID_B, family_points("F", 1, 3, 3, 1)),
+             (GRID_B, family_points("A", 1, 2, 2, 0)),
+             (GRID_B, tr_points(1, 2))]
+    want = [count_fkt(g) for g in (build_A(1, 2, 2, 0), build_F(1, 3, 3, 1),
+                                   build_A(1, 2, 2, 0), build_TR(1, 2))]
     cache = CountCache(None)
-    assert cached_count(iter(graphs), cache) == want
-    assert len(hashed) == 4 and batches == [3]
+    assert cached_count(iter(items), cache) == want
+    assert len(keyed) == 4 and batches == [3]
     # a second call is served by the cache, without a count
-    assert cached_count(graphs[:2], cache) == want[:2]
-    assert len(hashed) == 6 and batches == [3, 0]
+    assert cached_count(items[:2], cache) == want[:2]
+    assert len(keyed) == 6 and batches == [3, 0]
+    assert all(k.startswith(harness.CACHE_KEY_PREFIX) for k in cache.mem)
 
 
 def test_probe_screen_rejects_unit_and_collisions():
@@ -155,18 +161,22 @@ def test_suite_conjecture_matches_per_point_counts(monkeypatch):
 
 def _graph_recurrence_reference(triples):
     """The graph_* records, from hand-written shift lists and one fresh
-    build and count_fkt per distinct graph; returns (records, graph hashes).
+    build and count_fkt per graph instance; returns (records, {instance:
+    count key}).
     """
     import functools
 
-    from crossdimer.families import derive_params
+    from crossdimer.families import derive_params, family_points
+    from crossdimer.lattice import grid_on_points
 
-    hashes = set()
+    keys = {}
 
     @functools.cache
     def gm(kind, i, t):
         g = build_A(i, *t) if kind == "A" else build_F(i, *t)
-        hashes.add(g.graph_hash())
+        pts = family_points(kind, i, *t)
+        keys[kind, i, t] = harness.count_key(GRID_B, grid_on_points(GRID_B,
+                                                                    pts))
         return count_fkt(g)
 
     want = []
@@ -223,7 +233,7 @@ def _graph_recurrence_reference(triples):
                         + gm(kind, i, (a - 2, b - 2, c - 1)) \
                         * gm(kind, i, (a, b - 1, c - 1))
                     add("graph_R5", f"{kind}{i}:{a},{b},{c}", lhs == rhs)
-    return want, hashes
+    return want, keys
 
 
 def test_suite_recurrences_matches_per_graph_counts(monkeypatch):
@@ -232,26 +242,32 @@ def test_suite_recurrences_matches_per_graph_counts(monkeypatch):
     monkeypatch.setattr(harness, "valid_triples",
                         lambda r, cap: valid_triples(r, min(cap, 16)))
     monkeypatch.delenv("CROSSDIMER_CACHE", raising=False)
-    batches = []
-    count_many = harness.count_many
+    batches, keyed = [], []
+    count_many, count_key = harness.count_many, harness.count_key
 
     def count_spy(graphs, cap):
         graphs = list(graphs)
-        batches.append([g.graph_hash() for g in graphs])
+        batches.append(len(graphs))
         return count_many(graphs, cap=cap)
 
+    def key_spy(lat, grid):
+        keyed.append(count_key(lat, grid))
+        return keyed[-1]
+
     monkeypatch.setattr(harness, "count_many", count_spy)
+    monkeypatch.setattr(harness, "count_key", key_spy)
     rep = run_suite("recurrences", SuiteConfig(recurrence_grid=2))
+    monkeypatch.setattr(harness, "count_key", count_key)
     got = [(r["check"], r["spec"], r["expected"], r["computed"], r["pass"])
            for r in rep.records if r["check"].startswith("graph_")]
-    want, hashes = _graph_recurrence_reference(
+    want, keys = _graph_recurrence_reference(
         valid_triples(range(2, 8), 16))
     assert {w[0] for w in want} == {f"graph_R{k}" for k in range(1, 7)}
     assert got == want and all(w[4] for w in want)
-    # one elimination, each distinct graph in it once
-    assert len(batches) == 1
-    assert len(set(batches[0])) == len(batches[0])
-    assert set(batches[0]) == hashes
+    # one key per instance, and one elimination with each distinct graph
+    # in it once
+    assert len(keyed) == len(keys) and set(keyed) == set(keys.values())
+    assert batches == [len(set(keyed))]
 
 
 def test_suite_recurrences_memo_lives_one_call(monkeypatch):

@@ -65,6 +65,20 @@ def test_graph_rejects_bad_weights():
     assert type(count_brute(g)) is type(count_fkt(g)) is int
 
 
+def test_graph_rejects_non_positive_weights():
+    # counts are |det|: a negative weight would come back with its sign
+    # lost, so Graph refuses it and with_weights with it
+    g = grid(2, 3)
+    pair = ((0, 1), (0, 2))
+    for w in (-2, 0, Fraction(-1, 2)):
+        named = re.escape(f"{pair[0]}-{pair[1]}")
+        with pytest.raises(ValueError, match=named):
+            Graph(g.vertices, g.edges(), {pair: w})
+        with pytest.raises(ValueError, match="not positive"):
+            g.with_weights({pair: w})
+    assert count_matchings(g.with_weights({pair: 2})) == 4
+
+
 def test_reduce_forced_path2():
     g, mult = reduce_forced(path(2))
     assert len(g) == 0 and mult == 1
@@ -254,11 +268,27 @@ def holey_grids(draw):
     return Graph(pts, edges, weights)
 
 
+def ring_around_island(w, h):
+    """The w x h grid with its boundary ring cut off from the inside."""
+    g = grid(w, h)
+
+    def inside(p):
+        return 0 < p[0] < w - 1 and 0 < p[1] < h - 1
+
+    return Graph(g.vertices, [(p, q) for p, q in g.edges()
+                              if inside(p) == inside(q)])
+
+
 @settings(max_examples=300, deadline=None)
 @given(holey_grids())
 # a ring around one missing point: the rank term must flip the verticals
 # right of the hole
 @example(grid(3, 3).without([(1, 1)]))
+# rings around islands of one and of two dominoes: the island's vertices
+# lie inside the ring's cycle, in even number
+@example(ring_around_island(4, 3))
+@example(ring_around_island(4, 4))
+@example(ring_around_island(6, 3))
 def test_fkt_matches_brute_on_holey_grids(g):
     assert count_fkt(g) == count_brute(g, cap=len(g))
 
@@ -288,7 +318,7 @@ def test_count_many_plans_each_structure_once(monkeypatch):
     points = [weight_point(*pt)
               for pt in ((3, 5, 7), (5, 7, 3), (7, 3, 5), (3, 5, 11))]
     want = [count_fkt(assign_cross_weights(g, w)) for w in points]
-    calls = Counter()
+    calls, planned = Counter(), []
 
     def spy(owner, name, label):
         fn = getattr(owner, name)
@@ -299,12 +329,74 @@ def test_count_many_plans_each_structure_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    spy(matchcount, "_require_unit_steps", "unit steps")
-    spy(matchcount, "_forced", "forced")
+    spy(matchcount.Grid, "of_graph", "grid")
     spy(Graph, "__init__", "Graph")
     spy(LatticeSpec, "edge_offset", "edge_offset")
+    plan = matchcount._plan
+
+    def plan_spy(grids, cap, keyed):
+        planned.append(len(grids))
+        return plan(grids, cap, keyed)
+
+    monkeypatch.setattr(matchcount, "_plan", plan_spy)
     assert count_many(cross_weightings(g, points)) == want
-    assert calls == {"unit steps": 1, "forced": 1, "edge_offset": g.n_edges()}
+    # the four weightings share one structure, planned once; the weight
+    # symbols come from the residue table, with no edge_offset lookups
+    assert planned == [1]
+    assert calls == {"grid": 1}
+
+
+def unmatchable():
+    """Graphs with no perfect matching, one per way _plan finds that out:
+    an isolated vertex, two leaves on one mate, unequal classes and odd
+    size."""
+    lone = Graph(list(square().vertices) + [(3, 0)], square().edges())
+    # two leaves on (1, 1) and two on (1, 4), of opposite classes, around a
+    # domino: the classes stay equal, and the domino alone is matchable
+    claimed = Graph([(1, y) for y in range(1, 5)]
+                    + [(0, 1), (2, 1), (0, 4), (2, 4)],
+                    [((1, y), (1, y + 1)) for y in range(1, 4)]
+                    + [((0, 1), (1, 1)), ((2, 1), (1, 1)),
+                       ((0, 4), (1, 4)), ((2, 4), (1, 4))])
+    return [lone, claimed, grid(4, 4).without([(1, 1), (2, 2)]), grid(3, 3)]
+
+
+def test_count_many_stacks_graphs_apart(monkeypatch):
+    from crossdimer.families import translate
+
+    dead = unmatchable()
+    assert [count_brute(g) for g in dead] == [0, 0, 0, 0]
+    assert dead[1].is_balanced() and not dead[2].is_balanced()
+    assert len(dead[3]) % 2
+    # far apart in y, and on both row parities
+    live = [translate(grid(2, 3), 1, 1001), translate(grid(4, 3), 5, -3),
+            build_TR(1, 2),
+            translate(square(), -7, 2).with_weights(
+                {((-7, 2), (-6, 2)): Fraction(1, 2)}),
+            build_aztec_rectangle(GRID_B, 2, 2)]
+    batch = [g for pair in zip(live, dead + [path(4)]) for g in pair]
+    alone = [count_fkt(g) for g in batch]
+    assert alone == [3, 0, 11, 0, 100, 0, Fraction(3, 2), 0,
+                     count_brute(live[-1]), 1]
+    rng = random.Random(11)
+    for chunk in (32, 2, 3):
+        monkeypatch.setattr(matchcount, "_CHUNK", chunk)
+        for _ in range(4):
+            order = rng.sample(range(len(batch)), len(batch))
+            assert count_many([batch[i] for i in order]) == \
+                [alone[i] for i in order]
+
+
+def test_too_large_applies_after_forced_reduction():
+    # a forced tail of 10 vertices beside a 4 x 4 grid: 26 vertices, 16
+    # left after forced-edge reduction
+    g = Graph(list(path(10).vertices) + list(grid(4, 4, 20).vertices),
+              path(10).edges() + grid(4, 4, 20).edges())
+    assert count_fkt(g, cap=16) == 36
+    with pytest.raises(TooLarge, match="16 vertices"):
+        count_fkt(g, cap=15)
+    # a graph with no perfect matching counts 0 whatever its size
+    assert count_fkt(grid(9, 9), cap=4) == 0
 
 
 def test_det_exact_small():
