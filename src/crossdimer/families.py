@@ -15,12 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 from .lattice import (
     CROSS_OFFSETS, FULL_GRID, GRID_B, ContourSpec, trace_contour,
     region_points, graph_on_points, points_on_segment, trim_zigzag_side,
     corner_cut, unit_edge_table,
 )
+from .matchcount import int_array
 
 
 class InvalidParams(Exception):
@@ -118,6 +122,8 @@ _TRIM_RULES = {
 
 def family_points(kind, i, a, b, c):
     """The point set of family graph A_i(a, b, c) (kind "A") or F_i."""
+    if kind not in ("A", "F"):
+        raise InvalidParams(f"family must be A or F, not {kind!r}")
     p = derive_params(a, b, c)
     corners2 = trace_contour(family_contour(i, a, b, c))
     pts = set(region_points(corners2))
@@ -342,33 +348,47 @@ def weight_point(x, y, z):
     return WeightPoint(Fraction(x), Fraction(y), Fraction(z))
 
 
+def weight_symbols():
+    """WEIGHT_TABLE as a unit_edge_table array: 1, 2 or 3 where an edge
+    weighs x, y or z, 0 where it weighs 1, -1 where there is no edge."""
+    return np.array(unit_edge_table(
+        lambda e: "_xyz".index(WEIGHT_TABLE.get(CROSS_OFFSETS[e], "_"))
+        if e in CROSS_OFFSETS else -1))
+
+
 def cross_weightings(g, points):
     """Copies of g carrying the periodic cross weight pattern, one per
-    WeightPoint in points.  Each edge takes its symbol from the class of
-    its lower-left end (lattice.unit_edge_table, the table the lattice's
-    edges come from), once per call.  The weights are derived from g's
-    own edges and from positive WeightPoints, so the copies take them
-    unchecked, and every copy shares g's structure (Graph.with_weights).
-    """
-    table = unit_edge_table(lambda e: WEIGHT_TABLE.get(CROSS_OFFSETS[e], "")
-                            if e in CROSS_OFFSETS else None)
-    by_symbol = {"x": [], "y": [], "z": []}
+    WeightPoint in points, that share g's structure (Graph.with_weights).
+    Each edge takes its symbol from the class of its lower-left end
+    (weight_symbols), once per call."""
+    table = weight_symbols().tolist()
+    by_symbol = [[], [], [], []]
     for u, v in g.edges():
         step = (v[0] - u[0], v[1] - u[1])
         sym = table[step[1]][u[0] % 4][u[1] % 4] \
-            if step in ((1, 0), (0, 1)) else None
-        if sym is None:
+            if step in ((1, 0), (0, 1)) else -1
+        if sym < 0:
             raise NotGridB(f"edge {u}-{v} is not a cross-lattice edge")
-        if sym:
-            by_symbol[sym].append((u, v))
-    out = []
-    for w in points:
-        weights = {}
-        for sym, t in zip("xyz", w.as_tuple()):
-            if t != 1:
-                weights.update(dict.fromkeys(by_symbol[sym], Fraction(t)))
-        out.append(g.with_weights(weights, check=False))
-    return out
+        by_symbol[sym].append((u, v))
+    return [g.with_weights({e: Fraction(t)
+                            for t, edges in zip(w.as_tuple(), by_symbol[1:])
+                            if t != 1 for e in edges}) for w in points]
+
+
+def cross_weighted_grids(grids, points):
+    """(grid, (w, d)) for each Grid of the cross lattice in grids and, grid
+    by grid, each WeightPoint in points, as count_many weights a Grid:
+    d is the lcm of the point's denominators, and w is d times the weight
+    at table[:, x % 4, y % 4] of one weight_symbols table."""
+    table = np.maximum(weight_symbols(), 0)  # a cell with no edge weighs 1
+    ds = [lcm(*(t.denominator for t in w.as_tuple())) for w in points]
+    scaled = [int_array([d] + [int(t * d) for t in w.as_tuple()])
+              for w, d in zip(points, ds)]
+    for grid in grids:
+        (x0, y0), (m, n) = grid.origin, grid.occ.shape
+        sym = table[:, np.arange(x0, x0 + m)[:, None] % 4,
+                    np.arange(y0, y0 + n) % 4]
+        yield from ((grid, (vals[sym], d)) for vals, d in zip(scaled, ds))
 
 
 def assign_cross_weights(g, w):

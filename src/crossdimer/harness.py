@@ -14,12 +14,14 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
-from . import families, formulas
+from . import formulas
 from .families import (
     build_A, build_F, build_TR, TrimRectParams, build_aztec_rectangle,
-    build_augmented_aztec, derive_params, cross_weightings, family_points,
-    trim_rect_points, weight_point, InvalidParams,
+    build_augmented_aztec, derive_params, cross_weighted_grids,
+    family_points, trim_rect_points, weight_point, InvalidParams,
 )
 from .formulas import (
     phi, psi, phi_value, psi_value, thm_TR, thm_TA, thm_TB,
@@ -217,31 +219,25 @@ def valid_triples(b_range, perimeter_cap):
 
 def suite_sanity(cfg):
     rep = SuiteReport("sanity")
-    for n in range(1, 8):
-        g = build_aztec_rectangle(FULL_GRID, n, n)
-        rep.add("aztec_diamond_law", f"AR:{n},{n}@full",
-                2 ** (n * (n + 1) // 2), count_fkt(g, cap=cfg.vertex_cap_fkt))
-    for m, n in ((2, 3), (3, 5)):
-        g = build_aztec_rectangle(FULL_GRID, m, n)
-        rep.add("null_case", f"AR:{m},{n}@full", 0, count_fkt(g))
-    for m in range(1, 6):
-        for n in range(1, 6):
-            g = build_augmented_aztec(FULL_GRID, m, n)
-            rep.add("delannoy_law", f"AAR:{m},{n}@full",
-                    delannoy(m, n), count_fkt(g))
+    # (check, spec, expected, graph), all counted by one count_many
+    checks = [("aztec_diamond_law", f"AR:{n},{n}@full",
+               2 ** (n * (n + 1) // 2), build_aztec_rectangle(FULL_GRID, n, n))
+              for n in range(1, 8)]
+    checks += [("null_case", f"AR:{m},{n}@full", 0,
+                build_aztec_rectangle(FULL_GRID, m, n))
+               for m, n in ((2, 3), (3, 5))]
+    checks += [("delannoy_law", f"AAR:{m},{n}@full", delannoy(m, n),
+                build_augmented_aztec(FULL_GRID, m, n))
+               for m in range(1, 6) for n in range(1, 6)]
     # oracle equivalence over the small-instance pool
-    pool = []
-    for m in range(1, 4):
-        for n in range(1, 4):
-            for lat, tag in ((FULL_GRID, "full"), (GRID_B, "b")):
-                pool.append((f"AR:{m},{n}@{tag}",
-                             build_aztec_rectangle(lat, m, n)))
-                pool.append((f"AAR:{m},{n}@{tag}",
-                             build_augmented_aztec(lat, m, n)))
-    for (a, b, c) in valid_triples(range(2, 7), 16):
-        for i in (1, 2, 3):
-            pool.append((f"A{i}:{a},{b},{c}", build_A(i, a, b, c)))
-            pool.append((f"F{i}:{a},{b},{c}", build_F(i, a, b, c)))
+    pool = [(f"{head}:{m},{n}@{tag}", build(lat, m, n))
+            for m in range(1, 4) for n in range(1, 4)
+            for lat, tag in ((FULL_GRID, "full"), (GRID_B, "b"))
+            for head, build in (("AR", build_aztec_rectangle),
+                                ("AAR", build_augmented_aztec))]
+    pool += [(f"{kind}{i}:{a},{b},{c}", build(i, a, b, c))
+             for (a, b, c) in valid_triples(range(2, 7), 16) for i in (1, 2, 3)
+             for kind, build in (("A", build_A), ("F", build_F))]
     rng = random.Random(cfg.seed)
     extended = list(pool)
     for spec_str, g in pool:
@@ -251,18 +247,16 @@ def suite_sanity(cfg):
         od = sorted(v for v in g.vertices if (v[0] + v[1]) % 2 == 1)
         if ev and od:
             for k in range(2):
-                u = rng.choice(ev)
-                v = rng.choice(od)
+                u, v = rng.choice(ev), rng.choice(od)
                 extended.append((f"{spec_str}-minus{k}:{u},{v}",
                                  g.without((u, v))))
-    checked = 0
-    for spec_str, g in extended:
-        if len(g) > cfg.vertex_cap_brute:
-            continue
-        nb = count_brute(g, cap=cfg.vertex_cap_brute)
-        nf = count_fkt(g, cap=cfg.vertex_cap_fkt)
-        rep.add("oracle_equivalence", spec_str, nb, nf)
-        checked += 1
+    checks += [("oracle_equivalence", spec_str,
+                count_brute(g, cap=cfg.vertex_cap_brute), g)
+               for spec_str, g in extended if len(g) <= cfg.vertex_cap_brute]
+    counts = count_many([g for *_, g in checks], cap=cfg.vertex_cap_fkt)
+    for (check, spec_str, want, _), got in zip(checks, counts):
+        rep.add(check, spec_str, want, got)
+    checked = sum(check == "oracle_equivalence" for check, *_ in checks)
     rep.add("oracle_equivalence_volume", ">=200 instances", True,
             checked >= 200, ok=checked >= 200)
     return rep
@@ -594,8 +588,6 @@ def _p11(x, y, z):
 
 def screen_probe_point(pt):
     """Require the six divisor bases to be pairwise coprime and non-unit."""
-    from math import gcd
-
     if len(pt) != 3:
         raise BadProbePoint(f"{pt}: a probe point has three coordinates")
     x, y, z = pt
@@ -604,11 +596,9 @@ def screen_probe_point(pt):
     bases = [2, int(x), int(y), int(z), _p5(x, y, z), _p11(x, y, z)]
     if any(v < 2 for v in bases):
         raise BadProbePoint(f"{pt}: a base collides with the unit")
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            if gcd(bases[i], bases[j]) != 1:
-                raise BadProbePoint(
-                    f"{pt}: bases {bases[i]} and {bases[j]} share a factor")
+    for p, q in combinations(bases, 2):
+        if gcd(p, q) != 1:
+            raise BadProbePoint(f"{pt}: bases {p} and {q} share a factor")
     return bases
 
 
@@ -632,22 +622,15 @@ def _weighted_counts(specs, points, cap):
     """Exact counts of the family graphs that specs name, (family, i, a,
     b, c) each, at each of the screened points: one list per spec.
 
-    Every point is screened before anything is built.  Each graph is
-    built once, and the weighted copies of all of them share one
-    count_many.
+    Every point is screened before anything is counted.  Each graph is a
+    Grid made from its point set once, with no Graph, and the weighted
+    copies of all of them are counted by one count_many.
     """
     for pt in points:
         screen_probe_point(pt)
-    weightings = [weight_point(*map(int, pt)) for pt in points]
-
-    def copies():
-        for family, i, a, b, c in specs:
-            if family not in ("A", "F"):
-                raise ValueError(f"family must be A or F, not {family!r}")
-            g = (build_A if family == "A" else build_F)(i, a, b, c)
-            yield from cross_weightings(g, weightings)
-
-    counts, k = count_many(copies(), cap=cap), len(points)
+    wps, k = [weight_point(*map(int, pt)) for pt in points], len(points)
+    grids = (grid_on_points(GRID_B, family_points(*spec)) for spec in specs)
+    counts = count_many(cross_weighted_grids(grids, wps), cap=cap)
     return [counts[j * k:(j + 1) * k] for j in range(len(specs))]
 
 
@@ -658,26 +641,19 @@ def _probe_vector(family, a, b, c, points, counts):
     exactly 1; otherwise Inconsistent carries the residues seen.
     """
     prefactor = alpha_w if family == "A" else beta_w
-    vec = None
-    residues = []
+    vec, residues = None, []
     for pt, w in zip(points, counts):
         x, y, z = (int(t) for t in pt)
         ratio = Fraction(w) / prefactor(a, b, c, (x, y, z))
         exps, residue = _signed_exponents(
             ratio, (2, x, y, z, _p5(x, y, z), _p11(x, y, z)))
         residues.append(residue)
-        if residue != 1:
-            vec = None
-            break
         ev = ConjectureExponents(X=exps[0], T=exps[1], Q=exps[2], K=exps[3],
                                  Y=exps[4], Z=exps[5])
-        if vec is None:
-            vec = ev
-        elif vec != ev:
+        if residue != 1 or vec not in (None, ev):
             return Inconsistent(tuple(str(r) for r in residues))
-    if vec is None:
-        return Inconsistent(tuple(str(r) for r in residues))
-    return vec
+        vec = ev
+    return Inconsistent(()) if vec is None else vec
 
 
 def conjecture_probe(family, i, a, b, c, points, cap=FKT_CAP):
@@ -700,9 +676,6 @@ def reconstruct_weighted_count(family, a, b, c, vec, pt):
 
 PROBE_POINTS = ((3, 5, 7), (5, 7, 3), (7, 3, 5))
 HELD_OUT_POINT = (3, 5, 11)
-# Families whose weightings the conjecture suite counts in one count_many:
-# 32 weighted graphs, whose elimination window stays small.
-PROBE_BATCH = 8
 
 
 def suite_conjecture(cfg):
@@ -710,21 +683,17 @@ def suite_conjecture(cfg):
     specs = [(family, i, a, b, c)
              for (a, b, c) in valid_triples(range(2, 7), 16)
              for i in (1, 2, 3) for family in ("A", "F")]
-    points, counts = PROBE_POINTS + (HELD_OUT_POINT,), []
-    for k in range(0, len(specs), PROBE_BATCH):
-        counts += _weighted_counts(specs[k:k + PROBE_BATCH], points,
-                                   cfg.vertex_cap_fkt)
+    counts = _weighted_counts(specs, PROBE_POINTS + (HELD_OUT_POINT,),
+                              cfg.vertex_cap_fkt)
     for (family, i, a, b, c), (*probed, got) in zip(specs, counts):
         spec_str = f"{family}{i}:{a},{b},{c}"
         vec = _probe_vector(family, a, b, c, PROBE_POINTS, probed)
         consistent = isinstance(vec, ConjectureExponents)
         rep.add("probe_consistency", spec_str, True, consistent,
                 ok=consistent)
-        if not consistent:
-            continue
-        want = reconstruct_weighted_count(family, a, b, c, vec,
-                                          HELD_OUT_POINT)
-        rep.add("probe_heldout", spec_str, want, got)
+        if consistent:
+            rep.add("probe_heldout", spec_str, reconstruct_weighted_count(
+                family, a, b, c, vec, HELD_OUT_POINT), got)
     return rep
 
 

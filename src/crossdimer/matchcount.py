@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import accumulate, chain, groupby
 from math import isqrt, lcm, prod
 
 import numpy as np
@@ -108,14 +108,12 @@ class Graph:
         drop = set(drop)
         return self.induced(v for v in self.vertices if v not in drop)
 
-    def with_weights(self, weights, check=True):
+    def with_weights(self, weights):
         """This graph with the given edge weights in place of its own.  The
-        copy shares vertices and adj with self; no edge is checked again.
-        With check=False the weights are taken as they are: edge_keys of
-        edges of self, each an int or Fraction above 0 and not 1."""
+        copy shares vertices and adj with self; no edge is checked again."""
         g = Graph.__new__(Graph)
         g.vertices, g.adj = self.vertices, self.adj
-        g.weights = _checked_weights(self.adj, weights) if check else weights
+        g.weights = _checked_weights(self.adj, weights)
         return g
 
     def mapped(self, fn):
@@ -214,6 +212,19 @@ class Grid:
         ends = at[cell + np.where(d, 1, self.occ.shape[1])].tolist()
         return Graph(pts, [(pts[i], pts[j])
                            for i, j in zip(at[cell].tolist(), ends)])
+
+
+def _edge_weights(grid, weights):
+    """A Graph's weights on its structure grid, as count_many weights a
+    Grid: (w, d), d the lcm of their denominators (an edge with none: 1)."""
+    d = lcm(*(t.denominator for t in weights.values()))
+    vals = int_array([d] + [t.numerator * (d // t.denominator)
+                            for t in weights.values()])
+    w = np.full(grid.edges.shape, vals[0], dtype=vals.dtype)
+    x, y, _, y1 = np.fromiter(chain.from_iterable(chain.from_iterable(
+        weights)), np.int64, 4 * len(weights)).reshape(-1, 4).T
+    w[y1 - y, x - grid.origin[0], y - grid.origin[1]] = vals[1:]
+    return w, d
 
 
 def _edge_keys(ids, shape, shift):
@@ -515,24 +526,27 @@ def _crt_primes(need):
 _STEPS_PER_REDUCTION = 7
 
 
+def int_array(values):
+    """Python ints as an int64 array, or an object array if one overflows."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 def _packed(vals, lens, cols):
     """A row-sparse matrix packed as _det_residues takes it.  Row i holds
-    the next lens[i] of the Python ints vals, at the distinct columns
-    that cols (a list or an int32 array) gives in the same order.
-
-    Returns (sq, lens, cols, vals): sq the product of the rows' sums of
-    squares (0 exactly when a row is zero), and the row lengths, columns
-    and entries as arrays.  Entries that do not fit int64 make the entry
-    array an object array.
-    """
-    entries = iter(vals)
-    sq = prod(sum(x * x for x in islice(entries, n)) for n in lens)
-    try:
-        v = np.array(vals, dtype=np.int64)
-    except OverflowError:
-        v = np.array(vals, dtype=object)
-    return (sq, np.array(lens, dtype=np.int32),
-            np.asarray(cols, dtype=np.int32), v)
+    the next lens[i] entries of vals (an int64 or object array of ints),
+    at the distinct columns that cols gives in the same order.  Returns
+    (sq, lens, cols, vals), sq the product of the rows' sums of squares
+    (0 exactly when a row is zero)."""
+    lens, sq = np.asarray(lens, dtype=np.int32), 0
+    if lens.all() and len(vals):
+        top = max(int(vals.max()), -int(vals.min()))
+        # Python ints where a row's sum of squares would not fit int64
+        v = vals.astype(object) if top * top * int(lens.max()) >> 63 else vals
+        sq = prod(np.add.reduceat(v * v, np.cumsum(lens) - lens).tolist())
+    return sq, lens, np.asarray(cols, dtype=np.int32), vals
 
 
 def _lane_entries(mats, primes, n):
@@ -699,7 +713,7 @@ def det_exact(vals, cols):
     Row i holds the Python ints vals[i] at the distinct columns cols[i];
     every other entry is 0.  The one-matrix case of _dets_exact.
     """
-    return _dets_exact([_packed(list(chain.from_iterable(vals)),
+    return _dets_exact([_packed(int_array(list(chain.from_iterable(vals))),
                                 [len(c) for c in cols],
                                 list(chain.from_iterable(cols)))])[0]
 
@@ -707,41 +721,42 @@ def det_exact(vals, cols):
 # -- FKT counting -------------------------------------------------------------
 
 
-# Structures planned and eliminated together: few enough that the stacked
-# arrays and the elimination window of a chunk stay small.
+# Matrices (copies of structures) eliminated together: few enough that the
+# stacked arrays and the elimination window of a chunk stay small.
 _CHUNK = 32
 
 
-def _plan(grids, cap, keyed):
+def _plan(grids, cap):
     """The Kasteleyn matrices of grids, planned on one stacked array.
 
     The grids lie side by side, with empty columns between them, and
     _peel reduces all of them at once.  Per grid the result is None when
     it has no perfect matching (_peel's bad vertices, or classes of
-    unequal size), and otherwise (lens, cols, signs, keys): the row
+    unequal size), and otherwise (lens, cols, signs, at, forced): the row
     lengths, columns and +-1 entries of a Kasteleyn matrix of what is
-    left.  Row i and column j are its i-th even and j-th odd vertex in
-    x-major order; an entry is + when _flips orients its edge out of the
-    even vertex, with ranks over whole rows of the stack
-    (pfaffian_orientation).  keys is None unless keyed[j], and then the
-    edge_keys of the forced edges and of the entries.  A grid left with
-    more than cap vertices raises TooLarge.
+    left, the flat index in the grid's edges of each entry's edge, and
+    the forced edges as a mask shaped like the grid's edges.  Row i and
+    column j are its i-th even and j-th odd vertex in x-major order; an
+    entry is + when _flips orients its edge out of the even vertex, with
+    ranks over whole rows of the stack (pfaffian_orientation).  A grid
+    left with more than cap vertices raises TooLarge.
     """
     # a grid's point (x, y) goes to cell (x - dx, y - dy), dx a multiple
     # of 4 and dy of 2, so parities (and Kasteleyn's rule) are kept
-    starts, x = [], 1
+    boxes, x = [], 1  # each grid's cells [:, X, Y] in the stack
     for g in grids:
         x += (g.origin[0] - x) % 4
-        starts.append(x)
+        y = g.origin[1] % 2
+        boxes.append(np.s_[:, x:x + g.occ.shape[0], y:y + g.occ.shape[1]])
         x += g.occ.shape[0] + 1
-    h = max([1] + [g.origin[1] % 2 + g.occ.shape[1] for g in grids])
+    h = max([1] + [box[2].stop for box in boxes])
     occ, edges = np.zeros((x, h), dtype=bool), np.zeros((2, x, h), dtype=bool)
+    local = np.zeros((2, x, h), dtype=np.int64)  # flat index in g.edges
     owner = np.full(x, len(grids))  # gap columns belong to no grid
-    for j, (g, s) in enumerate(zip(grids, starts)):
-        at = np.s_[s:s + g.occ.shape[0],
-                   g.origin[1] % 2:g.origin[1] % 2 + g.occ.shape[1]]
-        occ[at], edges[(slice(None),) + at] = g.occ, g.edges
-        owner[at[0]] = j
+    for j, (g, box) in enumerate(zip(grids, boxes)):
+        occ[box[1:]], edges[box] = g.occ, g.edges
+        local[box] = np.arange(g.edges.size).reshape(g.edges.shape)
+        owner[box[1]] = j
     forced, bad = _peel(occ.ravel(), edges.ravel(), h)
 
     odd = (np.arange(x)[:, None] + np.arange(h)) % 2
@@ -761,72 +776,65 @@ def _plan(grids, cap, keyed):
     signs = ((1 - 2 * _flips(occ, 0, 0).ravel()[slot])
              * [1, -1, 1, -1])[valid]
     cols = before[(a[:, None] + [h, -h, 1, -1])[valid]].astype(np.int32)
-    lens, slot = valid.sum(1, dtype=np.int32), slot[valid]
-    rows = np.searchsorted(a, [(s * h, (s + g.occ.shape[0]) * h)
-                               for g, s in zip(grids, starts)]).tolist()
-    at = [0] + np.cumsum(lens).tolist()
+    lens, at = valid.sum(1, dtype=np.int32), local.ravel()[slot[valid]]
+    forced = forced.reshape(2, x, h)  # a grid's box of it is like g.edges
+    rows = np.searchsorted(a, [(box[1].start * h, box[1].stop * h)
+                               for box in boxes]).tolist()
+    ends = [0] + np.cumsum(lens).tolist()
     out = []
-    for j, ((r0, r1), g, s) in enumerate(zip(rows, grids, starts)):
-        e0, e1, keys = at[r0], at[r1], None
-        if keyed[j] and not dead[j]:
-            w, dy = g.occ.shape[0], g.origin[1] - g.origin[1] % 2
-            mine = forced.reshape(2, x, h)[:, s:s + w]
-            keys = (_edge_keys(np.flatnonzero(mine), (w, h),
-                               (g.origin[0], dy)),
-                    _edge_keys(slot[e0:e1], (x, h), (g.origin[0] - s, dy)))
-        out.append(None if dead[j] else (lens[r0:r1], cols[e0:e1]
-                                         - before[s * h], signs[e0:e1], keys))
+    for j, ((r0, r1), box) in enumerate(zip(rows, boxes)):
+        e0, e1 = ends[r0], ends[r1]
+        out.append(None if dead[j] else (
+            lens[r0:r1], cols[e0:e1] - before[box[1].start * h],
+            signs[e0:e1], at[e0:e1], forced[box]))
     return out
 
 
 def count_many(graphs, cap=FKT_CAP):
-    """Exact matching counts of graphs (each a Graph or a Grid), in order,
-    by Pfaffian orientations and exact determinants.
+    """Exact matching counts of graphs, in order, by Pfaffian orientations
+    and exact determinants.  Each is a Graph, a Grid, or a weighted Grid
+    (grid, (w, d)), whose edge at flat index k of grid.edges weighs
+    w.ravel()[k] / d, for w an int64 or object array of ints.
 
-    Consecutive Graphs that share one adj, as Graph.with_weights copies
-    do, share one Grid.  The Grids are sorted by size into chunks of
-    _CHUNK, each planned by one _plan and eliminated by one _dets_exact.
-    A weighted copy adds its weight product over the forced edges, and
-    its entries are sign * numerator * (scale // denominator), scale being
-    the lcm of the denominators: exact for positive Fraction weights.  A
-    non-unit edge raises NonPlanarEmbedding, even on a forced edge, and a
-    graph left with more than cap vertices after forced-edge reduction
-    raises TooLarge.
+    Consecutive items that share one structure (an adj, or a Grid) share
+    one Grid, and a Graph's weights become such a (w, d) once.  The Grids
+    are sorted by size into chunks of about _CHUNK copies, each planned by
+    one _plan and eliminated by one _dets_exact.  A weighted count is the
+    forced edges' weight product times |det(signs * w)|, over d^(rows +
+    forced edges).  A non-unit edge raises NonPlanarEmbedding, even on a
+    forced edge, and a graph left with more than cap vertices after
+    forced-edge reduction raises TooLarge.
     """
-    grids, items, adj = [], [], None  # structures; (structure, weights)
-    for g in graphs:
-        if isinstance(g, Grid) or g.adj is not adj:
-            adj = getattr(g, "adj", None)
-            grids.append(g if adj is None else Grid.of_graph(g))
-        items.append((len(grids) - 1, getattr(g, "weights", {})))
-    users = [[] for _ in grids]
-    for i, (j, _) in enumerate(items):
-        users[j].append(i)
-    counts = [0] * len(items)
+    grids, copies, last = [], [], None  # structures; their (item, weights)
+    for i, g in enumerate(graphs):
+        g, w = g if isinstance(g, tuple) else (g, None)
+        if getattr(g, "adj", g) is not last:
+            last = getattr(g, "adj", g)
+            grids.append(Grid.of_graph(g) if isinstance(g, Graph) else g)
+            copies.append([])
+        if isinstance(g, Graph) and g.weights:
+            w = _edge_weights(grids[-1], g.weights)
+        copies[-1].append((i, w))
+    counts = [0] * sum(map(len, copies))
     order = sorted(range(len(grids)), key=lambda j: grids[j].n)
-    for k in range(0, len(order), _CHUNK):
-        chunk = order[k:k + _CHUNK]
-        plans = _plan([grids[j] for j in chunk], cap,
-                      [any(items[i][1] for i in users[j]) for j in chunk])
+    # a chunk: the structures whose first copy is in one run of _CHUNK copies
+    before = accumulate((len(copies[j]) for j in order), initial=0)
+    for _, run in groupby(zip(order, before), lambda t: t[1] // _CHUNK):
+        chunk = [j for j, _ in run]
         mats, owners = [], []
-        for j, plan in zip(chunk, plans):
-            for i in users[j] if plan else ():
-                (lens, cols, signs, keys), weights = plan, items[i][1]
-                if not weights:  # a row's sum of squares is its length
+        for j, plan in zip(chunk, _plan([grids[j] for j in chunk], cap)):
+            for i, weights in copies[j] if plan else ():
+                lens, cols, signs, at, forced = plan
+                if weights is None:  # a row's sum of squares is its length
                     mats.append((prod(lens.tolist()), lens, cols, signs))
-                    owners.append((i, 1))
+                    owners.append((i, 1, 1))
                     continue
-                ws = [weights.get(e, 1) for e in keys[0]]
-                total = Fraction(prod(w.numerator for w in ws),
-                                 prod(w.denominator for w in ws))
-                ws = [weights.get(e, 1) for e in keys[1]]
-                scale = lcm(*(w.denominator for w in ws))
-                mats.append(_packed([s * w.numerator * (scale // w.denominator)
-                                     for s, w in zip(signs.tolist(), ws)],
-                                    lens, cols))
-                owners.append((i, total / scale ** len(lens)))
-        for (i, total), det in zip(owners, _dets_exact(mats)):
-            counts[i] = _exact(total * abs(det))
+                (w, d), fw = weights, weights[0][forced]
+                mats.append(_packed(signs * w.ravel()[at], lens, cols))
+                owners.append((i, prod(fw.tolist()),
+                               d ** (len(lens) + len(fw))))
+        for (i, num, den), det in zip(owners, _dets_exact(mats)):
+            counts[i] = _exact(Fraction(num * abs(det), den))
     return counts
 
 

@@ -12,7 +12,7 @@ from crossdimer.harness import (
     seeded_kuo_quads, tr_three_way_split,
 )
 from crossdimer.lattice import GRID_B
-from crossdimer.matchcount import Graph, count_fkt, kuo_check
+from crossdimer.matchcount import FKT_CAP, Graph, count_fkt, kuo_check
 
 
 def test_delannoy_values():
@@ -157,6 +157,36 @@ def test_suite_conjecture_matches_per_point_counts(monkeypatch):
     got = [(r["check"], r["spec"], r["expected"], r["computed"], r["pass"])
            for r in run_suite("conjecture", SuiteConfig()).records]
     assert len(want) > 12 and got == want
+
+
+# sha256 of json.dumps(records, sort_keys=True) for the full conjecture
+# suite, as counted from built Graphs with per-entry Fraction weights
+CONJECTURE_RECORDS_SHA256 = \
+    "cf4bf87ad578b67b84d7e2a032209909dd355cad9a7d72904cb9e2c7b77c359f"
+
+
+def test_suite_conjecture_records_pinned():
+    import hashlib
+
+    records = run_suite("conjecture", SuiteConfig()).records
+    assert len(records) == 432
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode())
+    assert digest.hexdigest() == CONJECTURE_RECORDS_SHA256
+
+
+def test_weighted_counts_match_weighted_graphs():
+    from crossdimer.families import assign_cross_weights, weight_point
+    from crossdimer.harness import HELD_OUT_POINT, PROBE_POINTS
+
+    specs = [("A", 1, 2, 2, 0), ("F", 1, 2, 2, 0), ("A", 2, 4, 4, 2),
+             ("F", 3, 4, 4, 2), ("A", 3, 3, 3, 1), ("F", 2, 5, 4, 1)]
+    points = PROBE_POINTS + (HELD_OUT_POINT,)
+    got = harness._weighted_counts(specs, points, FKT_CAP)
+    want = [[count_fkt(assign_cross_weights(
+        (build_A if family == "A" else build_F)(i, a, b, c),
+        weight_point(*pt))) for pt in points]
+        for family, i, a, b, c in specs]
+    assert got == want and all(n > 0 for row in got for n in row)
 
 
 def _graph_recurrence_reference(triples):

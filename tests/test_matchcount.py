@@ -293,30 +293,69 @@ def test_fkt_matches_brute_on_holey_grids(g):
     assert count_fkt(g) == count_brute(g, cap=len(g))
 
 
-@settings(max_examples=60, deadline=None)
-@given(holey_grids(), holey_grids(), st.data())
-def test_count_many_shares_plans_across_weightings(g, h, data):
-    # g's weighted copies share one plan, with their own forced-edge
-    # weights; h, and g2 (equal to g but built apart), each need a new one
+@st.composite
+def weighted_batches(draw):
+    """Weighted copies of one holey grid g that share its plan, each with
+    its own forced-edge weights, around another grid h and g2, a copy of
+    g built apart, which each need a plan of their own."""
+    g, h = draw(holey_grids()), draw(holey_grids())
+    fraction = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+
     def weighted(base):
-        fraction = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
-        return base.with_weights({e: data.draw(fraction) for e in base.edges()
-                                  if data.draw(st.booleans())})
+        return base.with_weights({e: draw(fraction) for e in base.edges()
+                                  if draw(st.booleans())})
 
     g2 = Graph(g.vertices, g.edges(), g.weights)
-    batch = [weighted(g), weighted(g), h, weighted(g), weighted(g2)]
+    return [weighted(g), weighted(g), h, weighted(g), weighted(g2)]
+
+
+def weighted_squares(*weightings):
+    """Copies of grid(2, 2) that weigh its bottom, top and left edges as
+    the triples in weightings do; all of them share one adjacency."""
+    base = grid(2, 2)
+    return [base.with_weights(dict(zip(
+        [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 0), (0, 1))], ws)))
+        for ws in weightings]
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_batches())
+# copies whose weights have different denominators, so that each scales
+# its entries by its own common denominator
+@example(weighted_squares((Fraction(1, 2), Fraction(1, 3), 1),
+                          (Fraction(2, 5), Fraction(7, 3), Fraction(3, 4)),
+                          (5, 1, Fraction(1, 7))))
+# scaled weights that do not fit int64 (2^80 over 3 * 2^40), and integer
+# weights whose squares do not: both are counted with Python ints
+@example(weighted_squares((Fraction(2 ** 40, 3), Fraction(1, 2 ** 40), 1),
+                          (2 ** 40, 2 ** 40 + 1, 2 ** 62)))
+def test_count_many_shares_plans_across_weightings(batch):
     assert count_many(batch) == [count_brute(x, cap=len(x)) for x in batch]
+
+
+def test_count_many_weights_beyond_int64():
+    # the object-array fallback: the exact count, with no wrap-around
+    (big,) = weighted_squares((Fraction(2 ** 40, 3), Fraction(1, 2 ** 40),
+                               2 ** 62))
+    w, d = matchcount._edge_weights(matchcount.Grid.of_graph(big),
+                                    big.weights)
+    assert w.dtype == object and d == 3 * 2 ** 40
+    # {bottom, top} and {left, right}
+    assert count_many([big]) == [Fraction(1, 3) + 2 ** 62] == \
+        [count_brute(big)]
 
 
 def test_count_many_plans_each_structure_once(monkeypatch):
     from crossdimer.families import (
         assign_cross_weights, build_A, cross_weightings, weight_point,
     )
+    from crossdimer.harness import _weighted_counts
     from crossdimer.lattice import LatticeSpec
+    from crossdimer.matchcount import FKT_CAP
 
     g = build_A(1, 4, 4, 2)
-    points = [weight_point(*pt)
-              for pt in ((3, 5, 7), (5, 7, 3), (7, 3, 5), (3, 5, 11))]
+    pts = ((3, 5, 7), (5, 7, 3), (7, 3, 5), (3, 5, 11))
+    points = [weight_point(*pt) for pt in pts]
     want = [count_fkt(assign_cross_weights(g, w)) for w in points]
     calls, planned = Counter(), []
 
@@ -334,9 +373,9 @@ def test_count_many_plans_each_structure_once(monkeypatch):
     spy(LatticeSpec, "edge_offset", "edge_offset")
     plan = matchcount._plan
 
-    def plan_spy(grids, cap, keyed):
+    def plan_spy(grids, cap):
         planned.append(len(grids))
-        return plan(grids, cap, keyed)
+        return plan(grids, cap)
 
     monkeypatch.setattr(matchcount, "_plan", plan_spy)
     assert count_many(cross_weightings(g, points)) == want
@@ -344,6 +383,12 @@ def test_count_many_plans_each_structure_once(monkeypatch):
     # symbols come from the residue table, with no edge_offset lookups
     assert planned == [1]
     assert calls == {"grid": 1}
+    # the conjecture path counts the weightings of the family's point set
+    # on its Grid, with no Graph
+    calls.clear()
+    assert _weighted_counts([("A", 1, 4, 4, 2)], pts, FKT_CAP) == [want]
+    assert planned == [1, 1]
+    assert not calls  # no Graph.__init__, Grid.of_graph or edge_offset
 
 
 def unmatchable():
@@ -502,10 +547,10 @@ def test_det_exact_matches_fraction_det(mat):
           ([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]], 0)])
 def test_det_residues_batch_matches_fraction_det(batch):
     pool = matchcount._crt_primes(2 ** 90)
-    mats = [matchcount._packed([x for row in mat for x in row if x],
-                               [sum(1 for x in row if x) for row in mat],
-                               [j for row in mat for j, x in enumerate(row)
-                                if x])
+    mats = [matchcount._packed(
+                matchcount.int_array([x for row in mat for x in row if x]),
+                [sum(1 for x in row if x) for row in mat],
+                [j for row in mat for j, x in enumerate(row) if x])
             for mat, _ in batch]
     primes = [pool[:1] + pool[len(pool) - extra:] if extra else pool[:1]
               for _, extra in batch]
