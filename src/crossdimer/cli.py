@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands share one family spec grammar, e.g. A1:9,8,2  F3:5,8,4
-TR:2,6  TA:5,7,4,3  AR:2,2@full  AAR:3,3@full.
+Subcommands share one family spec grammar (families.Spec), e.g. A1:9,8,2
+F3:5,8,4  TR:2,6  TA:5,7,4,3  AR:2,2@full  AAR:3,3@full.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage or config error.
+Exit codes: 0 pass, 1 verification failure, 2 usage or input error (any
+CrossdimerError) or an unreadable file.
 """
 
 from __future__ import annotations
@@ -11,34 +12,46 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import formulas
+from .errors import CrossdimerError
 from .families import (
-    FAMILY_HEADS, derive_params, parse_spec, split_spec, InvalidParams,
-    NotGridB, assign_cross_weights, weight_point,
+    FAMILY_HEADS, Spec, InvalidParams, assign_cross_weights, weight_point,
 )
 from .harness import (
-    SuiteConfig, run_suite, render_svg, conjecture_probe,
-    ConjectureExponents, BadProbePoint, CacheCorrupt, check_trim_domain,
+    SuiteConfig, run_suite, render_svg, conjecture_probe, ConjectureExponents,
 )
-from .matchcount import count_matchings, TooLarge
-from .formulas import factor_small, HypothesisViolated
+from .matchcount import count_matchings
+from .formulas import factor_small
 
 
 def _load_config(path):
     if not path:
         return SuiteConfig()
-    with open(path) as fh:
-        doc = json.load(fh)
     try:
-        return SuiteConfig(**doc)
-    except TypeError as exc:
+        with open(path) as fh:
+            return SuiteConfig(**json.load(fh))
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError,
+            InvalidParams) as exc:
         raise InvalidParams(f"{path}: {exc}") from None
 
 
+def _graph(args):
+    """The graph that args.spec names, with the cross weights that
+    --weights x,y,z gives, if set."""
+    g = Spec.parse(args.spec).graph()
+    if args.weights is None:
+        return g
+    try:
+        x, y, z = args.weights.split(",")
+        w = weight_point(x, y, z)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidParams(f"--weights {args.weights}: expected three "
+                            f"fractions, as in --weights x,y,z") from None
+    return assign_cross_weights(g, w)
+
+
 def cmd_gen(args):
-    g = parse_spec(args.spec)
+    g = _graph(args)
     if args.svg:
         render_svg(g, args.svg, show_weights=args.weights is not None)
         print(f"wrote {args.svg}", file=sys.stderr)
@@ -47,17 +60,7 @@ def cmd_gen(args):
 
 
 def cmd_count(args):
-    g = parse_spec(args.spec)
-    if args.weights:
-        if args.weights.count(",") != 2:
-            raise InvalidParams(f"--weights {args.weights}: expected three "
-                                f"values, as in --weights x,y,z")
-        try:
-            x, y, z = (Fraction(t) for t in args.weights.split(","))
-        except ZeroDivisionError:
-            raise InvalidParams(
-                f"--weights {args.weights}: a zero denominator") from None
-        g = assign_cross_weights(g, weight_point(x, y, z))
+    g = _graph(args)
     n = count_matchings(g, method=args.method)
     fac = {}
     if isinstance(n, int) and n > 0:
@@ -70,20 +73,7 @@ def cmd_count(args):
 
 
 def cmd_formula(args):
-    head, nums, _ = split_spec(args.spec)
-    if head in FAMILY_HEADS:
-        derive_params(*nums)
-        i = int(head[1])
-        fc = formulas.phi(i, *nums) if head[0] == "A" \
-            else formulas.psi(i, *nums)
-    elif head == "TR":
-        fc = formulas.thm_TR(*nums)
-    elif head in ("TA", "TB"):
-        check_trim_domain(head, *nums)
-        fc = (formulas.thm_TA if head == "TA" else formulas.thm_TB)(*nums)
-    else:
-        raise InvalidParams(f"no closed form for {head!r}")
-    print(json.dumps(fc.as_dict()))
+    print(json.dumps(Spec.parse(args.spec).closed_form().as_dict()))
     return 0
 
 
@@ -99,13 +89,17 @@ def cmd_verify(args):
 
 
 def cmd_probe(args):
-    head, nums, _ = split_spec(args.spec)
-    if head not in FAMILY_HEADS:
+    spec = Spec.parse(args.spec)
+    if spec.head not in FAMILY_HEADS:
         raise InvalidParams("probe expects a family spec like A1:2,2,0")
-    points = []
-    for tok in args.points.split(";"):
-        points.append(tuple(int(t) for t in tok.split(",")))
-    vec = conjecture_probe(head[0], int(head[1]), *nums, points)
+    try:
+        points = [tuple(int(t) for t in tok.split(","))
+                  for tok in args.points.split(";")]
+    except ValueError:
+        raise InvalidParams(f"--points {args.points}: expected integer "
+                            f"triples x,y,z separated by ';'") from None
+    vec = conjecture_probe(spec.head[0], int(spec.head[1]), *spec.nums,
+                           points)
     if isinstance(vec, ConjectureExponents):
         print(json.dumps({"consistent": True, "exponents": vars(vec)}))
         return 0
@@ -121,7 +115,7 @@ def main(argv=None):
     p = sub.add_parser("gen", help="build a graph, print canonical JSON")
     p.add_argument("spec")
     p.add_argument("--svg", help="also write an SVG drawing")
-    p.add_argument("--weights", help="x,y,z weights for the SVG labels")
+    p.add_argument("--weights", help="x,y,z to draw with cross weights")
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("count", help="exact matching count")
@@ -149,8 +143,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidParams, NotGridB, HypothesisViolated, BadProbePoint,
-            TooLarge, CacheCorrupt, ValueError) as exc:
+    except CrossdimerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

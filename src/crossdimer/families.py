@@ -9,6 +9,8 @@ sets, and each build_* is graph_on_points of its point set.  Which sides
 are stripped per family (with the tall/flat case split), the trim sweeps and
 offsets, and the rotated-rectangle anchor classes are frozen calibration
 results; the acceptance suite is the authority that they are right.
+Spec names one family graph as the CLI and the suite records spell it,
+and gives its point set, graph and closed form.
 """
 
 from __future__ import annotations
@@ -19,59 +21,27 @@ from math import lcm
 
 import numpy as np
 
+from .errors import CrossdimerError
+from .formulas import (
+    HypothesisViolated, InvalidParams, derive_params, phi, psi, thm_TA,
+    thm_TB, thm_TR, trim_rect_triple,
+)
 from .lattice import (
-    CROSS_OFFSETS, FULL_GRID, GRID_B, ContourSpec, trace_contour,
+    CROSS_OFFSETS, FULL_GRID, GRID_B, ContourSpec, LatticeSpec, trace_contour,
     region_points, graph_on_points, points_on_segment, trim_zigzag_side,
     corner_cut, unit_edge_table,
 )
 from .matchcount import int_array
 
 
-class InvalidParams(Exception):
-    pass
-
-
-class NotGridB(Exception):
+class NotGridB(CrossdimerError):
     pass
 
 
 SIDE_NAMES = ("a", "b", "c", "d", "e", "f")
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    a: int
-    b: int
-    c: int
-    d: int
-    e: int
-    f: int
-    perimeter: int
-    case_tall: bool
-
-
-def derive_params(a, b, c):
-    """Validate (a, b, c) and attach the derived side lengths.
-
-    d = 2b - a - 2c and e = 3b - 2a - 2c must be non-negative and b >= 2;
-    f = |2a - 2b + c| closes the contour.
-    """
-    if a < 0 or b < 0 or c < 0:
-        raise InvalidParams(f"negative parameter in {(a, b, c)}")
-    if b < 2:
-        raise InvalidParams(f"b={b} < 2")
-    d = 2 * b - a - 2 * c
-    e = 3 * b - 2 * a - 2 * c
-    f = abs(2 * a - 2 * b + c)
-    if d < 0:
-        raise InvalidParams(f"d={d} < 0 for {(a, b, c)}")
-    if e < 0:
-        raise InvalidParams(f"e={e} < 0 for {(a, b, c)}")
-    tall = a > c + d
-    return FamilyParams(a, b, c, d, e, f, a + b + c + d + e + f, tall)
-
-
-def family_contour(i, a, b, c, start=(0, 0)):
+def family_contour(i, a, b, c):
     """Six-sided contour of family i in {1,2,3}, anchored at a cross base."""
     p = derive_params(a, b, c)
     if i == 1:
@@ -88,7 +58,7 @@ def family_contour(i, a, b, c, start=(0, 0)):
                  ("W", 4 * p.d), ("SE", 2 * p.e), (closing, 2 * p.f))
     else:
         raise InvalidParams(f"family index {i} not in 1..3")
-    return ContourSpec(family=f"C{i}", start=start, sides=sides)
+    return ContourSpec(family=f"C{i}", start=(0, 0), sides=sides)
 
 
 def strip_side_vertices(corners2, which):
@@ -159,12 +129,8 @@ def build_F(i, a, b, c, lat=GRID_B):
 ALIGN_UV = {"east": (4, 3), "west": (1, 0)}
 
 
-def _corner_uv(lat, alignment):
-    if lat.kind != "cross":
-        return (0, 1)
-    if alignment not in ALIGN_UV:
-        raise InvalidParams(f"unknown alignment {alignment!r}")
-    return ALIGN_UV[alignment]
+def _corner_uv(lat):
+    return ALIGN_UV["east"] if lat.kind == "cross" else (0, 1)
 
 
 def aztec_rectangle_points(m, n, corner_uv):
@@ -182,10 +148,8 @@ def aztec_rectangle_points(m, n, corner_uv):
     return out
 
 
-def build_aztec_rectangle(lat, m, n, alignment="east", corner_uv=None):
-    if corner_uv is None:
-        corner_uv = _corner_uv(lat, alignment)
-    return graph_on_points(lat, aztec_rectangle_points(m, n, corner_uv))
+def build_aztec_rectangle(lat, m, n):
+    return graph_on_points(lat, aztec_rectangle_points(m, n, _corner_uv(lat)))
 
 
 def augmented_aztec_points(m, n, corner_uv):
@@ -196,11 +160,9 @@ def augmented_aztec_points(m, n, corner_uv):
     return pts
 
 
-def build_augmented_aztec(lat, m, n, alignment="east", corner_uv=None):
+def build_augmented_aztec(lat, m, n):
     """Rectangle stretched one unit west: one extra square per row."""
-    if corner_uv is None:
-        corner_uv = _corner_uv(lat, alignment)
-    return graph_on_points(lat, augmented_aztec_points(m, n, corner_uv))
+    return graph_on_points(lat, augmented_aztec_points(m, n, _corner_uv(lat)))
 
 
 def tr_points(a, b):
@@ -255,10 +217,8 @@ def trim_rect_points(p):
     level_top = (north_y2 - 1) // 2 - p.h1
     level_bot = (south_y2 + 1) // 2 + p.h2
     # these two cuts anchor at the ragged row ends, not at slit phase
-    pts = corner_cut(pts, level_top, "below", sweep="right_to_left",
-                     anchor_offset=3)
-    return corner_cut(pts, level_bot, "above", sweep="left_to_right",
-                      anchor_offset=3)
+    pts = corner_cut(pts, level_top, "below", anchor_offset=3)
+    return corner_cut(pts, level_bot, "above", anchor_offset=3)
 
 
 def build_TA(p):
@@ -402,50 +362,101 @@ def assign_cross_weights(g, w):
 FAMILY_HEADS = ("A1", "A2", "A3", "F1", "F2", "F3")
 SPEC_PARAMS = {**dict.fromkeys(FAMILY_HEADS, "a,b,c"), "TR": "a,b",
                "TA": "m,n,h1,h2", "TB": "m,n,h1,h2", "AR": "m,n", "AAR": "m,n"}
+LATTICE_TAGS = {"full": FULL_GRID, "b": GRID_B, "cross": GRID_B}
 
 
-def split_spec(text):
-    """Split a spec like A1:9,8,2 or AR:2,2@full into (head, nums, lattice).
-
-    lattice is None when the spec names none.  An unknown family, a wrong
-    parameter count or a malformed string raises InvalidParams.
-    """
-    text = text.strip()
-    if ":" not in text:
-        raise InvalidParams(f"malformed spec {text!r}")
-    head, rest = text.split(":", 1)
-    head = head.upper()
-    if head not in SPEC_PARAMS:
-        raise InvalidParams(f"unknown family {head!r}")
-    lat = None
-    if "@" in rest:
-        rest, latname = rest.split("@", 1)
-        if latname.lower() == "full":
-            lat = FULL_GRID
-        elif latname.lower() in ("b", "cross"):
-            lat = GRID_B
-        else:
-            raise InvalidParams(f"unknown lattice {latname!r}")
+def check_trim_domain(variant, m, n, h1, h2):
+    """Raise HypothesisViolated unless theorem 1.3 covers this trimmed
+    rectangle: its core triple must be a valid family triple, and neither
+    cut may leave its corner."""
+    spec = Spec(variant, (m, n, h1, h2))
     try:
-        nums = [int(t) for t in rest.split(",")]
-    except ValueError as exc:
-        raise InvalidParams(f"bad numbers in {text!r}") from exc
-    if len(nums) != len(SPEC_PARAMS[head].split(",")):
-        raise InvalidParams(f"{head} needs {SPEC_PARAMS[head]}")
-    return head, nums, lat
+        derive_params(*trim_rect_triple(m, n, h1, h2, variant))
+    except InvalidParams as exc:
+        raise HypothesisViolated(f"{spec} has no valid core: {exc}") from None
+    short_side = 2 * m if variant == "TA" else 2 * m - 1
+    if h1 >= short_side or h2 >= short_side:
+        raise HypothesisViolated(
+            f"{spec}: a cut leaves its corner (side {short_side})")
+
+
+@dataclass(frozen=True)
+class Spec:
+    """One named family graph: a head (a key of SPEC_PARAMS), its integer
+    parameters, and the lattice of a family or rotated rectangle, None for
+    its default (the cross lattice for families, the full grid for AR and
+    AAR).  Spec.parse reads the CLI form, and str gives it back."""
+
+    head: str
+    nums: tuple
+    lattice: LatticeSpec | None = None
+
+    @classmethod
+    def parse(cls, text):
+        """The Spec of a string like A1:9,8,2 or AR:2,2@full.  An unknown
+        family or lattice, a wrong parameter count or a malformed string
+        raises InvalidParams."""
+        text = text.strip()
+        if ":" not in text:
+            raise InvalidParams(f"malformed spec {text!r}")
+        head, rest = text.split(":", 1)
+        head = head.upper()
+        if head not in SPEC_PARAMS:
+            raise InvalidParams(f"unknown family {head!r}")
+        rest, at, tag = rest.partition("@")
+        lat = LATTICE_TAGS.get(tag.lower())
+        if at and lat is None:
+            raise InvalidParams(f"unknown lattice {tag!r}")
+        if lat is not None and head in ("TR", "TA", "TB"):
+            raise InvalidParams(f"{head} lies on the cross lattice only")
+        try:
+            nums = tuple(int(t) for t in rest.split(","))
+        except ValueError:
+            raise InvalidParams(f"bad numbers in {text!r}") from None
+        if len(nums) != len(SPEC_PARAMS[head].split(",")):
+            raise InvalidParams(f"{head} needs {SPEC_PARAMS[head]}")
+        return cls(head, nums, lat)
+
+    def __str__(self):
+        tag = "" if self.lattice is None else \
+            "@full" if self.lattice.kind == "full" else "@b"
+        return f"{self.head}:{','.join(map(str, self.nums))}{tag}"
+
+    def points(self):
+        """(lattice, point set): the graph is what the lattice induces on
+        the points."""
+        head, nums = self.head, self.nums
+        if head in FAMILY_HEADS:
+            return (self.lattice or GRID_B,
+                    family_points(head[0], int(head[1]), *nums))
+        if head == "TR":
+            return GRID_B, tr_points(*nums)
+        if head in ("TA", "TB"):
+            return GRID_B, trim_rect_points(TrimRectParams(*nums, head))
+        lat = self.lattice or FULL_GRID
+        pts = aztec_rectangle_points if head == "AR" \
+            else augmented_aztec_points
+        return lat, pts(*nums, _corner_uv(lat))
+
+    def graph(self):
+        return graph_on_points(*self.points())
+
+    def closed_form(self):
+        """The FactoredCount that theorem 2.1 (A and F), 1.1 (TR) or 1.3
+        (TA and TB) gives, once the parameters are checked to lie in its
+        domain; the rotated rectangles have none (InvalidParams)."""
+        head, nums = self.head, self.nums
+        if head in FAMILY_HEADS:
+            derive_params(*nums)
+            return (phi if head[0] == "A" else psi)(int(head[1]), *nums)
+        if head == "TR":
+            return thm_TR(*nums)
+        if head in ("TA", "TB"):
+            check_trim_domain(head, *nums)
+            return (thm_TA if head == "TA" else thm_TB)(*nums)
+        raise InvalidParams(f"no closed form for {head!r}")
 
 
 def parse_spec(text):
     """Build the graph named by a CLI string like A1:9,8,2 or AR:2,2@full."""
-    head, nums, lat = split_spec(text)
-    if head in FAMILY_HEADS:
-        fn = build_A if head[0] == "A" else build_F
-        return fn(int(head[1]), *nums, lat=lat or GRID_B)
-    if head == "TR":
-        return build_TR(*nums)
-    if head in ("TA", "TB"):
-        p = TrimRectParams(*nums, variant=head)
-        return build_TA(p) if head == "TA" else build_TB(p)
-    if head == "AR":
-        return build_aztec_rectangle(lat or FULL_GRID, *nums)
-    return build_augmented_aztec(lat or FULL_GRID, *nums)
+    return Spec.parse(text).graph()

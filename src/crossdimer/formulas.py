@@ -10,18 +10,57 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+from .errors import CrossdimerError
 
 
-class HypothesisViolated(Exception):
+class InvalidParams(CrossdimerError):
     pass
 
 
-class NonIntegerTau(Exception):
+class HypothesisViolated(CrossdimerError):
     pass
 
 
-class NotInteger(Exception):
+class NonIntegerTau(CrossdimerError):
     pass
+
+
+class NotInteger(CrossdimerError):
+    pass
+
+
+class FamilyParams(NamedTuple):
+    a: int
+    b: int
+    c: int
+    d: int
+    e: int
+    f: int
+    perimeter: int
+    case_tall: bool
+
+
+def derive_params(a, b, c):
+    """Validate (a, b, c) and attach the derived side lengths.
+
+    d = 2b - a - 2c and e = 3b - 2a - 2c must be non-negative and b >= 2;
+    f = |2a - 2b + c| closes the contour.
+    """
+    if a < 0 or b < 0 or c < 0:
+        raise InvalidParams(f"negative parameter in {(a, b, c)}")
+    if b < 2:
+        raise InvalidParams(f"b={b} < 2")
+    d = 2 * b - a - 2 * c
+    e = 3 * b - 2 * a - 2 * c
+    f = abs(2 * a - 2 * b + c)
+    if d < 0:
+        raise InvalidParams(f"d={d} < 0 for {(a, b, c)}")
+    if e < 0:
+        raise InvalidParams(f"e={e} < 0 for {(a, b, c)}")
+    tall = a > c + d
+    return FamilyParams(a, b, c, d, e, f, a + b + c + d + e + f, tall)
 
 
 def g_fn(a, b, c):
@@ -145,24 +184,14 @@ def psi_value(i, a, b, c):
 
 # -- theorem right-hand sides -------------------------------------------------
 
-# The trimmed-rectangle theorem maps (m, n, h1, h2) onto a family triple.
-# Two readings are in use, both resolved by calibration: the triple of the
-# source's statement for the even rectangles (TA), and that triple shifted
-# by one for the odd, west-anchored ones (TB).
-MAPPING_STATEMENT = "statement"
-MAPPING_STATEMENT_SHIFTED = "statement_shifted"
-TA_MAPPING_DEFAULT = MAPPING_STATEMENT
-TB_MAPPING_DEFAULT = MAPPING_STATEMENT_SHIFTED
-
-
-def trim_rect_triple(m, n, h1, h2, mapping):
+def trim_rect_triple(m, n, h1, h2, variant):
+    """The family triple that the trimmed-rectangle theorem maps (m, n, h1,
+    h2) onto, as calibration resolved it: the triple of the source's
+    statement for the even rectangles (variant TA), and that triple
+    shifted by one for the odd, west-anchored ones (TB)."""
     s1 = (h1 + 1) // 2
-    s2 = (h2 + 1) // 2
-    if mapping == MAPPING_STATEMENT:
-        return (m - s1 + 1, n - s1 + 1, s2)
-    if mapping == MAPPING_STATEMENT_SHIFTED:
-        return (m - s1, n - s1, s2)
-    raise ValueError(f"unknown mapping {mapping!r}")
+    shift = 1 if variant == "TA" else 0
+    return (m - s1 + shift, n - s1 + shift, (h2 + 1) // 2)
 
 
 def check_trim_constraint(m, n, h1, h2):
@@ -178,24 +207,21 @@ def thm_TR(a, b):
     return FactoredCount(1, 2 * a * a, 0, 2 * a * a, a * a // 2)
 
 
-def thm_TA(m, n, h1, h2, mapping=None):
+def thm_TA(m, n, h1, h2):
     check_trim_constraint(m, n, h1, h2)
-    a, b, c = trim_rect_triple(m, n, h1, h2, mapping or TA_MAPPING_DEFAULT)
+    a, b, c = trim_rect_triple(m, n, h1, h2, "TA")
     return FactoredCount(alpha_fn(a, b, c), g_fn(a, b, c + 1),
                          tau_fn(h1, h2), g_fn(a, b, c), q_fn(a, b, c))
 
 
-def thm_TB(m, n, h1, h2, mapping=None):
+def thm_TB(m, n, h1, h2):
     check_trim_constraint(m, n, h1, h2)
-    a, b, c = trim_rect_triple(m, n, h1, h2, mapping or TB_MAPPING_DEFAULT)
+    a, b, c = trim_rect_triple(m, n, h1, h2, "TB")
     return FactoredCount(beta_fn(a, b, c), g_fn(a, b, c - 1),
                          tau_fn(h1 + 1, h2 + 1), g_fn(a, b, c), q_fn(a, b, c))
 
 
 # -- recurrences ---------------------------------------------------------------
-
-RECURRENCES = ("R1", "R2", "R3", "R4", "R5", "R6")
-
 
 def recurrence_check(r, star, diamond=None, a=0, b=0, c=0):
     """Evaluate one recurrence at (a, b, c) exactly.
@@ -236,23 +262,17 @@ def recurrence_check(r, star, diamond=None, a=0, b=0, c=0):
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 
-def _derived(a, b, c):
-    d = 2 * b - a - 2 * c
-    e = 3 * b - 2 * a - 2 * c
-    f = abs(2 * a - 2 * b + c)
-    return d, e, f
-
-
 def reflection_check(kind, i, a, b, c):
-    """Exact equality of a formula pair under one of the mirror identities."""
-    d, e, f = _derived(a, b, c)
+    """Exact equality of a formula pair under one of the mirror identities
+    of the family graphs on the valid triple (a, b, c)."""
+    p = derive_params(a, b, c)
     if kind == "vertical":
-        return (phi_value(i, a, b, c) == psi_value(4 - i, f, e, d)
-                and psi_value(i, a, b, c) == phi_value(4 - i, f, e, d))
+        return (phi_value(i, a, b, c) == psi_value(4 - i, p.f, p.e, p.d)
+                and psi_value(i, a, b, c) == phi_value(4 - i, p.f, p.e, p.d))
     if kind == "horizontal":
         j = {1: 1, 2: 3, 3: 2}[i]
-        return (phi_value(i, a, b, c) == phi_value(j, b, a, f)
-                and psi_value(i, a, b, c) == psi_value(j, b, a, f))
+        return (phi_value(i, a, b, c) == phi_value(j, b, a, p.f)
+                and psi_value(i, a, b, c) == psi_value(j, b, a, p.f))
     if kind == "switch":
         return (psi_value(i, a - 1, b - 1, c)
                 == phi_value(4 - i, c, b - 1, a - 1)

@@ -17,28 +17,27 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from . import formulas
+from .errors import CrossdimerError
 from .families import (
-    build_A, build_F, build_TR, TrimRectParams, build_aztec_rectangle,
-    build_augmented_aztec, derive_params, cross_weighted_grids,
-    family_points, trim_rect_points, weight_point, InvalidParams,
+    Spec, build_A, build_TR, check_trim_domain, cross_weighted_grids,
+    derive_params, family_contour, weight_point, InvalidParams,
 )
 from .formulas import (
-    phi, psi, phi_value, psi_value, thm_TR, thm_TA, thm_TB,
-    recurrence_check, factor_small, alpha_w, beta_w, HypothesisViolated,
+    phi, psi, phi_value, psi_value, recurrence_check, factor_small, alpha_w,
+    beta_w, HypothesisViolated,
 )
-from .lattice import FULL_GRID, GRID_B, grid_on_points
+from .lattice import FULL_GRID, GRID_B, grid_on_points, trace_contour
 from .matchcount import (
-    FKT_CAP, count_brute, count_fkt, count_many, kuo_check, split_check,
-    planar_faces,
+    FKT_CAP, BadVertexSelection, count_brute, count_fkt, count_many,
+    kuo_check, split_check, planar_faces,
 )
 
 
-class CacheCorrupt(Exception):
+class CacheCorrupt(CrossdimerError):
     """A count cache file holds a torn, malformed or conflicting line."""
 
 
-class BadProbePoint(Exception):
+class BadProbePoint(CrossdimerError):
     pass
 
 
@@ -61,13 +60,13 @@ class SuiteConfig:
                      "recurrence_grid", "seed"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int):
-                raise TypeError(f"{name} must be an integer, not {v!r}")
+                raise InvalidParams(f"{name} must be an integer, not {v!r}")
         if not isinstance(self.cache_path, (str, type(None))):
-            raise TypeError(f"cache_path must be a string or null, not "
-                            f"{self.cache_path!r}")
+            raise InvalidParams(f"cache_path must be a string or null, not "
+                                f"{self.cache_path!r}")
         if min(self.perimeter_cap, self.vertex_cap_brute,
                self.vertex_cap_fkt, self.recurrence_grid) <= 0:
-            raise ValueError("caps must be positive")
+            raise InvalidParams("caps must be positive")
 
 
 @dataclass
@@ -220,24 +219,22 @@ def valid_triples(b_range, perimeter_cap):
 def suite_sanity(cfg):
     rep = SuiteReport("sanity")
     # (check, spec, expected, graph), all counted by one count_many
-    checks = [("aztec_diamond_law", f"AR:{n},{n}@full",
-               2 ** (n * (n + 1) // 2), build_aztec_rectangle(FULL_GRID, n, n))
-              for n in range(1, 8)]
-    checks += [("null_case", f"AR:{m},{n}@full", 0,
-                build_aztec_rectangle(FULL_GRID, m, n))
-               for m, n in ((2, 3), (3, 5))]
-    checks += [("delannoy_law", f"AAR:{m},{n}@full", delannoy(m, n),
-                build_augmented_aztec(FULL_GRID, m, n))
-               for m in range(1, 6) for n in range(1, 6)]
+    laws = [("aztec_diamond_law", Spec("AR", (n, n), FULL_GRID),
+             2 ** (n * (n + 1) // 2)) for n in range(1, 8)]
+    laws += [("null_case", Spec("AR", mn, FULL_GRID), 0)
+             for mn in ((2, 3), (3, 5))]
+    laws += [("delannoy_law", Spec("AAR", (m, n), FULL_GRID), delannoy(m, n))
+             for m in range(1, 6) for n in range(1, 6)]
+    checks = [(check, str(spec), want, spec.graph())
+              for check, spec, want in laws]
     # oracle equivalence over the small-instance pool
-    pool = [(f"{head}:{m},{n}@{tag}", build(lat, m, n))
+    pool = [Spec(head, (m, n), lat)
             for m in range(1, 4) for n in range(1, 4)
-            for lat, tag in ((FULL_GRID, "full"), (GRID_B, "b"))
-            for head, build in (("AR", build_aztec_rectangle),
-                                ("AAR", build_augmented_aztec))]
-    pool += [(f"{kind}{i}:{a},{b},{c}", build(i, a, b, c))
-             for (a, b, c) in valid_triples(range(2, 7), 16) for i in (1, 2, 3)
-             for kind, build in (("A", build_A), ("F", build_F))]
+            for lat in (FULL_GRID, GRID_B) for head in ("AR", "AAR")]
+    pool += [Spec(f"{kind}{i}", t)
+             for t in valid_triples(range(2, 7), 16) for i in (1, 2, 3)
+             for kind in ("A", "F")]
+    pool = [(str(spec), spec.graph()) for spec in pool]
     rng = random.Random(cfg.seed)
     extended = list(pool)
     for spec_str, g in pool:
@@ -262,23 +259,32 @@ def suite_sanity(cfg):
     return rep
 
 
-def suite_theorem21(cfg):
-    rep = SuiteReport("theorem21")
-    cache = CountCache(cfg.cache_path)
-    checks = []
-    for (a, b, c) in valid_triples(range(2, 7), cfg.perimeter_cap):
-        for i in (1, 2, 3):
-            checks.append(("A_closed_form", f"A{i}:{a},{b},{c}",
-                           phi_value(i, a, b, c), ("A", i, a, b, c)))
-            checks.append(("F_closed_form", f"F{i}:{a},{b},{c}",
-                           psi_value(i, a, b, c), ("F", i, a, b, c)))
-    # each point set is dropped once it is a Grid inside the batch
-    counts = cached_count(((GRID_B, family_points(*args))
-                           for *_, args in checks),
-                          cache, cap=cfg.vertex_cap_fkt)
-    for (check, spec_str, want, _), got in zip(checks, counts):
-        rep.add(check, spec_str, want, got)
+def claims_report(name, claims, cfg):
+    """The report of suite name with one record per (check, Spec) claim on
+    the count of the spec's graph: that it is the spec's closed form or,
+    for small_prime_factors, that no prime but 2, 3, 5 and 11 divides it.
+    The distinct graphs are counted by one cached_count, straight from
+    their point sets."""
+    rep = SuiteReport(name)
+    specs = list(dict.fromkeys(spec for _, spec in claims))
+    counts = dict(zip(specs, cached_count(
+        (spec.points() for spec in specs), CountCache(cfg.cache_path),
+        cap=cfg.vertex_cap_fkt)))
+    for check, spec in claims:
+        got = counts[spec]
+        if check == "small_prime_factors":
+            cofactor = factor_small(got)["cofactor"] if got > 0 else 0
+            rep.add(check, str(spec), 1, cofactor)
+        else:
+            rep.add(check, str(spec), spec.closed_form().value(), got)
     return rep
+
+
+def suite_theorem21(cfg):
+    return claims_report("theorem21", [
+        (f"{head[0]}_closed_form", Spec(head, t))
+        for t in valid_triples(range(2, 7), cfg.perimeter_cap)
+        for i in (1, 2, 3) for head in (f"A{i}", f"F{i}")], cfg)
 
 
 def tr_three_way_split(a, b):
@@ -322,12 +328,9 @@ def tr_three_way_split(a, b):
 
 
 def suite_theorem11(cfg):
-    rep = SuiteReport("theorem11")
-    for b in (2, 3, 4):
-        got = count_fkt(build_TR(1, b), cap=cfg.vertex_cap_fkt)
-        rep.add("tr_value", f"TR:1,{b}", thm_TR(1, b).value(), got)
-    got = count_fkt(build_TR(2, 4), cap=cfg.vertex_cap_fkt)
-    rep.add("tr_value", "TR:2,4", 12_100_000_000, got)
+    rep = claims_report("theorem11", [
+        ("tr_value", Spec("TR", t)) for t in ((1, 2), (1, 3), (1, 4), (2, 4))],
+        cfg)
     # graph splitting of TR_{2,6} into three bands
     g, east, mid, west = tr_three_way_split(2, 6)
     r1 = split_check(g, east, method="fkt")
@@ -340,56 +343,26 @@ def suite_theorem11(cfg):
 
 
 def trim_rect_domain(m_cap=5, n_cap=7):
-    """Constraint-satisfying trim-rectangle parameters with a valid core."""
-    out = []
-    for m in range(1, m_cap + 1):
-        for n in range(m, n_cap + 1):
-            for h1 in range(0, 4 * (n - m) + 2):
-                for h2 in range(0, 4 * (n - m) + 2):
-                    if (h1 + 1) // 2 + (h2 + 1) // 2 != 2 * (n - m):
-                        continue
-                    out.append((m, n, h1, h2))
-    return out
-
-
-def check_trim_domain(variant, m, n, h1, h2):
-    """Raise HypothesisViolated unless theorem 1.3 covers this trimmed
-    rectangle: its core triple must be a valid family triple, and neither
-    cut may leave its corner."""
-    spec = f"{variant}:{m},{n},{h1},{h2}"
-    mapping = formulas.TA_MAPPING_DEFAULT if variant == "TA" \
-        else formulas.TB_MAPPING_DEFAULT
-    try:
-        derive_params(*formulas.trim_rect_triple(m, n, h1, h2, mapping))
-    except InvalidParams as exc:
-        raise HypothesisViolated(f"{spec} has no valid core: {exc}") from None
-    short_side = 2 * m if variant == "TA" else 2 * m - 1
-    if h1 >= short_side or h2 >= short_side:
-        raise HypothesisViolated(
-            f"{spec}: a cut leaves its corner (side {short_side})")
+    """Trim-rectangle parameters (m, n, h1, h2) that satisfy the floor-sum
+    constraint; check_trim_domain picks those theorem 1.3 covers."""
+    return [(m, n, h1, h2) for m in range(1, m_cap + 1)
+            for n in range(m, n_cap + 1)
+            for h1 in range(4 * (n - m) + 2) for h2 in range(4 * (n - m) + 2)
+            if (h1 + 1) // 2 + (h2 + 1) // 2 == 2 * (n - m)]
 
 
 def suite_theorem13(cfg):
-    rep = SuiteReport("theorem13")
-    cache = CountCache(cfg.cache_path)
-    checks = []
-    for (m, n, h1, h2) in trim_rect_domain():
-        for variant, thm in (("TA", thm_TA), ("TB", thm_TB)):
+    claims = []
+    for t in trim_rect_domain():
+        for variant in ("TA", "TB"):
             try:
-                check_trim_domain(variant, m, n, h1, h2)
+                check_trim_domain(variant, *t)
             except HypothesisViolated:
                 continue
-            checks.append((f"{variant}:{m},{n},{h1},{h2}",
-                           thm(m, n, h1, h2).value(),
-                           TrimRectParams(m, n, h1, h2, variant=variant)))
-    counts = cached_count(((GRID_B, trim_rect_points(p))
-                           for *_, p in checks),
-                          cache, cap=cfg.vertex_cap_fkt)
-    for (spec_str, want, _), got in zip(checks, counts):
-        rep.add("trim_rect_value", spec_str, want, got)
-        fac = factor_small(got) if got > 0 else {"cofactor": 0}
-        rep.add("small_prime_factors", spec_str, 1, fac["cofactor"])
-    return rep
+            spec = Spec(variant, t)
+            claims += [("trim_rect_value", spec),
+                       ("small_prime_factors", spec)]
+    return claims_report("theorem13", claims, cfg)
 
 
 def seeded_kuo_quads(g, rng, want=1):
@@ -420,10 +393,6 @@ def corner_kuo_quad(a, b, c):
     cyclic order, such that the condensation identity holds with a nonzero
     right-hand side.  Returns (graph, (u, v, w, t)).
     """
-    from .families import family_contour
-    from .lattice import trace_contour
-    from .matchcount import BadVertexSelection
-
     g = build_A(1, a, b, c)
     corners2 = trace_contour(family_contour(1, a, b, c))
     vs = list(g.vertices)
@@ -459,12 +428,13 @@ def suite_kuo(cfg):
     rep = SuiteReport("kuo")
     rng = random.Random(cfg.seed)
     pool = []
-    for (a, b, c) in valid_triples(range(2, 7), 20):
+    for t in valid_triples(range(2, 7), 20):
         for i in (1, 2, 3):
-            for kind, builder in (("A", build_A), ("F", build_F)):
-                g = builder(i, a, b, c)
+            for kind in ("A", "F"):
+                spec = Spec(f"{kind}{i}", t)
+                g = spec.graph()
                 if 8 <= len(g) <= 60 and g.is_balanced():
-                    pool.append((f"{kind}{i}:{a},{b},{c}", g))
+                    pool.append((str(spec), g))
     done = 0
     gi = 0
     while done < 50 and gi < 10 * len(pool):
@@ -519,7 +489,7 @@ def suite_recurrences(cfg):
             sum(phi1(a - 2, b - 2, -1) != phi1(3 * b - 2 * a, 2 * b - a, 1)
                 for a, b, _ in plane))
     # graph-level recurrences, within the stated hypotheses; a check is
-    # (recurrence, star (family, i), diamond (family, j) or None, triple)
+    # (recurrence, star head, diamond head or None, triple)
     checks = []
     for t in valid_triples(range(2, 8), 20):
         a, b, c = t
@@ -535,28 +505,29 @@ def suite_recurrences(cfg):
                 continue
             for kind, other in (("A", "F"), ("F", "A")):
                 for i in (1, 2, 3):
+                    star = f"{kind}{i}"
                     if r == "R5":
-                        checks.append((r, (kind, i), (other, 4 - i), t))
+                        checks.append((r, star, f"{other}{4 - i}", t))
                     elif r == "R3" and i > 1:
-                        checks.append(("R6", (kind, i), (kind, 5 - i), t))
+                        checks.append(("R6", star, f"{kind}{5 - i}", t))
                     else:
-                        checks.append((r, (kind, i), None, t))
+                        checks.append((r, star, None, t))
 
     def verdicts(value):
-        def closed(fam):
-            if fam is not None:
-                return lambda a, b, c: value(*fam, (a, b, c))
+        def closed(head):
+            if head is not None:
+                return lambda *t: value(head, t)
         return [recurrence_check(r, closed(s), closed(d), *t)["equal"]
                 for r, s, d, t in checks]
 
-    graphs = {}  # every (family, i, triple) a check reads, first seen first
+    graphs = {}  # every (head, triple) a check reads, first seen first
     verdicts(lambda *key: graphs.setdefault(key, 0))
     counts = dict(zip(graphs, cached_count(
-        ((GRID_B, family_points(kind, i, *t)) for kind, i, t in graphs),
+        (Spec(*key).points() for key in graphs),
         CountCache(cfg.cache_path), cap=cfg.vertex_cap_fkt)))
-    for (r, (kind, i), _, (a, b, c)), ok in zip(
+    for (r, star, _, t), ok in zip(
             checks, verdicts(lambda *key: counts[key])):
-        rep.add(f"graph_{r}", f"{kind}{i}:{a},{b},{c}", True, ok, ok=ok)
+        rep.add(f"graph_{r}", str(Spec(star, t)), True, ok, ok=ok)
     return rep
 
 
@@ -619,8 +590,8 @@ def _signed_exponents(value, bases):
 
 
 def _weighted_counts(specs, points, cap):
-    """Exact counts of the family graphs that specs name, (family, i, a,
-    b, c) each, at each of the screened points: one list per spec.
+    """Exact counts of the family graphs that the Specs in specs name, at
+    each of the screened points: one list per spec.
 
     Every point is screened before anything is counted.  Each graph is a
     Grid made from its point set once, with no Graph, and the weighted
@@ -629,7 +600,7 @@ def _weighted_counts(specs, points, cap):
     for pt in points:
         screen_probe_point(pt)
     wps, k = [weight_point(*map(int, pt)) for pt in points], len(points)
-    grids = (grid_on_points(GRID_B, family_points(*spec)) for spec in specs)
+    grids = (grid_on_points(*spec.points()) for spec in specs)
     counts = count_many(cross_weighted_grids(grids, wps), cap=cap)
     return [counts[j * k:(j + 1) * k] for j in range(len(specs))]
 
@@ -663,7 +634,8 @@ def conjecture_probe(family, i, a, b, c, points, cap=FKT_CAP):
     counted; the vector is returned only when identical across all points
     with residue exactly 1.
     """
-    (counts,) = _weighted_counts([(family, i, a, b, c)], points, cap)
+    (counts,) = _weighted_counts([Spec(f"{family}{i}", (a, b, c))], points,
+                                 cap)
     return _probe_vector(family, a, b, c, points, counts)
 
 
@@ -680,13 +652,12 @@ HELD_OUT_POINT = (3, 5, 11)
 
 def suite_conjecture(cfg):
     rep = SuiteReport("conjecture")
-    specs = [(family, i, a, b, c)
-             for (a, b, c) in valid_triples(range(2, 7), 16)
+    specs = [Spec(f"{family}{i}", t) for t in valid_triples(range(2, 7), 16)
              for i in (1, 2, 3) for family in ("A", "F")]
     counts = _weighted_counts(specs, PROBE_POINTS + (HELD_OUT_POINT,),
                               cfg.vertex_cap_fkt)
-    for (family, i, a, b, c), (*probed, got) in zip(specs, counts):
-        spec_str = f"{family}{i}:{a},{b},{c}"
+    for spec, (*probed, got) in zip(specs, counts):
+        family, (a, b, c), spec_str = spec.head[0], spec.nums, str(spec)
         vec = _probe_vector(family, a, b, c, PROBE_POINTS, probed)
         consistent = isinstance(vec, ConjectureExponents)
         rep.add("probe_consistency", spec_str, True, consistent,
@@ -716,16 +687,18 @@ def run_suite(name, cfg=None):
             rep.records.extend(sub(cfg).records)
         return rep
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; options: "
-                         f"{', '.join(list(SUITES) + ['all'])}")
+        raise InvalidParams(f"unknown suite {name!r}; options: "
+                            f"{', '.join(list(SUITES) + ['all'])}")
     return SUITES[name](cfg)
 
 
 # -- SVG rendering ------------------------------------------------------------------
 
 
-def render_svg(g, out, show_weights=False, show_removed=False, scale=24):
-    """Write a deterministic SVG 1.1 drawing of the graph."""
+def render_svg(g, out, show_weights=False):
+    """Write a deterministic SVG 1.1 drawing of the graph, with a label on
+    each weighted edge when show_weights is set."""
+    scale = 24
     vs = g.vertices
     if vs:
         xmin = min(v[0] for v in vs)
@@ -749,14 +722,6 @@ def render_svg(g, out, show_weights=False, show_removed=False, scale=24):
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{W}" height="{H}" viewBox="0 0 {W} {H}">',
     ]
-    if show_removed and vs:
-        present = set(vs)
-        for x in range(xmin, xmax + 1):
-            for y in range(ymin, ymax + 1):
-                if (x, y) not in present:
-                    lines.append(
-                        f'<circle cx="{sx(x)}" cy="{sy(y)}" r="2" '
-                        f'fill="#cccccc"/>')
     for u, v in sorted(g.edges()):
         lines.append(
             f'<line x1="{sx(u[0])}" y1="{sy(u[1])}" x2="{sx(v[0])}" '

@@ -25,18 +25,19 @@ from itertools import chain
 
 import numpy as np
 
+from .errors import CrossdimerError
 from .matchcount import Grid
 
 
-class NonClosing(Exception):
+class NonClosing(CrossdimerError):
     pass
 
 
-class SelfIntersecting(Exception):
+class SelfIntersecting(CrossdimerError):
     pass
 
 
-class NotHorizontalSide(Exception):
+class NotHorizontalSide(CrossdimerError):
     pass
 
 
@@ -281,13 +282,14 @@ def trim_zigzag_side(corners2, side_idx, sweep=None, delta=None):
     return zigzag_trim_row(row_y, x_lo, x_hi, delta)
 
 
-def corner_cut(pts, level, keep, delta=None, sweep=None, anchor_offset=None):
+def corner_cut(pts, level, keep, delta=None, anchor_offset=None):
     """Zigzag corner cut at a horizontal level: the points of pts it keeps.
 
     keep="below" removes every point above `level` and then the zigzag
     pattern of the exposed row y=level itself; keep="above" mirrors this.
-    The pattern is slit-locked via `delta`, or anchored at the sweep end
-    of the exposed row when `anchor_offset` is given instead.
+    The pattern is slit-locked via `delta`, or, when `anchor_offset` is
+    given instead, anchored that many columns in from the row's east end
+    (keep="below") or, as a half turn maps it, its west end (keep="above").
     """
     if keep == "below":
         kept = {v for v in pts if v[1] <= level}
@@ -298,15 +300,12 @@ def corner_cut(pts, level, keep, delta=None, sweep=None, anchor_offset=None):
     row = sorted(x for (x, y) in kept if y == level)
     if not row:
         return kept
-    if anchor_offset is not None:
-        if sweep == "right_to_left":
-            drop = {(x, level) for x in range(row[-1] - anchor_offset,
-                                              row[0] - 1, -ZIGZAG_PERIOD)}
-        else:
-            drop = {(x, level) for x in range(row[0] + anchor_offset,
-                                              row[-1] + 1, ZIGZAG_PERIOD)}
-    else:
-        if delta is None:
-            delta = SWEEP_DELTA[sweep]
+    if anchor_offset is None:
         drop = zigzag_trim_row(level, row[0], row[-1], delta)
+    elif keep == "below":
+        drop = {(x, level) for x in range(row[-1] - anchor_offset,
+                                          row[0] - 1, -ZIGZAG_PERIOD)}
+    else:
+        drop = {(x, level) for x in range(row[0] + anchor_offset,
+                                          row[-1] + 1, ZIGZAG_PERIOD)}
     return kept - drop

@@ -16,24 +16,27 @@ from math import isqrt, lcm, prod
 
 import numpy as np
 
+from .errors import CrossdimerError
+
 BRUTE_CAP = 44
 FKT_CAP = 4000
 
 
-class TooLarge(Exception):
+class TooLarge(CrossdimerError):
     pass
 
 
-class BadVertexSelection(Exception):
+class BadVertexSelection(CrossdimerError):
     pass
 
 
-class ConditionsViolated(Exception):
+class ConditionsViolated(CrossdimerError):
     pass
 
 
-class NonPlanarEmbedding(Exception):
-    """Internal assertion: lattice graphs must embed without crossings."""
+class NonPlanarEmbedding(CrossdimerError):
+    """Raised for an edge that is not a unit step of Z^2, which face
+    tracing and the sign rule do not cover."""
 
 
 class InexactArithmetic(ArithmeticError):
@@ -843,21 +846,21 @@ def count_fkt(g, cap=FKT_CAP):
     return count_many([g], cap)[0]
 
 
-def count_matchings(g, method="auto", brute_cap=BRUTE_CAP, fkt_cap=FKT_CAP):
+def count_matchings(g, method="auto"):
     """Count with the requested method; `auto` cross-checks when both run."""
     if method == "brute":
-        return count_brute(g, cap=brute_cap)
+        return count_brute(g)
     if method == "fkt":
-        return count_fkt(g, cap=fkt_cap)
+        return count_fkt(g)
     if method == "auto":
-        if len(g) <= brute_cap:
-            nb = count_brute(g, cap=brute_cap)
-            nf = count_fkt(g, cap=fkt_cap)
+        if len(g) <= BRUTE_CAP:
+            nb = count_brute(g)
+            nf = count_fkt(g)
             if nb != nf:
                 raise AssertionError(
                     f"oracle mismatch: brute={nb} fkt={nf} for {g.graph_hash()}")
             return nb
-        return count_fkt(g, cap=fkt_cap)
+        return count_fkt(g)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from crossdimer import cli, matchcount
 from crossdimer.cli import main
+from crossdimer.families import InvalidParams
 
 
 def test_count_command(capsys):
@@ -43,6 +47,18 @@ def test_gen_command(capsys, tmp_path):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["vertices"]) == 12
     assert open(svg).read().startswith("<?xml")
+
+
+def test_gen_weights(capsys, tmp_path):
+    # --weights draws one label per weighted edge of the cross weighting
+    svg = tmp_path / "w.svg"
+    argv = ["gen", "A1:2,2,0", "--svg", str(svg), "--weights", "3,5,7"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert svg.read_text().count("<text") == len(doc["weights"]) > 0
+    assert main(["gen", "A1:2,2,0", "--weights", "garbage"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
 def test_probe_command(capsys):
@@ -100,6 +116,35 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
     assert len(err) == 2
     assert str(torn) in err[0] and "line 2," in err[0]
     assert str(clash) in err[1] and "line 3:" in err[1]
+
+
+def test_malformed_inputs_raise_invalid_params(capsys, tmp_path,
+                                               monkeypatch):
+    # each exits 2 with one stderr line, through InvalidParams alone
+    bad, zero = tmp_path / "bad.json", tmp_path / "zero.json"
+    bad.write_text("{bad")
+    zero.write_text('{"perimeter_cap": 0}')
+    monkeypatch.setattr(cli, "CrossdimerError", InvalidParams)
+    for argv in (["count", "A1:2,2,0", "--weights", "a,b,c"],
+                 ["probe", "A1:2,2,0", "--points", "x,5,7"],
+                 ["probe", "A1:2,2,0", "--points", "3,5,7;"],
+                 ["verify", "nosuch"],
+                 ["verify", "sanity", "--config", str(bad)],
+                 ["verify", "sanity", "--config", str(zero)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert len(captured.err.splitlines()) == 1, argv
+
+
+def test_inexact_arithmetic_escapes_main(monkeypatch):
+    # an exactness guard that fails is a fault, not an input error
+    def fail(*args):
+        raise matchcount.InexactArithmetic("forced")
+
+    monkeypatch.setattr(matchcount, "_crt", fail)
+    with pytest.raises(matchcount.InexactArithmetic):
+        main(["count", "TR:1,2", "--method", "fkt"])
 
 
 def test_verify_exit_code(capsys):

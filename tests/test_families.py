@@ -193,6 +193,33 @@ def test_weights_reject_full_grid():
         assign_cross_weights(g, weight_point(1, 1, 1))
 
 
+def test_spec_names_each_family_once():
+    from crossdimer.families import Spec
+    from crossdimer.formulas import HypothesisViolated, phi, thm_TA
+
+    for text in ("A1:9,8,2", "F3:5,8,4", "TR:2,4", "TA:5,7,4,3",
+                 "AR:2,2@full", "AR:1,1@b", "AAR:3,3@full"):
+        assert str(Spec.parse(text)) == text
+    assert str(Spec.parse(" aar:3,3@cross ")) == "AAR:3,3@b"
+    # a rotated rectangle defaults to the full grid, a family to grid B
+    assert Spec.parse("AR:2,2") == Spec("AR", (2, 2))
+    assert Spec.parse("AR:2,2").points()[0] == FULL_GRID
+    assert Spec.parse("A1:9,8,2").graph().to_json() \
+        == build_A(1, 9, 8, 2).to_json()
+    assert Spec.parse("AAR:2,2@b").graph().to_json() \
+        == build_augmented_aztec(GRID_B, 2, 2).to_json()
+    assert Spec.parse("A1:9,8,2").closed_form() == phi(1, 9, 8, 2)
+    assert Spec.parse("TA:5,7,4,3").closed_form() == thm_TA(5, 7, 4, 3)
+    for text, exc in (("AR:2,2@full", InvalidParams),
+                      ("A1:9,1,0", InvalidParams),
+                      ("TB:1,1,0,0", HypothesisViolated)):
+        with pytest.raises(exc):
+            Spec.parse(text).closed_form()
+    for text in ("TR:1,2@full", "A1:2,2,0@", "AR:1,1@hex"):
+        with pytest.raises(InvalidParams):
+            Spec.parse(text)
+
+
 def test_parse_spec_round_trip():
     assert count_fkt(parse_spec("TR:1,2")) == 100
     assert count_fkt(parse_spec("AR:2,2@full")) == 8

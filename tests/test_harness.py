@@ -4,7 +4,7 @@ import os
 import pytest
 
 from crossdimer import harness
-from crossdimer.families import build_A, build_F, build_TR
+from crossdimer.families import InvalidParams, Spec, build_A, build_F, build_TR
 from crossdimer.harness import (
     BadProbePoint, CacheCorrupt, ConjectureExponents, CountCache,
     SuiteConfig, cached_count, conjecture_probe, corner_kuo_quad, delannoy,
@@ -174,6 +174,32 @@ def test_suite_conjecture_records_pinned():
     assert digest.hexdigest() == CONJECTURE_RECORDS_SHA256
 
 
+# the same digest for each other suite at the default SuiteConfig
+SUITE_RECORDS_SHA256 = {
+    "sanity":
+        "e020e8fd9f62dd23cf1b0993f2a34a03d02b76c06a9233058d4cfea9947edde7",
+    "theorem21":
+        "23e7463edb6f9c61306c7bbf3c96c924c579cf02f47fc2ee7ac8abbc9f93101f",
+    "theorem11":
+        "d10c128c272dbe53cbfcd4cd15ef40796a04f76e880714738579414faf2e1da9",
+    "theorem13":
+        "8025ec1701a2e3c9ad33c2f045324ddeb8882ac7eb311e9a8325c1f3d186a426",
+    "kuo":
+        "12a5bb1bbddb42e30776d8ffd6ef5ace0a67a212250816f97da6ca768ea0cc06",
+    "recurrences":
+        "4fcffbc8b5e4c6637f0c035668e15f44208974139475d63d6a9f5cd6fcd4fcee",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_RECORDS_SHA256))
+def test_suite_records_pinned(name):
+    import hashlib
+
+    records = run_suite(name, SuiteConfig()).records
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode())
+    assert digest.hexdigest() == SUITE_RECORDS_SHA256[name]
+
+
 def test_weighted_counts_match_weighted_graphs():
     from crossdimer.families import assign_cross_weights, weight_point
     from crossdimer.harness import HELD_OUT_POINT, PROBE_POINTS
@@ -181,7 +207,9 @@ def test_weighted_counts_match_weighted_graphs():
     specs = [("A", 1, 2, 2, 0), ("F", 1, 2, 2, 0), ("A", 2, 4, 4, 2),
              ("F", 3, 4, 4, 2), ("A", 3, 3, 3, 1), ("F", 2, 5, 4, 1)]
     points = PROBE_POINTS + (HELD_OUT_POINT,)
-    got = harness._weighted_counts(specs, points, FKT_CAP)
+    got = harness._weighted_counts(
+        [Spec(f"{family}{i}", (a, b, c)) for family, i, a, b, c in specs],
+        points, FKT_CAP)
     want = [[count_fkt(assign_cross_weights(
         (build_A if family == "A" else build_F)(i, a, b, c),
         weight_point(*pt))) for pt in points]
@@ -388,7 +416,7 @@ def test_suite_determinism():
 
 
 def test_run_suite_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         run_suite("nope")
 
 

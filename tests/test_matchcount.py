@@ -347,7 +347,7 @@ def test_count_many_weights_beyond_int64():
 
 def test_count_many_plans_each_structure_once(monkeypatch):
     from crossdimer.families import (
-        assign_cross_weights, build_A, cross_weightings, weight_point,
+        Spec, assign_cross_weights, build_A, cross_weightings, weight_point,
     )
     from crossdimer.harness import _weighted_counts
     from crossdimer.lattice import LatticeSpec
@@ -386,7 +386,7 @@ def test_count_many_plans_each_structure_once(monkeypatch):
     # the conjecture path counts the weightings of the family's point set
     # on its Grid, with no Graph
     calls.clear()
-    assert _weighted_counts([("A", 1, 4, 4, 2)], pts, FKT_CAP) == [want]
+    assert _weighted_counts([Spec("A1", (4, 4, 2))], pts, FKT_CAP) == [want]
     assert planned == [1, 1]
     assert not calls  # no Graph.__init__, Grid.of_graph or edge_offset
 
