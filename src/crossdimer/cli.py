@@ -15,7 +15,8 @@ import sys
 
 from .errors import CrossdimerError
 from .families import (
-    FAMILY_HEADS, Spec, InvalidParams, assign_cross_weights, weight_point,
+    FAMILY_HEADS, GRID_B, Spec, InvalidParams, assign_cross_weights,
+    weight_point,
 )
 from .harness import (
     SuiteConfig, run_suite, render_svg, conjecture_probe, ConjectureExponents,
@@ -30,8 +31,7 @@ def _load_config(path):
     try:
         with open(path) as fh:
             return SuiteConfig(**json.load(fh))
-    except (UnicodeDecodeError, json.JSONDecodeError, TypeError,
-            InvalidParams) as exc:
+    except (ValueError, TypeError, InvalidParams) as exc:
         raise InvalidParams(f"{path}: {exc}") from None
 
 
@@ -90,8 +90,9 @@ def cmd_verify(args):
 
 def cmd_probe(args):
     spec = Spec.parse(args.spec)
-    if spec.head not in FAMILY_HEADS:
-        raise InvalidParams("probe expects a family spec like A1:2,2,0")
+    if spec.head not in FAMILY_HEADS or spec.lattice not in (None, GRID_B):
+        raise InvalidParams("probe expects a family spec on the cross "
+                            "lattice, like A1:2,2,0")
     try:
         points = [tuple(int(t) for t in tok.split(","))
                   for tok in args.points.split(";")]

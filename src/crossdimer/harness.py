@@ -106,7 +106,7 @@ class CountCache:
         self.path = path or os.environ.get(DEFAULT_CACHE_ENV)
         self.mem = {}
         if self.path and os.path.exists(self.path):
-            with open(self.path) as fh:
+            with open(self.path, "rb") as fh:
                 for no, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line:
@@ -118,7 +118,7 @@ class CountCache:
                         raise CacheCorrupt(
                             f"{self.path}: line {no}, column {exc.colno}: "
                             f"{exc.msg}") from None
-                    except (TypeError, KeyError):
+                    except (ValueError, TypeError, KeyError):
                         raise CacheCorrupt(f"{self.path}: line {no} is not "
                                            f"a key/count record") from None
                     except CacheCorrupt as exc:
@@ -262,9 +262,9 @@ def suite_sanity(cfg):
 def claims_report(name, claims, cfg):
     """The report of suite name with one record per (check, Spec) claim on
     the count of the spec's graph: that it is the spec's closed form or,
-    for small_prime_factors, that no prime but 2, 3, 5 and 11 divides it.
-    The distinct graphs are counted by one cached_count, straight from
-    their point sets."""
+    for theorem13's small_prime_factors claims, that no prime but 2, 3, 5
+    and 11 divides it.  One cached_count counts the distinct graphs,
+    straight from their point sets."""
     rep = SuiteReport(name)
     specs = list(dict.fromkeys(spec for _, spec in claims))
     counts = dict(zip(specs, cached_count(

@@ -5,6 +5,7 @@ import pytest
 from crossdimer import cli, matchcount
 from crossdimer.cli import main
 from crossdimer.families import InvalidParams
+from crossdimer.harness import CacheCorrupt
 
 
 def test_count_command(capsys):
@@ -120,17 +121,30 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
 
 def test_malformed_inputs_raise_invalid_params(capsys, tmp_path,
                                                monkeypatch):
-    # each exits 2 with one stderr line, through InvalidParams alone
+    # each exits 2 with one stderr line, through the named class alone
     bad, zero = tmp_path / "bad.json", tmp_path / "zero.json"
     bad.write_text("{bad")
     zero.write_text('{"perimeter_cap": 0}')
-    monkeypatch.setattr(cli, "CrossdimerError", InvalidParams)
-    for argv in (["count", "A1:2,2,0", "--weights", "a,b,c"],
-                 ["probe", "A1:2,2,0", "--points", "x,5,7"],
-                 ["probe", "A1:2,2,0", "--points", "3,5,7;"],
-                 ["verify", "nosuch"],
-                 ["verify", "sanity", "--config", str(bad)],
-                 ["verify", "sanity", "--config", str(zero)]):
+    latin, huge = tmp_path / "latin.json", tmp_path / "huge.json"
+    latin.write_bytes(b'{"seed": "\xff"}')
+    huge.write_text('{"seed": ' + "1" * 5000 + "}")
+    cache, cached = tmp_path / "cache.jsonl", tmp_path / "cached.json"
+    cache.write_bytes(b"\xff\xfe\xfa\n")
+    cached.write_text(json.dumps({"cache_path": str(cache)}))
+    for argv, cls in (
+            (["count", "A1:2,2,0", "--weights", "a,b,c"], InvalidParams),
+            (["count", "A1:2,2,0", "--weights", "0,5,7"], InvalidParams),
+            (["gen", "A1:2,2,0", "--weights=-1,5,7"], InvalidParams),
+            (["probe", "A1:2,2,0", "--points", "x,5,7"], InvalidParams),
+            (["probe", "A1:2,2,0", "--points", "3,5,7;"], InvalidParams),
+            (["probe", "A1:2,2,0@full", "--points", "3,5,7"], InvalidParams),
+            (["verify", "nosuch"], InvalidParams),
+            (["verify", "sanity", "--config", str(bad)], InvalidParams),
+            (["verify", "sanity", "--config", str(zero)], InvalidParams),
+            (["verify", "sanity", "--config", str(latin)], InvalidParams),
+            (["verify", "sanity", "--config", str(huge)], InvalidParams),
+            (["verify", "theorem11", "--config", str(cached)], CacheCorrupt)):
+        monkeypatch.setattr(cli, "CrossdimerError", cls)
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv

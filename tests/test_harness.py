@@ -45,6 +45,9 @@ def test_cache_reports_file_line(tmp_path):
     path.write_text('{"key": "a", "count": "1"}\n{"key": "a", "count": "2"}')
     with pytest.raises(CacheCorrupt, match="line 2: conflicting"):
         CountCache(str(path))
+    path.write_bytes(b'{"key": "a", "count": "1"}\n\xff\xfe\xfa\n')
+    with pytest.raises(CacheCorrupt, match="line 2"):
+        CountCache(str(path))
 
 
 def test_cached_count_hashes_once_counts_duplicates_once(monkeypatch):
