@@ -1,22 +1,24 @@
 """Builders for every named graph family on the cross lattice.
 
-Pipeline, fixed: trace contour -> region points -> strip diagonal sides
+Pipeline, fixed: trace contour -> region rows -> strip diagonal sides
 -> zigzag-trim horizontal sides -> one induced lattice graph.  Induced
-subgraphs compose, induced(induced(G, A), B) = induced(G, A & B), so each
-family has a point-set form (family_points, tr_points, trim_rect_points,
-aztec_rectangle_points, augmented_aztec_points) that subtracts point
-sets, and each build_* is graph_on_points of its point set.  Which sides
-are stripped per family (with the tall/flat case split), the trim sweeps and
-offsets, and the rotated-rectangle anchor classes are frozen calibration
-results; the acceptance suite is the authority that they are right.
-Spec names one family graph as the CLI and the suite records spell it,
-and gives its point set, graph and closed form.
+subgraphs compose, induced(induced(G, A), B) = induced(G, A & B), so a
+family graph is its region's rows less the stripped and trimmed points,
+and the other graphs are point sets (tr_points, trim_rect_points,
+aztec_rectangle_points, augmented_aztec_points).  Which sides are stripped
+per family (with the tall/flat case split), the trim sweeps and offsets,
+and the rotated-rectangle anchor classes are frozen calibration results;
+the acceptance suite is the authority that they are right.  Spec names
+one graph as the CLI and the suite records spell it, and gives its graph
+and closed form; grids builds the Grids of many Specs in one stacked
+array, and every build_* is the graph of its Spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from math import lcm
 
 import numpy as np
@@ -28,7 +30,7 @@ from .formulas import (
 )
 from .lattice import (
     CROSS_OFFSETS, FULL_GRID, GRID_B, ContourSpec, LatticeSpec, trace_contour,
-    region_points, graph_on_points, points_on_segment, trim_zigzag_side,
+    row_spans, stacked_grids, points_on_segment, trim_zigzag_side,
     corner_cut, unit_edge_table,
 )
 from .matchcount import int_array
@@ -61,12 +63,6 @@ def family_contour(i, a, b, c):
     return ContourSpec(family=f"C{i}", start=(0, 0), sides=sides)
 
 
-def strip_side_vertices(corners2, which):
-    """The lattice points lying on one contour side, which a strip removes."""
-    idx = SIDE_NAMES.index(which)
-    return points_on_segment(corners2[idx], corners2[idx + 1])
-
-
 # Sides stripped per family: (always, when tall, when flat);
 # tall means a > c + d.
 _STRIP_RULES = {
@@ -90,35 +86,14 @@ _TRIM_RULES = {
 }
 
 
-def family_points(kind, i, a, b, c):
-    """The point set of family graph A_i(a, b, c) (kind "A") or F_i."""
-    if kind not in ("A", "F"):
-        raise InvalidParams(f"family must be A or F, not {kind!r}")
-    p = derive_params(a, b, c)
-    corners2 = trace_contour(family_contour(i, a, b, c))
-    pts = set(region_points(corners2))
-    always, if_tall, if_flat = _STRIP_RULES[(kind, i)]
-    sides = list(always)
-    if if_tall and p.case_tall:
-        sides.append(if_tall)
-    if if_flat and not p.case_tall:
-        sides.append(if_flat)
-    for s in sides:
-        pts.difference_update(strip_side_vertices(corners2, s))
-    for which, delta in _TRIM_RULES[(kind, i)]:
-        pts -= trim_zigzag_side(corners2, SIDE_NAMES.index(which),
-                                delta=delta)
-    return pts
-
-
 def build_A(i, a, b, c, lat=GRID_B):
     """The i-th family graph with all bounding diagonals stripped bare."""
-    return graph_on_points(lat, family_points("A", i, a, b, c))
+    return Spec(f"A{i}", (a, b, c), lat).graph()
 
 
 def build_F(i, a, b, c, lat=GRID_B):
     """The i-th family graph that keeps its diagonal boundary rows."""
-    return graph_on_points(lat, family_points("F", i, a, b, c))
+    return Spec(f"F{i}", (a, b, c), lat).graph()
 
 
 # -- rotated rectangles ------------------------------------------------------------
@@ -127,10 +102,6 @@ def build_F(i, a, b, c, lat=GRID_B):
 # v = x-y.  "east": the rectangle's east tip edge is the east arm tip of a
 # cross; "west": its west arm tip.  Frozen by calibration.
 ALIGN_UV = {"east": (4, 3), "west": (1, 0)}
-
-
-def _corner_uv(lat):
-    return ALIGN_UV["east"] if lat.kind == "cross" else (0, 1)
 
 
 def aztec_rectangle_points(m, n, corner_uv):
@@ -149,7 +120,7 @@ def aztec_rectangle_points(m, n, corner_uv):
 
 
 def build_aztec_rectangle(lat, m, n):
-    return graph_on_points(lat, aztec_rectangle_points(m, n, _corner_uv(lat)))
+    return Spec("AR", (m, n), lat).graph()
 
 
 def augmented_aztec_points(m, n, corner_uv):
@@ -162,7 +133,7 @@ def augmented_aztec_points(m, n, corner_uv):
 
 def build_augmented_aztec(lat, m, n):
     """Rectangle stretched one unit west: one extra square per row."""
-    return graph_on_points(lat, augmented_aztec_points(m, n, _corner_uv(lat)))
+    return Spec("AAR", (m, n), lat).graph()
 
 
 def tr_points(a, b):
@@ -182,7 +153,7 @@ def tr_points(a, b):
 
 def build_TR(a, b):
     """Trimmed augmented rectangle; counted by powers of 10 and 11."""
-    return graph_on_points(GRID_B, tr_points(a, b))
+    return Spec("TR", (a, b)).graph()
 
 
 @dataclass(frozen=True)
@@ -224,13 +195,13 @@ def trim_rect_points(p):
 def build_TA(p):
     if p.variant != "TA":
         raise InvalidParams("params are not TA params")
-    return graph_on_points(GRID_B, trim_rect_points(p))
+    return Spec("TA", (p.m, p.n, p.h1, p.h2)).graph()
 
 
 def build_TB(p):
     if p.variant != "TB":
         raise InvalidParams("params are not TB params")
-    return graph_on_points(GRID_B, trim_rect_points(p))
+    return Spec("TB", (p.m, p.n, p.h1, p.h2)).graph()
 
 
 # -- reflections --------------------------------------------------------------------
@@ -339,11 +310,14 @@ def cross_weighted_grids(grids, points):
     """(grid, (w, d)) for each Grid of the cross lattice in grids and, grid
     by grid, each WeightPoint in points, as count_many weights a Grid:
     d is the lcm of the point's denominators, and w is d times the weight
-    at table[:, x % 4, y % 4] of one weight_symbols table."""
+    at table[:, x % 4, y % 4] of one weight_symbols table, in the smallest
+    signed dtype that holds it (int_array's objects past int64)."""
     table = np.maximum(weight_symbols(), 0)  # a cell with no edge weighs 1
     ds = [lcm(*(t.denominator for t in w.as_tuple())) for w in points]
     scaled = [int_array([d] + [int(t * d) for t in w.as_tuple()])
               for w, d in zip(points, ds)]
+    scaled = [v if v.dtype == object else  # every value is positive
+              v.astype(np.min_scalar_type(-1 - int(v.max()))) for v in scaled]
     for grid in grids:
         (x0, y0), (m, n) = grid.origin, grid.occ.shape
         sym = table[:, np.arange(x0, x0 + m)[:, None] % 4,
@@ -422,24 +396,28 @@ class Spec:
             "@full" if self.lattice.kind == "full" else "@b"
         return f"{self.head}:{','.join(map(str, self.nums))}{tag}"
 
-    def points(self):
-        """(lattice, point set): the graph is what the lattice induces on
-        the points."""
+    @property
+    def lat(self):
+        """The lattice that the graph lies on."""
+        return self.lattice or (
+            FULL_GRID if self.head in ("AR", "AAR") else GRID_B)
+
+    def _point_set(self):
+        """The points of a TR, TA, TB, AR or AAR graph."""
         head, nums = self.head, self.nums
-        if head in FAMILY_HEADS:
-            return (self.lattice or GRID_B,
-                    family_points(head[0], int(head[1]), *nums))
         if head == "TR":
-            return GRID_B, tr_points(*nums)
+            return tr_points(*nums)
         if head in ("TA", "TB"):
-            return GRID_B, trim_rect_points(TrimRectParams(*nums, head))
-        lat = self.lattice or FULL_GRID
-        pts = aztec_rectangle_points if head == "AR" \
-            else augmented_aztec_points
-        return lat, pts(*nums, _corner_uv(lat))
+            return trim_rect_points(TrimRectParams(*nums, head))
+        if head in ("AR", "AAR"):
+            pts = aztec_rectangle_points if head == "AR" \
+                else augmented_aztec_points
+            return pts(*nums, ALIGN_UV["east"] if self.lat.kind == "cross"
+                       else (0, 1))
+        raise InvalidParams(f"unknown family {head!r}")
 
     def graph(self):
-        return graph_on_points(*self.points())
+        return next(grids([self])).graph()
 
     def closed_form(self):
         """The FactoredCount that theorem 2.1 (A and F), 1.1 (TR) or 1.3
@@ -455,6 +433,42 @@ class Spec:
             check_trim_domain(head, *nums)
             return (thm_TA if head == "TA" else thm_TB)(*nums)
         raise InvalidParams(f"no closed form for {head!r}")
+
+
+GRID_BATCH = 256  # Specs per stacked array, which bounds its size
+
+
+def grids(specs):
+    """The Grids of the graphs that the Specs in specs name, in order,
+    built GRID_BATCH at a time in one stacked array (stacked_grids).  An A
+    or F graph is its contour's region, whose rows are measured for the
+    whole batch in one pass (row_spans), less its stripped sides and
+    trimmed rows; any other graph is its point set."""
+    specs = iter(specs)
+    while batch := list(islice(specs, GRID_BATCH)):
+        contours, rows, cleared = [], [], []
+        for k, spec in enumerate(batch):
+            if spec.head not in FAMILY_HEADS:
+                x, y = np.fromiter(chain.from_iterable(spec._point_set()),
+                                   np.int64).reshape(-1, 2).T  # a row each
+                rows.append(np.stack([np.full_like(x, k), y, x, x], 1))
+                continue
+            (kind, i), nums = spec.head, spec.nums
+            p, i = derive_params(*nums), int(i)
+            corners2 = trace_contour(family_contour(i, *nums))
+            contours.append((k, corners2))
+            always, if_tall, if_flat = _STRIP_RULES[(kind, i)]
+            sides = always + (if_tall if p.case_tall else if_flat,)
+            drop = [points_on_segment(*corners2[j:j + 2]) for j in
+                    (SIDE_NAMES.index(s) for s in sides if s)]  # strips
+            drop += [trim_zigzag_side(corners2, SIDE_NAMES.index(which),
+                                      delta=delta)
+                     for which, delta in _TRIM_RULES[(kind, i)]]
+            cleared += [(k, x, y) for pts in drop for x, y in pts]
+        yield from stacked_grids(
+            [spec.lat for spec in batch],
+            np.concatenate(rows + [row_spans(contours)]),
+            np.array(cleared, dtype=np.int64).reshape(-1, 3))
 
 
 def parse_spec(text):

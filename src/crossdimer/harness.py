@@ -14,19 +14,19 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 
 from .errors import CrossdimerError
 from .families import (
     Spec, build_A, build_TR, check_trim_domain, cross_weighted_grids,
-    derive_params, family_contour, weight_point, InvalidParams,
+    derive_params, family_contour, grids, weight_point, InvalidParams,
 )
 from .formulas import (
     phi, psi, phi_value, psi_value, recurrence_check, factor_small, alpha_w,
     beta_w, HypothesisViolated,
 )
-from .lattice import FULL_GRID, GRID_B, grid_on_points, trace_contour
+from .lattice import FULL_GRID, GRID_B, trace_contour
 from .matchcount import (
     FKT_CAP, BadVertexSelection, count_brute, count_fkt, count_many,
     kuo_check, split_check, planar_faces,
@@ -152,21 +152,21 @@ def count_key(lat, grid):
     return CACHE_KEY_PREFIX + digest.hexdigest()
 
 
-def cached_count(items, cache=None, cap=FKT_CAP):
-    """Exact FKT counts of an iterable of (lattice, points) pairs, in order:
-    each counts the graph that the lattice induces on the points.
+def cached_count(specs, cache=None, cap=FKT_CAP):
+    """Exact FKT counts of the graphs that an iterable of Specs names, in
+    order.
 
-    Each item becomes a Grid and is keyed once (count_key).  The distinct
-    graphs that the cache does not hold are counted together by one
-    count_many, straight from their Grids, so a graph repeated in the
-    input is counted once; integer counts are then stored.
+    The Specs become Grids a bounded batch at a time (families.grids), and
+    each is keyed once (count_key).  The distinct graphs that the cache
+    does not hold are counted together by one count_many, straight from
+    their Grids, so a graph repeated in the input is counted once; integer
+    counts are then stored.
     """
-    keys, counts, todo = [], {}, {}
+    keys, counts, todo, specs = [], {}, {}, list(specs)
 
     def misses():
-        for lat, pts in items:
-            grid = grid_on_points(lat, pts)
-            key = count_key(lat, grid)
+        for spec, grid in zip(specs, grids(specs)):
+            key = count_key(spec.lat, grid)
             keys.append(key)
             if key in counts or key in todo:
                 continue
@@ -200,17 +200,12 @@ def delannoy(m, n):
 
 
 def valid_triples(b_range, perimeter_cap):
-    out = []
-    for b in b_range:
-        for a in range(0, 3 * b + 1):
-            for c in range(0, 2 * b + 1):
-                try:
-                    p = derive_params(a, b, c)
-                except InvalidParams:
-                    continue
-                if p.perimeter <= perimeter_cap:
-                    out.append((a, b, c))
-    return out
+    """The family triples (a, b, c), ordered, with b >= 2 in b_range and
+    perimeter at most perimeter_cap: d, e >= 0 bound a and c directly."""
+    return [(a, b, c) for b in b_range if b >= 2
+            for a in range(3 * b // 2 + 1)
+            for c in range(min(2 * b - a, 3 * b - 2 * a) // 2 + 1)
+            if derive_params(a, b, c).perimeter <= perimeter_cap]
 
 
 # -- suites -----------------------------------------------------------------------
@@ -225,8 +220,8 @@ def suite_sanity(cfg):
              for mn in ((2, 3), (3, 5))]
     laws += [("delannoy_law", Spec("AAR", (m, n), FULL_GRID), delannoy(m, n))
              for m in range(1, 6) for n in range(1, 6)]
-    checks = [(check, str(spec), want, spec.graph())
-              for check, spec, want in laws]
+    checks = [(check, str(spec), want, grid) for (check, spec, want), grid
+              in zip(laws, grids(spec for _, spec, _ in laws))]
     # oracle equivalence over the small-instance pool
     pool = [Spec(head, (m, n), lat)
             for m in range(1, 4) for n in range(1, 4)
@@ -234,7 +229,7 @@ def suite_sanity(cfg):
     pool += [Spec(f"{kind}{i}", t)
              for t in valid_triples(range(2, 7), 16) for i in (1, 2, 3)
              for kind in ("A", "F")]
-    pool = [(str(spec), spec.graph()) for spec in pool]
+    pool = [(str(spec), grid.graph()) for spec, grid in zip(pool, grids(pool))]
     rng = random.Random(cfg.seed)
     extended = list(pool)
     for spec_str, g in pool:
@@ -268,8 +263,7 @@ def claims_report(name, claims, cfg):
     rep = SuiteReport(name)
     specs = list(dict.fromkeys(spec for _, spec in claims))
     counts = dict(zip(specs, cached_count(
-        (spec.points() for spec in specs), CountCache(cfg.cache_path),
-        cap=cfg.vertex_cap_fkt)))
+        specs, CountCache(cfg.cache_path), cap=cfg.vertex_cap_fkt)))
     for check, spec in claims:
         got = counts[spec]
         if check == "small_prime_factors":
@@ -427,19 +421,23 @@ def corner_kuo_quad(a, b, c):
 def suite_kuo(cfg):
     rep = SuiteReport("kuo")
     rng = random.Random(cfg.seed)
-    pool = []
-    for t in valid_triples(range(2, 7), 20):
-        for i in (1, 2, 3):
-            for kind in ("A", "F"):
-                spec = Spec(f"{kind}{i}", t)
-                g = spec.graph()
-                if 8 <= len(g) <= 60 and g.is_balanced():
-                    pool.append((str(spec), g))
+    specs = [Spec(f"{kind}{i}", t) for t in valid_triples(range(2, 7), 20)
+             for i in (1, 2, 3) for kind in ("A", "F")]
+
+    def pool():
+        """The balanced graphs of 8 to 60 vertices among specs, each built
+        when the loop reaches it, then nine more passes over them."""
+        seen = []
+        for spec, grid in zip(specs, grids(specs)):
+            if 8 <= grid.n <= 60 and (g := grid.graph()).is_balanced():
+                seen.append((str(spec), g))
+                yield seen[-1]
+        yield from chain.from_iterable([seen] * 9)
+
     done = 0
-    gi = 0
-    while done < 50 and gi < 10 * len(pool):
-        spec_str, g = pool[gi % len(pool)]
-        gi += 1
+    for spec_str, g in pool():
+        if done >= 50:
+            break
         for quad in seeded_kuo_quads(g, rng, want=1):
             try:
                 res = kuo_check(g, *quad, method="auto")
@@ -523,7 +521,7 @@ def suite_recurrences(cfg):
     graphs = {}  # every (head, triple) a check reads, first seen first
     verdicts(lambda *key: graphs.setdefault(key, 0))
     counts = dict(zip(graphs, cached_count(
-        (Spec(*key).points() for key in graphs),
+        (Spec(*key) for key in graphs),
         CountCache(cfg.cache_path), cap=cfg.vertex_cap_fkt)))
     for (r, star, _, t), ok in zip(
             checks, verdicts(lambda *key: counts[key])):
@@ -600,8 +598,7 @@ def _weighted_counts(specs, points, cap):
     for pt in points:
         screen_probe_point(pt)
     wps, k = [weight_point(*map(int, pt)) for pt in points], len(points)
-    grids = (grid_on_points(*spec.points()) for spec in specs)
-    counts = count_many(cross_weighted_grids(grids, wps), cap=cap)
+    counts = count_many(cross_weighted_grids(grids(specs), wps), cap=cap)
     return [counts[j * k:(j + 1) * k] for j in range(len(specs))]
 
 

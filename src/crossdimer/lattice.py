@@ -21,7 +21,6 @@ vertex (x, y) appears as (2x, 2y).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -172,50 +171,83 @@ def trace_contour(spec):
     return corners
 
 
-def row_span(corners2, y):
-    """Lattice x-interval (lo, hi) of row y inside or on the polygon.
+def row_spans(contours):
+    """The rows of the regions inside or on the closed polylines of the
+    (k, corners2) pairs in contours, in one pass: an int array of rows
+    (k, y, lo, hi), sorted, one per row y that polyline k meets, whose
+    points inside or on it are those with lo <= x <= hi.  Corners sit at
+    odd doubled coordinates, so a row meets a side at a lattice point or
+    not at all; a row crossed more than twice (a contour that is not
+    y-monotone) raises ValueError."""
+    segs = np.array([(k, *p, *q) for k, c in contours
+                     for p, q in zip(c, c[1:])], dtype=np.int64)
+    k, x1, y1, x2, y2 = segs.reshape(-1, 5).T
+    # a side crosses the rows y with min(y1, y2) <= 2y < max(y1, y2)
+    first = (np.minimum(y1, y2) + 1) // 2
+    count = (np.maximum(y1, y2) + 1) // 2 - first
+    s = np.repeat(np.arange(len(k)), count)
+    y = np.arange(len(s)) + np.repeat(first - np.cumsum(count) + count, count)
+    x = x1[s] + (2 * y - y1[s]) * (x2[s] - x1[s]) // (y2[s] - y1[s])
+    order = np.lexsort((x, y, k[s]))
+    k, y, x = k[s][order], y[order], x[order]
+    # the first crossing of each row (of none, if there are no crossings)
+    new = np.flatnonzero(np.r_[len(k) > 0, (k[1:] != k[:-1])
+                               | (y[1:] != y[:-1])])
+    times = np.diff(new, append=len(k))
+    if (times != 2).any():
+        j = np.argmax(times != 2)
+        raise ValueError(f"contour is not y-monotone: row {y[new[j]]} "
+                         f"crosses it {times[j]} times")
+    return np.stack([k[new], y[new], (x[new] + 1) // 2, x[new + 1] // 2], 1)
 
-    None when the row misses the polygon.  Contour corners sit at odd
-    doubled coordinates, so a row never runs along a side or through a
-    corner, and meets a diagonal side at a lattice point.  Family contours
-    are y-monotone: each row is crossed at most twice.
+
+def stacked_grids(lats, spans, cleared):
+    """The Grids of the graphs that the lattices lats induce on point sets,
+    built side by side in one stacked array: graph k has the points of its
+    rows (k, y, lo, hi) in the int array spans, x from lo to hi, less its
+    points (k, x, y) in the int array cleared.  Its point (x, y) lies at
+    cell (x - dx, y - dy), dx and dy multiples of 4 so that every cell
+    keeps its lattice class, with an empty column between graphs; the
+    edges come from UNIT_EDGES once, and each Grid is a view of its part.
     """
-    h = 2 * y
-    xs = sorted(x1 + (h - y1) * (x2 - x1) // (y2 - y1)
-                for (x1, y1), (x2, y2) in zip(corners2, corners2[1:])
-                if min(y1, y2) <= h < max(y1, y2))
-    if not xs:
-        return None
-    if len(xs) != 2:
-        raise ValueError(f"contour is not y-monotone: row {y} crosses it "
-                         f"{len(xs)} times")
-    return (xs[0] + 1) // 2, xs[1] // 2
-
-
-def region_points(corners2):
-    """Lattice points inside or on the closed polyline."""
-    ys = [c[1] for c in corners2]
-    for y in range(min(ys) // 2, max(ys) // 2 + 1):
-        span = row_span(corners2, y)
-        if span:
-            for x in range(span[0], span[1] + 1):
-                yield (x, y)
-
-
-def grid_on_points(lat, pts):
-    """The graph that lat induces on the distinct points pts, as a Grid."""
-    pts = np.fromiter(chain.from_iterable(pts), dtype=np.int64).reshape(-1, 2)
-    return Grid(pts, *UNIT_EDGES[lat.kind][:, pts[:, 0] % 4, pts[:, 1] % 4])
-
-
-def graph_on_points(lat, pts):
-    """The graph that lat induces on the points pts."""
-    return grid_on_points(lat, pts).graph()
+    k, y, x_lo, x_hi = spans.T
+    bounds = np.full((4, len(lats)), -2 ** 62)  # -x0, x1, -y0, y1 per graph
+    for bound, v in zip(bounds, (-x_lo, x_hi, -y, y)):
+        np.maximum.at(bound, k, v)
+    bounds[:, bounds[1] < -bounds[0]] = [[0], [-1], [0], [-1]]  # no points
+    lo, hi = -bounds[::2], bounds[1::2]
+    slots = (hi[0] - lo[0] + 8) // 4 * 4  # the box and at least one gap
+    base = np.cumsum(slots) - slots
+    dx, dy = lo[0] - base - lo[0] % 4, lo[1] - lo[1] % 4
+    # the last slot ends in a gap, and h leaves the top row empty too, so
+    # that no edge leaves the stack
+    w, h = int(slots.sum()), int((hi[1] - dy).max(initial=0)) + 2
+    diff = np.zeros((w, h), dtype=np.int8)  # +1 where a row starts, -1 past
+    diff[x_lo - dx[k], y - dy[k]] = 1
+    diff[x_hi + 1 - dx[k], y - dy[k]] -= 1
+    occ = np.cumsum(diff, 0, dtype=np.int8) > 0
+    ck = cleared[:, 0]
+    occ[cleared[:, 1] - dx[ck], cleared[:, 2] - dy[ck]] = False
+    full = np.repeat([lat.kind == "full" for lat in lats], slots)
+    edges = UNIT_EDGES["cross"][:, np.arange(w)[:, None] % 4,
+                                np.arange(h) % 4] | full[:, None]
+    edges &= occ & np.stack([np.roll(occ, -1, 0), np.roll(occ, -1, 1)])
+    # each graph's bounding box in the stack
+    cols = np.flatnonzero(np.append(occ.any(1), True))  # and w, a sentinel
+    x0 = cols[np.searchsorted(cols, base)]
+    x1 = cols[np.searchsorted(cols, base + slots) - 1] + 1
+    rows = np.logical_or.reduceat(occ, base, axis=0)
+    y0, y1 = rows.argmax(1), h - rows[:, ::-1].argmax(1)
+    on = rows.any(1)  # a graph with no points: origin (0, 0), size 0
+    return [Grid((a + ox, c + oy), occ[a:b, c:d], edges[:, a:b, c:d])
+            for a, b, c, d, ox, oy in zip(*(np.where(on, v, 0).tolist()
+                                          for v in (x0, x1, y0, y1, dx, dy)))]
 
 
 def induced_subgraph(lat, corners2):
     """Lattice graph induced by the points inside or on the polyline."""
-    return graph_on_points(lat, region_points(corners2))
+    return stacked_grids([lat], row_spans([(0, corners2)]),
+                         np.zeros((0, 3), dtype=np.int64))[0].graph()
 
 
 # -- side strips -----------------------------------------------------------------
@@ -273,10 +305,11 @@ def trim_zigzag_side(corners2, side_idx, sweep=None, delta=None):
     if delta is None:
         delta = SWEEP_DELTA[sweep]
     y2 = p1[1]
-    below_x, below_y = ((p1[0] + p2[0]) // 2) // 2, (y2 - 1) // 2
-    span = row_span(corners2, below_y)
-    interior_is_below = span is not None and span[0] <= below_x <= span[1]
-    row_y = below_y if interior_is_below else (y2 + 1) // 2
+    # a counterclockwise polygon (twice its signed area is positive) has its
+    # interior left of each side: below a side that runs west
+    area2 = sum(ax * by - bx * ay
+                for (ax, ay), (bx, by) in zip(corners2, corners2[1:]))
+    row_y = (y2 - 1) // 2 if (p2[0] < p1[0]) == (area2 > 0) else (y2 + 1) // 2
     x_lo = (min(p1[0], p2[0]) + 1) // 2
     x_hi = (max(p1[0], p2[0]) - 1) // 2
     return zigzag_trim_row(row_y, x_lo, x_hi, delta)

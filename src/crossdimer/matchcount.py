@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, chain, groupby
 from math import isqrt, lcm, prod
 
@@ -173,35 +174,31 @@ class Grid:
 
     __slots__ = ("origin", "occ", "edges", "n")
 
-    def __init__(self, pts, east, north):
-        """The points pts (an int array of shape (n, 2)) and the unit edges
-        east and north of each that east and north allow (a flag per
-        point, or one for all) and whose other end is a point too."""
-        lo = pts.min(0) if len(pts) else np.zeros(2, dtype=np.int64)
-        shape = tuple(pts.max(0) - lo + 1) if len(pts) else (0, 0)
-        self.origin, self.occ = tuple(lo.tolist()), np.zeros(shape, dtype=bool)
-        self.edges = np.zeros((2,) + shape, dtype=bool)
-        at = tuple((pts - lo).T)
-        self.occ[at], self.edges[(0,) + at], self.edges[(1,) + at] = (
-            True, east, north)
-        self.edges[0, :-1] &= self.occ[1:]
-        self.edges[1, :, :-1] &= self.occ[:, 1:]
-        self.edges[0, -1:] = self.edges[1, :, -1:] = False
-        self.n = int(np.count_nonzero(self.occ))
+    def __init__(self, origin, occ, edges):
+        """The grid at origin (x0, y0) of the arrays occ and edges, which
+        has no edge with an end outside occ."""
+        self.origin, self.occ, self.edges = origin, occ, edges
+        self.n = int(np.count_nonzero(occ))
 
     @classmethod
     def of_graph(cls, g):
         """g's structure; NonPlanarEmbedding unless every edge of g is a
         unit step."""
         n = len(g.adj)
-        pts = np.fromiter(chain.from_iterable(g.adj), np.int64, 2 * n)
+        pts = np.fromiter(chain.from_iterable(g.adj), np.int64,
+                          2 * n).reshape(n, 2)
         east, north = (np.fromiter(((x + dx, y + dy) in s
                                     for (x, y), s in g.adj.items()), bool, n)
                        for dx, dy in ((1, 0), (0, 1)))
         # each unit edge is found once, at its lower-left end
         if 2 * (east.sum() + north.sum()) != sum(map(len, g.adj.values())):
             _require_unit_steps(g)
-        return cls(pts.reshape(n, 2), east, north)
+        lo = pts.min(0) if n else np.zeros(2, dtype=np.int64)
+        occ = np.zeros(tuple(pts.max(0) - lo + 1) if n else (0, 0), bool)
+        edges = np.zeros((2,) + occ.shape, dtype=bool)
+        at = tuple((pts - lo).T)
+        occ[at], edges[(0,) + at], edges[(1,) + at] = True, east, north
+        return cls(tuple(lo.tolist()), occ, edges)
 
     def points(self):
         """The vertices as an int64 array of shape (n, 2), sorted."""
@@ -735,11 +732,11 @@ def _plan(grids, cap):
     The grids lie side by side, with empty columns between them, and
     _peel reduces all of them at once.  Per grid the result is None when
     it has no perfect matching (_peel's bad vertices, or classes of
-    unequal size), and otherwise (lens, cols, signs, at, forced): the row
-    lengths, columns and +-1 entries of a Kasteleyn matrix of what is
-    left, the flat index in the grid's edges of each entry's edge, and
-    the forced edges as a mask shaped like the grid's edges.  Row i and
-    column j are its i-th even and j-th odd vertex in x-major order; an
+    unequal size), and otherwise (lens, cols, signs, weigh, forced): the
+    row lengths, columns and +-1 entries of a Kasteleyn matrix of what is
+    left, weigh(w), the entries' values in w shaped like the grid's edges,
+    and the forced edges as a mask shaped like the grid's edges.  Row i
+    and column j are its i-th even and j-th odd vertex in x-major order; an
     entry is + when _flips orients its edge out of the even vertex, with
     ranks over whole rows of the stack (pfaffian_orientation).  A grid
     left with more than cap vertices raises TooLarge.
@@ -754,11 +751,9 @@ def _plan(grids, cap):
         x += g.occ.shape[0] + 1
     h = max([1] + [box[2].stop for box in boxes])
     occ, edges = np.zeros((x, h), dtype=bool), np.zeros((2, x, h), dtype=bool)
-    local = np.zeros((2, x, h), dtype=np.int64)  # flat index in g.edges
     owner = np.full(x, len(grids))  # gap columns belong to no grid
     for j, (g, box) in enumerate(zip(grids, boxes)):
         occ[box[1:]], edges[box] = g.occ, g.edges
-        local[box] = np.arange(g.edges.size).reshape(g.edges.shape)
         owner[box[1]] = j
     forced, bad = _peel(occ.ravel(), edges.ravel(), h)
 
@@ -779,18 +774,25 @@ def _plan(grids, cap):
     signs = ((1 - 2 * _flips(occ, 0, 0).ravel()[slot])
              * [1, -1, 1, -1])[valid]
     cols = before[(a[:, None] + [h, -h, 1, -1])[valid]].astype(np.int32)
-    lens, at = valid.sum(1, dtype=np.int32), local.ravel()[slot[valid]]
+    lens, cells = valid.sum(1, dtype=np.int32), slot[valid]
     forced = forced.reshape(2, x, h)  # a grid's box of it is like g.edges
     rows = np.searchsorted(a, [(box[1].start * h, box[1].stop * h)
                                for box in boxes]).tolist()
     ends = [0] + np.cumsum(lens).tolist()
     out = []
     for j, ((r0, r1), box) in enumerate(zip(rows, boxes)):
-        e0, e1 = ends[r0], ends[r1]
+        e = np.s_[ends[r0]:ends[r1]]
         out.append(None if dead[j] else (
-            lens[r0:r1], cols[e0:e1] - before[box[1].start * h],
-            signs[e0:e1], at[e0:e1], forced[box]))
+            lens[r0:r1], cols[e] - before[box[1].start * h], signs[e],
+            partial(_weigh, cells[e], (2, x, h), box), forced[box]))
     return out
+
+
+def _weigh(cells, shape, box, w):
+    """w, shaped like the grid at box in a stacked array of shape shape, at
+    the cells (flat indices) of the stack."""
+    d, x, y = np.unravel_index(cells, shape)
+    return w[d, x - box[1].start, y - box[2].start]
 
 
 def count_many(graphs, cap=FKT_CAP):
@@ -827,13 +829,13 @@ def count_many(graphs, cap=FKT_CAP):
         mats, owners = [], []
         for j, plan in zip(chunk, _plan([grids[j] for j in chunk], cap)):
             for i, weights in copies[j] if plan else ():
-                lens, cols, signs, at, forced = plan
+                lens, cols, signs, weigh, forced = plan
                 if weights is None:  # a row's sum of squares is its length
                     mats.append((prod(lens.tolist()), lens, cols, signs))
                     owners.append((i, 1, 1))
                     continue
                 (w, d), fw = weights, weights[0][forced]
-                mats.append(_packed(signs * w.ravel()[at], lens, cols))
+                mats.append(_packed(signs * weigh(w), lens, cols))
                 owners.append((i, prod(fw.tolist()),
                                d ** (len(lens) + len(fw))))
         for (i, num, den), det in zip(owners, _dets_exact(mats)):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossdimer.families import (
     InvalidParams, NotGridB, TrimRectParams, assign_cross_weights,
@@ -96,8 +97,7 @@ def test_point_sets_count_like_their_graphs():
         HypothesisViolated, check_trim_domain, trim_rect_domain,
         valid_triples,
     )
-    from crossdimer.families import family_points, tr_points, trim_rect_points
-    from crossdimer.lattice import grid_on_points
+    from crossdimer.families import Spec, grids
     from crossdimer.matchcount import count_many
 
     specs = [(kind, (i, a, b, c))
@@ -111,13 +111,17 @@ def test_point_sets_count_like_their_graphs():
                 continue
             specs.append((variant, (TrimRectParams(m, n, h1, h2, variant),)))
     specs += [("TR", (a, 2 * a)) for a in (1, 2, 3)]
-    points = {"A": lambda *t: family_points("A", *t),
-              "F": lambda *t: family_points("F", *t),
-              "TA": trim_rect_points, "TB": trim_rect_points, "TR": tr_points}
+    def spec(kind, args):
+        if kind in ("A", "F"):
+            return Spec(f"{kind}{args[0]}", args[1:])
+        if kind == "TR":
+            return Spec("TR", args)
+        p, = args
+        return Spec(kind, (p.m, p.n, p.h1, p.h2))
+
     builds = {"A": build_A, "F": build_F, "TA": build_TA, "TB": build_TB,
               "TR": build_TR}
-    got = count_many(grid_on_points(GRID_B, points[kind](*args))
-                     for kind, args in specs)
+    got = count_many(grids(spec(kind, args) for kind, args in specs))
     assert len(got) == 216 + 152 + 3
     assert got == [count_fkt(builds[kind](*args)) for kind, args in specs]
 
@@ -203,7 +207,7 @@ def test_spec_names_each_family_once():
     assert str(Spec.parse(" aar:3,3@cross ")) == "AAR:3,3@b"
     # a rotated rectangle defaults to the full grid, a family to grid B
     assert Spec.parse("AR:2,2") == Spec("AR", (2, 2))
-    assert Spec.parse("AR:2,2").points()[0] == FULL_GRID
+    assert Spec.parse("AR:2,2").lat == FULL_GRID
     assert Spec.parse("A1:9,8,2").graph().to_json() \
         == build_A(1, 9, 8, 2).to_json()
     assert Spec.parse("AAR:2,2@b").graph().to_json() \
@@ -230,3 +234,78 @@ def test_parse_spec_round_trip():
         parse_spec("XX:1,2")
     with pytest.raises(InvalidParams):
         parse_spec("A1:1")
+
+
+def _batch_specs():
+    """A/F specs with triples of perimeter <= 24 on both lattices, mixed
+    with TR, TA, TB, AR and AAR specs."""
+    from crossdimer.families import FAMILY_HEADS, Spec
+    from crossdimer.harness import trim_rect_domain, valid_triples
+
+    family = st.builds(Spec, st.sampled_from(FAMILY_HEADS),
+                       st.sampled_from(valid_triples(range(2, 9), 24)),
+                       st.sampled_from([None, FULL_GRID]))
+    tr = st.builds(lambda a, k: Spec("TR", (a, 2 * a + k)),
+                   st.integers(1, 3), st.integers(0, 2))
+    trim = st.builds(Spec, st.sampled_from(["TA", "TB"]),
+                     st.sampled_from(trim_rect_domain()))
+    rect = st.builds(lambda head, m, n, lat: Spec(head, (m, n), lat),
+                     st.sampled_from(["AR", "AAR"]), st.integers(1, 5),
+                     st.integers(1, 5), st.sampled_from([None, GRID_B]))
+    return st.lists(st.one_of(family, family, tr, trim, rect),
+                    min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batch_specs())
+def test_grids_batch_equals_each_spec_built_alone(specs):
+    # one stacked array for the batch gives each graph's Grid exactly as a
+    # batch of one and as the Grid of its Graph give it, with the edges of
+    # its lattice, and counts that match the closed forms where theorems
+    # 2.1, 1.1 and 1.3 give them
+    import numpy as np
+
+    from crossdimer.families import check_trim_domain, grids
+    from crossdimer.formulas import HypothesisViolated
+    from crossdimer.matchcount import Grid, count_many
+
+    batch = list(grids(specs))
+    assert len(batch) == len(specs)
+    for spec, grid in zip(specs, batch):
+        for other in (next(grids([spec])), Grid.of_graph(spec.graph())):
+            assert grid.origin == other.origin
+            assert np.array_equal(grid.occ, other.occ)
+            assert np.array_equal(grid.edges, other.edges)
+        # the edges are those that the lattice has between the points
+        g = grid.graph()
+        assert {tuple(sorted(e)) for e in g.edges()} == {
+            (p, q) for p in g.vertices for q in ((p[0] + 1, p[1]),
+                                                 (p[0], p[1] + 1))
+            if q in g.adj and spec.lat.edge_exists(p, q)}
+    for spec, got in zip(specs, count_many(batch)):
+        if spec.lat is FULL_GRID or spec.head in ("AR", "AAR"):
+            continue
+        try:
+            if spec.head in ("TA", "TB"):
+                check_trim_domain(spec.head, *spec.nums)
+        except HypothesisViolated:
+            continue
+        assert got == spec.closed_form().value(), str(spec)
+
+
+def test_cross_weighted_grids_use_the_smallest_signed_dtype():
+    # scaled weights of 7, 200 and 2^70 need int8, int16 and Python ints,
+    # and the counts equal those of the weighted graphs
+    import numpy as np
+
+    from crossdimer.families import Spec, cross_weighted_grids, grids
+    from crossdimer.matchcount import count_many
+
+    spec = Spec("A1", (4, 4, 2))
+    points = [weight_point(3, 5, 7), weight_point(200, 5, 7),
+              weight_point(2 ** 70, 3, 5)]
+    copies = list(cross_weighted_grids(grids([spec]), points))
+    assert [w.dtype for _, (w, _) in copies] == [np.int8, np.int16, object]
+    g = spec.graph()
+    assert count_many(copies) == [count_fkt(assign_cross_weights(g, w))
+                                  for w in points]

@@ -51,8 +51,6 @@ def test_cache_reports_file_line(tmp_path):
 
 
 def test_cached_count_hashes_once_counts_duplicates_once(monkeypatch):
-    from crossdimer.families import family_points, tr_points
-
     keyed, batches = [], []
     count_key = harness.count_key
     count_many = harness.count_many
@@ -69,10 +67,8 @@ def test_cached_count_hashes_once_counts_duplicates_once(monkeypatch):
     monkeypatch.setattr(harness, "count_key", key_spy)
     monkeypatch.setattr(harness, "count_many", count_spy)
     monkeypatch.delenv("CROSSDIMER_CACHE", raising=False)
-    items = [(GRID_B, family_points("A", 1, 2, 2, 0)),
-             (GRID_B, family_points("F", 1, 3, 3, 1)),
-             (GRID_B, family_points("A", 1, 2, 2, 0)),
-             (GRID_B, tr_points(1, 2))]
+    items = [Spec("A1", (2, 2, 0)), Spec("F1", (3, 3, 1)),
+             Spec("A1", (2, 2, 0)), Spec("TR", (1, 2))]
     want = [count_fkt(g) for g in (build_A(1, 2, 2, 0), build_F(1, 3, 3, 1),
                                    build_A(1, 2, 2, 0), build_TR(1, 2))]
     cache = CountCache(None)
@@ -227,17 +223,15 @@ def _graph_recurrence_reference(triples):
     """
     import functools
 
-    from crossdimer.families import derive_params, family_points
-    from crossdimer.lattice import grid_on_points
+    from crossdimer.families import derive_params, grids
 
     keys = {}
 
     @functools.cache
     def gm(kind, i, t):
         g = build_A(i, *t) if kind == "A" else build_F(i, *t)
-        pts = family_points(kind, i, *t)
-        keys[kind, i, t] = harness.count_key(GRID_B, grid_on_points(GRID_B,
-                                                                    pts))
+        grid, = grids([Spec(f"{kind}{i}", t)])
+        keys[kind, i, t] = harness.count_key(GRID_B, grid)
         return count_fkt(g)
 
     want = []
@@ -431,3 +425,27 @@ def test_cache_env_override(tmp_path, monkeypatch):
     assert os.path.exists(path)
     rec = json.loads(open(path).read().strip())
     assert rec["key"] == "x" and rec["count"] == "7"
+
+
+def test_valid_triples_match_the_full_scan():
+    # bounding a and c from d, e >= 0 gives the triples, in order, that
+    # trying derive_params on every (a, c) in [0, 3b] x [0, 2b] gives
+    from crossdimer.families import derive_params
+    from crossdimer.harness import valid_triples
+
+    def scan(b_range, cap):
+        out = []
+        for b in b_range:
+            for a in range(3 * b + 1):
+                for c in range(2 * b + 1):
+                    try:
+                        p = derive_params(a, b, c)
+                    except InvalidParams:
+                        continue
+                    if p.perimeter <= cap:
+                        out.append((a, b, c))
+        return out
+
+    for cap in range(8, 41):
+        assert valid_triples(range(2, 15), cap) == scan(range(2, 15), cap)
+    assert valid_triples(range(-1, 3), 16) == scan(range(-1, 3), 16)

@@ -4,9 +4,15 @@ from hypothesis import given, settings, strategies as st
 from crossdimer.families import family_contour
 from crossdimer.lattice import (
     CROSS_EDGES, CROSS_OFFSETS, FULL_GRID, GRID_B, ContourSpec, NonClosing,
-    SelfIntersecting, induced_subgraph, points_on_segment, region_points,
+    SelfIntersecting, induced_subgraph, points_on_segment, row_spans,
     slit_base, trace_contour, trim_zigzag_side, zigzag_trim_row,
 )
+
+
+def region_points(corners2):
+    """The lattice points inside or on a closed polyline, by its rows."""
+    return [(x, y) for _, y, lo, hi in row_spans([(0, corners2)]).tolist()
+            for x in range(lo, hi + 1)]
 
 
 def test_full_grid_edges():
@@ -141,4 +147,4 @@ def test_region_points_rejects_non_monotone_contour():
         ("E", 12), ("N", 8), ("W", 4), ("S", 4),
         ("W", 4), ("N", 4), ("W", 4), ("S", 8)))
     with pytest.raises(ValueError):
-        list(region_points(trace_contour(u_shape)))
+        row_spans([(0, trace_contour(u_shape))])
