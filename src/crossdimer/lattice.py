@@ -231,7 +231,9 @@ def stacked_grids(lats, spans, cleared):
     full = np.repeat([lat.kind == "full" for lat in lats], slots)
     edges = UNIT_EDGES["cross"][:, np.arange(w)[:, None] % 4,
                                 np.arange(h) % 4] | full[:, None]
-    edges &= occ & np.stack([np.roll(occ, -1, 0), np.roll(occ, -1, 1)])
+    edges &= occ
+    edges[0, :-1] &= occ[1:]
+    edges[1, :, :-1] &= occ[:, 1:]
     # each graph's bounding box in the stack
     cols = np.flatnonzero(np.append(occ.any(1), True))  # and w, a sentinel
     x0 = cols[np.searchsorted(cols, base)]
@@ -240,8 +242,8 @@ def stacked_grids(lats, spans, cleared):
     y0, y1 = rows.argmax(1), h - rows[:, ::-1].argmax(1)
     on = rows.any(1)  # a graph with no points: origin (0, 0), size 0
     return [Grid((a + ox, c + oy), occ[a:b, c:d], edges[:, a:b, c:d])
-            for a, b, c, d, ox, oy in zip(*(np.where(on, v, 0).tolist()
-                                          for v in (x0, x1, y0, y1, dx, dy)))]
+            for a, b, c, d, ox, oy in np.where(
+                on, [x0, x1, y0, y1, dx, dy], 0).T.tolist()]
 
 
 def induced_subgraph(lat, corners2):
