@@ -12,7 +12,7 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain, groupby, islice
 from math import isqrt, lcm, prod
 
 import numpy as np
@@ -465,7 +465,11 @@ def pfaffian_orientation(g):
     clockwise-odd.  So _plan ranks each vertex among all vertices of its
     row, with no component split: the vertices of other components inside
     a nice cycle come in even number, and the other graphs stacked beside
-    it lie in other columns, never inside C.
+    it lie in other columns, never inside C.  The same ranks serve each
+    piece between two of _plan's cuts along x + y.  The cut edges only
+    drop out of the graph, and each piece lies between two diagonals, a
+    convex band, so the inside of a cycle of a piece holds no vertex of
+    another piece: a nice cycle of a piece is still clockwise-odd.
     """
     orient = {}
     for comp in _components(g.adj):
@@ -732,13 +736,29 @@ def _plan(grids, cap):
     The grids lie side by side, with empty columns between them, and
     _peel reduces all of them at once.  Per grid the result is None when
     it has no perfect matching (_peel's bad vertices, or classes of
-    unequal size), and otherwise (lens, cols, signs, weigh, forced): the
-    row lengths, columns and +-1 entries of a Kasteleyn matrix of what is
-    left, weigh(w), the entries' values in w shaped like the grid's edges,
-    and the forced edges as a mask shaped like the grid's edges.  Row i
-    and column j are its i-th even and j-th odd vertex in x-major order; an
-    entry is + when _flips orients its edge out of the even vertex, with
-    ranks over whole rows of the stack (pfaffian_orientation).  A grid
+    unequal size), and otherwise (pieces, forced): the forced edges as a
+    mask shaped like the grid's edges, and per piece of what is left
+    (lens, cols, signs, weigh): the row lengths, columns and +-1 entries
+    of its Kasteleyn matrix, and weigh(w), the entries' values in w shaped
+    like the grid's edges.  The matching count of the grid is the product
+    of its pieces' |det|.
+
+    The pieces come from cuts along x + y.  A cut lies above each level l
+    (a diagonal x + y = l) below which the vertices left are balanced.
+    All vertices of a level are of one class, and every edge joins two
+    consecutive levels, so every edge across the cut leaves the part below
+    from level l, of one class c.  The vertices of the other class below
+    have all their neighbours below, and are as many as those of class c
+    below, so a perfect matching matches them to all of those and uses no
+    edge across the cut (the splitting lemma).  The count, weighted or
+    not, is the product of the counts of the pieces between consecutive
+    cuts.  A grid with no cut is one piece.
+
+    Row i and column j of a piece are its i-th even and j-th odd vertex in
+    x-major order.  An entry is + when _flips orients its edge out of the
+    even vertex, with ranks over whole rows of the stack, as for a whole
+    grid: a piece lies between two diagonals, so no vertex of another
+    piece lies inside one of its cycles (pfaffian_orientation).  A grid
     left with more than cap vertices raises TooLarge.
     """
     # a grid's point (x, y) goes to cell (x - dx, y - dy), dx a multiple
@@ -757,35 +777,54 @@ def _plan(grids, cap):
         owner[box[1]] = j
     forced, bad = _peel(occ.ravel(), edges.ravel(), h)
 
-    odd = (np.arange(x)[:, None] + np.arange(h)) % 2
-    od = occ * odd  # the odd vertices
-    size = np.bincount(owner, occ.sum(1), len(grids) + 1)
-    dead = size != 2 * np.bincount(owner, od.sum(1), len(grids) + 1)
+    # each vertex's level x + y, counted from its box's left edge, so
+    # that a grid's levels lie in range(span); a level holds one class
+    # only, and the running sum over the levels of even minus odd
+    # vertices is 0 below each cut
+    n, span = x * h, max([0] + [g.occ.shape[0] for g in grids]) + h
+    vs = np.flatnonzero(occ)
+    vx, vy = np.divmod(vs, h)
+    own, x0 = owner[vx], np.array([box[1].start for box in boxes] + [0])
+    key = own * span + vx - x0[own] + vy
+    tally = np.bincount(key, minlength=x0.size * span).reshape(-1, span)
+    below = np.cumsum(
+        tally * (1 - 2 * ((x0[:, None] + np.arange(span)) % 2)), 1)
+    size, dead = tally.sum(1), below[:, -1] != 0
     dead[owner[bad.reshape(x, h).any(1)]] = True
     dead[-1] = True
     if (size[~dead] > cap).any():
         raise TooLarge(f"{int(size[~dead].max())} vertices after forced-edge "
                        f"reduction exceed {cap}")
-    a = np.flatnonzero(occ & (odd == 0) & ~dead[owner][:, None])  # the rows
-    before = np.cumsum(od) - od.ravel()  # odd vertices before each cell
-    n = x * h
+    cut = (below == 0) & (tally > 0)
+    # each vertex's piece: its grid's first key, plus the cuts below it
+    piece = np.full(n, -1)
+    piece[vs] = (np.cumsum(cut, 1) - cut).ravel()[key] + own * span
+    # rows and columns: even and odd vertices by piece, x-major in each
+    live, odd = ~dead[own], (vx + vy) % 2
+    a, b = (v[np.argsort(piece[v], kind="stable")]
+            for v in (vs[live & (odd == k)] for k in (0, 1)))
+    col = np.empty(n, dtype=np.int32)
+    col[b] = np.arange(len(b))
     slot = a[:, None] + [0, -h, n, n - 1]  # the edges E, W, N, S of a
-    valid = edges.ravel()[slot]
+    mate = a[:, None] + [h, -h, 1, -1]
+    # an edge across a cut is in no perfect matching
+    valid = edges.ravel()[slot] & (piece[mate] == piece[a][:, None])
     signs = ((1 - 2 * _flips(occ, 0, 0).ravel()[slot])
              * [1, -1, 1, -1])[valid]
-    cols = before[(a[:, None] + [h, -h, 1, -1])[valid]].astype(np.int32)
+    cols = col[mate[valid]]
     lens, cells = valid.sum(1, dtype=np.int32), slot[valid]
     forced = forced.reshape(2, x, h)  # a grid's box of it is like g.edges
-    rows = np.searchsorted(a, [(box[1].start * h, box[1].stop * h)
-                               for box in boxes]).tolist()
+    pieces = [[] for _ in grids]
+    first = np.flatnonzero(np.diff(piece[a], prepend=-1))
+    rows = first.tolist() + [len(a)]
     ends = [0] + np.cumsum(lens).tolist()
-    out = []
-    for j, ((r0, r1), box) in enumerate(zip(rows, boxes)):
+    for j, r0, r1 in zip((piece[a[first]] // span).tolist(), rows, rows[1:]):
+        # a balanced piece starts at column r0, as at row r0
         e = np.s_[ends[r0]:ends[r1]]
-        out.append(None if dead[j] else (
-            lens[r0:r1], cols[e] - before[box[1].start * h], signs[e],
-            partial(_weigh, cells[e], (2, x, h), box), forced[box]))
-    return out
+        pieces[j].append((lens[r0:r1], cols[e] - r0, signs[e], partial(
+            _weigh, cells[e], (2, x, h), boxes[j])))
+    return [None if dead[j] else (pieces[j], forced[box])
+            for j, box in enumerate(boxes)]
 
 
 def _weigh(cells, shape, box, w):
@@ -804,11 +843,12 @@ def count_many(graphs, cap=FKT_CAP):
     Consecutive items that share one structure (an adj, or a Grid) share
     one Grid, and a Graph's weights become such a (w, d) once.  The Grids
     are sorted by size into chunks of about _CHUNK copies, each planned by
-    one _plan and eliminated by one _dets_exact.  A weighted count is the
-    forced edges' weight product times |det(signs * w)|, over d^(rows +
-    forced edges).  A non-unit edge raises NonPlanarEmbedding, even on a
-    forced edge, and a graph left with more than cap vertices after
-    forced-edge reduction raises TooLarge.
+    one _plan and eliminated by one _dets_exact, with each piece of a
+    graph (_plan) as a matrix of its own.  A weighted count is the forced
+    edges' weight product times the product of the pieces' |det(signs *
+    w)|, over d^(rows + forced edges).  A non-unit edge raises
+    NonPlanarEmbedding, even on a forced edge, and a graph left with more
+    than cap vertices after forced-edge reduction raises TooLarge.
     """
     grids, copies, last = [], [], None  # structures; their (item, weights)
     for i, g in enumerate(graphs):
@@ -829,17 +869,22 @@ def count_many(graphs, cap=FKT_CAP):
         mats, owners = [], []
         for j, plan in zip(chunk, _plan([grids[j] for j in chunk], cap)):
             for i, weights in copies[j] if plan else ():
-                lens, cols, signs, weigh, forced = plan
+                pieces, forced = plan
                 if weights is None:  # a row's sum of squares is its length
-                    mats.append((prod(lens.tolist()), lens, cols, signs))
-                    owners.append((i, 1, 1))
+                    mats += [(prod(lens.tolist()), lens, cols, signs)
+                             for lens, cols, signs, _ in pieces]
+                    owners.append((i, len(pieces), 1, 1))
                     continue
                 (w, d), fw = weights, weights[0][forced]
-                mats.append(_packed(signs * weigh(w), lens, cols))
-                owners.append((i, prod(fw.tolist()),
-                               d ** (len(lens) + len(fw))))
-        for (i, num, den), det in zip(owners, _dets_exact(mats)):
-            counts[i] = _exact(Fraction(num * abs(det), den))
+                mats += [_packed(signs * weigh(w), lens, cols)
+                         for lens, cols, signs, weigh in pieces]
+                rows = sum(len(lens) for lens, *_ in pieces)
+                owners.append((i, len(pieces), prod(fw.tolist()),
+                               d ** (rows + len(fw))))
+        dets = iter(_dets_exact(mats))
+        for i, k, num, den in owners:
+            det = prod(abs(t) for t in islice(dets, k))
+            counts[i] = _exact(Fraction(num * det, den))
     return counts
 
 
@@ -850,20 +895,24 @@ def count_fkt(g, cap=FKT_CAP):
 
 def count_matchings(g, method="auto"):
     """Count with the requested method; `auto` cross-checks when both run."""
+    return _count_each([g], method)[0]
+
+
+def _count_each(graphs, method):
+    """count_matchings of each graph, with every FKT count from one
+    count_many; `auto` checks each graph of at most BRUTE_CAP vertices
+    against count_brute."""
     if method == "brute":
-        return count_brute(g)
-    if method == "fkt":
-        return count_fkt(g)
-    if method == "auto":
-        if len(g) <= BRUTE_CAP:
-            nb = count_brute(g)
-            nf = count_fkt(g)
-            if nb != nf:
-                raise AssertionError(
-                    f"oracle mismatch: brute={nb} fkt={nf} for {g.graph_hash()}")
-            return nb
-        return count_fkt(g)
-    raise ValueError(f"unknown method {method!r}")
+        return [count_brute(g) for g in graphs]
+    if method not in ("fkt", "auto"):
+        raise ValueError(f"unknown method {method!r}")
+    counts, check = count_many(graphs), method == "auto"
+    for g, nf in zip(graphs, counts):
+        nb = count_brute(g) if check and len(g) <= BRUTE_CAP else nf
+        if nb != nf:
+            raise AssertionError(f"oracle mismatch: brute={nb} fkt={nf} "
+                                 f"for {g.graph_hash()}")
+    return counts
 
 
 # -- identity checkers ---------------------------------------------------------
@@ -886,9 +935,10 @@ def kuo_check(g, u, v, w, t, method="auto"):
         raise BadVertexSelection("u,w and v,t must oppose by parity class")
     if not _on_common_face_in_order(g, (u, v, w, t)):
         raise BadVertexSelection("vertices not in cyclic order on one face")
-    m = lambda deleted: count_matchings(g.without(deleted), method=method)
-    lhs = count_matchings(g, method=method) * m((u, v, w, t))
-    rhs = m((u, v)) * m((w, t)) + m((t, u)) * m((v, w))
+    m_g, m_all, m_uv, m_wt, m_tu, m_vw = _count_each(
+        [g] + [g.without(d) for d in ((u, v, w, t), (u, v), (w, t), (t, u),
+                                      (v, w))], method)
+    lhs, rhs = m_g * m_all, m_uv * m_wt + m_tu * m_vw
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 
@@ -936,10 +986,7 @@ def split_check(g, h_vertices, method="auto"):
     if len(crossing_parity) > 1:
         raise ConditionsViolated(
             "separating condition fails: both classes of H meet G-H")
-    h = g.induced(h_set)
-    r = g.induced(rest)
-    m_g = count_matchings(g, method=method)
-    m_h = count_matchings(h, method=method)
-    m_r = count_matchings(r, method=method)
+    m_g, m_h, m_r = _count_each([g, g.induced(h_set), g.induced(rest)],
+                                method)
     return {"M_g": m_g, "M_h": m_h, "M_rest": m_r,
             "equal": m_g == m_h * m_r}

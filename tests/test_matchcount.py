@@ -596,6 +596,155 @@ def test_fkt_tr_6_12_memory():
     assert peak < 8 << 20
 
 
+def spy_dets(monkeypatch):
+    """The (rows, entries) of the matrices of each _dets_exact call.  Each
+    matrix must be square: every column of an entry one of its rows."""
+    seen, dets = [], matchcount._dets_exact
+
+    def spy(mats):
+        for _, lens, cols, _ in mats:
+            assert ((0 <= cols) & (cols < len(lens))).all()
+        seen.append([(len(lens), len(cols)) for _, lens, cols, _ in mats])
+        return dets(mats)
+
+    monkeypatch.setattr(matchcount, "_dets_exact", spy)
+    return seen
+
+
+def diagonal_cuts(g):
+    """The levels l below which (x + y <= l) g's vertices are balanced,
+    short of its top level."""
+    levels = sorted({x + y for x, y in g.vertices})
+    run, cuts = 0, []
+    for lev in levels[:-1]:
+        run += sum(1 - 2 * (lev % 2) for x, y in g.vertices if x + y == lev)
+        if run == 0:
+            cuts.append(lev)
+    return cuts
+
+
+def test_tr_counts_as_pieces_between_its_two_cuts(monkeypatch):
+    from crossdimer.families import Spec, grids
+    from crossdimer.harness import SuiteConfig, valid_triples
+
+    seen = spy_dets(monkeypatch)
+    for a in range(1, 7):
+        g = build_TR(a, 2 * a)
+        cuts = diagonal_cuts(g)
+        assert len(cuts) == 2
+        assert count_fkt(g, cap=len(g)) == thm_TR(a, 2 * a).value()
+        rows, entries = zip(*seen[-1])
+        assert len(rows) == 3 and sum(rows) == len(g) // 2
+        # no matrix holds an edge across a cut
+        across = [e for e in g.edges() if min(map(sum, e)) in cuts]
+        assert across and sum(entries) == g.n_edges() - len(across)
+    # TR(5, 10): two family regions and the band between them
+    assert [r for r, _ in seen[4]] == [380, 29, 351]
+    # no theorem21 graph has a cut after peeling: one matrix each
+    specs = [Spec(head, t) for t in valid_triples(
+        range(2, 7), SuiteConfig().perimeter_cap)
+        for i in (1, 2, 3) for head in (f"A{i}", f"F{i}")]
+    seen.clear()
+    assert count_many(grids(specs)) == [s.closed_form().value()
+                                        for s in specs]
+    assert sum(map(len, seen)) == len(specs) == 564
+
+
+def test_tr_1_2_pieces_match_brute():
+    g = build_TR(1, 2)
+    assert len(g) == 48
+    assert count_fkt(g) == count_brute(g, cap=48) == thm_TR(1, 2).value()
+
+
+def test_mirrored_tr_is_counted_whole(monkeypatch):
+    # the cuts follow x + y only: the mirror's diagonals x - y of TR(3, 6)
+    # have none
+    seen = spy_dets(monkeypatch)
+    g = build_TR(3, 6).mapped(lambda p: (-p[0], p[1]))
+    assert diagonal_cuts(g) == []
+    assert count_fkt(g) == thm_TR(3, 6).value()
+    assert [[r for r, _ in call] for call in seen] == [[len(g) // 2]]
+
+
+def test_weights_across_a_cut_do_not_count():
+    g = build_TR(2, 4)
+    cuts = diagonal_cuts(g)
+    rng = random.Random(5)
+    edges = g.edges()
+    across = [(u, v) for u, v in edges if min(sum(u), sum(v)) in cuts]
+    assert len(across) > 4
+    inside = {e: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+              for e in rng.sample(edges, len(edges) // 4) if e not in across}
+    heavy = g.with_weights({**inside, **{
+        e: Fraction(rng.randint(2, 9), rng.randint(1, 9)) for e in across}})
+    assert count_fkt(heavy) == count_fkt(g.with_weights(inside))
+    assert count_fkt(g.with_weights(inside)) != count_fkt(g)
+
+
+def squares_across(extra=()):
+    """Two 2 x 2 squares, below and above x + y = 3, joined by the edge
+    (1, 1)-(1, 2), which weighs 5/3, and by the vertices and edges in
+    extra."""
+    lo, hi = square(), square().mapped(lambda p: (p[0] + 1, p[1] + 2))
+    pts = set(lo.vertices) | set(hi.vertices)
+    pts |= {p for e in extra for p in e}
+    join = ((1, 1), (1, 2))
+    return Graph(pts, lo.edges() + hi.edges() + [join, *extra],
+                 {join: Fraction(5, 3)})
+
+
+@st.composite
+def regions_across_a_diagonal(draw):
+    """Two holey regions, below and above the line x + y = c - 1/2, that
+    split the union of random 2 x 2 blocks of a 6 x 6 box less up to two
+    points.  Each side keeps its own unit edges with probability 0.95,
+    and the edges across the line are kept with probability 1/2.
+    Vertices of the larger class next to the line are dropped, from the
+    side below until it is balanced (in about half the draws), and then
+    from the side above until both together are.  A quarter of the edges
+    carry random Fraction weights."""
+    blocks = draw(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                          min_size=2))
+    pts = sorted({(2 * i + x, 2 * j + y) for i, j in blocks
+                  for x in (0, 1) for y in (0, 1)})
+    drop = draw(st.sets(st.sampled_from(pts), max_size=2))
+    c = draw(st.integers(1, 10))
+    below, above = ([p for p in pts if p not in drop and (sum(p) < c) == lo]
+                    for lo in (True, False))
+    for side, span in ((below, [below]), (above, [below, above])):
+        if side is below and draw(st.booleans()):
+            continue
+        while True:
+            odd = sum(2 * (sum(p) % 2) - 1 for s in span for p in s)
+            pool = [p for p in side if odd and sum(p) % 2 == (odd > 0)
+                    and abs(2 * sum(p) + 1 - 2 * c) < 4]
+            if not pool:
+                break
+            side.remove(draw(st.sampled_from(pool)))
+    kept = set(below + above)
+    edges, weights = [], {}
+    for x, y in sorted(kept):
+        for q in ((x + 1, y), (x, y + 1)):
+            if q in kept and draw(st.integers(0, 19)) < (
+                    10 if x + y == c - 1 else 19):
+                edges.append(((x, y), q))
+                if draw(st.integers(0, 3)) == 0:
+                    weights[(x, y), q] = Fraction(draw(st.integers(1, 9)),
+                                                  draw(st.integers(1, 9)))
+    return Graph(kept, edges, weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(regions_across_a_diagonal())
+# a balanced side below: the weighted join is in no perfect matching
+@example(squares_across())
+# an unbalanced side below (one more even vertex): the joins are needed
+@example(squares_across([((1, 0), (2, 0)), ((2, 0), (2, 1)),
+                         ((1, 1), (2, 1)), ((2, 1), (2, 2))]))
+def test_fkt_matches_brute_across_a_diagonal(g):
+    assert count_fkt(g) == count_brute(g, cap=len(g))
+
+
 def test_faces_start_at_least_dart_in_order():
     # the face order is deterministic: each face is traced from the least
     # dart not yet used
