@@ -806,19 +806,19 @@ def _plan(grids, cap):
     col = np.empty(n, dtype=np.int32)
     col[b] = np.arange(len(b))
     slot = a[:, None] + [0, -h, n, n - 1]  # the edges E, W, N, S of a
-    mate = a[:, None] + [h, -h, 1, -1]
+    mate, pa = a[:, None] + [h, -h, 1, -1], piece[a]
     # an edge across a cut is in no perfect matching
-    valid = edges.ravel()[slot] & (piece[mate] == piece[a][:, None])
+    valid = edges.ravel()[slot] & (piece[mate] == pa[:, None])
     signs = ((1 - 2 * _flips(occ, 0, 0).ravel()[slot])
              * [1, -1, 1, -1])[valid]
     cols = col[mate[valid]]
     lens, cells = valid.sum(1, dtype=np.int32), slot[valid]
     forced = forced.reshape(2, x, h)  # a grid's box of it is like g.edges
     pieces = [[] for _ in grids]
-    first = np.flatnonzero(np.diff(piece[a], prepend=-1))
+    first = np.flatnonzero(np.diff(pa, prepend=-1))
     rows = first.tolist() + [len(a)]
     ends = [0] + np.cumsum(lens).tolist()
-    for j, r0, r1 in zip((piece[a[first]] // span).tolist(), rows, rows[1:]):
+    for j, r0, r1 in zip((pa[first] // span).tolist(), rows, rows[1:]):
         # a balanced piece starts at column r0, as at row r0
         e = np.s_[ends[r0]:ends[r1]]
         pieces[j].append((lens[r0:r1], cols[e] - r0, signs[e], partial(

@@ -657,8 +657,8 @@ def test_tr_1_2_pieces_match_brute():
 
 
 def test_mirrored_tr_is_counted_whole(monkeypatch):
-    # the cuts follow x + y only: the mirror's diagonals x - y of TR(3, 6)
-    # have none
+    # the cuts follow x + y only, and the mirror's x + y levels are the
+    # y - x levels of TR(3, 6), below none of which it is balanced
     seen = spy_dets(monkeypatch)
     g = build_TR(3, 6).mapped(lambda p: (-p[0], p[1]))
     assert diagonal_cuts(g) == []
