@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import CrossdimerError
 
@@ -73,20 +76,12 @@ def q_fn(a, b, c):
 
 def alpha_fn(a, b, c):
     r = (3 * b + a - c) % 6
-    if r == 1:
-        return 2
-    if r == 5:
-        return 3
-    return 1
+    return 1 + (r == 1) + 2 * (r == 5)
 
 
 def beta_fn(a, b, c):
     r = (3 * b + a - c) % 6
-    if r == 1:
-        return 3
-    if r == 5:
-        return 2
-    return 1
+    return 1 + 2 * (r == 1) + (r == 5)
 
 
 def tau_fn(u, v):
@@ -135,6 +130,15 @@ class FactoredCount:
         if v.denominator == 1:
             return int(v)
         return v
+
+    def exponents(self):
+        """The exponents of 2, 3, 5 and 11 of a count of int arrays, shape
+        (4, ...), with the prefactor (1, 2 or 3) folded into the first two."""
+        p = np.asarray(self.prefactor)
+        if not np.isin(p, (1, 2, 3)).all():
+            raise ValueError(f"prefactor outside 1, 2, 3 in {self}")
+        return np.array(np.broadcast_arrays(
+            self.exp2 + (p == 2), self.exp3 + (p == 3), self.exp5, self.exp11))
 
     def as_dict(self):
         return {"prefactor": self.prefactor, "2": self.exp2, "3": self.exp3,
@@ -223,6 +227,49 @@ def thm_TB(m, n, h1, h2):
 
 # -- recurrences ---------------------------------------------------------------
 
+ID3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+C0 = ((1, 0, 0), (0, 1, 0), (0, 0, 0))      # (a, b, 0)
+SWAP = ((0, 0, 1), (0, 1, 0), (1, 0, 0))    # (c, b, a)
+FOLD = ((-2, 3, 0), (-1, 2, 0), (0, 0, 0))  # (3b - 2a, 2b - a, 0)
+
+# Each recurrence lhs = rhs1 + rhs2 as its three sides, each the product of
+# two terms (f, lin, shift): the star (f = 0) or the diamond (f = 1) at
+# lin (a, b, c) + shift.
+RECURRENCES = {
+    "R1": (((0, ID3, (0, 0, 0)), (0, ID3, (-3, -3, -2))),
+           ((0, ID3, (-2, -1, 0)), (0, ID3, (-1, -2, -2))),
+           ((0, ID3, (-1, -1, -1)), (0, ID3, (-2, -2, -1)))),
+    "R2": (((0, ID3, (0, 0, 0)), (0, ID3, (-2, -2, 0))),
+           ((0, ID3, (-1, -1, 0)), (0, ID3, (-1, -1, 0))),
+           ((0, ID3, (0, 0, 1)), (0, ID3, (-2, -2, -1)))),
+    "R3": (((0, C0, (0, 0, 0)), (0, C0, (-2, -2, 0))),
+           ((0, C0, (-1, -1, 0)), (0, C0, (-1, -1, 0))),
+           ((0, C0, (0, 0, 1)), (0, FOLD, (0, 0, 1)))),
+    "R4": (((0, ID3, (0, 0, 0)), (0, ID3, (-2, -3, -2))),
+           ((0, ID3, (-1, -1, 0)), (0, ID3, (-1, -2, -2))),
+           ((0, ID3, (-2, -2, -1)), (0, ID3, (0, -1, -1)))),
+    "R5": (((0, ID3, (0, 0, 0)), (0, ID3, (-2, -3, -2))),
+           ((1, SWAP, (0, -1, -1)), (0, ID3, (-1, -2, -2))),
+           ((0, ID3, (-2, -2, -1)), (0, ID3, (0, -1, -1)))),
+    "R6": (((0, C0, (0, 0, 0)), (0, C0, (-2, -2, 0))),
+           ((0, C0, (-1, -1, 0)), (0, C0, (-1, -1, 0))),
+           ((0, C0, (0, 0, 1)), (1, FOLD, (0, 0, 1)))),
+}
+
+
+def _args(lin, shift, a, b, c):
+    return tuple(sum(x * v for x, v in zip(row, (a, b, c)) if x) + k
+                 for row, k in zip(lin, shift))
+
+
+def _sides(r, star, diamond):
+    if r not in RECURRENCES:
+        raise ValueError(f"unknown recurrence {r!r}")
+    if diamond is None and any(f for side in RECURRENCES[r] for f, *_ in side):
+        raise ValueError(f"{r} needs a (star, diamond) pair")
+    return RECURRENCES[r], (star, diamond)
+
+
 def recurrence_check(r, star, diamond=None, a=0, b=0, c=0):
     """Evaluate one recurrence at (a, b, c) exactly.
 
@@ -230,36 +277,52 @@ def recurrence_check(r, star, diamond=None, a=0, b=0, c=0):
     the pair; checking the mirrored second identity is done by swapping the
     arguments at the call site.
     """
-    s, d = star, diamond
-    if r in ("R5", "R6") and d is None:
-        raise ValueError(f"{r} needs a (star, diamond) pair")
-    if r == "R1":
-        lhs = s(a, b, c) * s(a - 3, b - 3, c - 2)
-        rhs = (s(a - 2, b - 1, c) * s(a - 1, b - 2, c - 2)
-               + s(a - 1, b - 1, c - 1) * s(a - 2, b - 2, c - 1))
-    elif r == "R2":
-        lhs = s(a, b, c) * s(a - 2, b - 2, c)
-        rhs = (s(a - 1, b - 1, c) ** 2
-               + s(a, b, c + 1) * s(a - 2, b - 2, c - 1))
-    elif r == "R3":
-        lhs = s(a, b, 0) * s(a - 2, b - 2, 0)
-        rhs = (s(a - 1, b - 1, 0) ** 2
-               + s(a, b, 1) * s(3 * b - 2 * a, 2 * b - a, 1))
-    elif r == "R4":
-        lhs = s(a, b, c) * s(a - 2, b - 3, c - 2)
-        rhs = (s(a - 1, b - 1, c) * s(a - 1, b - 2, c - 2)
-               + s(a - 2, b - 2, c - 1) * s(a, b - 1, c - 1))
-    elif r == "R5":
-        lhs = s(a, b, c) * s(a - 2, b - 3, c - 2)
-        rhs = (d(c, b - 1, a - 1) * s(a - 1, b - 2, c - 2)
-               + s(a - 2, b - 2, c - 1) * s(a, b - 1, c - 1))
-    elif r == "R6":
-        lhs = s(a, b, 0) * s(a - 2, b - 2, 0)
-        rhs = (s(a - 1, b - 1, 0) ** 2
-               + s(a, b, 1) * d(3 * b - 2 * a, 2 * b - a, 1))
-    else:
-        raise ValueError(f"unknown recurrence {r!r}")
-    return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
+    sides, fns = _sides(r, star, diamond)
+    lhs, rhs1, rhs2 = (prod(fns[f](*_args(lin, k, a, b, c))
+                            for f, lin, k in side) for side in sides)
+    return {"lhs": lhs, "rhs": rhs1 + rhs2, "equal": lhs == rhs1 + rhs2}
+
+
+def exponent_table(f, i, lo, hi):
+    """f(i, ., ., .) tabulated on the cube [lo, hi]^3, as a function
+    term(lin, shift, box) of its exponents (FactoredCount.exponents) at lin
+    p + shift for each point p of the box ((a0, a1), (b0, b1), (c0, c1)).
+    A translation (lin ID3, or C0 with c at one value) within the cube is
+    a slice of the table; any other term is evaluated."""
+    n = hi - lo + 1
+    tab = f(i, *np.indices((n, n, n)) + lo).exponents()
+
+    def term(lin, shift, box):
+        cut = [slice(k - lo + p0 * row[j], k - lo + p1 * row[j] + 1)
+               for j, (row, k, (p0, p1)) in enumerate(zip(lin, shift, box))]
+        if lin in (ID3, C0) and all(0 <= s.start and s.stop <= n
+                                    for s in cut):
+            return tab[(slice(None), *cut)]
+        p = np.ogrid[tuple(slice(p0, p1 + 1) for p0, p1 in box)]
+        return f(i, *_args(lin, shift, *p)).exponents()
+    return term
+
+
+def recurrence_holds(r, star, diamond, box):
+    """Whether recurrence r holds exactly at each point of the box, as a
+    bool array; star and diamond are term functions of exponent_table.
+
+    The sides are divided by their common minimum power of each prime.  A
+    side then fits an int64 where 2^x 3^y 5^z 11^w < 2^(x + 2y + 3z + 4w)
+    <= 2^61; the rare points where that fails are compared in Python ints.
+    """
+    sides, fns = _sides(r, star, diamond)
+    e = np.array(np.broadcast_arrays(*(
+        sum(fns[f](lin, k, box) for f, lin, k in side) for side in sides)))
+    e = (e - e.min(0)).reshape(3, 4, -1)
+    fits = (e * [[1], [2], [3], [4]]).sum(1).max(0) <= 61
+    v = (np.array([[2], [3], [5], [11]]) ** np.minimum(e, 61)).prod(1)
+    holds = fits & (v[0] == v[1] + v[2])
+    for j in np.flatnonzero(~fits).tolist():
+        lhs, rhs1, rhs2 = (prod(p ** x for p, x in zip((2, 3, 5, 11), side))
+                           for side in e[:, :, j].tolist())
+        holds[j] = lhs == rhs1 + rhs2
+    return holds.reshape([p1 - p0 + 1 for p0, p1 in box])
 
 
 def reflection_check(kind, i, a, b, c):

@@ -7,15 +7,17 @@ check.  Suites are deterministic given the seed in SuiteConfig.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import gcd
+
+import numpy as np
 
 from .errors import CrossdimerError
 from .families import (
@@ -23,12 +25,13 @@ from .families import (
     derive_params, family_contour, grids, weight_point, InvalidParams,
 )
 from .formulas import (
-    phi, psi, phi_value, psi_value, recurrence_check, factor_small, alpha_w,
-    beta_w, HypothesisViolated,
+    C0, FOLD, phi, psi, phi_value, psi_value, recurrence_check,
+    recurrence_holds, exponent_table, factor_small, alpha_w, beta_w,
+    HypothesisViolated,
 )
 from .lattice import FULL_GRID, GRID_B, trace_contour
 from .matchcount import (
-    FKT_CAP, BadVertexSelection, count_brute, count_fkt, count_many,
+    FKT_CAP, BadVertexSelection, count_brute, count_many,
     kuo_check, split_check, planar_faces,
 )
 
@@ -286,39 +289,25 @@ def tr_three_way_split(a, b):
 
     Returns (g, part_east, part_mid, part_west) where the two outer bands
     realize the two family factors of the count (one per side) and the
-    middle band has a unique matching.
+    middle band has a unique matching.  The bands lie between the balanced
+    x + y levels (as in matchcount._plan), each counted once; the outer
+    bands are the first and the last.
     """
     g = build_TR(a, b)
-    factors = {phi_value(3, 2 * a, 3 * a, 2 * a),
-               psi_value(3, 2 * a, 3 * a, 2 * a)}
-    us = sorted({v[0] + v[1] for v in g.vertices}, reverse=True)
-    east = m_east = None
-    for t in us:
-        h = {v for v in g.vertices if v[0] + v[1] >= t}
-        if len(h) % 2:
-            continue
-        m = count_fkt(g.induced(h))
-        if m in factors and (m_east is None or m == m_east):
-            east, m_east = h, m  # extend westward while the count holds
-        elif east is not None:
-            break
-    if east is None:
-        raise AssertionError("no eastern staircase cut found")
-    m_west = (factors - {m_east}).pop() if len(factors) == 2 else m_east
-    rest = [v for v in g.vertices if v not in east]
-    west = None
-    for t in sorted({v[0] + v[1] for v in rest}):
-        h = {v for v in rest if v[0] + v[1] <= t}
-        if len(h) % 2:
-            continue
-        if count_fkt(g.induced(h)) == m_west:
-            west = h
-        elif west is not None:
-            break
-    if west is None:
-        raise AssertionError("no western staircase cut found")
-    mid = {v for v in rest if v not in west}
-    return g, east, mid, west
+    size = Counter(x + y for x, y in g.vertices)
+    levels = sorted(size)
+    cuts = [t for t, s in zip(levels, accumulate(
+        size[t] * (1 - 2 * (t % 2)) for t in levels)) if s == 0]
+    bands = [{v for v in g.vertices if lo < v[0] + v[1] <= hi}
+             for lo, hi in zip([levels[0] - 1] + cuts, cuts)]
+    counts = count_many([g.induced(h) for h in bands])
+    factors = sorted((phi_value(3, 2 * a, 3 * a, 2 * a),
+                      psi_value(3, 2 * a, 3 * a, 2 * a)))
+    if (len(bands) < 2 or sorted((counts[0], counts[-1])) != factors
+            or set(counts[1:-1]) - {1}):
+        raise AssertionError("the outer bands do not realize the two "
+                             "family factors")
+    return g, bands[-1], set().union(*bands[1:-1]), bands[0]
 
 
 def suite_theorem11(cfg):
@@ -457,35 +446,25 @@ def suite_kuo(cfg):
 def suite_recurrences(cfg):
     rep = SuiteReport("recurrences")
     G = cfg.recurrence_grid
-    # one memo per closed form, dropped when the suite returns: each
-    # (function, point) value is computed once per call
-    fn = {f"{tag}{i}": functools.cache(
-              lambda a, b, c, f=f, i=i: f(i, a, b, c).value())
+    # each closed form tabulated once per call, on the box padded by the
+    # shifts of RECURRENCES
+    fn = {f"{tag}{i}": exponent_table(f, i, -3, G + 1)
           for tag, f in (("phi", phi), ("psi", psi)) for i in (1, 2, 3)}
-    box = [(a, b, c) for a in range(G + 1) for b in range(G + 1)
-           for c in range(G + 1)]
-    plane = [(a, b, 0) for a in range(G + 1) for b in range(G + 1)]
-
-    def bad(r, star, points, diamond=None):
-        return sum(not recurrence_check(r, fn[star], fn.get(diamond),
-                                        *t)["equal"] for t in points)
-
-    for r in ("R1", "R2", "R4"):
-        for name in fn:
-            rep.add(f"formula_{r}", name, 0, bad(r, name, box))
-    for name in ("phi1", "psi1"):
-        rep.add("formula_R3", name, 0, bad("R3", name, plane))
-    for tag in ("phi", "psi"):
-        for i in (2, 3):
-            s, d = f"{tag}{i}", f"{tag}{5 - i}"
-            rep.add("formula_R6", f"({s},{d})", 0, bad("R6", s, plane, d))
-    for i in (1, 2, 3):
-        for s, d in ((f"phi{i}", f"psi{4 - i}"), (f"psi{i}", f"phi{4 - i}")):
-            rep.add("formula_R5", f"({s},{d})", 0, bad("R5", s, box, d))
-    phi1 = fn["phi1"]
-    rep.add("formula_reflection_c0", "phi1", 0,
-            sum(phi1(a - 2, b - 2, -1) != phi1(3 * b - 2 * a, 2 * b - a, 1)
-                for a, b, _ in plane))
+    box, plane = ((0, G),) * 3, ((0, G), (0, G), (0, 0))
+    cases = [(r, s, None, box) for r in ("R1", "R2", "R4") for s in fn]
+    cases += [("R3", s, None, plane) for s in ("phi1", "psi1")]
+    cases += [("R6", f"{tag}{i}", f"{tag}{5 - i}", plane)
+               for tag in ("phi", "psi") for i in (2, 3)]
+    cases += [("R5", s, d, box) for i in (1, 2, 3) for s, d in (
+        (f"phi{i}", f"psi{4 - i}"), (f"psi{i}", f"phi{4 - i}"))]
+    for r, s, d, points in cases:
+        bad = ~recurrence_holds(r, fn[s], fn.get(d), points)
+        rep.add(f"formula_{r}", s if d is None else f"({s},{d})", 0,
+                int(bad.sum()))
+    # phi1(a - 2, b - 2, -1) against phi1(3b - 2a, 2b - a, 1) on the plane
+    rep.add("formula_reflection_c0", "phi1", 0, int(
+        (fn["phi1"](C0, (-2, -2, -1), plane)
+         != fn["phi1"](FOLD, (0, 0, 1), plane)).any(0).sum()))
     # graph-level recurrences, within the stated hypotheses; a check is
     # (recurrence, star head, diamond head or None, triple)
     checks = []

@@ -569,7 +569,18 @@ def _lane_entries(mats, primes, n):
     row_of = np.repeat(np.arange(len(lens), dtype=np.int32), lens)
     mat = np.repeat(np.arange(len(mats), dtype=np.int32), sizes)[row_of]
     r = row_of - (np.cumsum(sizes) - sizes).astype(np.int32)[mat]
-    d = np.concatenate([cols for _, _, cols, _ in mats]) - r
+    c = np.concatenate([cols for _, _, cols, _ in mats])
+    # a column outside its matrix would be read as another entry of the
+    # window, and a second entry at one place would overwrite the first
+    key = row_of.astype(np.int64) * n + c
+    at = np.argsort(key, kind="stable")
+    bad = (c < 0) | (c >= sizes[mat])
+    bad[at[1:]] |= key[at[1:]] == key[at[:-1]]
+    if bad.any():
+        j = mat[bad.argmax()]
+        raise ValueError(f"matrix {j} has a column outside range({sizes[j]}) "
+                         f"or twice in one row")
+    d = c - r
     v = np.concatenate([vals for _, _, _, vals in mats])
     lo = np.zeros(len(mats), dtype=np.int32)
     hi = np.zeros(len(mats), dtype=np.int32)

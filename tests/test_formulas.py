@@ -2,12 +2,17 @@ import pytest
 from fractions import Fraction
 from itertools import product
 from math import prod
+from unittest import mock
 
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from crossdimer import formulas
 from crossdimer.formulas import (
-    FactoredCount, HypothesisViolated, NotInteger, alpha_fn, alpha_w,
-    beta_fn, beta_w, factor_small, g_fn, phi, phi_value, psi, psi_value,
-    q_fn, recurrence_check, reflection_check, tau_fn, thm_TA, thm_TB,
-    thm_TR,
+    RECURRENCES, FactoredCount, HypothesisViolated, NotInteger, alpha_fn,
+    alpha_w, beta_fn, beta_w, exponent_table, factor_small, g_fn, phi,
+    phi_value, psi, psi_value, q_fn, recurrence_check, recurrence_holds,
+    reflection_check, tau_fn, thm_TA, thm_TB, thm_TR,
 )
 
 
@@ -117,6 +122,57 @@ def test_recurrence_r5_pairing():
 def test_recurrence_requires_pair():
     with pytest.raises(ValueError):
         recurrence_check("R5", lambda *t: 1, None, 1, 1, 1)
+
+
+def test_exponents_fold_the_prefactor():
+    fc = FactoredCount(np.array([1, 2, 3]), np.array([0, 1, -2]), 0, 5, 0)
+    assert fc.exponents().tolist() == [[0, 2, -2], [0, 0, 1], [5, 5, 5],
+                                       [0, 0, 0]]
+    with pytest.raises(ValueError, match="prefactor"):
+        FactoredCount(np.array([1, 4]), 0).exponents()
+
+
+def _mutant_g(a, b, c):
+    """g_fn with // 4 for // 3, under which the recurrences fail."""
+    return (b - a) * (b - c) + (a - c) ** 2 // 4
+
+
+CLOSED_FORMS = [(f, i) for f in (phi, psi) for i in (1, 2, 3)]
+
+
+# Coordinates up to 100: the scalar reference computes every value in
+# full, and at 10^3 a single power 5^g takes half a second or more.
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(RECURRENCES)), st.sampled_from(CLOSED_FORMS),
+       st.sampled_from(CLOSED_FORMS),
+       st.tuples(*[st.integers(-100, 100)] * 3))
+@example("R3", (phi, 1), (phi, 1), (0, 6, 0))
+def test_recurrence_holds_matches_recurrence_check(r, star, diamond, point):
+    # under the mutant the identities fail, and far from the origin the
+    # sides exceed an int64 and are compared in Python ints
+    with mock.patch.object(formulas, "g_fn", _mutant_g):
+        want = recurrence_check(r, *(
+            lambda *t, f=f, i=i: f(i, *t).value() for f, i in (star, diamond)),
+            *point)["equal"]
+        got = recurrence_holds(r, *(
+            exponent_table(f, i, 0, 0) for f, i in (star, diamond)),
+            tuple((x, x) for x in point))
+    assert got.shape == (1, 1, 1) and got.item() == want
+
+
+def test_recurrence_holds_decides_big_sides_in_python_ints(monkeypatch):
+    # math.prod serves only the Python-int comparison of recurrence_holds
+    monkeypatch.setattr(formulas, "g_fn", _mutant_g)
+    phi1, table = lambda *t: phi(1, *t).value(), exponent_table(phi, 1, 0, 0)
+    for (a, b), big in (((-30, -30), False), ((0, 6), True)):
+        assert not recurrence_check("R3", phi1, None, a, b, 0)["equal"]
+        sides = []
+        with mock.patch.object(formulas, "prod",
+                               lambda xs: sides.append(prod(xs)) or sides[-1]):
+            box = ((a, a), (b, b), (0, 0))
+            assert not recurrence_holds("R3", table, None, box).item()
+        assert len(sides) == (3 if big else 0)
+        assert not big or max(sides).bit_length() > 62
 
 
 def test_reflection_examples():

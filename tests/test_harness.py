@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from crossdimer import harness
@@ -325,7 +326,7 @@ def test_suite_recurrences_matches_per_graph_counts(monkeypatch):
     assert batches == [len(set(keyed))]
 
 
-def test_suite_recurrences_memo_lives_one_call(monkeypatch):
+def test_suite_recurrences_tabulates_each_closed_form_per_call(monkeypatch):
     from crossdimer import formulas
     from crossdimer.harness import valid_triples
 
@@ -340,7 +341,7 @@ def test_suite_recurrences_memo_lives_one_call(monkeypatch):
 
     def closed_spy(tag, f):
         def spy(i, a, b, c):
-            built.append((tag, i, a, b, c))
+            built.append((tag, i, np.broadcast(a, b, c).size))
             return f(i, a, b, c)
         return spy
 
@@ -350,13 +351,79 @@ def test_suite_recurrences_memo_lives_one_call(monkeypatch):
     calls = []
     for _ in range(2):
         built.clear()
-        values.clear()
         assert run_suite("recurrences", SuiteConfig(recurrence_grid=3)).passed
-        # one value() per distinct (function, point), none served by an
-        # earlier call
-        assert len(values) == len(built) == len(set(built)) > 0
-        calls.append(len(values))
+        calls.append(list(built))
+    # each call tabulates every closed form once, on the box [-3, 4]^3,
+    # and evaluates the same other terms directly
     assert calls[0] == calls[1]
+    assert [t for t in calls[0] if t[2] == 8 ** 3] == [
+        (tag, i, 8 ** 3) for tag in ("phi", "psi") for i in (1, 2, 3)]
+    assert values == []
+
+
+def _mutant_g(a, b, c):
+    """g_fn with // 4 for // 3, under which the recurrences fail."""
+    return (b - a) * (b - c) + (a - c) ** 2 // 4
+
+
+@pytest.mark.parametrize("mutant", [False, True])
+def test_formula_records_match_scalar_recurrence_check(monkeypatch, mutant):
+    import functools
+    from itertools import product
+
+    from crossdimer import formulas
+    from crossdimer.formulas import recurrence_check
+
+    if mutant:
+        monkeypatch.setattr(formulas, "g_fn", _mutant_g)
+    monkeypatch.setattr(harness, "valid_triples", lambda r, cap: [])
+    G = 4
+    got = [(r["check"], r["spec"], int(r["computed"])) for r in run_suite(
+        "recurrences", SuiteConfig(recurrence_grid=G)).records]
+    # the scalar path: one recurrence_check per point, over memoised values
+    fn = {f"{tag}{i}": functools.cache(
+              lambda a, b, c, f=f, i=i: f(i, a, b, c).value())
+          for tag, f in (("phi", formulas.phi), ("psi", formulas.psi))
+          for i in (1, 2, 3)}
+    box = list(product(range(G + 1), repeat=3))
+    plane = [(a, b, 0) for a, b in product(range(G + 1), repeat=2)]
+
+    def bad(r, star, points, diamond=None):
+        return sum(not recurrence_check(r, fn[star], fn.get(diamond),
+                                        *t)["equal"] for t in points)
+
+    want = [(f"formula_{r}", s, bad(r, s, box))
+            for r in ("R1", "R2", "R4") for s in fn]
+    want += [("formula_R3", s, bad("R3", s, plane)) for s in ("phi1", "psi1")]
+    want += [("formula_R6", f"({s},{d})", bad("R6", s, plane, d))
+             for tag in ("phi", "psi") for i in (2, 3)
+             for s, d in [(f"{tag}{i}", f"{tag}{5 - i}")]]
+    want += [("formula_R5", f"({s},{d})", bad("R5", s, box, d))
+             for i in (1, 2, 3)
+             for s, d in ((f"phi{i}", f"psi{4 - i}"), (f"psi{i}", f"phi{4 - i}"))]
+    phi1 = fn["phi1"]
+    want.append(("formula_reflection_c0", "phi1", sum(
+        phi1(a - 2, b - 2, -1) != phi1(3 * b - 2 * a, 2 * b - a, 1)
+        for a, b, _ in plane)))
+    assert got == want
+    assert (sum(w[2] for w in want) > 0) == mutant
+
+
+def test_theorem11_counts_in_four_batches(monkeypatch):
+    from crossdimer import matchcount
+
+    monkeypatch.delenv("CROSSDIMER_CACHE", raising=False)
+    batches, count_many = [], matchcount.count_many
+
+    def spy(graphs, cap=FKT_CAP):
+        batches.append(1)
+        return count_many(graphs, cap)
+
+    monkeypatch.setattr(harness, "count_many", spy)
+    monkeypatch.setattr(matchcount, "count_many", spy)
+    assert run_suite("theorem11", SuiteConfig()).passed
+    # the claims, the bands of the split, and one per split_check
+    assert len(batches) == 4
 
 
 def test_render_svg(tmp_path):

@@ -452,6 +452,26 @@ def test_det_exact_small():
     assert det_exact([[1, 2], [1, 2]], [[1, 0], [0, 1]]) == 3
 
 
+@pytest.mark.parametrize("vals, cols, size", [
+    ([[2, 5]], [[0, 1]], 1),                  # column 1 of a 1 x 1 matrix
+    ([[2], [7, 3]], [[0], [-1, 1]], 2),       # column -1
+    ([[1, 1], [1, 1]], [[0, 0], [0, 1]], 2),  # column 0 twice in row 0
+])
+def test_det_exact_rejects_bad_columns(vals, cols, size):
+    with pytest.raises(ValueError, match=rf"matrix 0 has a column outside "
+                                         rf"range\({size}\) or twice"):
+        det_exact(vals, cols)
+
+
+def test_elimination_names_the_matrix_with_a_bad_column():
+    good, bad = (matchcount._packed(matchcount.int_array([1, 2, 3, 4]),
+                                    [2, 2], cols) for cols in
+                 ([0, 1, 1, 0], [0, 1, 1, 1]))
+    assert matchcount._dets_exact([good]) == [-5]
+    with pytest.raises(ValueError, match="matrix 1 has a column"):
+        matchcount._dets_exact([good, bad])
+
+
 def test_det_exact_rejects_residues_beyond_bound(monkeypatch):
     # a residue of (p - 1) / 2 = -1/2 mod every prime reconstructs to a
     # value far outside the Hadamard bound
