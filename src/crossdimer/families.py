@@ -204,47 +204,6 @@ def build_TB(p):
     return Spec("TB", (p.m, p.n, p.h1, p.h2)).graph()
 
 
-# -- reflections --------------------------------------------------------------------
-
-
-def reflect(g, axis):
-    """Mirror a graph; the cross lattice maps onto itself up to translation."""
-    if axis == "vertical":
-        fn = lambda v: (-v[0], v[1])
-    elif axis == "horizontal":
-        fn = lambda v: (v[0], -v[1])
-    else:
-        raise ValueError(f"unknown axis {axis!r}")
-    return g.mapped(fn)
-
-
-def translate(g, dx, dy):
-    return g.mapped(lambda v: (v[0] + dx, v[1] + dy))
-
-
-def lattice_translations(g1, g2):
-    """All translations t with V(g1)+t = V(g2) and edges preserved."""
-    if len(g1) != len(g2) or g1.n_edges() != g2.n_edges():
-        return []
-    if len(g1) == 0:
-        return [(0, 0)]
-    v1 = min(g1.vertices)
-    s2 = set(g2.vertices)
-    out = []
-    for w in g2.vertices:
-        dx, dy = w[0] - v1[0], w[1] - v1[1]
-        if not all((v[0] + dx, v[1] + dy) in s2 for v in g1.vertices):
-            continue
-        if all(g2.has_edge((u[0] + dx, u[1] + dy), (v[0] + dx, v[1] + dy))
-               for u, v in g1.edges()):
-            out.append((dx, dy))
-    return out
-
-
-def isomorphic_by_translation(g1, g2):
-    return bool(lattice_translations(g1, g2))
-
-
 # -- cross weights ------------------------------------------------------------------
 
 # Weight symbol per cross edge (everything else weighs 1): x on the open
@@ -469,8 +428,3 @@ def grids(specs):
             [spec.lat for spec in batch],
             np.concatenate(rows + [row_spans(contours)]),
             np.array(cleared, dtype=np.int64).reshape(-1, 3))
-
-
-def parse_spec(text):
-    """Build the graph named by a CLI string like A1:9,8,2 or AR:2,2@full."""
-    return Spec.parse(text).graph()

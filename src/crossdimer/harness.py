@@ -31,7 +31,7 @@ from .formulas import (
 )
 from .lattice import FULL_GRID, GRID_B, trace_contour
 from .matchcount import (
-    FKT_CAP, BadVertexSelection, count_brute, count_many,
+    BRUTE_CAP, FKT_CAP, BadVertexSelection, count_brute, count_many,
     kuo_check, split_check, planar_faces,
 )
 
@@ -52,23 +52,19 @@ CACHE_KEY_PREFIX = "points-v1:"
 @dataclass
 class SuiteConfig:
     perimeter_cap: int = 28
-    vertex_cap_brute: int = 44
-    vertex_cap_fkt: int = FKT_CAP
     recurrence_grid: int = 20
     cache_path: str | None = None
     seed: int = 20260808
 
     def __post_init__(self):
-        for name in ("perimeter_cap", "vertex_cap_brute", "vertex_cap_fkt",
-                     "recurrence_grid", "seed"):
+        for name in ("perimeter_cap", "recurrence_grid", "seed"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int):
                 raise InvalidParams(f"{name} must be an integer, not {v!r}")
         if not isinstance(self.cache_path, (str, type(None))):
             raise InvalidParams(f"cache_path must be a string or null, not "
                                 f"{self.cache_path!r}")
-        if min(self.perimeter_cap, self.vertex_cap_brute,
-               self.vertex_cap_fkt, self.recurrence_grid) <= 0:
+        if min(self.perimeter_cap, self.recurrence_grid) <= 0:
             raise InvalidParams("caps must be positive")
 
 
@@ -155,7 +151,7 @@ def count_key(lat, grid):
     return CACHE_KEY_PREFIX + digest.hexdigest()
 
 
-def cached_count(specs, cache=None, cap=FKT_CAP):
+def cached_count(specs, cache=None):
     """Exact FKT counts of the graphs that an iterable of Specs names, in
     order.
 
@@ -180,7 +176,7 @@ def cached_count(specs, cache=None, cap=FKT_CAP):
             else:
                 counts[key] = int(hit)
 
-    found = count_many(misses(), cap=cap)
+    found = count_many(misses())
     for key, n in zip(todo, found):
         counts[key] = n
         if cache is not None and not isinstance(n, Fraction):
@@ -236,7 +232,7 @@ def suite_sanity(cfg):
     rng = random.Random(cfg.seed)
     extended = list(pool)
     for spec_str, g in pool:
-        if len(g) < 8 or len(g) > cfg.vertex_cap_brute + 2:
+        if len(g) < 8 or len(g) > BRUTE_CAP + 2:
             continue
         ev = sorted(v for v in g.vertices if (v[0] + v[1]) % 2 == 0)
         od = sorted(v for v in g.vertices if (v[0] + v[1]) % 2 == 1)
@@ -245,10 +241,9 @@ def suite_sanity(cfg):
                 u, v = rng.choice(ev), rng.choice(od)
                 extended.append((f"{spec_str}-minus{k}:{u},{v}",
                                  g.without((u, v))))
-    checks += [("oracle_equivalence", spec_str,
-                count_brute(g, cap=cfg.vertex_cap_brute), g)
-               for spec_str, g in extended if len(g) <= cfg.vertex_cap_brute]
-    counts = count_many([g for *_, g in checks], cap=cfg.vertex_cap_fkt)
+    checks += [("oracle_equivalence", spec_str, count_brute(g), g)
+               for spec_str, g in extended if len(g) <= BRUTE_CAP]
+    counts = count_many([g for *_, g in checks])
     for (check, spec_str, want, _), got in zip(checks, counts):
         rep.add(check, spec_str, want, got)
     checked = sum(check == "oracle_equivalence" for check, *_ in checks)
@@ -265,8 +260,7 @@ def claims_report(name, claims, cfg):
     straight from their point sets."""
     rep = SuiteReport(name)
     specs = list(dict.fromkeys(spec for _, spec in claims))
-    counts = dict(zip(specs, cached_count(
-        specs, CountCache(cfg.cache_path), cap=cfg.vertex_cap_fkt)))
+    counts = dict(zip(specs, cached_count(specs, CountCache(cfg.cache_path))))
     for check, spec in claims:
         got = counts[spec]
         if check == "small_prime_factors":
@@ -500,8 +494,7 @@ def suite_recurrences(cfg):
     graphs = {}  # every (head, triple) a check reads, first seen first
     verdicts(lambda *key: graphs.setdefault(key, 0))
     counts = dict(zip(graphs, cached_count(
-        (Spec(*key) for key in graphs),
-        CountCache(cfg.cache_path), cap=cfg.vertex_cap_fkt)))
+        (Spec(*key) for key in graphs), CountCache(cfg.cache_path))))
     for (r, star, _, t), ok in zip(
             checks, verdicts(lambda *key: counts[key])):
         rep.add(f"graph_{r}", str(Spec(star, t)), True, ok, ok=ok)
@@ -631,7 +624,7 @@ def suite_conjecture(cfg):
     specs = [Spec(f"{family}{i}", t) for t in valid_triples(range(2, 7), 16)
              for i in (1, 2, 3) for family in ("A", "F")]
     counts = _weighted_counts(specs, PROBE_POINTS + (HELD_OUT_POINT,),
-                              cfg.vertex_cap_fkt)
+                              FKT_CAP)
     for spec, (*probed, got) in zip(specs, counts):
         family, (a, b, c), spec_str = spec.head[0], spec.nums, str(spec)
         vec = _probe_vector(family, a, b, c, PROBE_POINTS, probed)

@@ -277,8 +277,7 @@ ZIGZAG_PERIOD = 4
 # The zigzag pattern removes one vertex per period from the trimmed row,
 # always in a column adjacent to the row's missing-edge pair: delta=2 is
 # the column just east of the pair, delta=3 the column just west of the
-# next one.  The sweep direction of the cut maps onto these two phases.
-SWEEP_DELTA = {"right_to_left": 2, "left_to_right": 3}
+# next one.
 
 
 def slit_base(row_y):
@@ -297,15 +296,13 @@ def zigzag_trim_row(row_y, x_lo, x_hi, delta):
     return {(x, row_y) for x in range(x_lo, x_hi + 1) if x % 4 == r}
 
 
-def trim_zigzag_side(corners2, side_idx, sweep=None, delta=None):
+def trim_zigzag_side(corners2, side_idx, delta):
     """Points the zigzag trim removes along one horizontal contour side."""
     p1, p2 = corners2[side_idx], corners2[side_idx + 1]
     if p1 == p2:
         return set()
     if p1[1] != p2[1]:
         raise NotHorizontalSide(f"{p1}..{p2} is not horizontal")
-    if delta is None:
-        delta = SWEEP_DELTA[sweep]
     y2 = p1[1]
     # a counterclockwise polygon (twice its signed area is positive) has its
     # interior left of each side: below a side that runs west

@@ -12,7 +12,7 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, groupby, islice
+from itertools import accumulate, chain, groupby, islice, product
 from math import isqrt, lcm, prod
 
 import numpy as np
@@ -86,14 +86,8 @@ class Graph:
     def edges(self):
         return [(u, v) for u in self.vertices for v in self.adj[u] if u < v]
 
-    def n_edges(self):
-        return sum(len(s) for s in self.adj.values()) // 2
-
     def weight(self, u, v):
         return self.weights.get(edge_key(u, v), 1)
-
-    def has_edge(self, u, v):
-        return v in self.adj.get(u, ())
 
     def is_balanced(self):
         """Whether both (x + y) parity classes have equally many vertices."""
@@ -119,12 +113,6 @@ class Graph:
         g.vertices, g.adj = self.vertices, self.adj
         g.weights = _checked_weights(self.adj, weights)
         return g
-
-    def mapped(self, fn):
-        """Relabel vertices through fn (must stay parity-preserving)."""
-        edges = [(fn(u), fn(v)) for u, v in self.edges()]
-        w = {edge_key(fn(u), fn(v)): wt for (u, v), wt in self.weights.items()}
-        return Graph([fn(v) for v in self.vertices], edges, w)
 
     # -- canonical serialization ------------------------------------------
 
@@ -234,26 +222,6 @@ def _edge_keys(ids, shape, shift):
     d, x, y = np.unravel_index(ids, (2,) + tuple(shape))
     x, y = (x + shift[0]).tolist(), (y + shift[1]).tolist()
     return [((u, v), (u + 1 - k, v + k)) for k, u, v in zip(d.tolist(), x, y)]
-
-
-def _components(adj):
-    """Vertex lists of the connected components of adjacency adj, each in
-    adj's order, and ordered by their first vertex in adj."""
-    label, comps = {}, []
-    for start in adj:
-        if start in label:
-            continue
-        label[start] = k = len(comps)
-        comps.append([])
-        stack = [start]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in label:
-                    label[u] = k
-                    stack.append(u)
-    for v in adj:
-        comps[label[v]].append(v)
-    return comps
 
 
 # -- forced-edge reduction -------------------------------------------------
@@ -437,49 +405,32 @@ def _flips(occ, x0, y0):
     north edge points south, as an array shaped like Grid.edges.  A
     horizontal edge in row y points east iff y is even, and a vertical
     edge (x, y)-(x, y+1) north iff x + rank is even, rank being the number
-    of vertices left of (x, y) in its row."""
+    of vertices left of (x, y) in its row.
+
+    With every vertical pointing north, each unit square is clockwise-odd,
+    so a cycle C has #clockwise = 1 + #(points of Z^2 inside C) mod 2.
+    For any column a left of occ, x + rank = a + #(points (x', y) that are
+    not vertices, a <= x' < x) mod 2.  The constant flips every vertical,
+    and C has an even number of them.  Each such point flips the verticals
+    that an eastward ray from it at height y + 1/2 crosses, and the ray
+    crosses C an odd number of times iff the point is inside C.  So
+    #clockwise = 1 + #(vertices inside C) mod 2, which is 1 on a face.
+
+    Kasteleyn's theorem asks only that every nice cycle C (one whose
+    inside has a perfect matching of its own) be clockwise-odd.  So the
+    ranks run over whole rows, with no component split: the vertices of
+    other components inside a nice cycle come in even number, and the
+    other graphs stacked beside it lie in other columns, never inside C.
+    The same ranks serve each piece between two of _plan's cuts along
+    x + y.  The cut edges only drop out of the graph, and each piece lies
+    between two diagonals, a convex band, so the inside of a cycle of a
+    piece holds no vertex of another piece: a nice cycle of a piece is
+    still clockwise-odd."""
     w, h = occ.shape
     flips = np.empty((2, w, h), dtype=np.int64)
     flips[0] = np.arange(y0, y0 + h)
     flips[1] = np.cumsum(occ, 0) - occ + np.arange(x0, x0 + w)[:, None]
     return flips & 1
-
-
-def pfaffian_orientation(g):
-    """Orient the edges of a unit-step graph so every bounded face is
-    clockwise-odd, by the rule of _flips on each connected component.
-
-    With every vertical pointing north, each unit square is clockwise-odd,
-    so a cycle C has #clockwise = 1 + #(points of Z^2 inside C) mod 2.
-    For any x0 left of the component, x + rank[x, y] = x0 + #(points
-    (x', y) outside it with x0 <= x' < x) mod 2.  The constant flips every
-    vertical, and C has an even number of them.  Each such point flips the
-    verticals that an eastward ray from it at height y + 1/2 crosses, and
-    the ray crosses C an odd number of times iff the point is inside C.
-    So #clockwise = 1 + #(vertices inside C) mod 2, which is 1 on a face.
-    Returns {edge_key: (tail, head)}; a non-unit edge raises
-    NonPlanarEmbedding.
-
-    Counting needs less: Kasteleyn's theorem asks only that every nice
-    cycle C (one whose inside has a perfect matching of its own) be
-    clockwise-odd.  So _plan ranks each vertex among all vertices of its
-    row, with no component split: the vertices of other components inside
-    a nice cycle come in even number, and the other graphs stacked beside
-    it lie in other columns, never inside C.  The same ranks serve each
-    piece between two of _plan's cuts along x + y.  The cut edges only
-    drop out of the graph, and each piece lies between two diagonals, a
-    convex band, so the inside of a cycle of a piece holds no vertex of
-    another piece: a nice cycle of a piece is still clockwise-odd.
-    """
-    orient = {}
-    for comp in _components(g.adj):
-        grid = Grid.of_graph(g.induced(comp))
-        ids = np.flatnonzero(grid.edges)
-        back = _flips(grid.occ, *grid.origin).ravel()[ids].tolist()
-        for (u, v), f in zip(_edge_keys(ids, grid.occ.shape, grid.origin),
-                             back):
-            orient[u, v] = (v, u) if f else (u, v)
-    return orient
 
 
 # -- exact determinant via CRT ----------------------------------------------
@@ -569,18 +520,7 @@ def _lane_entries(mats, primes, n):
     row_of = np.repeat(np.arange(len(lens), dtype=np.int32), lens)
     mat = np.repeat(np.arange(len(mats), dtype=np.int32), sizes)[row_of]
     r = row_of - (np.cumsum(sizes) - sizes).astype(np.int32)[mat]
-    c = np.concatenate([cols for _, _, cols, _ in mats])
-    # a column outside its matrix would be read as another entry of the
-    # window, and a second entry at one place would overwrite the first
-    key = row_of.astype(np.int64) * n + c
-    at = np.argsort(key, kind="stable")
-    bad = (c < 0) | (c >= sizes[mat])
-    bad[at[1:]] |= key[at[1:]] == key[at[:-1]]
-    if bad.any():
-        j = mat[bad.argmax()]
-        raise ValueError(f"matrix {j} has a column outside range({sizes[j]}) "
-                         f"or twice in one row")
-    d = c - r
+    d = np.concatenate([cols for _, _, cols, _ in mats]) - r
     v = np.concatenate([vals for _, _, _, vals in mats])
     lo = np.zeros(len(mats), dtype=np.int32)
     hi = np.zeros(len(mats), dtype=np.int32)
@@ -608,6 +548,29 @@ def _lane_entries(mats, primes, n):
     at += np.repeat(d + lo * (width + 1), copies)
     start = np.concatenate(([0], ends))[np.searchsorted(r, np.arange(n + 1))]
     return lo, width, red.astype(np.int64, copy=False), at, start.tolist()
+
+
+def _check_columns(mats):
+    """Raise ValueError, naming the first matrix of mats at fault, for a
+    column outside its matrix or one twice in a row.  The elimination
+    would read the first as another entry of its window and let the
+    second overwrite the first, and a matrix with a zero row would skip
+    the elimination with determinant 0."""
+    if not mats:
+        return
+    sizes = np.array([len(lens) for _, lens, _, _ in mats])
+    row_of = np.repeat(np.arange(sizes.sum()),
+                       np.concatenate([lens for _, lens, _, _ in mats]))
+    mat = np.repeat(np.arange(len(mats)), sizes)[row_of]
+    c = np.concatenate([cols for _, _, cols, _ in mats])
+    key = row_of * int(sizes.max()) + c
+    at = np.argsort(key, kind="stable")
+    bad = (c < 0) | (c >= sizes[mat])
+    bad[at[1:]] |= key[at[1:]] == key[at[:-1]]
+    if bad.any():
+        j = mat[bad.argmax()]
+        raise ValueError(f"matrix {j} has a column outside range({sizes[j]}) "
+                         f"or twice in one row")
 
 
 def _det_residues(mats, primes):
@@ -708,6 +671,7 @@ def _dets_exact(mats):
     elimination.  An empty matrix has determinant 1, and one with a zero
     row 0.
     """
+    _check_columns(mats)
     dets = [1 if not len(lens) else 0 for _, lens, _, _ in mats]
     todo, bounds, primes = [], [], []
     for j, (sq, lens, _, _) in enumerate(mats):
@@ -769,7 +733,7 @@ def _plan(grids, cap):
     x-major order.  An entry is + when _flips orients its edge out of the
     even vertex, with ranks over whole rows of the stack, as for a whole
     grid: a piece lies between two diagonals, so no vertex of another
-    piece lies inside one of its cycles (pfaffian_orientation).  A grid
+    piece lies inside one of its cycles (_flips).  A grid
     left with more than cap vertices raises TooLarge.
     """
     # a grid's point (x, y) goes to cell (x - dx, y - dy), dx a multiple
@@ -960,8 +924,6 @@ def _on_common_face_in_order(g, quad):
             index.setdefault(p, []).append(i)
         if any(p not in index for p in quad):
             continue
-        from itertools import product
-
         n = len(cycle)
         for picks in product(*(index[p] for p in quad)):
             a, b, c, d = picks

@@ -104,6 +104,12 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
     assert "recurrence_grid" in err[-3] and "2.5" in err[-3]
     assert "perimeter_cap" in err[-2] and "True" in err[-2]
     assert "cache_path" in err[-1] and err[-1].endswith("not 1")
+    # the vertex caps are the package's BRUTE_CAP and FKT_CAP, not settings
+    for key in ("vertex_cap_brute", "vertex_cap_fkt"):
+        cap = tmp_path / f"{key}.json"
+        cap.write_text(f'{{"{key}": 44}}')
+        assert main(["verify", "sanity", "--config", str(cap)]) == 2
+        assert key in capsys.readouterr().err
     # a torn cache line and conflicting cached counts name the file line
     torn, clash = tmp_path / "torn.jsonl", tmp_path / "clash.jsonl"
     torn.write_text('{"key": "k1", "count": "5"}\n{"key": "k2", "cou')

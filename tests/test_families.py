@@ -4,11 +4,24 @@ from hypothesis import given, settings, strategies as st
 from crossdimer.families import (
     InvalidParams, NotGridB, TrimRectParams, assign_cross_weights,
     build_A, build_F, build_TA, build_TB, build_TR, build_aztec_rectangle,
-    build_augmented_aztec, derive_params, isomorphic_by_translation,
-    parse_spec, reflect, translate, weight_point,
+    build_augmented_aztec, derive_params, weight_point, Spec,
 )
 from crossdimer.lattice import FULL_GRID, GRID_B
-from crossdimer.matchcount import Graph, count_brute, count_fkt
+from crossdimer.matchcount import Graph, Grid, count_brute, count_fkt
+
+
+def moved(g, fn):
+    """g with each point p at fn(p), for fn a map of Z^2 that keeps parity."""
+    return Graph(map(fn, g.vertices), [(fn(u), fn(v)) for u, v in g.edges()],
+                 {(fn(u), fn(v)): w for (u, v), w in g.weights.items()})
+
+
+def mirror_x(p):
+    return -p[0], p[1]
+
+
+def mirror_y(p):
+    return p[0], -p[1]
 
 
 def test_derive_params_examples():
@@ -97,7 +110,7 @@ def test_point_sets_count_like_their_graphs():
         HypothesisViolated, check_trim_domain, trim_rect_domain,
         valid_triples,
     )
-    from crossdimer.families import Spec, grids
+    from crossdimer.families import grids
     from crossdimer.matchcount import count_many
 
     specs = [(kind, (i, a, b, c))
@@ -152,7 +165,7 @@ def test_vertical_reflection_count_identities():
         if p.case_tall:
             continue
         for i in (1, 2, 3):
-            left = reflect(build_A(i, a, b, c), "vertical")
+            left = moved(build_A(i, a, b, c), mirror_x)
             right = build_F(4 - i, p.f, p.e, p.d)
             assert count_fkt(left) == count_fkt(right), (i, a, b, c)
             assert left.is_balanced() == right.is_balanced()
@@ -163,17 +176,20 @@ def test_horizontal_reflection_count_identities():
         p = derive_params(a, b, c)
         assert p.case_tall
         for i, j in ((1, 1), (2, 3), (3, 2)):
-            left = reflect(build_A(i, a, b, c), "horizontal")
+            left = moved(build_A(i, a, b, c), mirror_y)
             right = build_A(j, b, a, p.f)
             assert count_fkt(left) == count_fkt(right), (i, a, b, c)
 
 
 def test_double_reflection_is_translation():
-    g = build_A(1, 2, 2, 0)
-    gg = reflect(reflect(g, "vertical"), "vertical")
-    assert isomorphic_by_translation(g, gg)
-    hh = reflect(reflect(g, "horizontal"), "horizontal")
-    assert isomorphic_by_translation(g, hh)
+    # a mirror, shifted by a period of the cross lattice and mirrored back,
+    # has g's arrays at another origin
+    g = Grid.of_graph(build_A(1, 2, 2, 0))
+    for fn in (mirror_x, mirror_y):
+        h = Grid.of_graph(moved(moved(moved(g.graph(), fn),
+                                      lambda p: (p[0] + 4, p[1] + 4)), fn))
+        assert (g.occ == h.occ).all() and (g.edges == h.edges).all()
+        assert h.origin != g.origin
 
 
 def test_weights_unit_point_matches_unweighted():
@@ -185,7 +201,7 @@ def test_weights_unit_point_matches_unweighted():
 def test_weights_periodic():
     g = build_F(1, 2, 2, 0)
     w = weight_point(3, 5, 7)
-    shifted = translate(g, 4, 0)
+    shifted = moved(g, lambda p: (p[0] + 4, p[1]))
     a = assign_cross_weights(g, w)
     b = assign_cross_weights(shifted, w)
     assert count_brute(a) == count_brute(b)
@@ -198,7 +214,6 @@ def test_weights_reject_full_grid():
 
 
 def test_spec_names_each_family_once():
-    from crossdimer.families import Spec
     from crossdimer.formulas import HypothesisViolated, phi, thm_TA
 
     for text in ("A1:9,8,2", "F3:5,8,4", "TR:2,4", "TA:5,7,4,3",
@@ -225,15 +240,13 @@ def test_spec_names_each_family_once():
 
 
 def test_parse_spec_round_trip():
-    assert count_fkt(parse_spec("TR:1,2")) == 100
-    assert count_fkt(parse_spec("AR:2,2@full")) == 8
-    assert count_fkt(parse_spec("AAR:2,2@full")) == 13
-    assert count_fkt(parse_spec("A1:9,8,2")) == 302_500_000_000
-    assert count_fkt(parse_spec("TA:5,7,4,3")) == 1_125_000_000
-    with pytest.raises(InvalidParams):
-        parse_spec("XX:1,2")
-    with pytest.raises(InvalidParams):
-        parse_spec("A1:1")
+    for text, want in (("TR:1,2", 100), ("AR:2,2@full", 8),
+                       ("AAR:2,2@full", 13), ("A1:9,8,2", 302_500_000_000),
+                       ("TA:5,7,4,3", 1_125_000_000)):
+        assert count_fkt(Spec.parse(text).graph()) == want
+    for text in ("XX:1,2", "A1:1"):
+        with pytest.raises(InvalidParams):
+            Spec.parse(text)
 
 
 def _batch_specs():
@@ -298,7 +311,7 @@ def test_cross_weighted_grids_use_the_smallest_signed_dtype():
     # and the counts equal those of the weighted graphs
     import numpy as np
 
-    from crossdimer.families import Spec, cross_weighted_grids, grids
+    from crossdimer.families import cross_weighted_grids, grids
     from crossdimer.matchcount import count_many
 
     spec = Spec("A1", (4, 4, 2))

@@ -60,10 +60,10 @@ def test_cached_count_hashes_once_counts_duplicates_once(monkeypatch):
         keyed.append(grid)
         return count_key(lat, grid)
 
-    def count_spy(graphs, cap):
+    def count_spy(graphs):
         graphs = list(graphs)
         batches.append(len(graphs))
-        return count_many(graphs, cap=cap)
+        return count_many(graphs)
 
     monkeypatch.setattr(harness, "count_key", key_spy)
     monkeypatch.setattr(harness, "count_many", count_spy)
@@ -301,10 +301,10 @@ def test_suite_recurrences_matches_per_graph_counts(monkeypatch):
     batches, keyed = [], []
     count_many, count_key = harness.count_many, harness.count_key
 
-    def count_spy(graphs, cap):
+    def count_spy(graphs):
         graphs = list(graphs)
         batches.append(len(graphs))
-        return count_many(graphs, cap=cap)
+        return count_many(graphs)
 
     def key_spy(lat, grid):
         keyed.append(count_key(lat, grid))
@@ -432,7 +432,7 @@ def test_render_svg(tmp_path):
     render_svg(g, out)
     text = open(out).read()
     assert text.startswith("<?xml")
-    assert text.count("<line") == g.n_edges()
+    assert text.count("<line") == len(g.edges())
     # empty graph renders valid svg
     render_svg(Graph([], []), out)
     assert "<svg" in open(out).read()

@@ -121,10 +121,10 @@ def test_points_on_segment_diagonal():
 def test_zigzag_trim_idempotent():
     corners = trace_contour(family_contour(1, 3, 4, 2))
     pts = set(region_points(corners))
-    drop = trim_zigzag_side(corners, 2, sweep="right_to_left")
+    drop = trim_zigzag_side(corners, 2, delta=2)
     assert drop and drop <= pts
     t1 = pts - drop
-    t2 = t1 - trim_zigzag_side(corners, 2, sweep="right_to_left")
+    t2 = t1 - trim_zigzag_side(corners, 2, delta=2)
     assert t1 == t2
 
 

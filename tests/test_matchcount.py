@@ -1,11 +1,13 @@
 import random
 import re
 import tracemalloc
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from math import isqrt, prod
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -19,8 +21,7 @@ from crossdimer.matchcount import (
     Graph, BadVertexSelection, ConditionsViolated, InexactArithmetic,
     NonPlanarEmbedding, TooLarge,
     count_brute, count_fkt, count_many, count_matchings, det_exact, edge_key,
-    kuo_check, pfaffian_orientation, planar_faces,
-    reduce_forced, split_check,
+    kuo_check, planar_faces, reduce_forced, split_check,
 )
 
 
@@ -40,6 +41,12 @@ def square():
     return Graph([(0, 0), (1, 0), (0, 1), (1, 1)],
                  [((0, 0), (1, 0)), ((0, 0), (0, 1)),
                   ((1, 0), (1, 1)), ((0, 1), (1, 1))])
+
+
+def moved(g, fn):
+    """g with each point p at fn(p), for fn a map of Z^2 that keeps parity."""
+    return Graph(map(fn, g.vertices), [(fn(u), fn(v)) for u, v in g.edges()],
+                 {(fn(u), fn(v)): w for (u, v), w in g.weights.items()})
 
 
 def test_graph_rejects_same_parity_edge():
@@ -118,35 +125,86 @@ def face_area2(cycle):
     return s
 
 
-def assert_pfaffian(g, orient):
-    """orient covers every edge once and leaves each bounded face with an
-    odd number of edges against its counterclockwise traversal."""
-    assert sorted(orient) == sorted(g.edges())
-    for e, (tail, head) in orient.items():
-        assert (tail, head) in (e, e[::-1])
-    for cyc in planar_faces(g):
-        if face_area2(cyc) > 0:
-            clockwise = sum(orient[edge_key(u, v)] == (v, u)
-                            for u, v in zip(cyc, cyc[1:] + cyc[:1]))
-            assert clockwise % 2 == 1
+def inside(cycle, points):
+    """The points off the closed walk cycle that it encloses: those whose
+    eastward ray at height y + 1/2 crosses it an odd number of times."""
+    walls = [(u[0], min(u[1], v[1]))
+             for u, v in zip(cycle, cycle[1:] + cycle[:1]) if u[0] == v[0]]
+    return [p for p in points if p not in cycle and sum(
+        y == p[1] and x > p[0] for x, y in walls) % 2]
+
+
+def plan_orientations(g):
+    """The live vertices of g and, per piece that _plan makes of it, the
+    piece's vertices and its edges as (tail, head) pairs, read off the
+    piece's (lens, cols, signs): row i is the piece's i-th even live
+    vertex in x-major order, column j its j-th odd one, and an entry is +
+    when its edge points out of the even vertex.  The live vertices are
+    those that no forced edge covers, and the pieces lie between the
+    levels of diagonal_cuts.  None when g has no perfect matching."""
+    grid = matchcount.Grid.of_graph(g)
+    (plan,) = matchcount._plan([grid], len(g))
+    if plan is None:
+        return None
+    pieces, forced = plan
+    peeled = matchcount.Grid(grid.origin, grid.occ, forced).graph().adj
+    live = g.without(v for v, s in peeled.items() if s)
+    cuts = diagonal_cuts(live)
+    assert len(pieces) == (len(cuts) + 1 if len(live) else 0)
+    out = []
+    for k, (lens, cols, signs, _) in enumerate(pieces):
+        band = [v for v in live.vertices if bisect_left(cuts, sum(v)) == k]
+        even, odd = ([v for v in band if sum(v) % 2 == c] for c in (0, 1))
+        assert len(lens) == len(even) == len(odd)
+        rows = np.repeat(np.arange(len(lens)), lens).tolist()
+        out.append((band, [(even[i], odd[j]) if s > 0 else (odd[j], even[i])
+                           for i, j, s in zip(rows, cols.tolist(),
+                                              signs.tolist())]))
+    return live, out
+
+
+def check_plan_faces(g):
+    """Check that each bounded face C of each piece of g has #clockwise =
+    1 + #(live vertices inside C) mod 2 under _plan's signs, and that the
+    signs orient every edge of the piece once; the number of pieces, or
+    None when g has no perfect matching."""
+    found = plan_orientations(g)
+    if found is None:
+        return None
+    live, pieces = found
+    for band, arcs in pieces:
+        orient = {edge_key(*a): a for a in arcs}
+        assert sorted(orient) == sorted(live.induced(band).edges())
+        for cyc in planar_faces(Graph(band, arcs)):
+            if face_area2(cyc) > 0:
+                clockwise = sum(orient[edge_key(u, v)] == (v, u)
+                                for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+                enclosed = len(inside(cyc, live.vertices))
+                assert clockwise % 2 == (1 + enclosed) % 2
+    return len(pieces)
 
 
 def test_orientation_square_is_odd():
     g = square()
     assert len([f for f in planar_faces(g) if face_area2(f) > 0]) == 1
-    assert_pfaffian(g, pfaffian_orientation(g))
+    assert check_plan_faces(g) == 1
 
 
 def test_orientation_forest():
-    g = path(4)
-    assert pfaffian_orientation(g)  # any orientation valid, must not raise
+    # a forest is matched by peeling alone: no piece is left to orient
+    assert check_plan_faces(path(4)) == 0
 
 
 def test_orientation_edgeless_components():
-    assert pfaffian_orientation(Graph([], [])) == {}
-    assert pfaffian_orientation(Graph([(0, 0)], [])) == {}
-    g = Graph(list(square().vertices) + [(5, 5)], square().edges())
-    assert_pfaffian(g, pfaffian_orientation(g))
+    assert check_plan_faces(Graph([], [])) == 0
+    # an isolated vertex leaves no perfect matching, and so no signs
+    assert check_plan_faces(Graph([(0, 0)], [])) is None
+    assert check_plan_faces(Graph(list(square().vertices) + [(5, 5)],
+                                  square().edges())) is None
+    # two squares, with a cut along x + y between them
+    far = moved(square(), lambda p: (p[0] + 5, p[1] + 5))
+    assert check_plan_faces(Graph(square().vertices + far.vertices,
+                                  square().edges() + far.edges())) == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,19 +214,17 @@ def test_orientation_odd_on_random_subgraphs(m, n, data):
     g = build_augmented_aztec(FULL_GRID, m, n)
     drop = data.draw(st.sets(st.sampled_from(sorted(g.vertices)),
                              max_size=4))
-    h = g.without(drop)
-    assert_pfaffian(h, pfaffian_orientation(h))
+    check_plan_faces(g.without(drop))
 
 
 def test_orientation_determinant_is_count_squared():
+    # _plan's signs, as a skew-symmetric matrix on all of g's vertices
     g = build_aztec_rectangle(FULL_GRID, 2, 2)
-    orient = pfaffian_orientation(g)
     idx = {v: i for i, v in enumerate(g.vertices)}
-    n = len(g)
-    skew = [[0] * n for _ in range(n)]
-    for e, (tail, head) in orient.items():
-        skew[idx[tail]][idx[head]] = 1
-        skew[idx[head]][idx[tail]] = -1
+    skew = [[0] * len(g) for _ in g.vertices]
+    for _, arcs in plan_orientations(g)[1]:
+        for tail, head in arcs:
+            skew[idx[tail]][idx[head]], skew[idx[head]][idx[tail]] = 1, -1
     assert det_exact(*sparse(skew)) == 64  # = M(AD_2)^2
 
 
@@ -241,7 +297,7 @@ def test_count_many_traces_no_faces(monkeypatch):
     cut = Graph(ladder.vertices,
                 [e for e in ladder.edges() if e != ((0, 1), (1, 1))])
     assert cut.vertices == ladder.vertices
-    assert cut.n_edges() == ladder.n_edges() - 1
+    assert len(cut.edges()) == len(ladder.edges()) - 1
     assert count_many([ladder, cut]) == [count_brute(ladder),
                                          count_brute(cut)]
     assert calls == []
@@ -291,6 +347,18 @@ def ring_around_island(w, h):
 @example(ring_around_island(6, 3))
 def test_fkt_matches_brute_on_holey_grids(g):
     assert count_fkt(g) == count_brute(g, cap=len(g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(holey_grids())
+@example(build_TR(2, 4))
+@example(grid(3, 3).without([(1, 1)]))
+@example(ring_around_island(4, 3))
+@example(ring_around_island(4, 4))
+@example(ring_around_island(6, 3))
+def test_plan_signs_make_each_face_clockwise_odd(g):
+    # TR(2, 4) is counted as three pieces, each checked on its own
+    check_plan_faces(g)
 
 
 @st.composite
@@ -407,16 +475,15 @@ def unmatchable():
 
 
 def test_count_many_stacks_graphs_apart(monkeypatch):
-    from crossdimer.families import translate
-
     dead = unmatchable()
     assert [count_brute(g) for g in dead] == [0, 0, 0, 0]
     assert dead[1].is_balanced() and not dead[2].is_balanced()
     assert len(dead[3]) % 2
     # far apart in y, and on both row parities
-    live = [translate(grid(2, 3), 1, 1001), translate(grid(4, 3), 5, -3),
+    live = [moved(grid(2, 3), lambda p: (p[0] + 1, p[1] + 1001)),
+            moved(grid(4, 3), lambda p: (p[0] + 5, p[1] - 3)),
             build_TR(1, 2),
-            translate(square(), -7, 2).with_weights(
+            moved(square(), lambda p: (p[0] - 7, p[1] + 2)).with_weights(
                 {((-7, 2), (-6, 2)): Fraction(1, 2)}),
             build_aztec_rectangle(GRID_B, 2, 2)]
     batch = [g for pair in zip(live, dead + [path(4)]) for g in pair]
@@ -456,6 +523,9 @@ def test_det_exact_small():
     ([[2, 5]], [[0, 1]], 1),                  # column 1 of a 1 x 1 matrix
     ([[2], [7, 3]], [[0], [-1, 1]], 2),       # column -1
     ([[1, 1], [1, 1]], [[0, 0], [0, 1]], 2),  # column 0 twice in row 0
+    # a zero row would make the determinant 0 without an elimination
+    ([[0]], [[3]], 1),
+    ([[1, 1], [0, 0]], [[0, 9], [0, 1]], 2),
 ])
 def test_det_exact_rejects_bad_columns(vals, cols, size):
     with pytest.raises(ValueError, match=rf"matrix 0 has a column outside "
@@ -470,6 +540,11 @@ def test_elimination_names_the_matrix_with_a_bad_column():
     assert matchcount._dets_exact([good]) == [-5]
     with pytest.raises(ValueError, match="matrix 1 has a column"):
         matchcount._dets_exact([good, bad])
+    # the index counts the matrices with a zero row, which skip elimination
+    zero = matchcount._packed(matchcount.int_array([0, 1]), [1, 1], [0, 1])
+    assert matchcount._dets_exact([zero, good]) == [0, -5]
+    with pytest.raises(ValueError, match="matrix 2 has a column"):
+        matchcount._dets_exact([zero, good, bad])
 
 
 def test_det_exact_rejects_residues_beyond_bound(monkeypatch):
@@ -657,7 +732,7 @@ def test_tr_counts_as_pieces_between_its_two_cuts(monkeypatch):
         assert len(rows) == 3 and sum(rows) == len(g) // 2
         # no matrix holds an edge across a cut
         across = [e for e in g.edges() if min(map(sum, e)) in cuts]
-        assert across and sum(entries) == g.n_edges() - len(across)
+        assert across and sum(entries) == len(g.edges()) - len(across)
     # TR(5, 10): two family regions and the band between them
     assert [r for r, _ in seen[4]] == [380, 29, 351]
     # no theorem21 graph has a cut after peeling: one matrix each
@@ -680,7 +755,7 @@ def test_mirrored_tr_is_counted_whole(monkeypatch):
     # the cuts follow x + y only, and the mirror's x + y levels are the
     # y - x levels of TR(3, 6), below none of which it is balanced
     seen = spy_dets(monkeypatch)
-    g = build_TR(3, 6).mapped(lambda p: (-p[0], p[1]))
+    g = moved(build_TR(3, 6), lambda p: (-p[0], p[1]))
     assert diagonal_cuts(g) == []
     assert count_fkt(g) == thm_TR(3, 6).value()
     assert [[r for r, _ in call] for call in seen] == [[len(g) // 2]]
@@ -705,7 +780,7 @@ def squares_across(extra=()):
     """Two 2 x 2 squares, below and above x + y = 3, joined by the edge
     (1, 1)-(1, 2), which weighs 5/3, and by the vertices and edges in
     extra."""
-    lo, hi = square(), square().mapped(lambda p: (p[0] + 1, p[1] + 2))
+    lo, hi = square(), moved(square(), lambda p: (p[0] + 1, p[1] + 2))
     pts = set(lo.vertices) | set(hi.vertices)
     pts |= {p for e in extra for p in e}
     join = ((1, 1), (1, 2))
@@ -794,10 +869,9 @@ def test_oracle_equivalence_random_subgraphs(m, n, data):
 
 
 def test_fkt_invariant_under_reflection():
-    from crossdimer.families import reflect
     g = build_augmented_aztec(FULL_GRID, 3, 2)
-    assert count_fkt(g) == count_fkt(reflect(g, "vertical"))
-    assert count_fkt(g) == count_fkt(reflect(g, "horizontal"))
+    assert count_fkt(g) == count_fkt(moved(g, lambda p: (-p[0], p[1])))
+    assert count_fkt(g) == count_fkt(moved(g, lambda p: (p[0], -p[1])))
 
 
 def test_kuo_on_diamond_corners():
