@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate, chain, groupby, islice, product
 from math import isqrt, lcm, prod
 
@@ -480,6 +479,10 @@ def _crt_primes(need):
 # in int64.
 _STEPS_PER_REDUCTION = 7
 
+# A prime shared by at least this many lanes inverts their pivots with one
+# pow per step (Montgomery's trick); fewer lanes call pow one by one.
+_BATCH_LANES = 4
+
 
 def int_array(values):
     """Python ints as an int64 array, or an object array if one overflows."""
@@ -490,18 +493,28 @@ def int_array(values):
 
 
 def _packed(vals, lens, cols):
-    """A row-sparse matrix packed as _det_residues takes it.  Row i holds
-    the next lens[i] entries of vals (an int64 or object array of ints),
-    at the distinct columns that cols gives in the same order.  Returns
-    (sq, lens, cols, vals), sq the product of the rows' sums of squares
-    (0 exactly when a row is zero)."""
-    lens, sq = np.asarray(lens, dtype=np.int32), 0
-    if lens.all() and len(vals):
+    """A row-sparse matrix packed as _det_residues takes it: the one copy
+    of _packed_copies with entries vals."""
+    return _packed_copies(vals[None], lens, cols)[0]
+
+
+def _packed_copies(vals, lens, cols):
+    """Copies of a row-sparse matrix packed as _det_residues takes them.
+    Row i of a copy holds the next lens[i] entries of its row of vals (an
+    int64 or object array of ints, one row per copy), at the distinct
+    columns that cols gives in the same order.  Returns per copy (sq,
+    lens, cols, vals), sq the Python int product of its rows' sums of
+    squares (0 exactly when a row is zero)."""
+    lens = np.asarray(lens, dtype=np.int32)
+    cols = np.asarray(cols, dtype=np.int32)
+    sq = [0] * len(vals)
+    if lens.all() and vals.size:
         top = max(int(vals.max()), -int(vals.min()))
         # Python ints where a row's sum of squares would not fit int64
         v = vals.astype(object) if top * top * int(lens.max()) >> 63 else vals
-        sq = prod(np.add.reduceat(v * v, np.cumsum(lens) - lens).tolist())
-    return sq, lens, np.asarray(cols, dtype=np.int32), vals
+        sq = map(prod, np.add.reduceat(v * v, np.cumsum(lens) - lens,
+                                       axis=1).tolist())
+    return [(s, lens, cols, v) for s, v in zip(sq, vals)]
 
 
 def _lane_entries(mats, primes, n):
@@ -588,6 +601,13 @@ def _det_residues(mats, primes):
     is nonzero in the pivot column), so the upper band of the eliminated
     rows grows to at most L+H and no nonzero leaves the window.  Every
     entry is reduced mod each of its matrix's primes once, up front.
+
+    At each step the lanes of a prime that at least _BATCH_LANES lanes
+    share get their pivot inverses from one pow, by Montgomery's trick:
+    prefix products, one inverse, and back-substitution.  A lane with no
+    pivot takes 1 in place of it; its pivot column is zero, so its
+    multipliers stay 0 whatever the inverse.  The lanes of other primes
+    call pow one by one.
     Returns, per matrix, the list of residues in [0, p).
     """
     if not mats:
@@ -603,6 +623,12 @@ def _det_residues(mats, primes):
     smallest = min(sizes)
     lanes = len(pr)
     each = np.arange(lanes)
+    by_prime = {}  # each prime's lanes
+    for j, p in enumerate(plist):
+        by_prime.setdefault(p, []).append(j)
+    shared = [(p, ix) for p, ix in by_prime.items() if len(ix) >= _BATCH_LANES]
+    # each lane's prime where it inverts its own pivot, and 0 elsewhere
+    alone = [0 if len(by_prime[p]) >= _BATCH_LANES else p for p in plist]
 
     win = np.zeros((lanes, lo + 1, width), dtype=np.int64)
     first = np.arange(min(lo + 1, n))
@@ -626,10 +652,18 @@ def _det_residues(mats, primes):
             win[each, piv] = win[:, 0]
             col[each, piv] = col[:, 0]
         # a lane with no pivot has det 0 and eliminates nothing
-        inv = np.array([pow(x, -1, p) if x else 0
-                        for x, p in zip(pivot.tolist(), plist)],
-                       dtype=np.int64)
-        f = col[:, 1:] * inv[:, None] % p1
+        pv = pivot.tolist()
+        inv = [pow(x, -1, p) if x and p else 1 for x, p in zip(pv, alone)]
+        for p, ix in shared:
+            xs = [pv[j] or 1 for j in ix]
+            pre = [1]
+            for x in xs:
+                pre.append(pre[-1] * x % p)
+            t = pow(pre.pop(), -1, p)  # 1 / (xs[0] ... xs[-1])
+            for j, x, a in zip(reversed(ix), reversed(xs), reversed(pre)):
+                inv[j] = t * a % p
+                t = t * x % p
+        f = col[:, 1:] * np.array(inv, dtype=np.int64)[:, None] % p1
         np.subtract(win[:, 1:, 1:], f[:, :, None] * prow[:, None, 1:],
                     out=nxt[:, :lo, :-1])
         nxt[:, :lo, -1] = 0
@@ -702,7 +736,7 @@ def det_exact(vals, cols):
 
 # Matrices (copies of structures) eliminated together: few enough that the
 # stacked arrays and the elimination window of a chunk stay small.
-_CHUNK = 32
+_CHUNK = 64
 
 
 def _plan(grids, cap):
@@ -713,9 +747,9 @@ def _plan(grids, cap):
     it has no perfect matching (_peel's bad vertices, or classes of
     unequal size), and otherwise (pieces, forced): the forced edges as a
     mask shaped like the grid's edges, and per piece of what is left
-    (lens, cols, signs, weigh): the row lengths, columns and +-1 entries
-    of its Kasteleyn matrix, and weigh(w), the entries' values in w shaped
-    like the grid's edges.  The matching count of the grid is the product
+    (lens, cols, signs, at): the row lengths, columns and +-1 entries of
+    its Kasteleyn matrix, and the flat index of each entry's edge in the
+    grid's edges.  The matching count of the grid is the product
     of its pieces' |det|.
 
     The pieces come from cuts along x + y.  A cut lies above each level l
@@ -747,8 +781,10 @@ def _plan(grids, cap):
     h = max([1] + [box[2].stop for box in boxes])
     occ, edges = np.zeros((x, h), dtype=bool), np.zeros((2, x, h), dtype=bool)
     owner = np.full(x, len(grids))  # gap columns belong to no grid
+    at = np.empty(edges.shape, dtype=np.int64)  # a cell's index in g.edges
     for j, (g, box) in enumerate(zip(grids, boxes)):
         occ[box[1:]], edges[box] = g.occ, g.edges
+        at[box] = np.arange(g.edges.size).reshape(g.edges.shape)
         owner[box[1]] = j
     forced, bad = _peel(occ.ravel(), edges.ravel(), h)
 
@@ -787,7 +823,7 @@ def _plan(grids, cap):
     signs = ((1 - 2 * _flips(occ, 0, 0).ravel()[slot])
              * [1, -1, 1, -1])[valid]
     cols = col[mate[valid]]
-    lens, cells = valid.sum(1, dtype=np.int32), slot[valid]
+    lens, at = valid.sum(1, dtype=np.int32), at.ravel()[slot[valid]]
     forced = forced.reshape(2, x, h)  # a grid's box of it is like g.edges
     pieces = [[] for _ in grids]
     first = np.flatnonzero(np.diff(pa, prepend=-1))
@@ -796,17 +832,9 @@ def _plan(grids, cap):
     for j, r0, r1 in zip((pa[first] // span).tolist(), rows, rows[1:]):
         # a balanced piece starts at column r0, as at row r0
         e = np.s_[ends[r0]:ends[r1]]
-        pieces[j].append((lens[r0:r1], cols[e] - r0, signs[e], partial(
-            _weigh, cells[e], (2, x, h), boxes[j])))
+        pieces[j].append((lens[r0:r1], cols[e] - r0, signs[e], at[e]))
     return [None if dead[j] else (pieces[j], forced[box])
             for j, box in enumerate(boxes)]
-
-
-def _weigh(cells, shape, box, w):
-    """w, shaped like the grid at box in a stacked array of shape shape, at
-    the cells (flat indices) of the stack."""
-    d, x, y = np.unravel_index(cells, shape)
-    return w[d, x - box[1].start, y - box[2].start]
 
 
 def count_many(graphs, cap=FKT_CAP):
@@ -843,19 +871,26 @@ def count_many(graphs, cap=FKT_CAP):
         chunk = [j for j, _ in run]
         mats, owners = [], []
         for j, plan in zip(chunk, _plan([grids[j] for j in chunk], cap)):
-            for i, weights in copies[j] if plan else ():
-                pieces, forced = plan
-                if weights is None:  # a row's sum of squares is its length
+            if plan is None:
+                continue
+            pieces, forced = plan
+            weighted = [(i, w) for i, w in copies[j] if w is not None]
+            for i, w in copies[j]:
+                if w is None:  # a row's sum of squares is its length
                     mats += [(prod(lens.tolist()), lens, cols, signs)
                              for lens, cols, signs, _ in pieces]
                     owners.append((i, len(pieces), 1, 1))
-                    continue
-                (w, d), fw = weights, weights[0][forced]
-                mats += [_packed(signs * weigh(w), lens, cols)
-                         for lens, cols, signs, weigh in pieces]
-                rows = sum(len(lens) for lens, *_ in pieces)
-                owners.append((i, len(pieces), prod(fw.tolist()),
-                               d ** (rows + len(fw))))
+            if not weighted:
+                continue
+            # the weighted copies' entries, piece by piece; mats copy by copy
+            w = np.stack([w.ravel() for _, (w, _) in weighted])
+            mats += chain.from_iterable(zip(*(
+                _packed_copies(signs * w[:, at], lens, cols)
+                for lens, cols, signs, at in pieces)))
+            rows = sum(len(lens) for lens, *_ in pieces)
+            owners += [(i, len(pieces), prod(fw), d ** (rows + len(fw)))
+                       for (i, (_, d)), fw in zip(
+                           weighted, w[:, forced.ravel()].tolist())]
         dets = iter(_dets_exact(mats))
         for i, k, num, den in owners:
             det = prod(abs(t) for t in islice(dets, k))

@@ -305,12 +305,21 @@ def test_count_many_traces_no_faces(monkeypatch):
 
 @st.composite
 def holey_grids(draw):
-    """Subgraphs of a w x h grid (w, h <= 7) with up to 8 vertices dropped
+    """Subgraphs of a w x h grid (w, h <= 7, w * h <= 36), less the corner
+    (0, 0) when w * h is odd, with up to 4 dominoes (a point and its east
+    or north neighbour) dropped, so that the two classes stay balanced,
     and each edge kept with probability 0.9: holes, bridges and several
-    components.  Some edges carry random Fraction weights."""
-    w, h = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    components.  Some edges carry random Fraction weights.  (The area
+    bound keeps count_brute fast: the 7 x 7 grid less a corner has 100352
+    matchings.)"""
+    w = draw(st.integers(1, 7))
+    h = draw(st.integers(1, min(7, 36 // w)))
     pts = [(x, y) for x in range(w) for y in range(h)]
-    drop = draw(st.sets(st.sampled_from(pts), max_size=8))
+    drop = {(0, 0)} if w * h % 2 else set()
+    for x, y in draw(st.lists(st.sampled_from(pts), max_size=4)):
+        q = (x + 1, y) if draw(st.booleans()) else (x, y + 1)
+        if q in pts and not drop & {(x, y), q}:
+            drop |= {(x, y), q}
     pts = [p for p in pts if p not in drop]
     kept = set(pts)
     edges, weights = [], {}
@@ -634,12 +643,14 @@ def test_det_exact_matches_fraction_det(mat):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(banded_matrices(), st.integers(0, 2)),
-                min_size=1, max_size=4))
+                min_size=1, max_size=8))
 # several sizes and bandwidths in one batch, one transposed, one singular
-# and one zero mod the first prime
+# and one zero mod the first prime; all six share that prime, so their
+# pivots are inverted together
 @example([([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1), ([[5]], 0),
           ([[1, 2], [2, 4]], 2), ([[P0, 0], [0, 1]], 1),
-          ([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]], 0)])
+          ([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]], 0),
+          ([[3, -7, 0], [2, 9, 4], [0, 5, -1]], 2)])
 def test_det_residues_batch_matches_fraction_det(batch):
     pool = matchcount._crt_primes(2 ** 90)
     mats = [matchcount._packed(
@@ -649,11 +660,22 @@ def test_det_residues_batch_matches_fraction_det(batch):
             for mat, _ in batch]
     primes = [pool[:1] + pool[len(pool) - extra:] if extra else pool[:1]
               for _, extra in batch]
-    got = matchcount._det_residues(mats, primes)
+    inverted = Counter()  # pow(x, -1, p) calls, by p
+
+    def spy(x, e, p):
+        inverted[p] += e == -1
+        return pow(x, e, p)
+
+    with mock.patch.object(matchcount, "pow", spy, create=True):
+        got = matchcount._det_residues(mats, primes)
     assert len(got) == len(batch)
     for (mat, _), ps, residues in zip(batch, primes, got):
         want = int(fraction_det(mat))
         assert residues == [want % p for p in ps]
+    # every matrix has a lane on pool[0]: with enough of them, one pow
+    # per step inverts all their pivots
+    if len(batch) >= matchcount._BATCH_LANES:
+        assert inverted[pool[0]] == max(len(mat) for mat, _ in batch)
 
 
 def test_det_exact_dense_past_reduction_period():
@@ -838,6 +860,35 @@ def regions_across_a_diagonal(draw):
                          ((1, 1), (2, 1)), ((2, 1), (2, 2))]))
 def test_fkt_matches_brute_across_a_diagonal(g):
     assert count_fkt(g) == count_brute(g, cap=len(g))
+
+
+@st.composite
+def monotone_regions(draw):
+    """y-monotone regions: rows y = 0..h-1 (2 <= h <= 7), each an interval of
+    at most 6 points that overlaps the row below it, with every unit edge
+    between the points.  In about half the draws every row has even
+    length, so that horizontal dominoes match the region."""
+    length = draw(st.sampled_from([st.sampled_from([2, 4, 6]),
+                                   st.integers(1, 6)]))
+    pts, x0, n = [], 0, 0
+    for y in range(draw(st.integers(2, 7))):
+        m = draw(length)
+        if y:
+            x0 = draw(st.integers(x0 - m + 1, x0 + n - 1))
+        pts += [(x0 + i, y) for i in range(m)]
+        n = m
+    kept = set(pts)
+    return Graph(pts, [(p, q) for p in pts for q in (
+        (p[0] + 1, p[1]), (p[0], p[1] + 1)) if q in kept])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(monotone_regions(), min_size=matchcount._BATCH_LANES,
+                max_size=8))
+def test_fkt_matches_brute_on_monotone_regions(regions):
+    # at most 42 vertices each: every matrix of the batch needs only the
+    # first prime, so the lanes of the regions left with a piece share it
+    assert count_many(regions) == [count_brute(g) for g in regions]
 
 
 def test_faces_start_at_least_dart_in_order():
