@@ -493,12 +493,6 @@ def int_array(values):
 
 
 def _packed(vals, lens, cols):
-    """A row-sparse matrix packed as _det_residues takes it: the one copy
-    of _packed_copies with entries vals."""
-    return _packed_copies(vals[None], lens, cols)[0]
-
-
-def _packed_copies(vals, lens, cols):
     """Copies of a row-sparse matrix packed as _det_residues takes them.
     Row i of a copy holds the next lens[i] entries of its row of vals (an
     int64 or object array of ints, one row per copy), at the distinct
@@ -514,7 +508,7 @@ def _packed_copies(vals, lens, cols):
         v = vals.astype(object) if top * top * int(lens.max()) >> 63 else vals
         sq = map(prod, np.add.reduceat(v * v, np.cumsum(lens) - lens,
                                        axis=1).tolist())
-    return [(s, lens, cols, v) for s, v in zip(sq, vals)]
+    return [(s, lens, cols, row) for s, row in zip(sq, vals)]
 
 
 def _lane_entries(mats, primes, n):
@@ -607,7 +601,8 @@ def _det_residues(mats, primes):
     prefix products, one inverse, and back-substitution.  A lane with no
     pivot takes 1 in place of it; its pivot column is zero, so its
     multipliers stay 0 whatever the inverse.  The lanes of other primes
-    call pow one by one.
+    call pow one by one.  count_many's chunks of about _CHUNK copies put
+    tens of lanes on a prime; one TR graph puts at most 3.
     Returns, per matrix, the list of residues in [0, p).
     """
     if not mats:
@@ -726,9 +721,9 @@ def det_exact(vals, cols):
     Row i holds the Python ints vals[i] at the distinct columns cols[i];
     every other entry is 0.  The one-matrix case of _dets_exact.
     """
-    return _dets_exact([_packed(int_array(list(chain.from_iterable(vals))),
-                                [len(c) for c in cols],
-                                list(chain.from_iterable(cols)))])[0]
+    return _dets_exact(_packed(int_array([list(chain.from_iterable(vals))]),
+                               [len(c) for c in cols],
+                               list(chain.from_iterable(cols))))[0]
 
 
 # -- FKT counting -------------------------------------------------------------
@@ -781,10 +776,8 @@ def _plan(grids, cap):
     h = max([1] + [box[2].stop for box in boxes])
     occ, edges = np.zeros((x, h), dtype=bool), np.zeros((2, x, h), dtype=bool)
     owner = np.full(x, len(grids))  # gap columns belong to no grid
-    at = np.empty(edges.shape, dtype=np.int64)  # a cell's index in g.edges
     for j, (g, box) in enumerate(zip(grids, boxes)):
         occ[box[1:]], edges[box] = g.occ, g.edges
-        at[box] = np.arange(g.edges.size).reshape(g.edges.shape)
         owner[box[1]] = j
     forced, bad = _peel(occ.ravel(), edges.ravel(), h)
 
@@ -823,7 +816,13 @@ def _plan(grids, cap):
     signs = ((1 - 2 * _flips(occ, 0, 0).ravel()[slot])
              * [1, -1, 1, -1])[valid]
     cols = col[mate[valid]]
-    lens, at = valid.sum(1, dtype=np.int32), at.ravel()[slot[valid]]
+    lens, cells = valid.sum(1, dtype=np.int32), slot[valid]
+    # each entry's edge as a flat index into its grid's edges
+    d, (ex, ey) = cells // n, np.divmod(cells % n, h)
+    k = owner[ex]
+    wx, wy, y0 = np.array([g.occ.shape + (box[2].start,)
+                           for g, box in zip(grids, boxes)]).T[:, k]
+    at = (d * wx + ex - x0[k]) * wy + ey - y0
     forced = forced.reshape(2, x, h)  # a grid's box of it is like g.edges
     pieces = [[] for _ in grids]
     first = np.flatnonzero(np.diff(pa, prepend=-1))
@@ -885,7 +884,7 @@ def count_many(graphs, cap=FKT_CAP):
             # the weighted copies' entries, piece by piece; mats copy by copy
             w = np.stack([w.ravel() for _, (w, _) in weighted])
             mats += chain.from_iterable(zip(*(
-                _packed_copies(signs * w[:, at], lens, cols)
+                _packed(signs * w[:, at], lens, cols)
                 for lens, cols, signs, at in pieces)))
             rows = sum(len(lens) for lens, *_ in pieces)
             owners += [(i, len(pieces), prod(fw), d ** (rows + len(fw)))

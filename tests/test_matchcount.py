@@ -543,14 +543,15 @@ def test_det_exact_rejects_bad_columns(vals, cols, size):
 
 
 def test_elimination_names_the_matrix_with_a_bad_column():
-    good, bad = (matchcount._packed(matchcount.int_array([1, 2, 3, 4]),
-                                    [2, 2], cols) for cols in
+    good, bad = (matchcount._packed(matchcount.int_array([[1, 2, 3, 4]]),
+                                    [2, 2], cols)[0] for cols in
                  ([0, 1, 1, 0], [0, 1, 1, 1]))
     assert matchcount._dets_exact([good]) == [-5]
     with pytest.raises(ValueError, match="matrix 1 has a column"):
         matchcount._dets_exact([good, bad])
     # the index counts the matrices with a zero row, which skip elimination
-    zero = matchcount._packed(matchcount.int_array([0, 1]), [1, 1], [0, 1])
+    (zero,) = matchcount._packed(matchcount.int_array([[0, 1]]), [1, 1],
+                                 [0, 1])
     assert matchcount._dets_exact([zero, good]) == [0, -5]
     with pytest.raises(ValueError, match="matrix 2 has a column"):
         matchcount._dets_exact([zero, good, bad])
@@ -654,9 +655,9 @@ def test_det_exact_matches_fraction_det(mat):
 def test_det_residues_batch_matches_fraction_det(batch):
     pool = matchcount._crt_primes(2 ** 90)
     mats = [matchcount._packed(
-                matchcount.int_array([x for row in mat for x in row if x]),
+                matchcount.int_array([[x for row in mat for x in row if x]]),
                 [sum(1 for x in row if x) for row in mat],
-                [j for row in mat for j, x in enumerate(row) if x])
+                [j for row in mat for j, x in enumerate(row) if x])[0]
             for mat, _ in batch]
     primes = [pool[:1] + pool[len(pool) - extra:] if extra else pool[:1]
               for _, extra in batch]
