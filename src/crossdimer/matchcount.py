@@ -481,7 +481,7 @@ _STEPS_PER_REDUCTION = 7
 
 # A prime shared by at least this many lanes inverts their pivots with one
 # pow per step (Montgomery's trick); fewer lanes call pow one by one.
-_BATCH_LANES = 4
+_BATCH_LANES = 8
 
 
 def int_array(values):
@@ -743,8 +743,8 @@ def _plan(grids, cap):
     unequal size), and otherwise (pieces, forced): the forced edges as a
     mask shaped like the grid's edges, and per piece of what is left
     (lens, cols, signs, at): the row lengths, columns and +-1 entries of
-    its Kasteleyn matrix, and the flat index of each entry's edge in the
-    grid's edges.  The matching count of the grid is the product
+    its Kasteleyn matrix, and the index (d, x, y) of each entry's edge in
+    the grid's edges, one row of at each.  The matching count of the grid is the product
     of its pieces' |det|.
 
     The pieces come from cuts along x + y.  A cut lies above each level l
@@ -789,6 +789,7 @@ def _plan(grids, cap):
     vs = np.flatnonzero(occ)
     vx, vy = np.divmod(vs, h)
     own, x0 = owner[vx], np.array([box[1].start for box in boxes] + [0])
+    y0 = np.array([box[2].start for box in boxes] + [0])
     key = own * span + vx - x0[own] + vy
     tally = np.bincount(key, minlength=x0.size * span).reshape(-1, span)
     below = np.cumsum(
@@ -816,13 +817,11 @@ def _plan(grids, cap):
     signs = ((1 - 2 * _flips(occ, 0, 0).ravel()[slot])
              * [1, -1, 1, -1])[valid]
     cols = col[mate[valid]]
-    lens, cells = valid.sum(1, dtype=np.int32), slot[valid]
-    # each entry's edge as a flat index into its grid's edges
-    d, (ex, ey) = cells // n, np.divmod(cells % n, h)
+    lens = valid.sum(1, dtype=np.int32)
+    # each entry's edge as its index (d, x, y) in its grid's edges
+    d, ex, ey = np.unravel_index(slot[valid], (2, x, h))
     k = owner[ex]
-    wx, wy, y0 = np.array([g.occ.shape + (box[2].start,)
-                           for g, box in zip(grids, boxes)]).T[:, k]
-    at = (d * wx + ex - x0[k]) * wy + ey - y0
+    at = np.stack((d, ex - x0[k], ey - y0[k]))
     forced = forced.reshape(2, x, h)  # a grid's box of it is like g.edges
     pieces = [[] for _ in grids]
     first = np.flatnonzero(np.diff(pa, prepend=-1))
@@ -831,7 +830,7 @@ def _plan(grids, cap):
     for j, r0, r1 in zip((pa[first] // span).tolist(), rows, rows[1:]):
         # a balanced piece starts at column r0, as at row r0
         e = np.s_[ends[r0]:ends[r1]]
-        pieces[j].append((lens[r0:r1], cols[e] - r0, signs[e], at[e]))
+        pieces[j].append((lens[r0:r1], cols[e] - r0, signs[e], at[:, e]))
     return [None if dead[j] else (pieces[j], forced[box])
             for j, box in enumerate(boxes)]
 
@@ -882,14 +881,14 @@ def count_many(graphs, cap=FKT_CAP):
             if not weighted:
                 continue
             # the weighted copies' entries, piece by piece; mats copy by copy
-            w = np.stack([w.ravel() for _, (w, _) in weighted])
+            w = np.stack([w for _, (w, _) in weighted], axis=-1)
             mats += chain.from_iterable(zip(*(
-                _packed(signs * w[:, at], lens, cols)
+                _packed(signs * w[tuple(at)].T, lens, cols)
                 for lens, cols, signs, at in pieces)))
             rows = sum(len(lens) for lens, *_ in pieces)
             owners += [(i, len(pieces), prod(fw), d ** (rows + len(fw)))
                        for (i, (_, d)), fw in zip(
-                           weighted, w[:, forced.ravel()].tolist())]
+                           weighted, w[forced].T.tolist())]
         dets = iter(_dets_exact(mats))
         for i, k, num, den in owners:
             det = prod(abs(t) for t in islice(dets, k))

@@ -644,14 +644,15 @@ def test_det_exact_matches_fraction_det(mat):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(banded_matrices(), st.integers(0, 2)),
-                min_size=1, max_size=8))
+                min_size=1, max_size=12))
 # several sizes and bandwidths in one batch, one transposed, one singular
-# and one zero mod the first prime; all six share that prime, so their
+# and one zero mod the first prime; all nine share that prime, so their
 # pivots are inverted together
 @example([([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1), ([[5]], 0),
           ([[1, 2], [2, 4]], 2), ([[P0, 0], [0, 1]], 1),
           ([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]], 0),
-          ([[3, -7, 0], [2, 9, 4], [0, 5, -1]], 2)])
+          ([[3, -7, 0], [2, 9, 4], [0, 5, -1]], 2), ([[4, 1], [1, 3]], 1),
+          ([[0, 2], [-5, 7]], 0), ([[2 ** 40, 1], [3, 2 ** 35]], 2)])
 def test_det_residues_batch_matches_fraction_det(batch):
     pool = matchcount._crt_primes(2 ** 90)
     mats = [matchcount._packed(
@@ -884,11 +885,12 @@ def monotone_regions(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(monotone_regions(), min_size=matchcount._BATCH_LANES,
-                max_size=8))
+@given(st.lists(monotone_regions(), min_size=2 * matchcount._BATCH_LANES,
+                max_size=3 * matchcount._BATCH_LANES))
 def test_fkt_matches_brute_on_monotone_regions(regions):
     # at most 42 vertices each: every matrix of the batch needs only the
     # first prime, so the lanes of the regions left with a piece share it
+    # (at least _BATCH_LANES of them in most draws)
     assert count_many(regions) == [count_brute(g) for g in regions]
 
 
