@@ -743,9 +743,9 @@ def _plan(grids, cap):
     unequal size), and otherwise (pieces, forced): the forced edges as a
     mask shaped like the grid's edges, and per piece of what is left
     (lens, cols, signs, at): the row lengths, columns and +-1 entries of
-    its Kasteleyn matrix, and the index (d, x, y) of each entry's edge in
-    the grid's edges, one row of at each.  The matching count of the grid is the product
-    of its pieces' |det|.
+    its Kasteleyn matrix, and in the rows of at the index (d, x, y) of
+    each entry's edge in the grid's edges.  The matching count of the
+    grid is the product of its pieces' |det|.
 
     The pieces come from cuts along x + y.  A cut lies above each level l
     (a diagonal x + y = l) below which the vertices left are balanced.
