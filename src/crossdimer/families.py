@@ -1,17 +1,17 @@
 """Builders for every named graph family on the cross lattice.
 
-Pipeline, fixed: trace contour -> region rows -> strip diagonal sides
--> zigzag-trim horizontal sides -> one induced lattice graph.  Induced
-subgraphs compose, induced(induced(G, A), B) = induced(G, A & B), so a
-family graph is its region's rows less the stripped and trimmed points,
-and the other graphs are point sets (tr_points, trim_rect_points,
-aztec_rectangle_points, augmented_aztec_points).  Which sides are stripped
-per family (with the tall/flat case split), the trim sweeps and offsets,
-and the rotated-rectangle anchor classes are frozen calibration results;
-the acceptance suite is the authority that they are right.  Spec names
-one graph as the CLI and the suite records spell it, and gives its graph
-and closed form; grids builds the Grids of many Specs in one stacked
-array, and every build_* is the graph of its Spec.
+Pipeline, fixed, for a batch of A/F specs at once in integer arithmetic
+(family_geometry): contour corners -> region rows -> strip diagonal
+sides -> zigzag-trim horizontal sides -> one induced lattice graph.
+Induced subgraphs compose, so a family graph is its region's rows less
+the stripped and trimmed points; the others are point sets (tr_points,
+trim_rect_points, aztec_rectangle_points, augmented_aztec_points).
+Which sides are stripped per family (with the tall/flat case split), the
+trim phases, and the rotated-rectangle anchor classes are frozen
+calibration results; the acceptance suite is the authority that they are
+right.  Spec names one graph as the CLI and the suite records spell it,
+and gives its graph and closed form; grids builds the Grids of many
+Specs in one stacked array, and every build_* is the graph of its Spec.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from .formulas import (
     thm_TB, thm_TR, trim_rect_triple,
 )
 from .lattice import (
-    CROSS_OFFSETS, FULL_GRID, GRID_B, ContourSpec, LatticeSpec, trace_contour,
-    row_spans, stacked_grids, points_on_segment, trim_zigzag_side,
+    COMPASS, CROSS_OFFSETS, FULL_GRID, GRID_B, ContourSpec, LatticeSpec,
+    NonClosing, ragged_steps, row_spans, stacked_grids, slit_base,
     corner_cut, unit_edge_table,
 )
-from .matchcount import int_array
+from .matchcount import TooLarge, int_array
 
 
 class NotGridB(CrossdimerError):
@@ -43,47 +43,56 @@ class NotGridB(CrossdimerError):
 SIDE_NAMES = ("a", "b", "c", "d", "e", "f")
 
 
+# The compass directions of the sides a..f of each family's contour, by
+# family index; the closing side f turns with the case, (flat, tall).
+_FAMILY_SIDES = {1: ("SE", "NE", "W", "NW", "SW", ("E", "W")),
+                 2: ("SW", "E", "NW", "NE", "W", ("SE", "NW")),
+                 3: ("E", "NW", "SW", "W", "SE", ("NE", "SW"))}
+
+
+def _sides(i, tall):
+    """(compass, unit steps per unit of length: 2 diagonal, 4 horizontal)
+    of each side of family i's contour."""
+    *comps, closing = _FAMILY_SIDES[i]
+    return [(comp, 2 if len(comp) == 2 else 4)
+            for comp in comps + [closing[tall]]]
+
+
 def family_contour(i, a, b, c):
     """Six-sided contour of family i in {1,2,3}, anchored at a cross base."""
     p = derive_params(a, b, c)
-    if i == 1:
-        closing = "W" if p.case_tall else "E"
-        sides = (("SE", 2 * a), ("NE", 2 * b), ("W", 4 * c),
-                 ("NW", 2 * p.d), ("SW", 2 * p.e), (closing, 4 * p.f))
-    elif i == 2:
-        closing = "NW" if p.case_tall else "SE"
-        sides = (("SW", 2 * a), ("E", 4 * b), ("NW", 2 * c),
-                 ("NE", 2 * p.d), ("W", 4 * p.e), (closing, 2 * p.f))
-    elif i == 3:
-        closing = "SW" if p.case_tall else "NE"
-        sides = (("E", 4 * a), ("NW", 2 * b), ("SW", 2 * c),
-                 ("W", 4 * p.d), ("SE", 2 * p.e), (closing, 2 * p.f))
-    else:
+    if i not in _FAMILY_SIDES:
         raise InvalidParams(f"family index {i} not in 1..3")
-    return ContourSpec(family=f"C{i}", start=(0, 0), sides=sides)
+    return ContourSpec(family=f"C{i}", start=(0, 0), sides=tuple(
+        (comp, u * n) for (comp, u), n in zip(_sides(i, p.case_tall), p)))
 
 
-# Sides stripped per family: (always, when tall, when flat);
-# tall means a > c + d.
-_STRIP_RULES = {
-    ("A", 1): (("a", "b", "d", "e"), None, None),
-    ("F", 1): ((), None, None),
-    ("A", 2): (("c",), None, "f"),
-    ("F", 2): (("a", "d"), "f", None),
-    ("A", 3): ((), "f", None),
-    ("F", 3): (("b", "c", "e"), None, "f"),
-}
-# Horizontal-side trims per family: ((side, slit phase), ...).  Each
+# Each contour's path in doubled coordinates per unit of its lengths,
+# indexed [i - 1, tall, step]: a step of length 1 to its start (1, 1),
+# the cross center of the base (0, 0), then its sides a..f
+_SIDE_VECTORS = np.array([[[(1, 1)] + [[2 * u * t for t in COMPASS[comp]]
+                                       for comp, u in _sides(i, tall)]
+                           for tall in (0, 1)] for i in (1, 2, 3)])
+
+
+# Sides stripped per family: (when flat, when tall); tall means a > c + d.
+_STRIP_RULES = {("A", 1): ("abde", "abde"), ("F", 1): ("", ""),
+                ("A", 2): ("cf", "c"), ("F", 2): ("ad", "adf"),
+                ("A", 3): ("", "f"), ("F", 3): ("bcef", "bce")}
+# Horizontal-side trims per family: (side and slit phase, ...).  Each
 # family trims its two horizontal sides at the two opposite slit-adjacent
 # phases; which side takes which phase is a calibration result.
-_TRIM_RULES = {
-    ("A", 1): (("c", 2), ("f", 3)),
-    ("F", 1): (("c", 3), ("f", 2)),
-    ("A", 2): (("b", 2), ("e", 3)),
-    ("F", 2): (("b", 3), ("e", 2)),
-    ("A", 3): (("a", 3), ("d", 2)),
-    ("F", 3): (("a", 2), ("d", 3)),
-}
+_TRIM_RULES = {("A", 1): ("c2", "f3"), ("F", 1): ("c3", "f2"),
+               ("A", 2): ("b2", "e3"), ("F", 2): ("b3", "e2"),
+               ("A", 3): ("a3", "d2"), ("F", 3): ("a2", "d3")}
+# Both rule tables as arrays indexed [family letter, i - 1, ...]: whether
+# each side is stripped, by tall, and each trimmed side and its phase
+_STRIPPED = np.array([[[[side in _STRIP_RULES[kind, i][tall]
+                         for side in SIDE_NAMES] for tall in (0, 1)]
+                       for i in (1, 2, 3)] for kind in "AF"])
+_TRIMMED = np.array([[[(SIDE_NAMES.index(side), int(delta))
+                       for side, delta in _TRIM_RULES[kind, i]]
+                      for i in (1, 2, 3)] for kind in "AF"])
 
 
 def build_A(i, a, b, c, lat=GRID_B):
@@ -375,6 +384,16 @@ class Spec:
                        else (0, 1))
         raise InvalidParams(f"unknown family {head!r}")
 
+    def _box_size(self):
+        """A bound on the points of a TR, TA, TB, AR or AAR graph: the
+        cells of its m x n rectangle's rotated box, over twice its points."""
+        head, (m, n) = self.head, self.nums[:2]
+        if head == "TR":
+            m, n = 2 * n + 2 * m - 2, 2 * n + 4 * m - 2
+        elif head in ("TA", "TB"):
+            m, n = 2 * m - (head == "TB"), 2 * n - (head == "TB")
+        return max(2 * m + 1, 0) * max(2 * n + 1, 0)
+
     def graph(self):
         return next(grids([self])).graph()
 
@@ -395,36 +414,87 @@ class Spec:
 
 
 GRID_BATCH = 256  # Specs per stacked array, which bounds its size
+BUILD_CAP = 2 ** 20  # points that a graph may be bounded by and be built
+
+
+def _refuse(spec, size):
+    """Raise TooLarge if spec spans size points, more than BUILD_CAP."""
+    if size > BUILD_CAP:
+        raise TooLarge(f"{spec} is too large to build: it spans {size} "
+                       f"points, above the build cap of {BUILD_CAP}")
+
+
+def family_geometry(specs):
+    """(corners, cleared) of the A and F graphs that specs name, at once in
+    integer arithmetic: an int array (len(specs), 7, 2) of each contour's
+    corners in doubled coordinates, (1, 1) and the running sums of its
+    side vectors, which must close (NonClosing), and one of rows (k, x, y),
+    the points of spec k's stripped sides and trimmed rows.  A spec whose
+    corners' box spans more than BUILD_CAP points raises TooLarge first."""
+    par = [derive_params(*spec.nums) for spec in specs]
+    for spec, p in zip(specs, par):
+        _refuse(spec, max(p[:6]))  # which keeps what follows in int64
+    rule = np.array([(spec.head[0] == "F", int(spec.head[1]) - 1,
+                      p.case_tall, 1, *p[:6]) for spec, p in zip(specs, par)],
+                    dtype=np.int64).reshape(-1, 10)
+    kind, i, tall = rule[:, :3].T
+    steps = _SIDE_VECTORS[i, tall] * rule[:, 3:, None]
+    corners = steps.cumsum(1)
+    if (corners[:, -1] != 1).any():
+        k = (corners[:, -1] != 1).any(1).argmax()
+        raise NonClosing(f"{specs[k]} ends at {corners[k, -1].tolist()}")
+    box = ((corners.max(1) - corners.min(1)) // 2).prod(1)
+    if (box > BUILD_CAP).any():
+        _refuse(specs[box.argmax()], int(box.max()))
+    # a stripped side of 2n diagonal unit steps has its lattice points at
+    # the odd ones t = 1, 3, ... of its 4n doubled steps
+    k, j = np.nonzero(_STRIPPED[kind, i, tall])
+    sign = np.sign(steps[k, j + 1])
+    # a counterclockwise contour (twice its signed area is positive) has
+    # its inside left of each side: below a horizontal side that runs west
+    ccw = ((2 * corners[:, :-1, 0] + steps[:, 1:, 0])
+           * steps[:, 1:, 1]).sum(1) > 0
+    trim_k = np.repeat(np.arange(len(specs)), 2)
+    tj, delta = _TRIMMED[kind, i].reshape(-1, 2).T
+    (x1, y1), (x2, _) = corners[trim_k, tj].T, corners[trim_k, tj + 1].T
+    row = (y1 + np.where((x2 < x1) == ccw[trim_k], -1, 1)) // 2
+    lo, hi = (np.minimum(x1, x2) + 1) // 2, (np.maximum(x1, x2) - 1) // 2
+    lo += (slit_base(row) + delta - lo) % 4
+    # the cleared points as runs: from a start, count times by a step
+    run, t = ragged_steps(np.concatenate([
+        np.abs(steps[k, j + 1, 0]) // 2,
+        np.maximum((hi - lo) // 4 + 1, 0)]))
+    start = np.concatenate([(corners[k, j] + sign) // 2,
+                            np.stack([lo, row], 1)])
+    step = np.zeros_like(start)
+    step[:len(sign)], step[len(sign):, 0] = sign, 4
+    return corners, np.column_stack([np.concatenate([k, trim_k])[run],
+                                     start[run] + t[:, None] * step[run]])
 
 
 def grids(specs):
     """The Grids of the graphs that the Specs in specs name, in order,
     built GRID_BATCH at a time in one stacked array (stacked_grids).  An A
-    or F graph is its contour's region, whose rows are measured for the
-    whole batch in one pass (row_spans), less its stripped sides and
-    trimmed rows; any other graph is its point set."""
+    or F graph is its region's rows (family_geometry, then row_spans) less
+    its cleared points; any other graph is its point set, if a bound from
+    its parameters (Spec._box_size) keeps it within BUILD_CAP."""
     specs = iter(specs)
     while batch := list(islice(specs, GRID_BATCH)):
-        contours, rows, cleared = [], [], []
-        for k, spec in enumerate(batch):
-            if spec.head not in FAMILY_HEADS:
-                x, y = np.fromiter(chain.from_iterable(spec._point_set()),
-                                   np.int64).reshape(-1, 2).T  # a row each
-                rows.append(np.stack([np.full_like(x, k), y, x, x], 1))
-                continue
-            (kind, i), nums = spec.head, spec.nums
-            p, i = derive_params(*nums), int(i)
-            corners2 = trace_contour(family_contour(i, *nums))
-            contours.append((k, corners2))
-            always, if_tall, if_flat = _STRIP_RULES[(kind, i)]
-            sides = always + (if_tall if p.case_tall else if_flat,)
-            drop = [points_on_segment(*corners2[j:j + 2]) for j in
-                    (SIDE_NAMES.index(s) for s in sides if s)]  # strips
-            drop += [trim_zigzag_side(corners2, SIDE_NAMES.index(which),
-                                      delta=delta)
-                     for which, delta in _TRIM_RULES[(kind, i)]]
-            cleared += [(k, x, y) for pts in drop for x, y in pts]
-        yield from stacked_grids(
-            [spec.lat for spec in batch],
-            np.concatenate(rows + [row_spans(contours)]),
-            np.array(cleared, dtype=np.int64).reshape(-1, 3))
+        fam = np.array([k for k, spec in enumerate(batch)
+                        if spec.head in FAMILY_HEADS], dtype=np.int64)
+        others = [(k, spec) for k, spec in enumerate(batch)
+                  if spec.head not in FAMILY_HEADS]
+        for k, spec in others:
+            _refuse(spec, spec._box_size())
+        rows, cleared = [], np.zeros((0, 3), dtype=np.int64)
+        if len(fam):
+            corners, cleared = family_geometry([batch[k] for k in fam])
+            rows.append(row_spans(corners))
+            for a in (rows[0], cleared):  # from index in fam to in batch
+                a[:, 0] = fam[a[:, 0]]
+        for k, spec in others:
+            x, y = np.fromiter(chain.from_iterable(spec._point_set()),
+                               np.int64).reshape(-1, 2).T  # a row each
+            rows.append(np.stack([np.full_like(x, k), y, x, x], 1))
+        yield from stacked_grids([spec.lat for spec in batch],
+                                 np.concatenate(rows), cleared)

@@ -376,26 +376,26 @@ def factor_small(n):
 
 
 def alpha_w(a, b, c, w):
-    """Weighted version of the alpha prefactor at weight point (x, y, z)."""
-    x, y, z = (Fraction(t) for t in w)
+    """The weighted alpha prefactor at the integer point w, as (num, den)."""
+    x, y, z = w
     r = (3 * b + a - c) % 6
     if r == 5:
-        return (x + 2 * y * z) * y * z / x ** 2
+        return (x + 2 * y * z) * y * z, x * x
     if r == 3:
-        return y * z / x
+        return y * z, x
     if r == 1:
-        return (x + y * z) / x
-    return Fraction(1)
+        return x + y * z, x
+    return 1, 1
 
 
 def beta_w(a, b, c, w):
-    """Weighted version of the beta prefactor at weight point (x, y, z)."""
-    x, y, z = (Fraction(t) for t in w)
+    """The weighted beta prefactor at the integer point w, as (num, den)."""
+    x, y, z = w
     r = (3 * b + a - c) % 6
     if r == 1:
-        return (x + 2 * y * z) / (y * z)
+        return x + 2 * y * z, y * z
     if r == 3:
-        return x / (y * z)
+        return x, y * z
     if r == 5:
-        return (x + y * z) * x / (y ** 2 * z ** 2)
-    return Fraction(1)
+        return (x + y * z) * x, y * y * z * z
+    return 1, 1

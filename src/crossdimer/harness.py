@@ -15,21 +15,21 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, combinations
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
 from .errors import CrossdimerError
 from .families import (
     Spec, build_A, build_TR, check_trim_domain, cross_weighted_grids,
-    derive_params, family_contour, grids, weight_point, InvalidParams,
+    derive_params, family_geometry, grids, weight_point, InvalidParams,
 )
 from .formulas import (
     C0, FOLD, phi, psi, phi_value, psi_value, recurrence_check,
     recurrence_holds, exponent_table, factor_small, alpha_w, beta_w,
     HypothesisViolated,
 )
-from .lattice import FULL_GRID, GRID_B, trace_contour
+from .lattice import FULL_GRID, GRID_B
 from .matchcount import (
     BRUTE_CAP, FKT_CAP, BadVertexSelection, count_brute, count_many,
     kuo_check, split_check, planar_faces,
@@ -371,7 +371,7 @@ def corner_kuo_quad(a, b, c):
     right-hand side.  Returns (graph, (u, v, w, t)).
     """
     g = build_A(1, a, b, c)
-    corners2 = trace_contour(family_contour(1, a, b, c))
+    corners2 = family_geometry([Spec("A1", (a, b, c))])[0][0].tolist()
     vs = list(g.vertices)
 
     def nearest(corner2, k):
@@ -543,8 +543,8 @@ def screen_probe_point(pt):
     return bases
 
 
-def _signed_exponents(value, bases):
-    fr = Fraction(value)
+def _signed_exponents(num, den, bases):
+    fr = Fraction(num, den)
     num, den = fr.numerator, fr.denominator
     out = []
     for b in bases:
@@ -584,9 +584,9 @@ def _probe_vector(family, a, b, c, points, counts):
     vec, residues = None, []
     for pt, w in zip(points, counts):
         x, y, z = (int(t) for t in pt)
-        ratio = Fraction(w) / prefactor(a, b, c, (x, y, z))
-        exps, residue = _signed_exponents(
-            ratio, (2, x, y, z, _p5(x, y, z), _p11(x, y, z)))
+        num, den = prefactor(a, b, c, (x, y, z))
+        exps, residue = _signed_exponents(  # of w over the prefactor
+            w * den, num, (2, x, y, z, _p5(x, y, z), _p11(x, y, z)))
         residues.append(residue)
         ev = ConjectureExponents(X=exps[0], T=exps[1], Q=exps[2], K=exps[3],
                                  Y=exps[4], Z=exps[5])
@@ -609,10 +609,13 @@ def conjecture_probe(family, i, a, b, c, points, cap=FKT_CAP):
 
 
 def reconstruct_weighted_count(family, a, b, c, vec, pt):
-    x, y, z = (Fraction(t) for t in pt)
-    pre = alpha_w(a, b, c, pt) if family == "A" else beta_w(a, b, c, pt)
-    return (pre * Fraction(2) ** vec.X * _p5(x, y, z) ** vec.Y
-            * _p11(x, y, z) ** vec.Z * x ** vec.T * y ** vec.Q * z ** vec.K)
+    """The weighted count at the integer point pt that vec predicts."""
+    x, y, z = pt
+    num, den = (alpha_w if family == "A" else beta_w)(a, b, c, pt)
+    powers = ((2, vec.X), (_p5(x, y, z), vec.Y), (_p11(x, y, z), vec.Z),
+              (x, vec.T), (y, vec.Q), (z, vec.K))
+    return Fraction(num * prod(b ** e for b, e in powers if e > 0),
+                    den * prod(b ** -e for b, e in powers if e < 0))
 
 
 PROBE_POINTS = ((3, 5, 7), (5, 7, 3), (7, 3, 5))

@@ -8,7 +8,7 @@ are residue arithmetic: a point's class mod L is residue(p) =
 ((x - 2*(y//2)) mod 4, y mod 2), and a unit edge is fixed up to a period
 by its direction and the class of its lower-left end.  CROSS_EDGES, the
 transcribed cross, remains the source of the 14-entry edge table
-CROSS_OFFSETS.  The cross and every trim/strip rule below were frozen by
+CROSS_OFFSETS.  The cross and the zigzag trims below were frozen by
 exhaustive calibration against the closed-form counts; the acceptance
 suite re-verifies the transcription end to end.
 
@@ -33,10 +33,6 @@ class NonClosing(CrossdimerError):
 
 
 class SelfIntersecting(CrossdimerError):
-    pass
-
-
-class NotHorizontalSide(CrossdimerError):
     pass
 
 
@@ -171,22 +167,29 @@ def trace_contour(spec):
     return corners
 
 
-def row_spans(contours):
-    """The rows of the regions inside or on the closed polylines of the
-    (k, corners2) pairs in contours, in one pass: an int array of rows
-    (k, y, lo, hi), sorted, one per row y that polyline k meets, whose
-    points inside or on it are those with lo <= x <= hi.  Corners sit at
-    odd doubled coordinates, so a row meets a side at a lattice point or
-    not at all; a row crossed more than twice (a contour that is not
-    y-monotone) raises ValueError."""
-    segs = np.array([(k, *p, *q) for k, c in contours
-                     for p, q in zip(c, c[1:])], dtype=np.int64)
-    k, x1, y1, x2, y2 = segs.reshape(-1, 5).T
+def ragged_steps(counts):
+    """(run, step) of each step 0 .. counts[k] - 1 of each run k."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
+
+
+def row_spans(corners2):
+    """The rows of the regions inside or on the closed polylines whose
+    corners, in doubled coordinates, fill the int array corners2 of shape
+    (polylines, corners, 2), in one pass: an int array of rows (k, y, lo,
+    hi), sorted, one per row y that polyline k meets, whose points inside
+    or on it are those with lo <= x <= hi.  Corners sit at odd doubled
+    coordinates, so a row meets a side at a lattice point or not at all;
+    a row crossed more than twice (not y-monotone) raises ValueError."""
+    c = np.asarray(corners2, dtype=np.int64)
+    k = np.repeat(np.arange(len(c)), c.shape[1] - 1)
+    x1, y1 = c[:, :-1].reshape(-1, 2).T
+    x2, y2 = c[:, 1:].reshape(-1, 2).T
     # a side crosses the rows y with min(y1, y2) <= 2y < max(y1, y2)
     first = (np.minimum(y1, y2) + 1) // 2
     count = (np.maximum(y1, y2) + 1) // 2 - first
-    s = np.repeat(np.arange(len(k)), count)
-    y = np.arange(len(s)) + np.repeat(first - np.cumsum(count) + count, count)
+    s, y = ragged_steps(count)
+    y += first[s]
     x = x1[s] + (2 * y - y1[s]) * (x2[s] - x1[s]) // (y2[s] - y1[s])
     order = np.lexsort((x, y, k[s]))
     k, y, x = k[s][order], y[order], x[order]
@@ -248,27 +251,8 @@ def stacked_grids(lats, spans, cleared):
 
 def induced_subgraph(lat, corners2):
     """Lattice graph induced by the points inside or on the polyline."""
-    return stacked_grids([lat], row_spans([(0, corners2)]),
+    return stacked_grids([lat], row_spans([corners2]),
                          np.zeros((0, 3), dtype=np.int64))[0].graph()
-
-
-# -- side strips -----------------------------------------------------------------
-
-
-def points_on_segment(p1_2, p2_2):
-    """Lattice points lying on a segment given in doubled coordinates."""
-    (x1, y1), (x2, y2) = p1_2, p2_2
-    if p1_2 == p2_2:
-        return []
-    steps = max(abs(x2 - x1), abs(y2 - y1))
-    dx = (x2 - x1) // steps
-    dy = (y2 - y1) // steps
-    out = []
-    for t in range(steps + 1):
-        X, Y = x1 + t * dx, y1 + t * dy
-        if X % 2 == 0 and Y % 2 == 0:
-            out.append((X // 2, Y // 2))
-    return out
 
 
 # -- zigzag trims ----------------------------------------------------------------
@@ -281,8 +265,9 @@ ZIGZAG_PERIOD = 4
 
 
 def slit_base(row_y):
-    """Column residue (mod 4) of the missing vertical edge pair on a row."""
-    return (row_y + 1) % 4 if row_y % 2 == 0 else row_y % 4
+    """Column residue (mod 4) of the missing vertical edge pair on a row
+    (or an int array of rows)."""
+    return (row_y + 1 - row_y % 2) % 4
 
 
 def zigzag_trim_row(row_y, x_lo, x_hi, delta):
@@ -294,24 +279,6 @@ def zigzag_trim_row(row_y, x_lo, x_hi, delta):
     """
     r = (slit_base(row_y) + delta) % 4
     return {(x, row_y) for x in range(x_lo, x_hi + 1) if x % 4 == r}
-
-
-def trim_zigzag_side(corners2, side_idx, delta):
-    """Points the zigzag trim removes along one horizontal contour side."""
-    p1, p2 = corners2[side_idx], corners2[side_idx + 1]
-    if p1 == p2:
-        return set()
-    if p1[1] != p2[1]:
-        raise NotHorizontalSide(f"{p1}..{p2} is not horizontal")
-    y2 = p1[1]
-    # a counterclockwise polygon (twice its signed area is positive) has its
-    # interior left of each side: below a side that runs west
-    area2 = sum(ax * by - bx * ay
-                for (ax, ay), (bx, by) in zip(corners2, corners2[1:]))
-    row_y = (y2 - 1) // 2 if (p2[0] < p1[0]) == (area2 > 0) else (y2 + 1) // 2
-    x_lo = (min(p1[0], p2[0]) + 1) // 2
-    x_hi = (max(p1[0], p2[0]) - 1) // 2
-    return zigzag_trim_row(row_y, x_lo, x_hi, delta)
 
 
 def corner_cut(pts, level, keep, delta=None, anchor_offset=None):

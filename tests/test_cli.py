@@ -187,3 +187,25 @@ def test_count_weights_errors(capsys):
     assert captured.out == "" and len(err) == 4
     assert all("not a cross-lattice edge" in line for line in err[:2])
     assert all("--weights x,y,z" in line for line in err[2:])
+
+
+def test_oversized_specs_exit_2_before_building(capsys, monkeypatch):
+    # a bound on the points from the parameters alone refuses each spec:
+    # nothing is stacked and no point set is listed
+    from crossdimer import families
+
+    def reached(*args, **kwargs):
+        raise AssertionError("an oversized spec was built")
+
+    monkeypatch.setattr(families, "stacked_grids", reached)
+    monkeypatch.setattr(families.Spec, "_point_set", reached)
+    specs = ("TR:100000,200000", "TR:120,240", "TA:300,400,0,0",
+             "TB:300,400,0,0", "AR:600,600@full", "AAR:600,600",
+             "A1:0,150,0", "F3:0,150,0", f"A2:0,{10 ** 30},0")
+    for spec in specs:
+        assert main(["count", spec]) == 2
+        assert main(["gen", spec]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 * len(specs)
+    assert all("build cap of 1048576" in line for line in err)
+    assert err[0].startswith("error: TR:100000,200000 is too large")

@@ -322,3 +322,28 @@ def test_cross_weighted_grids_use_the_smallest_signed_dtype():
     g = spec.graph()
     assert count_many(copies) == [count_fkt(assign_cross_weights(g, w))
                                   for w in points]
+
+
+def test_build_bounds_hold_the_graphs():
+    # the bounds that grids checks against BUILD_CAP before it builds:
+    # every point set within its rectangle's bound, and every family
+    # region within its corners' box
+    import numpy as np
+
+    from crossdimer.families import family_geometry, grids
+    from crossdimer.harness import trim_rect_domain, valid_triples
+
+    specs = [Spec("TR", (a, 2 * a + k)) for a in range(1, 5)
+             for k in range(3)]
+    specs += [Spec(head, t) for t in trim_rect_domain()
+              for head in ("TA", "TB")]
+    specs += [Spec(head, (m, n), lat) for m in range(1, 6)
+              for n in range(1, 6) for head in ("AR", "AAR")
+              for lat in (FULL_GRID, GRID_B)]
+    for spec in specs:
+        assert len(set(spec._point_set())) <= spec._box_size(), str(spec)
+    fam = [Spec(f"{kind}{i}", t) for t in valid_triples(range(2, 8), 28)
+           for i in (1, 2, 3) for kind in ("A", "F")]
+    corners, _ = family_geometry(fam)
+    box = ((corners.max(1) - corners.min(1)) // 2).prod(1)
+    assert np.all([grid.n for grid in grids(fam)] <= box)

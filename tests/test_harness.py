@@ -516,3 +516,17 @@ def test_valid_triples_match_the_full_scan():
     for cap in range(8, 41):
         assert valid_triples(range(2, 15), cap) == scan(range(2, 15), cap)
     assert valid_triples(range(-1, 3), 16) == scan(range(-1, 3), 16)
+
+
+def test_theorem21_walks_no_contour(monkeypatch):
+    # the family graphs come from corner arithmetic: the contour walk
+    # stays the validator of user contours and the tests' oracle
+    import sys
+
+    def walked(spec):
+        raise AssertionError(f"trace_contour({spec}) was called")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("crossdimer") and hasattr(mod, "trace_contour"):
+            monkeypatch.setattr(mod, "trace_contour", walked)
+    assert run_suite("theorem21", SuiteConfig()).passed

@@ -1,18 +1,28 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossdimer.families import family_contour
+from crossdimer.families import (
+    FAMILY_HEADS, SIDE_NAMES, _STRIP_RULES, _TRIM_RULES, Spec,
+    derive_params, family_contour, family_geometry,
+)
+from crossdimer.harness import valid_triples
 from crossdimer.lattice import (
     CROSS_EDGES, CROSS_OFFSETS, FULL_GRID, GRID_B, ContourSpec, NonClosing,
-    SelfIntersecting, induced_subgraph, points_on_segment, row_spans,
-    slit_base, trace_contour, trim_zigzag_side, zigzag_trim_row,
+    SelfIntersecting, induced_subgraph, row_spans, slit_base, trace_contour,
+    zigzag_trim_row,
 )
 
 
 def region_points(corners2):
     """The lattice points inside or on a closed polyline, by its rows."""
-    return [(x, y) for _, y, lo, hi in row_spans([(0, corners2)]).tolist()
+    return [(x, y) for _, y, lo, hi in row_spans([corners2]).tolist()
             for x in range(lo, hi + 1)]
+
+
+def cleared_points(spec):
+    """The points that family_geometry clears from spec's region."""
+    _, cleared = family_geometry([spec])
+    return {(x, y) for _, x, y in cleared.tolist()}
 
 
 def test_full_grid_edges():
@@ -112,20 +122,35 @@ def test_empty_region_graph():
     assert len(g) == 0
 
 
-def test_points_on_segment_diagonal():
-    pts = points_on_segment((1, 1), (9, -7))
-    assert pts == [(1, 0), (2, -1), (3, -2), (4, -3)]
-    assert points_on_segment((1, 1), (9, 1)) == []  # half-integer row
+def test_stripped_side_points_lie_at_odd_steps():
+    # A1 strips its SE side a, from (1, 1) to (9, -7) in doubled
+    # coordinates at a = 2: the points half-way along its odd steps
+    corners, _ = family_geometry([Spec("A1", (2, 2, 0))])
+    assert corners[0, :2].tolist() == [[1, 1], [9, -7]]
+    side_a = {(x, y) for x, y in cleared_points(Spec("A1", (2, 2, 0)))
+              if x + y == 1}
+    assert side_a == {(1, 0), (2, -1), (3, -2), (4, -3)}
+    # F1 strips no side, so it clears only the points of its two trims,
+    # each on a row next to a horizontal side
+    rows = {y for _, y in cleared_points(Spec("F1", (2, 2, 0)))}
+    assert rows <= {(y + d) // 2 for _, y in corners[0].tolist()
+                    for d in (-1, 1)}
 
 
 def test_zigzag_trim_idempotent():
-    corners = trace_contour(family_contour(1, 3, 4, 2))
-    pts = set(region_points(corners))
-    drop = trim_zigzag_side(corners, 2, delta=2)
+    # F1 strips no side and trims its horizontal side c at phase 3: one
+    # row, at the fixed columns x = slit_base(y) + 3 (mod 4), so trimming
+    # twice is trimming once
+    spec = Spec("F1", (3, 4, 2))
+    corners, _ = family_geometry([spec])
+    pts = set(region_points(corners[0].tolist()))
+    y2 = corners[0, 2, 1]
+    drop = {(x, y) for x, y in cleared_points(spec) if abs(2 * y - y2) == 1}
     assert drop and drop <= pts
+    (row,) = {y for _, y in drop}
+    assert {x % 4 for x, _ in drop} == {(slit_base(row) + 3) % 4}
     t1 = pts - drop
-    t2 = t1 - trim_zigzag_side(corners, 2, delta=2)
-    assert t1 == t2
+    assert t1 - drop == t1
 
 
 def test_zigzag_no_room_is_noop():
@@ -147,4 +172,49 @@ def test_region_points_rejects_non_monotone_contour():
         ("E", 12), ("N", 8), ("W", 4), ("S", 4),
         ("W", 4), ("N", 4), ("W", 4), ("S", 8)))
     with pytest.raises(ValueError):
-        row_spans([(0, trace_contour(u_shape))])
+        row_spans([trace_contour(u_shape)])
+
+
+def reference_cleared(spec, corners2):
+    """The points that the strip and trim rules clear, point by point:
+    the lattice points on each stripped side, and the zigzag of each
+    trimmed side's row inside the contour."""
+    (kind, i), p = spec.head, derive_params(*spec.nums)
+    out = set()
+    for side in _STRIP_RULES[(kind, int(i))][p.case_tall]:
+        j = SIDE_NAMES.index(side)
+        (x1, y1), (x2, y2) = corners2[j], corners2[j + 1]
+        n = max(abs(x2 - x1), abs(y2 - y1))
+        for t in range(n + 1 if n else 0):
+            x, y = x1 + t * (x2 - x1) // n, y1 + t * (y2 - y1) // n
+            if x % 2 == 0 and y % 2 == 0:
+                out.add((x // 2, y // 2))
+    area2 = sum(ax * by - bx * ay
+                for (ax, ay), (bx, by) in zip(corners2, corners2[1:]))
+    for side, delta in _TRIM_RULES[(kind, int(i))]:
+        j, delta = SIDE_NAMES.index(side), int(delta)
+        (x1, y2), (x2, _) = corners2[j], corners2[j + 1]
+        # the inside is left of a counterclockwise side: below one that
+        # runs west
+        below = (x2 < x1) == (area2 > 0)
+        out |= zigzag_trim_row((y2 - 1) // 2 if below else (y2 + 1) // 2,
+                               (min(x1, x2) + 1) // 2,
+                               (max(x1, x2) - 1) // 2, delta)
+    return out
+
+
+def test_family_geometry_matches_the_walk_on_every_triple():
+    # every valid triple with b <= 16, in all three families: the corners
+    # are those of the contour walk, which finds each contour closed and
+    # simple, and the cleared points are those of the rules point by point
+    specs = [Spec(head, t) for t in valid_triples(range(2, 17), 10 ** 9)
+             for head in FAMILY_HEADS]
+    assert len(specs) == 2 * 4623
+    corners, cleared = family_geometry(specs)
+    got = [set() for _ in specs]
+    for k, x, y in cleared.tolist():
+        got[k].add((x, y))
+    for k, spec in enumerate(specs):
+        want = trace_contour(family_contour(int(spec.head[1]), *spec.nums))
+        assert corners[k].tolist() == [list(c) for c in want], str(spec)
+        assert got[k] == reference_cleared(spec, want), str(spec)
