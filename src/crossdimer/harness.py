@@ -17,8 +17,6 @@ from fractions import Fraction
 from itertools import accumulate, chain, combinations
 from math import gcd, prod
 
-import numpy as np
-
 from .errors import CrossdimerError
 from .families import (
     Spec, build_A, build_TR, check_trim_domain, cross_weighted_grids,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, chain, groupby, islice, product
 from math import isqrt, lcm, prod
@@ -511,50 +512,98 @@ def _packed(vals, lens, cols):
     return [(s, lens, cols, row) for s, row in zip(sq, vals)]
 
 
-def _lane_entries(mats, primes, n):
-    """Every nonzero of every matrix, one copy per lane, for _det_residues.
+def _lane_entries(mats, primes):
+    """Every nonzero of every matrix, one copy per lane, and the envelope
+    that _det_residues eliminates in.
 
-    A matrix whose upper bandwidth is below its lower one is transposed
-    (same determinant, narrower band).  Returns (lo, width, red, at,
-    start): lo and width = lo + hi + 1 from the largest lower and upper
-    bandwidths; the copies ordered by row, red holding each copy's entry
-    reduced mod its lane's prime and at its flat index in a window of
-    shape (lanes, lo + 1, width) when its row enters as the last window
-    row; and start[i] the first copy of row i, for i = 0..n.
+    The matrices come largest first.  A matrix whose upper bandwidth is
+    below its lower one is transposed.  Then a matrix whose lower band
+    (each entry weighted by its distance below the diagonal) lies more
+    after its middle than before it is reflected in its antidiagonal.
+    Neither changes the determinant.  The reflection lines up the wide
+    ends of matrices that mirror each other, as two of the three pieces of
+    a TR graph do, so that their joint envelope is little larger than
+    each one's.  Matrix j, of size m_j, runs the steps t_j .. t_j + m_j - 1
+    for t_j = (n - m_j) // 2, n the largest size, with its row i and
+    column c at step t_j + i and t_j + c.  As j grows, t_j rises and
+    t_j + m_j falls, so the live lanes of each step are a prefix.
+
+    At step s the window covers rows s..D_s and columns s..E_s, over all
+    the matrices.  D_s is the last row with an entry in a column up to s,
+    and E_s the last column of the rows up to D_s; both are running
+    maxima, and at least s.  The rows below D_s are still untouched, so
+    zero in column s.  Row operations among the rows up to D_s keep them
+    inside column E_s.
+
+    Returns (shape, live, rows, cols, red, at, start): the window buffer
+    shape (lanes, rows, columns); per step s, the number of live lanes and
+    the block's D_s - s + 1 rows and E_s - s + 1 columns; the copies
+    ordered by the step at which they enter (the first s >= t_j with
+    D_s >= their row), red holding each copy's entry reduced mod its
+    lane's prime and at its flat index in the buffer at that step; and
+    start[s] the first copy entering at step s, for s = 0..n.
     """
     sizes = np.array([len(lens) for _, lens, _, _ in mats])
+    n = int(sizes[0])
     lens = np.concatenate([lens for _, lens, _, _ in mats])
-    row_of = np.repeat(np.arange(len(lens), dtype=np.int32), lens)
-    mat = np.repeat(np.arange(len(mats), dtype=np.int32), sizes)[row_of]
-    r = row_of - (np.cumsum(sizes) - sizes).astype(np.int32)[mat]
-    d = np.concatenate([cols for _, _, cols, _ in mats]) - r
+    row_of = np.repeat(np.arange(len(lens)), lens)
+    mat = np.repeat(np.arange(len(mats)), sizes)[row_of]
+    m = sizes[mat]
+    r = row_of - (np.cumsum(sizes) - sizes)[mat]
+    c = np.concatenate([cols for _, _, cols, _ in mats]).astype(np.int64)
     v = np.concatenate([vals for _, _, _, vals in mats])
-    lo = np.zeros(len(mats), dtype=np.int32)
-    hi = np.zeros(len(mats), dtype=np.int32)
-    np.maximum.at(lo, mat, -d)
-    np.maximum.at(hi, mat, d)
-    flip = hi < lo
-    lo, hi = int(np.where(flip, hi, lo).max()), int(np.maximum(hi, lo).max())
-    width = lo + hi + 1
-    flip = flip[mat]
-    r[flip] += d[flip]
-    np.negative(d, out=d, where=flip)
-    order = np.argsort(r, kind="stable")
-    r, d, mat, v = r[order], d[order], mat[order], v[order]
+    lo = np.zeros(len(mats), dtype=np.int64)
+    hi = np.zeros(len(mats), dtype=np.int64)
+    np.maximum.at(lo, mat, r - c)
+    np.maximum.at(hi, mat, c - r)
+    flip = (hi < lo)[mat]
+    r, c = np.where(flip, c, r), np.where(flip, r, c)
+    # r + c - m + 1 is twice an entry's place past the middle
+    tilt = np.zeros(len(mats), dtype=np.int64)
+    np.add.at(tilt, mat, np.maximum(r - c, 0) * (r + c - m + 1))
+    flip = (tilt > 0)[mat]
+    r, c = np.where(flip, m - 1 - c, r), np.where(flip, m - 1 - r, c)
+    # rows and columns in step coordinates
+    t = (n - sizes) // 2
+    r += t[mat]
+    c += t[mat]
+    steps = np.arange(n)
+    low = np.full(n, -1)  # per column, its last row
+    np.maximum.at(low, c, r)
+    rows = np.maximum(np.maximum.accumulate(low), steps)
+    right = np.full(n, -1)  # per row, its last column
+    np.maximum.at(right, r, c)
+    cols = np.maximum(np.maximum.accumulate(right)[rows], steps)
+    enter = np.maximum(np.searchsorted(rows, r), t[mat])
+    rows -= steps - 1
+    cols -= steps - 1
     k = np.array([len(ps) for ps in primes])
+    first = np.concatenate(([0], np.cumsum(k)))  # each matrix's first lane
+    # matrix j is live while t_j <= s < t_j + m_j
+    live = first[np.minimum(np.searchsorted(t, steps, "right"),
+                            np.searchsorted(-(t + sizes), -steps))]
+    shape = (int(first[-1]), int(rows.max()), int(cols.max()))
+    order = np.argsort(enter, kind="stable")
+    r, c, mat, v = r[order], c[order], mat[order], v[order]
+    enter = enter[order]
     copies = k[mat]
     ends = np.cumsum(copies)
     # the lane of each copy: its matrix's first lane plus its place in
-    # the run of copies of one entry
-    lane = np.arange(ends[-1] if len(ends) else 0, dtype=np.int32)
-    lane -= np.repeat(ends - copies - (np.cumsum(k) - k)[mat], copies)
+    # the run of copies of one entry; then, in place, its flat index, in
+    # int32 unless the buffer has 2^31 cells or more
+    lane = np.arange(ends[-1] if len(ends) else 0, dtype=np.int32
+                     if np.prod(shape) < 2 ** 31 else np.int64)
+    lane -= np.repeat(ends - copies - first[mat], copies)
     red = np.repeat(v, copies)
     red %= np.fromiter(chain.from_iterable(primes), dtype=np.int64)[lane]
-    # an entering row's band starts at column step - lo
-    at = lane.astype(np.int64) * ((lo + 1) * width)
-    at += np.repeat(d + lo * (width + 1), copies)
-    start = np.concatenate(([0], ends))[np.searchsorted(r, np.arange(n + 1))]
-    return lo, width, red.astype(np.int64, copy=False), at, start.tolist()
+    at = lane
+    at *= shape[1] * shape[2]
+    at += np.repeat(((r - enter) * shape[2] + c - enter).astype(at.dtype),
+                    copies)
+    start = np.concatenate(([0], ends))[
+        np.searchsorted(enter, np.arange(n + 1))]
+    return (shape, live.tolist(), rows.tolist(), cols.tolist(),
+            red.astype(np.int64, copy=False), at, start.tolist())
 
 
 def _check_columns(mats):
@@ -585,21 +634,22 @@ def _det_residues(mats, primes):
     one elimination.
 
     mats[j] is a matrix packed by _packed, and primes[j] lists the primes
-    wanted for it; each (matrix, prime) pair is one lane.  Every matrix is
-    padded with identity rows to the largest size n, and one banded
-    Gaussian elimination serves all lanes: a window of shape
-    (lanes, L+1, L+H+1) slides down the
-    diagonal, where L and H are the largest lower and upper bandwidths
-    (after _lane_entries transposes the matrices that are narrower that
-    way).  Each lane picks its own pivot row (the first in the window that
-    is nonzero in the pivot column), so the upper band of the eliminated
-    rows grows to at most L+H and no nonzero leaves the window.  Every
-    entry is reduced mod each of its matrix's primes once, up front.
+    wanted for it; each (matrix, prime) pair is one lane.  One Gaussian
+    elimination serves all lanes, over the union of the matrices'
+    envelopes (_lane_entries): at step s only the live lanes run, and only
+    on the block of the window that holds rows s..D_s and columns s..E_s.
+    A matrix starts at its own step, centred on the largest, and its lanes
+    retire after its last row.  Each lane picks its own pivot row (the
+    first in the block that is nonzero in the pivot column), and no
+    nonzero leaves the block.  Every entry is reduced mod each of its
+    matrix's primes once, up front.  The block shifts by one row and
+    column into a second buffer per step, which zeroes only the rows and
+    columns that the next block adds before their entries enter.
 
-    At each step the lanes of a prime that at least _BATCH_LANES lanes
-    share get their pivot inverses from one pow, by Montgomery's trick:
-    prefix products, one inverse, and back-substitution.  A lane with no
-    pivot takes 1 in place of it; its pivot column is zero, so its
+    At each step but the last, the live lanes of a prime, when at least
+    _BATCH_LANES, get their pivot inverses from one pow, by Montgomery's
+    trick: prefix products, one inverse, and back-substitution.  A lane
+    with no pivot takes 1 in place of it; its pivot column is zero, so its
     multipliers stay 0 whatever the inverse.  The lanes of other primes
     call pow one by one.  count_many's chunks of about _CHUNK copies put
     tens of lanes on a prime; one TR graph puts at most 3.
@@ -607,72 +657,77 @@ def _det_residues(mats, primes):
     """
     if not mats:
         return []
-    sizes = [len(lens) for _, lens, _, _ in mats]
-    n = max(sizes)
-    lo, width, red, at, start = _lane_entries(mats, primes, n)
+    # largest first, so that the live lanes of each step are a prefix
+    order = sorted(range(len(mats)), key=lambda j: -len(mats[j][1]))
+    primes = [primes[j] for j in order]
+    shape, live, rows, cols, red, at, start = _lane_entries(
+        [mats[j] for j in order], primes)
     pr = np.fromiter(chain.from_iterable(primes), dtype=np.int64)
     plist = pr.tolist()
-    p1, p2 = pr[:, None], pr[:, None, None]
-    # row i of a lane is an identity row once i reaches its matrix's size
-    size = np.repeat(sizes, [len(ps) for ps in primes])
-    smallest = min(sizes)
-    lanes = len(pr)
-    each = np.arange(lanes)
-    by_prime = {}  # each prime's lanes
+    by_prime = {}  # each prime's lanes, in order
     for j, p in enumerate(plist):
         by_prime.setdefault(p, []).append(j)
-    shared = [(p, ix) for p, ix in by_prime.items() if len(ix) >= _BATCH_LANES]
-    # each lane's prime where it inverts its own pivot, and 0 elsewhere
-    alone = [0 if len(by_prime[p]) >= _BATCH_LANES else p for p in plist]
 
-    win = np.zeros((lanes, lo + 1, width), dtype=np.int64)
-    first = np.arange(min(lo + 1, n))
-    win[:, first, first] = size[:, None] <= first
-    for i in first.tolist():
-        s, e = start[i], start[i + 1]
-        np.put(win, at[s:e] - (lo - i) * (width + 1), red[s:e])
-    nxt = np.empty_like(win)
-    det = np.ones(lanes, dtype=np.int64)
-    flips = np.zeros(lanes, dtype=bool)
-    for step in range(n):
+    win = np.zeros(shape, dtype=np.int64)
+    win.put(at[:start[1]], red[:start[1]])
+    nxt = np.zeros_like(win)
+    det = np.ones(len(pr), dtype=np.int64)
+    flips = np.zeros(len(pr), dtype=bool)
+    was = 0
+    for step, (J, r, c) in enumerate(zip(live, rows, cols)):
+        if J != was:
+            # views of the live lanes; the primes whose live lanes invert
+            # together, and each other live lane's prime
+            was, ix, pj, dj, fj = J, np.arange(J), pr[:J], det[:J], flips[:J]
+            q = pj[:, None]
+            shared = [(p, js[:k]) for p, js in by_prime.items()
+                      if (k := bisect_left(js, J)) >= _BATCH_LANES]
+            batched = {p for p, _ in shared}
+            alone = [0 if p in batched else p for p in plist[:J]]
+        w = win[:J, :r, :c]
         if step % _STEPS_PER_REDUCTION == 0:
-            np.remainder(win, p2, out=win)
-        col = win[:, :, 0] % p1
+            np.remainder(w, q[:, None], out=w)
+        col = w[:, :, 0] % q
         piv = (col != 0).argmax(axis=1)
-        pivot = col[each, piv]
-        prow = win[each, piv] % p1
-        det = det * pivot % pr
+        pivot = col[ix, piv]
+        prow = w[ix, piv] % q
+        dj *= pivot
+        dj %= pj
         if piv.any():
-            flips ^= piv != 0
-            win[each, piv] = win[:, 0]
-            col[each, piv] = col[:, 0]
+            fj ^= piv != 0
+            w[ix, piv] = w[:, 0]
+            col[ix, piv] = col[:, 0]
+        if step + 1 == len(live):
+            break
         # a lane with no pivot has det 0 and eliminates nothing
         pv = pivot.tolist()
         inv = [pow(x, -1, p) if x and p else 1 for x, p in zip(pv, alone)]
-        for p, ix in shared:
-            xs = [pv[j] or 1 for j in ix]
+        for p, js in shared:
+            xs = [pv[j] or 1 for j in js]
             pre = [1]
             for x in xs:
                 pre.append(pre[-1] * x % p)
             t = pow(pre.pop(), -1, p)  # 1 / (xs[0] ... xs[-1])
-            for j, x, a in zip(reversed(ix), reversed(xs), reversed(pre)):
+            for j, x, a in zip(reversed(js), reversed(xs), reversed(pre)):
                 inv[j] = t * a % p
                 t = t * x % p
-        f = col[:, 1:] * np.array(inv, dtype=np.int64)[:, None] % p1
-        np.subtract(win[:, 1:, 1:], f[:, :, None] * prow[:, None, 1:],
-                    out=nxt[:, :lo, :-1])
-        nxt[:, :lo, -1] = 0
-        nxt[:, lo] = 0
-        i = step + 1 + lo
-        if i < n:
-            if i >= smallest:
-                nxt[:, lo, lo] = size <= i
-            s, e = start[i], start[i + 1]
-            np.put(nxt, at[s:e], red[s:e])
+        f = col[:, 1:] * np.array(inv, dtype=np.int64)[:, None] % q
+        np.subtract(w[:, 1:, 1:], f[:, :, None] * prow[:, None, 1:],
+                    out=nxt[:J, :r - 1, :c - 1])
+        # zero the rows and columns that the next block adds, and enter
+        # their entries
+        K, r1, c1 = live[step + 1], rows[step + 1], cols[step + 1]
+        nxt[:K, r - 1:r1, :c1] = 0
+        nxt[:K, :r - 1, c - 1:c1] = 0
+        s, e = start[step + 1], start[step + 2]
+        nxt.put(at[s:e], red[s:e])
         win, nxt = nxt, win
     res = np.where(flips, (pr - det) % pr, det).tolist()
     ends = np.cumsum([len(ps) for ps in primes]).tolist()
-    return [res[e - len(ps):e] for e, ps in zip(ends, primes)]
+    out = [None] * len(mats)
+    for j, e, ps in zip(order, ends, primes):
+        out[j] = res[e - len(ps):e]
+    return out
 
 
 def _crt(primes, residues, bound):
@@ -696,9 +751,9 @@ def _dets_exact(mats):
     """Exact determinants of matrices packed by _packed.
 
     Each matrix uses the fewest primes whose product covers twice its
-    Hadamard row bound; the residues of all of them come from one banded
-    elimination.  An empty matrix has determinant 1, and one with a zero
-    row 0.
+    Hadamard row bound; the residues of all of them come from one
+    elimination (_det_residues).  An empty matrix has determinant 1, and
+    one with a zero row 0.
     """
     _check_columns(mats)
     dets = [1 if not len(lens) else 0 for _, lens, _, _ in mats]
@@ -759,11 +814,15 @@ def _plan(grids, cap):
     cuts.  A grid with no cut is one piece.
 
     Row i and column j of a piece are its i-th even and j-th odd vertex in
-    x-major order.  An entry is + when _flips orients its edge out of the
-    even vertex, with ranks over whole rows of the stack, as for a whole
-    grid: a piece lies between two diagonals, so no vertex of another
-    piece lies inside one of its cycles (_flips).  A grid
-    left with more than cap vertices raises TooLarge.
+    level order: by level x + y, then by x.  An edge joins two consecutive
+    levels, so the columns of a row lie in the two levels next to its own,
+    and the envelope that _det_residues eliminates in follows the width of
+    the levels.  (A fixed band is narrower in x-major order, but the
+    envelope is smaller in level order.)  An entry is + when _flips
+    orients its edge out of the even vertex, with ranks over whole rows of
+    the stack, as for a whole grid: a piece lies between two diagonals, so
+    no vertex of another piece lies inside one of its cycles (_flips).  A
+    grid left with more than cap vertices raises TooLarge.
     """
     # a grid's point (x, y) goes to cell (x - dx, y - dy), dx a multiple
     # of 4 and dy of 2, so parities (and Kasteleyn's rule) are kept
@@ -804,10 +863,11 @@ def _plan(grids, cap):
     # each vertex's piece: its grid's first key, plus the cuts below it
     piece = np.full(n, -1)
     piece[vs] = (np.cumsum(cut, 1) - cut).ravel()[key] + own * span
-    # rows and columns: even and odd vertices by piece, x-major in each
-    live, odd = ~dead[own], (vx + vy) % 2
-    a, b = (v[np.argsort(piece[v], kind="stable")]
-            for v in (vs[live & (odd == k)] for k in (0, 1)))
+    # rows and columns: even and odd vertices by piece, then by level,
+    # then by x (vs is x-major, and lexsort is stable)
+    live, level = ~dead[own], vx + vy
+    a, b = (vs[m][np.lexsort((level[m], piece[vs[m]]))]
+            for m in (live & (level % 2 == k) for k in (0, 1)))
     col = np.empty(n, dtype=np.int32)
     col[b] = np.arange(len(b))
     slot = a[:, None] + [0, -h, n, n - 1]  # the edges E, W, N, S of a

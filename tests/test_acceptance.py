@@ -7,19 +7,15 @@ criteria state them.  All comparisons are exact integer equality.
 import resource
 import time
 
-import pytest
-
 from crossdimer.families import (
-    TrimRectParams, assign_cross_weights, build_A, build_F, build_TA,
-    build_TB, build_TR, build_aztec_rectangle, build_augmented_aztec,
-    weight_point,
+    build_TR, build_aztec_rectangle, build_augmented_aztec,
 )
 from crossdimer.formulas import thm_TR
 from crossdimer.harness import (
     SuiteConfig, delannoy, run_suite, tr_three_way_split,
 )
 from crossdimer.lattice import FULL_GRID
-from crossdimer.matchcount import count_brute, count_fkt, split_check
+from crossdimer.matchcount import count_fkt, split_check
 
 CFG = SuiteConfig()
 _T0 = time.time()

@@ -138,10 +138,11 @@ def plan_orientations(g):
     """The live vertices of g and, per piece that _plan makes of it, the
     piece's vertices and its edges as (tail, head) pairs, read off the
     piece's (lens, cols, signs): row i is the piece's i-th even live
-    vertex in x-major order, column j its j-th odd one, and an entry is +
-    when its edge points out of the even vertex.  The live vertices are
-    those that no forced edge covers, and the pieces lie between the
-    levels of diagonal_cuts.  None when g has no perfect matching."""
+    vertex in order of level x + y, then of x, column j its j-th odd one,
+    and an entry is + when its edge points out of the even vertex.  The
+    live vertices are those that no forced edge covers, and the pieces lie
+    between the levels of diagonal_cuts.  None when g has no perfect
+    matching."""
     grid = matchcount.Grid.of_graph(g)
     (plan,) = matchcount._plan([grid], len(g))
     if plan is None:
@@ -153,7 +154,9 @@ def plan_orientations(g):
     assert len(pieces) == (len(cuts) + 1 if len(live) else 0)
     out = []
     for k, (lens, cols, signs, _) in enumerate(pieces):
-        band = [v for v in live.vertices if bisect_left(cuts, sum(v)) == k]
+        band = sorted((v for v in live.vertices
+                       if bisect_left(cuts, sum(v)) == k),
+                      key=lambda v: (sum(v), v[0]))
         even, odd = ([v for v in band if sum(v) % 2 == c] for c in (0, 1))
         assert len(lens) == len(even) == len(odd)
         rows = np.repeat(np.arange(len(lens)), lens).tolist()
@@ -592,15 +595,23 @@ P0 = matchcount._crt_primes(2)[0]
 @st.composite
 def banded_matrices(draw):
     """Square integer matrices of random bandwidths (full band = dense),
-    with small or huge entries, repeated rows and rows scaled by P0."""
+    with small or huge entries, repeated rows and rows scaled by P0.  Some
+    are also zero outside a random monotone row profile: row i only holds
+    columns first[i]..last[i], both nondecreasing in i, so the envelope
+    is ragged."""
     n = draw(st.integers(1, 7))
     lo, hi = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     entry = draw(st.sampled_from([st.integers(-2, 2), st.integers(-9, 9),
                                   st.integers(-(2 ** 70), 2 ** 70),
                                   st.sampled_from([0, 1, 2 ** 31,
                                                    -(2 ** 62), 2 ** 63])]))
-    mat = [[draw(entry) if -lo <= j - i <= hi else 0 for j in range(n)]
-           for i in range(n)]
+    first, last = [0] * n, [n - 1] * n
+    if draw(st.booleans()):
+        first, last = (sorted(draw(st.lists(st.integers(0, n - 1),
+                                            min_size=n, max_size=n)))
+                       for _ in "fl")
+    mat = [[draw(entry) if -lo <= j - i <= hi and first[i] <= j <= last[i]
+            else 0 for j in range(n)] for i in range(n)]
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     how = draw(st.sampled_from(["none", "repeat", "scale"]))
     if how == "repeat":
@@ -608,6 +619,16 @@ def banded_matrices(draw):
     elif how == "scale":
         mat[i] = [x * P0 for x in mat[i]]
     return mat
+
+
+# tridiagonal, but for one long row above the diagonal and one below
+JUMP = [[2, 1, 0, 0, 0, 0, 0],
+        [1, 2, 1, 0, 0, 0, 0],
+        [0, 1, 2, 1, 0, 0, 1],
+        [0, 0, 1, 2, 1, 0, 0],
+        [0, 0, 0, 1, 2, 1, 0],
+        [0, 0, 3, 0, 1, 2, 1],
+        [0, 0, 0, 0, 0, 1, 2]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -623,6 +644,9 @@ def banded_matrices(draw):
 @example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 @example([[0, 1, 0, 0], [1, 0, 0, 0], [3, 0, 0, 1], [0, 2, 1, 0]])
 @example([[0, 2 ** 70, 0], [5, 0, 0], [1, -3, 2 ** 63]])
+# a late row that reaches far left: the window's last row D_s jumps from
+# 1 to 4 in one step
+@example(JUMP)
 def test_det_exact_matches_fraction_det(mat):
     seen = []
     residues = matchcount._det_residues
@@ -653,6 +677,12 @@ def test_det_exact_matches_fraction_det(mat):
           ([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]], 0),
           ([[3, -7, 0], [2, 9, 4], [0, 5, -1]], 2), ([[4, 1], [1, 3]], 1),
           ([[0, 2], [-5, 7]], 0), ([[2 ** 40, 1], [3, 2 ** 35]], 2)])
+# sizes 7, 5, 3 and 1 run the steps 0-6, 1-5, 2-4 and 3: the live prefix
+# grows by one matrix per step, then shrinks
+@example([(JUMP, 2),
+          ([[3, 1, 0, 0, 0], [1, 3, 1, 0, 0], [0, 1, 3, 1, 0],
+            [0, 0, 1, 3, 1], [0, 0, 0, 1, 3]], 1),
+          ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 0), ([[7]], 2)])
 def test_det_residues_batch_matches_fraction_det(batch):
     pool = matchcount._crt_primes(2 ** 90)
     mats = [matchcount._packed(
@@ -674,10 +704,46 @@ def test_det_residues_batch_matches_fraction_det(batch):
     for (mat, _), ps, residues in zip(batch, primes, got):
         want = int(fraction_det(mat))
         assert residues == [want % p for p in ps]
-    # every matrix has a lane on pool[0]: with enough of them, one pow
-    # per step inverts all their pivots
-    if len(batch) >= matchcount._BATCH_LANES:
-        assert inverted[pool[0]] == max(len(mat) for mat, _ in batch)
+    # every matrix has a lane on pool[0].  A matrix of size m is live at
+    # the steps t .. t + m - 1 for t = (n - m) // 2, and the live lanes
+    # invert their pivots at every step but the last of the call: with at
+    # least _BATCH_LANES of them, by one pow; with fewer, by one pow per
+    # nonzero pivot, and a matrix invertible mod pool[0] has no zero pivot
+    n = max(len(mat) for mat, _ in batch)
+    batched = lone = singular = 0
+    for step in range(n - 1):
+        runs = [r[0] != 0 for (mat, _), r in zip(batch, got)
+                if (n - len(mat)) // 2 <= step < (n + len(mat)) // 2]
+        if len(runs) >= matchcount._BATCH_LANES:
+            batched += 1
+        else:
+            lone += sum(runs)
+            singular += runs.count(False)
+    assert batched + lone <= inverted[pool[0]] <= batched + lone + singular
+
+
+def test_det_residues_retires_each_lane_with_its_matrix():
+    # a lane stops at its matrix's last row: the 3 x 3 matrix's prime is
+    # not inverted through the 40 steps of the other
+    rng = random.Random(3)
+    small, big = ([[rng.randint(1, 9) for _ in range(m)] for _ in range(m)]
+                  for m in (3, 40))
+    pool = matchcount._crt_primes(2 ** 60)
+    mats = [matchcount._packed(matchcount.int_array([sum(mat, [])]),
+                               [len(mat)] * len(mat),
+                               list(range(len(mat))) * len(mat))[0]
+            for mat in (small, big)]
+    inverted = Counter()
+
+    def spy(x, e, p):
+        inverted[p] += e == -1
+        return pow(x, e, p)
+
+    with mock.patch.object(matchcount, "pow", spy, create=True):
+        got = matchcount._det_residues(mats, [pool[:1], pool[1:2]])
+    assert got == [[int(fraction_det(small)) % pool[0]],
+                   [int(fraction_det(big)) % pool[1]]]
+    assert inverted[pool[0]] <= 3
 
 
 def test_det_exact_dense_past_reduction_period():
