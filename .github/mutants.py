@@ -1,0 +1,87 @@
+"""Mutants that the tests must kill; a CI step, outside the Tier-1 suite.
+
+Each entry of MUTANTS names one edit: a file, an exact text that must
+occur in it once, the text that replaces it, and one pytest id.  For each
+entry the script copies the checkout, makes the edit in the copy, and
+runs the test there; the run's last line must begin "1 failed".  It exits
+1 if any old text is missing or any mutant survives.  From the root of a
+checkout:
+
+    python .github/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+MATCHCOUNT = "src/crossdimer/matchcount.py"
+FAMILIES = "src/crossdimer/families.py"
+FACE_TEST = \
+    "tests/test_matchcount.py::test_plan_signs_make_each_face_clockwise_odd"
+BATCH_TEST = \
+    "tests/test_matchcount.py::test_det_residues_batch_matches_fraction_det"
+
+# (what the mutant does, file, old text, new text, test id)
+MUTANTS = [
+    # the vertical sign rule reads the rank alone; every unit square is
+    # then clockwise-even
+    ("_flips drops its x term", MATCHCOUNT,
+     "flips[1] = np.cumsum(occ, 0) - occ + np.arange(x0, x0 + w)[:, None]\n",
+     "flips[1] = np.cumsum(occ, 0) - occ\n", FACE_TEST),
+    # the back-substitution never updates the running inverse, so every
+    # lane of a group but the last is wrong
+    ("the batched inverse skips a step", MATCHCOUNT,
+     "                t = t * x % p\n", "", BATCH_TEST),
+    # the window at step s ends at E_s - 1 (but not before s), one column
+    # short of the last column of its rows
+    ("the window drops its last column", MATCHCOUNT,
+     "np.maximum.accumulate(right)[rows], steps)\n",
+     "np.maximum.accumulate(right)[rows] - 1, steps)\n", BATCH_TEST),
+    # the stripped-side points start at each side's first corner (t = 0,
+    # halved down) in place of its first odd step t = 1
+    ("the strips start at the corners", FAMILIES,
+     "start = np.concatenate([(corners[k, j] + sign) // 2,\n",
+     "start = np.concatenate([corners[k, j] // 2,\n",
+     "tests/test_graph_pin.py"),
+    # the TA and TB cuts clear every fourth point from 1 column in from
+    # their rows' ends, in place of 3
+    ("the end-anchored trims start 1 column in", FAMILIES,
+     "[hi + 1, left - 1]", "[hi - 1, left + 1]",
+     "tests/test_graph_pin.py::test_family_graphs_pinned"),
+]
+
+
+def run(root, scratch, path, old, new, test):
+    """The last line of test's run on a copy of root with the edit made,
+    or why the edit could not be made."""
+    shutil.copytree(root, scratch, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+    target = scratch / path
+    text = target.read_text()
+    if text.count(old) != 1:
+        return f"the old text occurs {text.count(old)} times in {path}"
+    target.write_text(text.replace(old, new))
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         test], cwd=scratch, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": "src"}).stdout.strip()
+    return out.splitlines()[-1] if out else "no output"
+
+
+def main():
+    root = Path(__file__).resolve().parent.parent
+    survived = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for j, (name, *edit) in enumerate(MUTANTS):
+            last = run(root, Path(tmp) / str(j), *edit)
+            killed = last.startswith("1 failed")
+            survived += not killed
+            print(f"{'killed' if killed else 'NOT KILLED'}: {name}: {last}")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

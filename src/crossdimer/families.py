@@ -1,24 +1,25 @@
 """Builders for every named graph family on the cross lattice.
 
-Pipeline, fixed, for a batch of A/F specs at once in integer arithmetic
-(family_geometry): contour corners -> region rows -> strip diagonal
-sides -> zigzag-trim horizontal sides -> one induced lattice graph.
-Induced subgraphs compose, so a family graph is its region's rows less
-the stripped and trimmed points; the others are point sets (tr_points,
-trim_rect_points, aztec_rectangle_points, augmented_aztec_points).
-Which sides are stripped per family (with the tall/flat case split), the
-trim phases, and the rotated-rectangle anchor classes are frozen
-calibration results; the acceptance suite is the authority that they are
-right.  Spec names one graph as the CLI and the suite records spell it,
-and gives its graph and closed form; grids builds the Grids of many
-Specs in one stacked array, and every build_* is the graph of its Spec.
+Every graph is built as rows less cleared points, for a batch of Specs
+at once in integer arithmetic.  An A or F graph (family_geometry) is its
+six-sided contour's rows less the points of its stripped diagonal sides
+and zigzag-trimmed horizontal sides.  A TR, TA, TB, AR or AAR graph
+(rectangle_geometry) is a rotated rectangle's rows, stretched one point
+west for TR and AAR, between two cut rows less every fourth point of
+each cut row.  Which sides are stripped per family (with the tall/flat
+case split), the trim phases, and the rectangles' corner classes are
+frozen calibration results; the acceptance suite is the authority that
+they are right.  Spec names one graph as the CLI and the suite records
+spell it, and gives its graph and closed form; grids builds the Grids of
+many Specs in one stacked array, and every build_* is the graph of its
+Spec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from math import lcm
 
 import numpy as np
@@ -31,7 +32,7 @@ from .formulas import (
 from .lattice import (
     COMPASS, CROSS_OFFSETS, FULL_GRID, GRID_B, ContourSpec, LatticeSpec,
     NonClosing, ragged_steps, row_spans, stacked_grids, slit_base,
-    corner_cut, unit_edge_table,
+    unit_edge_table,
 )
 from .matchcount import TooLarge, int_array
 
@@ -113,51 +114,13 @@ def build_F(i, a, b, c, lat=GRID_B):
 ALIGN_UV = {"east": (4, 3), "west": (1, 0)}
 
 
-def aztec_rectangle_points(m, n, corner_uv):
-    """Vertices of the rotated rectangle with SE side m and NE side n."""
-    if m < 1 or n < 1:
-        raise InvalidParams("m, n must be >= 1")
-    u_max, v_max = corner_uv
-    if (u_max + v_max) % 2 == 0:
-        raise InvalidParams("rectangle corner must be a unit-square center")
-    out = []
-    for u in range(u_max - 2 * n, u_max + 1):
-        for v in range(v_max - 2 * m, v_max + 1):
-            if (u + v) % 2 == 0:
-                out.append(((u + v) // 2, (u - v) // 2))
-    return out
-
-
 def build_aztec_rectangle(lat, m, n):
     return Spec("AR", (m, n), lat).graph()
-
-
-def augmented_aztec_points(m, n, corner_uv):
-    """The rectangle's vertices and their western neighbours."""
-    base = aztec_rectangle_points(m, n, corner_uv)
-    pts = set(base)
-    pts.update((x - 1, y) for x, y in base)
-    return pts
 
 
 def build_augmented_aztec(lat, m, n):
     """Rectangle stretched one unit west: one extra square per row."""
     return Spec("AAR", (m, n), lat).graph()
-
-
-def tr_points(a, b):
-    """The point set of the trimmed augmented rectangle TR(a, b)."""
-    if a < 1 or b < 2 * a:
-        raise InvalidParams(f"need a >= 1 and b >= 2a, got {(a, b)}")
-    m = 2 * b + 2 * a - 2
-    n = 2 * b + 4 * a - 2
-    u_max, v_max = ALIGN_UV["east"]
-    pts = augmented_aztec_points(m, n, (u_max, v_max))
-    east_y2 = u_max - v_max
-    level_n = (east_y2 - 1) // 2 + (2 * a - 1) + 1
-    level_s = (east_y2 + 1) // 2 - (4 * a - 1) - 1
-    pts = corner_cut(pts, level_n, "below", delta=3)
-    return corner_cut(pts, level_s, "above", delta=3)
 
 
 def build_TR(a, b):
@@ -174,31 +137,13 @@ class TrimRectParams:
     variant: str  # "TA" | "TB"
 
     def __post_init__(self):
-        if min(self.m, self.n, self.h1, self.h2) < 0 or self.m > self.n:
-            raise InvalidParams(f"bad trim-rectangle parameters {self}")
-        if (self.h1 + 1) // 2 + (self.h2 + 1) // 2 != 2 * (self.n - self.m):
-            raise InvalidParams(
-                f"floor-sum constraint fails for "
-                f"{(self.m, self.n, self.h1, self.h2)}")
         if self.variant not in ("TA", "TB"):
             raise InvalidParams(f"variant must be TA or TB, not {self.variant}")
-
-
-def trim_rect_points(p):
-    """The point set of the trimmed rectangle that p (TA or TB) names."""
-    if p.variant == "TA":
-        rect_m, rect_n, corner_uv = 2 * p.m, 2 * p.n, ALIGN_UV["east"]
-    else:
-        rect_m, rect_n, corner_uv = 2 * p.m - 1, 2 * p.n - 1, ALIGN_UV["west"]
-    pts = aztec_rectangle_points(rect_m, rect_n, corner_uv)
-    u_max, v_max = corner_uv
-    north_y2 = u_max - (v_max - 2 * rect_m)
-    south_y2 = (u_max - 2 * rect_n) - v_max
-    level_top = (north_y2 - 1) // 2 - p.h1
-    level_bot = (south_y2 + 1) // 2 + p.h2
-    # these two cuts anchor at the ragged row ends, not at slit phase
-    pts = corner_cut(pts, level_top, "below", anchor_offset=3)
-    return corner_cut(pts, level_bot, "above", anchor_offset=3)
+        spec = Spec(self.variant, astuple(self)[:4])
+        if not 1 <= self.m <= self.n or min(self.h1, self.h2) < 0:
+            raise InvalidParams(f"{spec} needs 1 <= m <= n and h1, h2 >= 0")
+        if (self.h1 + 1) // 2 + (self.h2 + 1) // 2 != 2 * (self.n - self.m):
+            raise InvalidParams(f"{spec} fails the floor-sum constraint")
 
 
 def build_TA(p):
@@ -370,30 +315,6 @@ class Spec:
         return self.lattice or (
             FULL_GRID if self.head in ("AR", "AAR") else GRID_B)
 
-    def _point_set(self):
-        """The points of a TR, TA, TB, AR or AAR graph."""
-        head, nums = self.head, self.nums
-        if head == "TR":
-            return tr_points(*nums)
-        if head in ("TA", "TB"):
-            return trim_rect_points(TrimRectParams(*nums, head))
-        if head in ("AR", "AAR"):
-            pts = aztec_rectangle_points if head == "AR" \
-                else augmented_aztec_points
-            return pts(*nums, ALIGN_UV["east"] if self.lat.kind == "cross"
-                       else (0, 1))
-        raise InvalidParams(f"unknown family {head!r}")
-
-    def _box_size(self):
-        """A bound on the points of a TR, TA, TB, AR or AAR graph: the
-        cells of its m x n rectangle's rotated box, over twice its points."""
-        head, (m, n) = self.head, self.nums[:2]
-        if head == "TR":
-            m, n = 2 * n + 2 * m - 2, 2 * n + 4 * m - 2
-        elif head in ("TA", "TB"):
-            m, n = 2 * m - (head == "TB"), 2 * n - (head == "TB")
-        return max(2 * m + 1, 0) * max(2 * n + 1, 0)
-
     def graph(self):
         return next(grids([self])).graph()
 
@@ -472,29 +393,82 @@ def family_geometry(specs):
                                      start[run] + t[:, None] * step[run]])
 
 
+def _rectangle(spec):
+    """The ints (m, n, u, v, west, top, bottom, ends) of a TR, TA, TB, AR
+    or AAR spec: a rectangle of sides m (SE) and n (NE) from its east
+    corner (u, v) = (x + y, x - y), each row one point longer west if
+    west, cut to the rows top to bottom, less every fourth point of those
+    two rows: at slit phase 3, or if ends from 3 columns in from the top
+    row's east end and the bottom row's west end.  TooLarge first if its
+    box (2m + 1)(2n + 1) exceeds BUILD_CAP."""
+    head, nums, tb = spec.head, spec.nums, spec.head == "TB"
+    u, v = ALIGN_UV["west" if tb else "east"]
+    # the cuts are rows counted from y0, the row just below the east corner
+    if head == "TR":
+        a, b = nums
+        m, n, cuts = 2 * b + 2 * a - 2, 2 * b + 4 * a - 2, (2 * a, 1 - 4 * a)
+    elif head in ("TA", "TB"):
+        m, n = 2 * nums[0] - tb, 2 * nums[1] - tb
+        cuts = (m - nums[2], 1 - n + nums[3])
+    elif head in ("AR", "AAR"):
+        m, n, cuts = *nums, (nums[0] + 1, -nums[1])  # each past an end
+        u, v = (0, 1) if spec.lat.kind == "full" else (u, v)
+    else:
+        raise InvalidParams(f"unknown family {head!r}")
+    _refuse(spec, max(2 * m + 1, 0) * max(2 * n + 1, 0))
+    if head in ("TA", "TB"):
+        TrimRectParams(*nums, head)  # which checks them
+    elif head == "TR" and (a < 1 or b < 2 * a):
+        raise InvalidParams(f"need a >= 1 and b >= 2a, got {(a, b)}")
+    elif min(m, n) < 1:
+        raise InvalidParams("m, n must be >= 1")
+    y0 = (u - v - 1) // 2
+    return (m, n, u, v, head in ("TR", "AAR"), y0 + cuts[0], y0 + cuts[1],
+            head in ("TA", "TB"))
+
+
+def rectangle_geometry(specs):
+    """(rows, cleared) of the TR, TA, TB, AR and AAR graphs that specs
+    name (_rectangle, which checks BUILD_CAP first): an int array of rows
+    (k, y, lo, hi), the row_spans of spec k's rectangle's corners at odd
+    doubled coordinates (u + v, u - v), stretched and clipped to its cuts,
+    and one of rows (k, x, y), the points that its cuts clear."""
+    if not specs:  # as in a batch of A and F specs only
+        return np.zeros((0, 4), np.int64), np.zeros((0, 3), np.int64)
+    rect = np.array([_rectangle(spec) for spec in specs], dtype=np.int64)
+    west, top, bottom, ends = rect[:, 4:].T
+    # the corners east, north, west, south and east again, as (u, v)
+    uv = rect[:, None, 2:4] - [[0, 0], [0, 2], [2, 2], [2, 0], [0, 0]] \
+        * rect[:, None, 1::-1]
+    rows = row_spans(uv @ np.array([[1, 1], [1, -1]]))
+    rows[:, 2] -= west[rows[:, 0]]
+    k, y = rows[:, :2].T
+    rows = rows[(bottom[k] <= y) & (y <= top[k])]
+    k, y, lo, hi = rows.T
+    at_top = y == top[k]
+    # on a row cut twice, the bottom cut anchors past lo if the top took it
+    left = lo + (at_top & ((hi + 1 - lo) % 4 == 0))
+    phase = np.where(ends[k], [hi + 1, left - 1], slit_base(y) + 3)
+    cut = np.concatenate([at_top, y == bottom[k]])
+    k, y, lo, hi = np.tile(rows, (2, 1))[cut].T
+    lo += (phase.ravel()[cut] - lo) % 4
+    run, t = ragged_steps(np.maximum((hi - lo) // 4 + 1, 0))
+    return rows, np.stack([k[run], lo[run] + 4 * t, y[run]], 1)
+
+
 def grids(specs):
-    """The Grids of the graphs that the Specs in specs name, in order,
-    built GRID_BATCH at a time in one stacked array (stacked_grids).  An A
-    or F graph is its region's rows (family_geometry, then row_spans) less
-    its cleared points; any other graph is its point set, if a bound from
-    its parameters (Spec._box_size) keeps it within BUILD_CAP."""
+    """The Grids of the graphs that specs name, in order, GRID_BATCH at a
+    time in one stacked array (stacked_grids): rows less cleared points,
+    from family_geometry (A and F) or rectangle_geometry, which refuse
+    any spec past BUILD_CAP before a row of its batch is computed."""
     specs = iter(specs)
     while batch := list(islice(specs, GRID_BATCH)):
-        fam = np.array([k for k, spec in enumerate(batch)
-                        if spec.head in FAMILY_HEADS], dtype=np.int64)
-        others = [(k, spec) for k, spec in enumerate(batch)
-                  if spec.head not in FAMILY_HEADS]
-        for k, spec in others:
-            _refuse(spec, spec._box_size())
-        rows, cleared = [], np.zeros((0, 3), dtype=np.int64)
-        if len(fam):
-            corners, cleared = family_geometry([batch[k] for k in fam])
-            rows.append(row_spans(corners))
-            for a in (rows[0], cleared):  # from index in fam to in batch
-                a[:, 0] = fam[a[:, 0]]
-        for k, spec in others:
-            x, y = np.fromiter(chain.from_iterable(spec._point_set()),
-                               np.int64).reshape(-1, 2).T  # a row each
-            rows.append(np.stack([np.full_like(x, k), y, x, x], 1))
+        fam = np.array([spec.head in FAMILY_HEADS for spec in batch])
+        f, r = np.flatnonzero(fam), np.flatnonzero(~fam)
+        corners, cleared = family_geometry([batch[k] for k in f])
+        rect = rectangle_geometry([batch[k] for k in r])
+        rows, cleared = [row_spans(corners), rect[0]], [cleared, rect[1]]
+        for a, k in zip(rows + cleared, (f, r, f, r)):
+            a[:, 0] = k[a[:, 0]]  # from index in its part to in batch
         yield from stacked_grids([spec.lat for spec in batch],
-                                 np.concatenate(rows), cleared)
+                                 np.concatenate(rows), np.concatenate(cleared))

@@ -281,6 +281,7 @@ def zigzag_trim_row(row_y, x_lo, x_hi, delta):
     return {(x, row_y) for x in range(x_lo, x_hi + 1) if x % 4 == r}
 
 
+# No build path calls it; perfbench/tracer.py wraps it, tests compare with it.
 def corner_cut(pts, level, keep, delta=None, anchor_offset=None):
     """Zigzag corner cut at a horizontal level: the points of pts it keeps.
 

@@ -191,14 +191,14 @@ def test_count_weights_errors(capsys):
 
 def test_oversized_specs_exit_2_before_building(capsys, monkeypatch):
     # a bound on the points from the parameters alone refuses each spec:
-    # nothing is stacked and no point set is listed
+    # no row is computed and nothing is stacked
     from crossdimer import families
 
     def reached(*args, **kwargs):
         raise AssertionError("an oversized spec was built")
 
     monkeypatch.setattr(families, "stacked_grids", reached)
-    monkeypatch.setattr(families.Spec, "_point_set", reached)
+    monkeypatch.setattr(families, "row_spans", reached)
     specs = ("TR:100000,200000", "TR:120,240", "TA:300,400,0,0",
              "TB:300,400,0,0", "AR:600,600@full", "AAR:600,600",
              "A1:0,150,0", "F3:0,150,0", f"A2:0,{10 ** 30},0")
@@ -209,3 +209,12 @@ def test_oversized_specs_exit_2_before_building(capsys, monkeypatch):
     assert len(err) == 2 * len(specs)
     assert all("build cap of 1048576" in line for line in err)
     assert err[0].startswith("error: TR:100000,200000 is too large")
+
+
+def test_trim_rectangle_with_m_0_names_its_parameters(capsys):
+    # m = 0 is refused as a TA or TB parameter, not as a side of the
+    # rectangle that TA and TB cut
+    for cmd in ("count", "gen"):
+        assert main([cmd, "TA:0,1,1,2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: TA:0,1,1,2 needs 1 <= m <= n and h1, h2 >= 0"] * 2

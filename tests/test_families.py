@@ -63,6 +63,8 @@ def test_family_example_counts():
 def test_family_invalid():
     with pytest.raises(InvalidParams):
         build_A(1, 1, 1, 0)
+    with pytest.raises(InvalidParams):  # a head that Spec.parse refuses
+        Spec("XX", (1, 2)).graph()
 
 
 def test_families_balanced():
@@ -326,11 +328,13 @@ def test_cross_weighted_grids_use_the_smallest_signed_dtype():
 
 def test_build_bounds_hold_the_graphs():
     # the bounds that grids checks against BUILD_CAP before it builds:
-    # every point set within its rectangle's bound, and every family
-    # region within its corners' box
+    # every rectangle graph within its rectangle's box (2m + 1)(2n + 1),
+    # and every family region within its corners' box.  AR:1,3000@full
+    # spans 18003 points by its rectangle's box, but 3001^2 > BUILD_CAP
+    # by its corners' box, and must build
     import numpy as np
 
-    from crossdimer.families import family_geometry, grids
+    from crossdimer.families import _rectangle, family_geometry, grids
     from crossdimer.harness import trim_rect_domain, valid_triples
 
     specs = [Spec("TR", (a, 2 * a + k)) for a in range(1, 5)
@@ -340,10 +344,72 @@ def test_build_bounds_hold_the_graphs():
     specs += [Spec(head, (m, n), lat) for m in range(1, 6)
               for n in range(1, 6) for head in ("AR", "AAR")
               for lat in (FULL_GRID, GRID_B)]
-    for spec in specs:
-        assert len(set(spec._point_set())) <= spec._box_size(), str(spec)
+    specs.append(Spec("AR", (1, 3000), FULL_GRID))
+    for spec, grid in zip(specs, grids(specs)):
+        m, n = _rectangle(spec)[:2]
+        assert grid.n <= (2 * m + 1) * (2 * n + 1), str(spec)
+    assert (2 * m + 1) * (2 * n + 1) == 18003
     fam = [Spec(f"{kind}{i}", t) for t in valid_triples(range(2, 8), 28)
            for i in (1, 2, 3) for kind in ("A", "F")]
     corners, _ = family_geometry(fam)
     box = ((corners.max(1) - corners.min(1)) // 2).prod(1)
     assert np.all([grid.n for grid in grids(fam)] <= box)
+
+
+def reference_rectangle(spec):
+    """The points of a TR, TA, TB, AR or AAR graph, point by point: the
+    rotated rectangle's points by (u, v) = (x + y, x - y), with their west
+    neighbours for TR and AAR, cut by lattice.corner_cut."""
+    from crossdimer.families import ALIGN_UV
+    from crossdimer.lattice import corner_cut
+
+    head, nums = spec.head, spec.nums
+    if head == "TR":
+        a, b = nums
+        m, n = 2 * b + 2 * a - 2, 2 * b + 4 * a - 2
+        u0, v0 = ALIGN_UV["east"]
+    elif head in ("TA", "TB"):
+        tb = head == "TB"
+        m, n = 2 * nums[0] - tb, 2 * nums[1] - tb
+        u0, v0 = ALIGN_UV["west" if tb else "east"]
+    else:
+        m, n = nums
+        u0, v0 = ALIGN_UV["east"] if spec.lat.kind == "cross" else (0, 1)
+    pts = {((u + v) // 2, (u - v) // 2) for u in range(u0 - 2 * n, u0 + 1)
+           for v in range(v0 - 2 * m, v0 + 1) if (u + v) % 2 == 0}
+    if head in ("TR", "AAR"):
+        pts |= {(x - 1, y) for x, y in pts}
+    # the rows just below the north corner and just above the south one
+    north, south = (u0 - v0 + 2 * m - 1) // 2, (u0 - v0 - 2 * n + 1) // 2
+    if head == "TR":
+        east = u0 - v0  # the east corner's doubled y
+        pts = corner_cut(pts, (east - 1) // 2 + 2 * a, "below", delta=3)
+        return corner_cut(pts, (east + 1) // 2 - 4 * a, "above", delta=3)
+    if head in ("TA", "TB"):
+        pts = corner_cut(pts, north - nums[2], "below", anchor_offset=3)
+        return corner_cut(pts, south + nums[3], "above", anchor_offset=3)
+    return pts
+
+
+def test_rectangle_geometry_matches_the_point_sets():
+    # every rectangle graph that grids builds from rows has the points of
+    # its rectangle cut point by point, rows cut twice (TA:1,3,1,6) and
+    # empty graphs (TB:1,2,0,4) included
+    import numpy as np
+
+    from crossdimer.families import grids
+    from crossdimer.harness import trim_rect_domain
+
+    specs = [Spec("TR", (a, 2 * a + k)) for a in range(1, 4)
+             for k in range(4)]
+    specs += [Spec(head, t) for t in trim_rect_domain()
+              for head in ("TA", "TB")]
+    specs += [Spec(head, (m, n), lat) for m in range(1, 5)
+              for n in range(1, 5) for head in ("AR", "AAR")
+              for lat in (FULL_GRID, GRID_B)]
+    assert {"TA:1,3,1,6", "TB:1,2,0,4"} <= set(map(str, specs))
+    for spec, grid in zip(specs, grids(specs)):
+        x, y = np.nonzero(grid.occ)
+        got = set(zip((x + grid.origin[0]).tolist(),
+                      (y + grid.origin[1]).tolist()))
+        assert got == reference_rectangle(spec), str(spec)
