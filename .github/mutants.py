@@ -51,6 +51,17 @@ MUTANTS = [
     ("the end-anchored trims start 1 column in", FAMILIES,
      "[hi + 1, left - 1]", "[hi - 1, left + 1]",
      "tests/test_graph_pin.py::test_family_graphs_pinned"),
+    # the dict that a built Graph reads from its Grid leaves out the
+    # north edges
+    ("the kept Grid's dict drops its north edges", MATCHCOUNT,
+     "np.divmod(np.flatnonzero(self.edges), self.occ.size)",
+     "np.divmod(np.flatnonzero(self.edges[0]), self.occ.size)",
+     "tests/test_graph_pin.py::test_family_graphs_pinned"),
+    # an isolated vertex no longer marks its graph unmatchable; only a
+    # vertex that two leaves claim does
+    ("_peel lets an isolated vertex pass", MATCHCOUNT,
+     "bad |= gone & (hit != 1)", "bad |= gone & (hit > 1)",
+     "tests/test_matchcount.py::test_count_many_stacks_graphs_apart"),
 ]
 
 

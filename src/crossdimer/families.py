@@ -252,6 +252,13 @@ SPEC_PARAMS = {**dict.fromkeys(FAMILY_HEADS, "a,b,c"), "TR": "a,b",
 LATTICE_TAGS = {"full": FULL_GRID, "b": GRID_B, "cross": GRID_B}
 
 
+def _trim_sides(variant, m, n):
+    """The sides (SE, NE) of the rotated rectangle that the TA or TB spec
+    with these m and n trims: 2m and 2n, less 1 each for TB."""
+    tb = variant == "TB"
+    return 2 * m - tb, 2 * n - tb
+
+
 def check_trim_domain(variant, m, n, h1, h2):
     """Raise HypothesisViolated unless theorem 1.3 covers this trimmed
     rectangle: its core triple must be a valid family triple, and neither
@@ -261,7 +268,7 @@ def check_trim_domain(variant, m, n, h1, h2):
         derive_params(*trim_rect_triple(m, n, h1, h2, variant))
     except InvalidParams as exc:
         raise HypothesisViolated(f"{spec} has no valid core: {exc}") from None
-    short_side = 2 * m if variant == "TA" else 2 * m - 1
+    short_side = _trim_sides(variant, m, n)[0]
     if h1 >= short_side or h2 >= short_side:
         raise HypothesisViolated(
             f"{spec}: a cut leaves its corner (side {short_side})")
@@ -352,6 +359,8 @@ def family_geometry(specs):
     side vectors, which must close (NonClosing), and one of rows (k, x, y),
     the points of spec k's stripped sides and trimmed rows.  A spec whose
     corners' box spans more than BUILD_CAP points raises TooLarge first."""
+    if not specs:  # as in a batch of rotated rectangles only
+        return np.zeros((0, 7, 2), np.int64), np.zeros((0, 3), np.int64)
     par = [derive_params(*spec.nums) for spec in specs]
     for spec, p in zip(specs, par):
         _refuse(spec, max(p[:6]))  # which keeps what follows in int64
@@ -408,7 +417,7 @@ def _rectangle(spec):
         a, b = nums
         m, n, cuts = 2 * b + 2 * a - 2, 2 * b + 4 * a - 2, (2 * a, 1 - 4 * a)
     elif head in ("TA", "TB"):
-        m, n = 2 * nums[0] - tb, 2 * nums[1] - tb
+        m, n = _trim_sides(head, *nums[:2])
         cuts = (m - nums[2], 1 - n + nums[3])
     elif head in ("AR", "AAR"):
         m, n, cuts = *nums, (nums[0] + 1, -nums[1])  # each past an end
@@ -467,7 +476,9 @@ def grids(specs):
         f, r = np.flatnonzero(fam), np.flatnonzero(~fam)
         corners, cleared = family_geometry([batch[k] for k in f])
         rect = rectangle_geometry([batch[k] for k in r])
-        rows, cleared = [row_spans(corners), rect[0]], [cleared, rect[1]]
+        # a batch of rectangles only has no family rows to span
+        rows = [row_spans(corners) if len(f) else rect[0][:0], rect[0]]
+        cleared = [cleared, rect[1]]
         for a, k in zip(rows + cleared, (f, r, f, r)):
             a[:, 0] = k[a[:, 0]]  # from index in its part to in batch
         yield from stacked_grids([spec.lat for spec in batch],

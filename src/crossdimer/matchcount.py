@@ -55,13 +55,24 @@ class Graph:
     Vertices are (x, y) tuples; the bipartition is by (x + y) parity.
     adj maps each vertex, in sorted order, to its set of neighbours.
     Edge weights default to 1 and are stored sparsely as exact Fractions
-    (or ints) only where they differ from 1.  No Graph changes its adj
-    after construction, so weighted copies share it (with_weights).
+    (or ints) only where they differ from 1.  No Graph changes its
+    structure after construction, so weighted copies share it
+    (with_weights).
+
+    A Graph is made in one of two ways.  Graph(vertices, edges, weights)
+    checks every edge and weight.  Graph(grid), which is Grid.graph, keeps
+    the Grid as grid, whose arrays hold only unit edges between occupied
+    cells, and reads vertices and adj from it (Grid.vertices_adj) when
+    either is first read; a hand-made Graph's grid is None.
     """
 
-    __slots__ = ("vertices", "adj", "weights")
+    __slots__ = ("vertices", "adj", "weights", "grid")
 
-    def __init__(self, vertices, edges, weights=None):
+    def __init__(self, vertices, edges=(), weights=None):
+        self.grid = None
+        if isinstance(vertices, Grid):
+            self.grid, self.weights = vertices, {}
+            return
         self.vertices = tuple(sorted(set(vertices)))
         vs = set(self.vertices)
         adj = {v: set() for v in self.vertices}
@@ -76,12 +87,20 @@ class Graph:
             else:
                 raise ValueError(f"edge {u}-{v} joins same parity class")
         self.adj = adj
-        self.weights = _checked_weights(adj, weights)
+        self.weights = _checked_weights(self, weights)
+
+    def __getattr__(self, name):
+        # only an unset slot gets here: a built Graph's vertices and adj
+        # before their first read
+        if name not in ("vertices", "adj") or self.grid is None:
+            raise AttributeError(name)
+        self.vertices, self.adj = self.grid.vertices_adj()
+        return getattr(self, name)
 
     # -- basic accessors ------------------------------------------------
 
     def __len__(self):
-        return len(self.vertices)
+        return len(self.vertices) if self.grid is None else self.grid.n
 
     def edges(self):
         return [(u, v) for u in self.vertices for v in self.adj[u] if u < v]
@@ -108,10 +127,12 @@ class Graph:
 
     def with_weights(self, weights):
         """This graph with the given edge weights in place of its own.  The
-        copy shares vertices and adj with self; no edge is checked again."""
+        copy shares self's structure, its grid or else its vertices and adj;
+        no edge is checked again."""
         g = Graph.__new__(Graph)
-        g.vertices, g.adj = self.vertices, self.adj
-        g.weights = _checked_weights(self.adj, weights)
+        g.grid, g.weights = self.grid, _checked_weights(self, weights)
+        if self.grid is None:
+            g.vertices, g.adj = self.vertices, self.adj
         return g
 
     # -- canonical serialization ------------------------------------------
@@ -131,15 +152,15 @@ class Graph:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
-def _checked_weights(adj, weights):
+def _checked_weights(g, weights):
     """The weights that differ from 1, keyed by edge_key.  A weight on a
-    pair that is not an edge of adj, one that is not an int or a Fraction
+    pair that is not an edge of g, one that is not an int or a Fraction
     (bool is not allowed), or one that is not above 0 raises ValueError
     naming the pair: the counts are |det|, which is the weighted count
     only for positive weights."""
     out = {}
     for (u, v), w in (weights or {}).items():
-        if v not in adj.get(u, ()):
+        if v not in g.adj.get(u, ()):
             raise ValueError(f"weight on {u}-{v}, which is not an edge")
         if type(w) is not Fraction and (
                 type(w) is bool or not isinstance(w, int)):
@@ -160,18 +181,22 @@ class Grid:
     at (x, y).  A Grid carries no weights; its arrays are not changed.
     """
 
-    __slots__ = ("origin", "occ", "edges", "n")
+    __slots__ = ("origin", "occ", "edges", "n", "_dict")
 
     def __init__(self, origin, occ, edges):
         """The grid at origin (x0, y0) of the arrays occ and edges, which
         has no edge with an end outside occ."""
         self.origin, self.occ, self.edges = origin, occ, edges
         self.n = int(np.count_nonzero(occ))
+        self._dict = None
 
     @classmethod
     def of_graph(cls, g):
-        """g's structure; NonPlanarEmbedding unless every edge of g is a
+        """g's structure: the Grid that g keeps, or else one built from
+        adj, which raises NonPlanarEmbedding unless every edge of g is a
         unit step."""
+        if g.grid is not None:
+            return g.grid
         n = len(g.adj)
         pts = np.fromiter(chain.from_iterable(g.adj), np.int64,
                           2 * n).reshape(n, 2)
@@ -193,13 +218,26 @@ class Grid:
         return np.argwhere(self.occ) + self.origin
 
     def graph(self):
-        """This structure as a Graph, whose edges share its vertex tuples."""
+        """This structure as a Graph that keeps it: Graph(self)."""
+        return Graph(self)
+
+    def vertices_adj(self):
+        """(vertices, adj) as Graph holds them, made on the first call and
+        shared by every Graph that keeps this Grid: the edges entered east
+        ones first, each in x-major order of its lower-left end, between
+        the vertex tuples themselves."""
+        if self._dict is not None:
+            return self._dict
         pts = list(map(tuple, self.points().tolist()))
+        adj = {v: set() for v in pts}
         at = np.cumsum(self.occ.ravel()) - 1  # the vertex at each cell
         d, cell = np.divmod(np.flatnonzero(self.edges), self.occ.size)
         ends = at[cell + np.where(d, 1, self.occ.shape[1])].tolist()
-        return Graph(pts, [(pts[i], pts[j])
-                           for i, j in zip(at[cell].tolist(), ends)])
+        for i, j in zip(at[cell].tolist(), ends):
+            adj[pts[i]].add(pts[j])
+            adj[pts[j]].add(pts[i])
+        self._dict = tuple(pts), adj
+        return self._dict
 
 
 def _edge_weights(grid, weights):
@@ -901,21 +939,23 @@ def count_many(graphs, cap=FKT_CAP):
     (grid, (w, d)), whose edge at flat index k of grid.edges weighs
     w.ravel()[k] / d, for w an int64 or object array of ints.
 
-    Consecutive items that share one structure (an adj, or a Grid) share
-    one Grid, and a Graph's weights become such a (w, d) once.  The Grids
-    are sorted by size into chunks of about _CHUNK copies, each planned by
-    one _plan and eliminated by one _dets_exact, with each piece of a
-    graph (_plan) as a matrix of its own.  A weighted count is the forced
-    edges' weight product times the product of the pieces' |det(signs *
-    w)|, over d^(rows + forced edges).  A non-unit edge raises
-    NonPlanarEmbedding, even on a forced edge, and a graph left with more
-    than cap vertices after forced-edge reduction raises TooLarge.
+    Consecutive items that share one structure (a Grid, bare or kept by a
+    Graph, or a hand-made Graph's adj) share one Grid, and a Graph's
+    weights become such a (w, d) once.  The Grids are sorted by size into
+    chunks of about _CHUNK copies, each planned by one _plan and
+    eliminated by one _dets_exact, with each piece of a graph (_plan) as a
+    matrix of its own.  A weighted count is the forced edges' weight
+    product times the product of the pieces' |det(signs * w)|, over
+    d^(rows + forced edges).  A non-unit edge raises NonPlanarEmbedding,
+    even on a forced edge, and a graph left with more than cap vertices
+    after forced-edge reduction raises TooLarge.
     """
     grids, copies, last = [], [], None  # structures; their (item, weights)
     for i, g in enumerate(graphs):
         g, w = g if isinstance(g, tuple) else (g, None)
-        if getattr(g, "adj", g) is not last:
-            last = getattr(g, "adj", g)
+        key = g if isinstance(g, Grid) else g.grid or g.adj
+        if key is not last:
+            last = key
             grids.append(Grid.of_graph(g) if isinstance(g, Graph) else g)
             copies.append([])
         if isinstance(g, Graph) and g.weights:

@@ -105,6 +105,107 @@ def test_builders_construct_one_graph(monkeypatch):
         assert len(made) == 1, name
 
 
+def test_built_graphs_count_from_their_grid(monkeypatch):
+    # a built Graph keeps its Grid, and counting it reads no dict: with
+    # the dict builder made to raise, the counts still equal the closed
+    # forms, and each build still runs Graph.__init__ once
+    from crossdimer.formulas import phi_value, thm_TR
+
+    made = []
+    init = Graph.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    def no_dict(self):
+        raise AssertionError("the vertices and adj dict was built")
+
+    monkeypatch.setattr(Graph, "__init__", spy)
+    monkeypatch.setattr(Grid, "vertices_adj", no_dict)
+    for build, want in ((lambda: build_TR(3, 6), thm_TR(3, 6).value()),
+                        (lambda: build_TR(5, 10), thm_TR(5, 10).value()),
+                        (lambda: build_A(1, 8, 8, 3), phi_value(1, 8, 8, 3))):
+        made.clear()
+        g = build()
+        assert made == [1]
+        assert Grid.of_graph(g) is g.grid
+        assert count_fkt(g) == want
+
+
+def test_built_graphs_read_like_eager_graphs():
+    # the vertices and adj that a built Graph makes on first read are
+    # those of Graph(vertices, edges), which checks every edge, on one
+    # spec per head on each lattice it lies on; and the eager graph's
+    # Grid is the kept one
+    import numpy as np
+
+    specs = [Spec(f"{kind}{i}", (5, 8, 4), lat) for kind in "AF"
+             for i in (1, 2, 3) for lat in (None, FULL_GRID)]
+    specs += [Spec("TR", (2, 5)), Spec("TA", (5, 7, 4, 3)),
+              Spec("TB", (5, 7, 4, 3))]
+    specs += [Spec(head, (2, 3), lat) for head in ("AR", "AAR")
+              for lat in (FULL_GRID, GRID_B)]
+    for spec in specs:
+        g = spec.graph()
+        n = len(g)  # from the Grid, before any dict exists
+        eager = Graph(g.vertices, g.edges())
+        assert eager.grid is None and g.grid is not None
+        assert n == len(g) == len(eager) == g.grid.n, str(spec)
+        assert g.vertices == eager.vertices and g.adj == eager.adj
+        assert sorted(g.edges()) == sorted(eager.edges())
+        assert g.to_json() == eager.to_json()
+        assert g.is_balanced() == eager.is_balanced()
+        grid = Grid.of_graph(eager)
+        assert grid.origin == g.grid.origin
+        assert np.array_equal(grid.occ, g.grid.occ)
+        assert np.array_equal(grid.edges, g.grid.edges)
+
+
+def test_weighted_copies_keep_the_grid():
+    # cross-weighted and with_weights copies of a built Graph share its
+    # Grid, and count as the copies of its eager twin do
+    from fractions import Fraction
+
+    g = build_A(1, 4, 4, 2)
+    plain = g.with_weights({})
+    assert plain.grid is g.grid and Grid.of_graph(plain) is g.grid
+    eager = Graph(g.vertices, g.edges())
+    for w in (weight_point(3, 5, 7), weight_point(1, 1, 1),
+              weight_point(Fraction(1, 2), 3, 1)):
+        got, want = assign_cross_weights(g, w), assign_cross_weights(eager, w)
+        assert got.grid is g.grid and want.grid is None
+        assert got.adj is g.adj and got.weights == want.weights
+        assert count_fkt(got) == count_fkt(want)
+    # a weight is checked against the edges of a built Graph too
+    edge = g.edges()[0]
+    doubled = g.with_weights({edge: 2})
+    assert doubled.grid is g.grid and doubled.adj is g.adj
+    assert count_fkt(doubled) == count_fkt(eager.with_weights({edge: 2}))
+    with pytest.raises(ValueError, match="not an edge"):
+        g.with_weights({(edge[0], (edge[0][0] + 1, edge[0][1] + 1)): 2})
+
+
+def test_a_batch_of_rectangles_spans_no_family_rows(monkeypatch):
+    # with no A or F spec in a batch, family_geometry returns at once and
+    # grids spans only the rectangles' rows
+    from crossdimer import families
+
+    calls = []
+    row_spans = families.row_spans
+
+    def spy(corners2):
+        calls.append(len(corners2))
+        return row_spans(corners2)
+
+    monkeypatch.setattr(families, "row_spans", spy)
+    grid = next(families.grids([Spec("TR", (2, 4))]))
+    assert calls == [1]
+    assert grid.n == len(build_TR(2, 4))
+    corners, cleared = families.family_geometry([])
+    assert corners.shape == (0, 7, 2) and cleared.shape == (0, 3)
+
+
 def test_point_sets_count_like_their_graphs():
     # counting straight from point sets, in one batch, gives the count of
     # each built graph alone, on the reduced benchmark domains
