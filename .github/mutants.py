@@ -32,9 +32,16 @@ MUTANTS = [
      "flips[1] = np.cumsum(occ, 0) - occ + np.arange(x0, x0 + w)[:, None]\n",
      "flips[1] = np.cumsum(occ, 0) - occ\n", FACE_TEST),
     # the back-substitution never updates the running inverse, so every
-    # lane of a group but the last is wrong
+    # lane of a group of three or more but the last is wrong
     ("the batched inverse skips a step", MATCHCOUNT,
-     "                t = t * x % p\n", "", BATCH_TEST),
+     "                    t = t * x % p\n", "", BATCH_TEST),
+    # each lane of a pair takes the other's inverse
+    ("the pair branch swaps its inverses", MATCHCOUNT,
+     "t * y % p, t * x % p", "t * x % p, t * y % p", BATCH_TEST),
+    # a lane whose first row is zero in the pivot column pivots on it
+    # whenever another lane's is nonzero
+    ("the in-place step runs when any lane leads with a nonzero entry",
+     MATCHCOUNT, "if col[:, 0].all():", "if col[:, 0].any():", BATCH_TEST),
     # the window at step s ends at E_s - 1 (but not before s), one column
     # short of the last column of its rows
     ("the window drops its last column", MATCHCOUNT,

@@ -203,9 +203,15 @@ def weight_symbols():
 def cross_weightings(g, points):
     """Copies of g carrying the periodic cross weight pattern, one per
     WeightPoint in points, that share g's structure (Graph.with_weights).
-    Each edge takes its symbol from the class of its lower-left end
-    (weight_symbols), once per call."""
-    table = weight_symbols().tolist()
+    A Graph that keeps a Grid of the cross lattice gives each copy its
+    (w, d) from cross_weighted_grids as grid_weights.  Otherwise each edge
+    takes its symbol from the class of its lower-left end (weight_symbols),
+    once per call, and an edge off the cross lattice raises NotGridB."""
+    table, grid = weight_symbols(), g.grid
+    if grid is not None and (_symbols_at(table, grid) >= 0)[grid.edges].all():
+        return [g.with_weights(wd)
+                for _, wd in cross_weighted_grids([grid], points)]
+    table = table.tolist()
     by_symbol = [[], [], [], []]
     for u, v in g.edges():
         step = (v[0] - u[0], v[1] - u[1])
@@ -217,6 +223,14 @@ def cross_weightings(g, points):
     return [g.with_weights({e: Fraction(t)
                             for t, edges in zip(w.as_tuple(), by_symbol[1:])
                             if t != 1 for e in edges}) for w in points]
+
+
+def _symbols_at(table, grid):
+    """A weight_symbols table at the cells of grid: table[:, x % 4, y % 4]
+    at the cell of (x, y)."""
+    (x0, y0), (m, n) = grid.origin, grid.occ.shape
+    return table[:, np.arange(x0, x0 + m)[:, None] % 4,
+                 np.arange(y0, y0 + n) % 4]
 
 
 def cross_weighted_grids(grids, points):
@@ -232,9 +246,7 @@ def cross_weighted_grids(grids, points):
     scaled = [v if v.dtype == object else  # every value is positive
               v.astype(np.min_scalar_type(-1 - int(v.max()))) for v in scaled]
     for grid in grids:
-        (x0, y0), (m, n) = grid.origin, grid.occ.shape
-        sym = table[:, np.arange(x0, x0 + m)[:, None] % 4,
-                    np.arange(y0, y0 + n) % 4]
+        sym = _symbols_at(table, grid)
         yield from ((grid, (vals[sym], d)) for vals, d in zip(scaled, ds))
 
 

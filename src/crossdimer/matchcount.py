@@ -63,13 +63,16 @@ class Graph:
     checks every edge and weight.  Graph(grid), which is Grid.graph, keeps
     the Grid as grid, whose arrays hold only unit edges between occupied
     cells, and reads vertices and adj from it (Grid.vertices_adj) when
-    either is first read; a hand-made Graph's grid is None.
+    either is first read; a hand-made Graph's grid is None.  A copy of a
+    built Graph may carry its weights as grid_weights, a pair (w, d) that
+    weights the Grid as count_many does, and make the weights dict from it
+    when that is first read; otherwise grid_weights is None.
     """
 
-    __slots__ = ("vertices", "adj", "weights", "grid")
+    __slots__ = ("vertices", "adj", "weights", "grid", "grid_weights")
 
     def __init__(self, vertices, edges=(), weights=None):
-        self.grid = None
+        self.grid = self.grid_weights = None
         if isinstance(vertices, Grid):
             self.grid, self.weights = vertices, {}
             return
@@ -90,11 +93,15 @@ class Graph:
         self.weights = _checked_weights(self, weights)
 
     def __getattr__(self, name):
-        # only an unset slot gets here: a built Graph's vertices and adj
-        # before their first read
-        if name not in ("vertices", "adj") or self.grid is None:
+        # only an unset slot gets here: a built Graph's vertices and adj,
+        # and the weights of a copy with grid_weights, before their first
+        # read
+        if name in ("vertices", "adj") and self.grid is not None:
+            self.vertices, self.adj = self.grid.vertices_adj()
+        elif name == "weights" and self.grid_weights is not None:
+            self.weights = _weight_dict(self.grid, *self.grid_weights)
+        else:
             raise AttributeError(name)
-        self.vertices, self.adj = self.grid.vertices_adj()
         return getattr(self, name)
 
     # -- basic accessors ------------------------------------------------
@@ -126,11 +133,17 @@ class Graph:
         return self.induced(v for v in self.vertices if v not in drop)
 
     def with_weights(self, weights):
-        """This graph with the given edge weights in place of its own.  The
-        copy shares self's structure, its grid or else its vertices and adj;
-        no edge is checked again."""
+        """This graph with the given edge weights in place of its own: a
+        dict, checked as Graph checks one, or, on a Graph that keeps a
+        Grid, its grid_weights (w, d), taken as they are.  The copy shares
+        self's structure, its grid or else its vertices and adj; no edge is
+        checked again."""
         g = Graph.__new__(Graph)
-        g.grid, g.weights = self.grid, _checked_weights(self, weights)
+        g.grid, g.grid_weights = self.grid, None
+        if type(weights) is tuple and self.grid is not None:
+            g.grid_weights = weights
+        else:
+            g.weights = _checked_weights(self, weights)
         if self.grid is None:
             g.vertices, g.adj = self.vertices, self.adj
         return g
@@ -251,6 +264,14 @@ def _edge_weights(grid, weights):
         weights)), np.int64, 4 * len(weights)).reshape(-1, 4).T
     w[y1 - y, x - grid.origin[0], y - grid.origin[1]] = vals[1:]
     return w, d
+
+
+def _weight_dict(grid, w, d):
+    """The weights dict, as Graph holds it, of grid weighted by (w, d) as
+    count_many weights a Grid: Fraction(w, d) on each edge where w != d."""
+    ids = np.flatnonzero(grid.edges & (w != d))
+    return dict(zip(_edge_keys(ids, grid.occ.shape, grid.origin),
+                    (Fraction(t, d) for t in w.ravel()[ids].tolist())))
 
 
 def _edge_keys(ids, shape, shift):
@@ -518,10 +539,6 @@ def _crt_primes(need):
 # in int64.
 _STEPS_PER_REDUCTION = 7
 
-# A prime shared by at least this many lanes inverts their pivots with one
-# pow per step (Montgomery's trick); fewer lanes call pow one by one.
-_BATCH_LANES = 8
-
 
 def int_array(values):
     """Python ints as an int64 array, or an object array if one overflows."""
@@ -684,13 +701,18 @@ def _det_residues(mats, primes):
     column into a second buffer per step, which zeroes only the rows and
     columns that the next block adds before their entries enter.
 
-    At each step but the last, the live lanes of a prime, when at least
-    _BATCH_LANES, get their pivot inverses from one pow, by Montgomery's
-    trick: prefix products, one inverse, and back-substitution.  A lane
-    with no pivot takes 1 in place of it; its pivot column is zero, so its
-    multipliers stay 0 whatever the inverse.  The lanes of other primes
-    call pow one by one.  count_many's chunks of about _CHUNK copies put
-    tens of lanes on a prime; one TR graph puts at most 3.
+    At each step, when every live lane is nonzero in the first row of its
+    pivot column, that row is the pivot row of every lane and no row
+    moves; otherwise each lane finds its own and swaps it with the first.
+    At each step but the last, the live lanes of each prime (grouped again
+    whenever the number of live lanes changes) get their pivot inverses
+    from one pow.  A lone lane inverts its own pivot, if it has one.  Two
+    lanes invert the product x y, and 1/x = y/(x y), 1/y = x/(x y).  Three
+    or more use Montgomery's trick: prefix products, one inverse, and
+    back-substitution.  A lane with no pivot takes 1 in place of it; its
+    pivot column is zero, so its multipliers stay 0 whatever the inverse.
+    One TR graph puts at most 3 lanes on a prime; count_many's chunks of
+    about _CHUNK copies put tens.
     Returns, per matrix, the list of residues in [0, p).
     """
     if not mats:
@@ -714,41 +736,50 @@ def _det_residues(mats, primes):
     was = 0
     for step, (J, r, c) in enumerate(zip(live, rows, cols)):
         if J != was:
-            # views of the live lanes; the primes whose live lanes invert
-            # together, and each other live lane's prime
+            # views of the live lanes, and the live lanes of each prime
             was, ix, pj, dj, fj = J, np.arange(J), pr[:J], det[:J], flips[:J]
             q = pj[:, None]
-            shared = [(p, js[:k]) for p, js in by_prime.items()
-                      if (k := bisect_left(js, J)) >= _BATCH_LANES]
-            batched = {p for p, _ in shared}
-            alone = [0 if p in batched else p for p in plist[:J]]
+            groups = [(p, js[:k]) for p, js in by_prime.items()
+                      if (k := bisect_left(js, J))]
         w = win[:J, :r, :c]
         if step % _STEPS_PER_REDUCTION == 0:
             np.remainder(w, q[:, None], out=w)
         col = w[:, :, 0] % q
-        piv = (col != 0).argmax(axis=1)
-        pivot = col[ix, piv]
-        prow = w[ix, piv] % q
+        if col[:, 0].all():  # every lane pivots on its first row
+            pivot, prow = col[:, 0], w[:, 0] % q
+        else:
+            piv = (col != 0).argmax(axis=1)
+            pivot = col[ix, piv]
+            prow = w[ix, piv] % q
+            if piv.any():
+                fj ^= piv != 0
+                w[ix, piv] = w[:, 0]
+                col[ix, piv] = col[:, 0]
         dj *= pivot
         dj %= pj
-        if piv.any():
-            fj ^= piv != 0
-            w[ix, piv] = w[:, 0]
-            col[ix, piv] = col[:, 0]
         if step + 1 == len(live):
             break
-        # a lane with no pivot has det 0 and eliminates nothing
-        pv = pivot.tolist()
-        inv = [pow(x, -1, p) if x and p else 1 for x, p in zip(pv, alone)]
-        for p, js in shared:
-            xs = [pv[j] or 1 for j in js]
-            pre = [1]
-            for x in xs:
-                pre.append(pre[-1] * x % p)
-            t = pow(pre.pop(), -1, p)  # 1 / (xs[0] ... xs[-1])
-            for j, x, a in zip(reversed(js), reversed(xs), reversed(pre)):
-                inv[j] = t * a % p
-                t = t * x % p
+        # one pow per prime; a lane with no pivot has det 0 and eliminates
+        # nothing, so it takes 1 in place of its pivot
+        pv, inv = pivot.tolist(), [1] * J
+        for p, js in groups:
+            if len(js) == 1:
+                if x := pv[js[0]]:
+                    inv[js[0]] = pow(x, -1, p)
+            elif len(js) == 2:
+                j, k = js
+                x, y = pv[j] or 1, pv[k] or 1
+                t = pow(x * y, -1, p)
+                inv[j], inv[k] = t * y % p, t * x % p
+            else:
+                xs = [pv[j] or 1 for j in js]
+                pre = [1]
+                for x in xs:
+                    pre.append(pre[-1] * x % p)
+                t = pow(pre.pop(), -1, p)  # 1 / (xs[0] ... xs[-1])
+                for j, x, a in zip(reversed(js), reversed(xs), reversed(pre)):
+                    inv[j] = t * a % p
+                    t = t * x % p
         f = col[:, 1:] * np.array(inv, dtype=np.int64)[:, None] % q
         np.subtract(w[:, 1:, 1:], f[:, :, None] * prow[:, None, 1:],
                     out=nxt[:J, :r - 1, :c - 1])
@@ -937,18 +968,18 @@ def count_many(graphs, cap=FKT_CAP):
     """Exact matching counts of graphs, in order, by Pfaffian orientations
     and exact determinants.  Each is a Graph, a Grid, or a weighted Grid
     (grid, (w, d)), whose edge at flat index k of grid.edges weighs
-    w.ravel()[k] / d, for w an int64 or object array of ints.
+    w.ravel()[k] / d, for w a signed integer or object array of ints.
 
     Consecutive items that share one structure (a Grid, bare or kept by a
-    Graph, or a hand-made Graph's adj) share one Grid, and a Graph's
-    weights become such a (w, d) once.  The Grids are sorted by size into
-    chunks of about _CHUNK copies, each planned by one _plan and
-    eliminated by one _dets_exact, with each piece of a graph (_plan) as a
-    matrix of its own.  A weighted count is the forced edges' weight
-    product times the product of the pieces' |det(signs * w)|, over
-    d^(rows + forced edges).  A non-unit edge raises NonPlanarEmbedding,
-    even on a forced edge, and a graph left with more than cap vertices
-    after forced-edge reduction raises TooLarge.
+    Graph, or a hand-made Graph's adj) share one Grid.  A Graph's weights
+    are its grid_weights, or else become such a (w, d) once.  The Grids
+    are sorted by size into chunks of about _CHUNK copies, each planned by
+    one _plan and eliminated by one _dets_exact, with each piece of a
+    graph (_plan) as a matrix of its own.  A weighted count is the forced
+    edges' weight product times the product of the pieces' |det(signs *
+    w)|, over d^(rows + forced edges).  A non-unit edge raises
+    NonPlanarEmbedding, even on a forced edge, and a graph left with more
+    than cap vertices after forced-edge reduction raises TooLarge.
     """
     grids, copies, last = [], [], None  # structures; their (item, weights)
     for i, g in enumerate(graphs):
@@ -958,8 +989,8 @@ def count_many(graphs, cap=FKT_CAP):
             last = key
             grids.append(Grid.of_graph(g) if isinstance(g, Graph) else g)
             copies.append([])
-        if isinstance(g, Graph) and g.weights:
-            w = _edge_weights(grids[-1], g.weights)
+        if isinstance(g, Graph) and (g.grid_weights or g.weights):
+            w = g.grid_weights or _edge_weights(grids[-1], g.weights)
         copies[-1].append((i, w))
     counts = [0] * sum(map(len, copies))
     order = sorted(range(len(grids)), key=lambda j: grids[j].n)

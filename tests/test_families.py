@@ -186,6 +186,43 @@ def test_weighted_copies_keep_the_grid():
         g.with_weights({(edge[0], (edge[0][0] + 1, edge[0][1] + 1)): 2})
 
 
+def test_cross_weights_on_a_built_graph_come_from_its_grid(monkeypatch):
+    # on one spec per head of the cross lattice, a cross-weighted copy of
+    # the built Graph carries its Grid's (w, d): counting it builds
+    # neither the edges, nor the weights dict, nor weight arrays from one,
+    # and it serialises and counts as the copy of its eager twin does
+    from fractions import Fraction
+
+    from crossdimer import matchcount
+
+    specs = [Spec(f"{kind}{i}", (5, 8, 4)) for kind in "AF"
+             for i in (1, 2, 3)]
+    specs += [Spec("TR", (2, 5)), Spec("TA", (5, 7, 4, 3)),
+              Spec("TB", (5, 7, 4, 3))]
+    specs += [Spec(head, (2, 3), GRID_B) for head in ("AR", "AAR")]
+    points = [weight_point(3, 5, 7), weight_point(Fraction(1, 2), 1, 5)]
+    copies = [assign_cross_weights(spec.graph(), w)
+              for spec in specs for w in points]
+
+    def refuse(*args):
+        raise AssertionError("the count read a weights dict or the edges")
+
+    with monkeypatch.context() as m:
+        for owner, name in ((matchcount, "_edge_weights"),
+                            (matchcount, "_weight_dict"), (Graph, "edges"),
+                            (Grid, "vertices_adj")):
+            m.setattr(owner, name, refuse)
+        counts = [count_fkt(g) for g in copies]
+    for j, (g, n) in enumerate(zip(copies, counts)):
+        spec, w = specs[j // len(points)], points[j % len(points)]
+        eager = assign_cross_weights(Graph(g.vertices, g.edges()), w)
+        assert g.grid_weights is not None and eager.grid_weights is None
+        assert g.to_json() == eager.to_json(), str(spec)
+        assert g.graph_hash() == eager.graph_hash()
+        assert g.weights == eager.weights
+        assert n == count_fkt(eager)
+
+
 def test_a_batch_of_rectangles_spans_no_family_rows(monkeypatch):
     # with no A or F spec in a batch, family_geometry returns at once and
     # grids spans only the rectangles' rows

@@ -683,6 +683,13 @@ def test_det_exact_matches_fraction_det(mat):
           ([[3, 1, 0, 0, 0], [1, 3, 1, 0, 0], [0, 1, 3, 1, 0],
             [0, 0, 1, 3, 1], [0, 0, 0, 1, 3]], 1),
           ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 0), ([[7]], 2)])
+# exactly two matrices on pool[0], one of them singular mod pool[0]: the
+# pair inverts its product, with 1 in place of the zero pivot
+@example([([[P0, 0], [0, 1]], 0), ([[2, 1], [1, 2]], 1)])
+# exactly three matrices on pool[0], the smallest group that takes prefix
+# products
+@example([([[2, 1, 0], [1, 2, 1], [0, 1, 2]], 0), ([[0, 3], [5, 1]], 2),
+          ([[4, -1, 0], [2, 0, 1], [0, 6, 5]], 1)])
 def test_det_residues_batch_matches_fraction_det(batch):
     pool = matchcount._crt_primes(2 ** 90)
     mats = [matchcount._packed(
@@ -705,21 +712,22 @@ def test_det_residues_batch_matches_fraction_det(batch):
         want = int(fraction_det(mat))
         assert residues == [want % p for p in ps]
     # every matrix has a lane on pool[0].  A matrix of size m is live at
-    # the steps t .. t + m - 1 for t = (n - m) // 2, and the live lanes
-    # invert their pivots at every step but the last of the call: with at
-    # least _BATCH_LANES of them, by one pow; with fewer, by one pow per
-    # nonzero pivot, and a matrix invertible mod pool[0] has no zero pivot
+    # the steps t .. t + m - 1 for t = (n - m) // 2, and at every step but
+    # the last of the call the live lanes of pool[0] invert their pivots
+    # by one pow: always when two or more are live, and a lone lane only
+    # when its pivot is nonzero, which every pivot of a matrix invertible
+    # mod pool[0] is
     n = max(len(mat) for mat, _ in batch)
-    batched = lone = singular = 0
+    grouped = lone = singular = 0
     for step in range(n - 1):
         runs = [r[0] != 0 for (mat, _), r in zip(batch, got)
                 if (n - len(mat)) // 2 <= step < (n + len(mat)) // 2]
-        if len(runs) >= matchcount._BATCH_LANES:
-            batched += 1
+        if len(runs) >= 2:
+            grouped += 1
         else:
             lone += sum(runs)
             singular += runs.count(False)
-    assert batched + lone <= inverted[pool[0]] <= batched + lone + singular
+    assert grouped + lone <= inverted[pool[0]] <= grouped + lone + singular
 
 
 def test_det_residues_retires_each_lane_with_its_matrix():
@@ -744,6 +752,33 @@ def test_det_residues_retires_each_lane_with_its_matrix():
     assert got == [[int(fraction_det(small)) % pool[0]],
                    [int(fraction_det(big)) % pool[1]]]
     assert inverted[pool[0]] <= 3
+
+
+def test_tr_pivots_take_one_inverse_per_prime_and_step():
+    # TR(5, 10)'s pieces of 380, 351 and 29 rows take 11, 10 and 1 primes
+    # of one pool, so at most 3 lanes share a prime: every step but the
+    # last makes one inverse per distinct prime among its live lanes, not
+    # one per live lane, and the CRT one per (piece, prime): 4191 calls in
+    # all, against 7730 with one inverse per lane
+    residues, calls, bound = matchcount._det_residues, Counter(), []
+
+    def spy_pow(x, e, p):
+        calls[p] += e == -1
+        return pow(x, e, p)
+
+    def spy(mats, primes):
+        sizes = [len(lens) for _, lens, _, _ in mats]
+        n = max(sizes)
+        bound.extend(len({p for m, ps in zip(sizes, primes)
+                          if (n - m) // 2 <= step < (n + m) // 2
+                          for p in ps}) for step in range(n - 1))
+        bound.append(sum(map(len, primes)))
+        return residues(mats, primes)
+
+    with mock.patch.object(matchcount, "_det_residues", spy), \
+            mock.patch.object(matchcount, "pow", spy_pow, create=True):
+        assert count_fkt(build_TR(5, 10)) == thm_TR(5, 10).value()
+    assert sum(calls.values()) == sum(bound) == 4191
 
 
 def test_det_exact_dense_past_reduction_period():
@@ -951,12 +986,11 @@ def monotone_regions(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(monotone_regions(), min_size=2 * matchcount._BATCH_LANES,
-                max_size=3 * matchcount._BATCH_LANES))
+@given(st.lists(monotone_regions(), min_size=16, max_size=24))
 def test_fkt_matches_brute_on_monotone_regions(regions):
     # at most 42 vertices each: every matrix of the batch needs only the
-    # first prime, so the lanes of the regions left with a piece share it
-    # (at least _BATCH_LANES of them in most draws)
+    # first prime, so the lanes of the regions left with a piece share it,
+    # and their pivots are inverted together (mostly three or more lanes)
     assert count_many(regions) == [count_brute(g) for g in regions]
 
 
