@@ -19,6 +19,7 @@ from pathlib import Path
 
 MATCHCOUNT = "src/crossdimer/matchcount.py"
 FAMILIES = "src/crossdimer/families.py"
+FORMULAS = "src/crossdimer/formulas.py"
 FACE_TEST = \
     "tests/test_matchcount.py::test_plan_signs_make_each_face_clockwise_odd"
 BATCH_TEST = \
@@ -69,6 +70,25 @@ MUTANTS = [
     ("_peel lets an isolated vertex pass", MATCHCOUNT,
      "bad |= gone & (hit != 1)", "bad |= gone & (hit > 1)",
      "tests/test_matchcount.py::test_count_many_stacks_graphs_apart"),
+    # the oracle matches a vertex to a later one that an earlier vertex
+    # already took
+    ("the oracle matches into a vertex already matched", MATCHCOUNT,
+     "if not s & b:", "if True:",
+     "tests/test_matchcount.py::test_brute_examples"),
+    # an entry whose two ends lie in different pieces of a cut is kept
+    ("the entries across a cut are kept", MATCHCOUNT,
+     " & (piece[mate] == pa[:, None])", "",
+     "tests/test_matchcount.py::test_fkt_matches_brute_across_a_diagonal"),
+    # a piece's columns are numbered from the grid's first column, not
+    # from the piece's own
+    ("a piece's columns are numbered from the grid's first column",
+     MATCHCOUNT, "cols[e] - r0,", "cols[e],",
+     "tests/test_matchcount.py::"
+     "test_tr_counts_as_pieces_between_its_two_cuts"),
+    # the last term of g takes a quarter of (a - c)^2 in place of a third
+    ("g_fn divides (a - c)^2 by 4", FORMULAS,
+     "(a - c) ** 2 // 3", "(a - c) ** 2 // 4",
+     "tests/test_formulas.py::test_g_q_examples"),
 ]
 
 

@@ -192,12 +192,12 @@ def weight_point(x, y, z):
     return WeightPoint(Fraction(x), Fraction(y), Fraction(z))
 
 
-def weight_symbols():
-    """WEIGHT_TABLE as a unit_edge_table array: 1, 2 or 3 where an edge
-    weighs x, y or z, 0 where it weighs 1, -1 where there is no edge."""
-    return np.array(unit_edge_table(
-        lambda e: "_xyz".index(WEIGHT_TABLE.get(CROSS_OFFSETS[e], "_"))
-        if e in CROSS_OFFSETS else -1))
+# WEIGHT_TABLE as a read-only unit_edge_table array: 1, 2 or 3 where an
+# edge weighs x, y or z, 0 where it weighs 1, -1 where there is no edge
+WEIGHT_SYMBOLS = np.array(unit_edge_table(
+    lambda e: "_xyz".index(WEIGHT_TABLE.get(CROSS_OFFSETS[e], "_"))
+    if e in CROSS_OFFSETS else -1))
+WEIGHT_SYMBOLS.setflags(write=False)
 
 
 def cross_weightings(g, points):
@@ -205,9 +205,9 @@ def cross_weightings(g, points):
     WeightPoint in points, that share g's structure (Graph.with_weights).
     A Graph that keeps a Grid of the cross lattice gives each copy its
     (w, d) from cross_weighted_grids as grid_weights.  Otherwise each edge
-    takes its symbol from the class of its lower-left end (weight_symbols),
-    once per call, and an edge off the cross lattice raises NotGridB."""
-    table, grid = weight_symbols(), g.grid
+    takes its symbol from the class of its lower-left end (WEIGHT_SYMBOLS),
+    and an edge off the cross lattice raises NotGridB."""
+    table, grid = WEIGHT_SYMBOLS, g.grid
     if grid is not None and (_symbols_at(table, grid) >= 0)[grid.edges].all():
         return [g.with_weights(wd)
                 for _, wd in cross_weighted_grids([grid], points)]
@@ -226,7 +226,7 @@ def cross_weightings(g, points):
 
 
 def _symbols_at(table, grid):
-    """A weight_symbols table at the cells of grid: table[:, x % 4, y % 4]
+    """A WEIGHT_SYMBOLS table at the cells of grid: table[:, x % 4, y % 4]
     at the cell of (x, y)."""
     (x0, y0), (m, n) = grid.origin, grid.occ.shape
     return table[:, np.arange(x0, x0 + m)[:, None] % 4,
@@ -237,9 +237,9 @@ def cross_weighted_grids(grids, points):
     """(grid, (w, d)) for each Grid of the cross lattice in grids and, grid
     by grid, each WeightPoint in points, as count_many weights a Grid:
     d is the lcm of the point's denominators, and w is d times the weight
-    at table[:, x % 4, y % 4] of one weight_symbols table, in the smallest
-    signed dtype that holds it (int_array's objects past int64)."""
-    table = np.maximum(weight_symbols(), 0)  # a cell with no edge weighs 1
+    at table[:, x % 4, y % 4] of WEIGHT_SYMBOLS, in the smallest signed
+    dtype that holds it (int_array's objects past int64)."""
+    table = np.maximum(WEIGHT_SYMBOLS, 0)  # a cell with no edge weighs 1
     ds = [lcm(*(t.denominator for t in w.as_tuple())) for w in points]
     scaled = [int_array([d] + [int(t * d) for t in w.as_tuple()])
               for w, d in zip(points, ds)]

@@ -1,9 +1,10 @@
 """Exact perfect-matching counts for plane lattice graphs.
 
-Two independent counting routes are provided: a branching brute-force
-counter (the oracle, for small graphs) and a Pfaffian-orientation counter
-whose determinant is computed exactly by CRT over word-sized primes.  All
-arithmetic is exact; no floats touch any counting path.
+Two independent counting routes are provided: a transfer-matrix counter
+over the sorted vertices (the oracle, for small graphs) and a
+Pfaffian-orientation counter whose determinant is computed exactly by CRT
+over word-sized primes.  All arithmetic is exact; no floats touch any
+counting path.
 """
 
 from __future__ import annotations
@@ -348,54 +349,45 @@ def reduce_forced(g):
             np.flatnonzero(forced), grid.occ.shape, grid.origin))
 
 
-# -- brute-force oracle ------------------------------------------------------
+# -- transfer-matrix oracle --------------------------------------------------
 
 
 def count_brute(g, cap=BRUTE_CAP):
-    """Exact weighted matching count by branching on a min-degree vertex.
+    """Exact weighted matching count by a transfer matrix over g's vertices
+    in sorted order.  It reads g.vertices, g.adj and g.weight alone, so it
+    shares no code with the FKT count and takes any bipartite graph.
 
-    Deterministic: ties in degree are broken by lexicographic point order.
+    A state is the set of later vertices already matched to earlier ones,
+    as a bitmask of their places in the order, and it carries the weighted
+    sum of its partial matchings.  Vertex i drops its bit from each state
+    that holds it, and matches each other state to each later neighbour not
+    in it; the count is what the empty state holds at the end.  The order
+    is (x, y), or (y, x) when g is taller than it is wide, so that a state
+    spans about the shorter side.  More than cap vertices raise TooLarge.
     """
     if len(g) > cap:
         raise TooLarge(f"{len(g)} vertices exceeds brute cap {cap}")
-    adj = {v: set(s) for v, s in g.adj.items()}
-    return _exact(_brute(adj, g.weights))
+    dx, dy = [max(t) - min(t) for t in zip(*g.vertices)] or (0, 0)
+    order = sorted(g.vertices, key=(lambda v: v[::-1]) if dy > dx else None)
+    at = {v: i for i, v in enumerate(order)}
+    states = {0: 1}
+    for i, v in enumerate(order):
+        bit, step = 1 << i, {}
+        later = [(1 << at[u], g.weight(v, u)) for u in g.adj[v] if at[u] > i]
+        for s, t in states.items():
+            if s & bit:
+                step[s ^ bit] = step.get(s ^ bit, 0) + t
+                continue
+            for b, w in later:
+                if not s & b:
+                    step[s | b] = step.get(s | b, 0) + t * w
+        states = step
+    return _exact(states.get(0, 0))
 
 
 def _exact(t):
     """t, with an integral Fraction turned into an int."""
     return int(t) if isinstance(t, Fraction) and t.denominator == 1 else t
-
-
-def _brute(adj, weights):
-    if not adj:
-        return 1
-    total = 1
-    # forced / isolated propagation
-    while True:
-        pivot = min(adj, key=lambda v: (len(adj[v]), v))
-        d = len(adj[pivot])
-        if d == 0:
-            return 0
-        if d > 1:
-            break
-        (u,) = adj[pivot]
-        total *= weights.get(edge_key(pivot, u), 1)
-        for w in adj[u]:
-            if w != pivot:
-                adj[w].discard(u)
-        del adj[pivot]
-        del adj[u]
-        if not adj:
-            return total
-    if len(adj) % 2:
-        return 0
-    acc = 0
-    for u in sorted(adj[pivot]):
-        sub = {v: {w for w in s if w != pivot and w != u}
-               for v, s in adj.items() if v != pivot and v != u}
-        acc += weights.get(edge_key(pivot, u), 1) * _brute(sub, weights)
-    return total * acc
 
 
 # -- planar embedding: faces ------------------------------------------------

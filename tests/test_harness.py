@@ -12,7 +12,7 @@ from crossdimer.harness import (
     reconstruct_weighted_count, render_svg, run_suite, screen_probe_point,
     seeded_kuo_quads, tr_three_way_split,
 )
-from crossdimer.lattice import GRID_B
+from crossdimer.lattice import CROSS_OFFSETS, GRID_B, unit_edge_table
 from crossdimer.matchcount import FKT_CAP, Graph, count_fkt, kuo_check
 
 
@@ -102,6 +102,14 @@ def test_probe_consistent_and_reconstructs():
     assert count_fkt(gw) == reconstruct_weighted_count("A", 2, 2, 0, vec, held)
 
 
+def symbols(table):
+    """The cross-weight symbol array of a weight table laid out as
+    families.WEIGHT_TABLE, as families.WEIGHT_SYMBOLS is of that table."""
+    return np.array(unit_edge_table(
+        lambda e: "_xyz".index(table.get(CROSS_OFFSETS[e], "_"))
+        if e in CROSS_OFFSETS else -1))
+
+
 def test_probe_rejects_bad_point(monkeypatch):
     import crossdimer.families as fams
 
@@ -113,8 +121,9 @@ def test_probe_rejects_bad_point(monkeypatch):
     # is reported even after a point that would read inconsistent
     broken = dict(fams.WEIGHT_TABLE)
     broken[((0, 0), (0, 1))] = "x"
+    assert (symbols(fams.WEIGHT_TABLE) == fams.WEIGHT_SYMBOLS).all()
     for table in (fams.WEIGHT_TABLE, broken):
-        monkeypatch.setattr(fams, "WEIGHT_TABLE", table)
+        monkeypatch.setattr(fams, "WEIGHT_SYMBOLS", symbols(table))
         with pytest.raises(BadProbePoint, match=r"\(1, 1, 1\)"):
             conjecture_probe("A", 1, 2, 2, 0, ((3, 5, 7), (1, 1, 1)))
 
@@ -125,7 +134,7 @@ def test_probe_inconsistent_on_broken_weights(monkeypatch):
 
     broken = dict(fams.WEIGHT_TABLE)
     broken[((0, 0), (0, 1))] = "x"  # weight an edge the pattern leaves at 1
-    monkeypatch.setattr(fams, "WEIGHT_TABLE", broken)
+    monkeypatch.setattr(fams, "WEIGHT_SYMBOLS", symbols(broken))
     out = conjecture_probe("A", 1, 2, 2, 0, ((3, 5, 7), (5, 7, 3)))
     assert isinstance(out, Inconsistent)
 
@@ -477,6 +486,20 @@ def test_suite_determinism():
     r1 = run_suite("sanity", cfg)
     r2 = run_suite("sanity", cfg)
     assert r1.records == r2.records
+
+
+def test_kuo_suite_fails_on_an_oracle_mismatch(monkeypatch):
+    # an oracle off by one on every 22-vertex graph must fail the suite,
+    # not drop the quadruple and draw another
+    from crossdimer import matchcount
+    real = matchcount.count_brute
+
+    def off_by_one(g, cap=matchcount.BRUTE_CAP):
+        return real(g, cap) + (len(g) == 22)
+
+    monkeypatch.setattr(matchcount, "count_brute", off_by_one)
+    with pytest.raises(AssertionError, match="oracle mismatch"):
+        run_suite("kuo", SuiteConfig())
 
 
 def test_run_suite_unknown():

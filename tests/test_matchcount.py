@@ -114,6 +114,39 @@ def test_brute_cap():
         count_brute(g, cap=10)
 
 
+def test_brute_counts_known_graphs():
+    # the 2 x 20 ladder is counted both ways up: the transfer matrix walks
+    # the longer side either way
+    corner = grid(7, 7).without([(0, 0)])
+    k33 = Graph([(x, 0) for x in range(6)],
+                [((a, 0), (b, 0)) for a in (0, 2, 4) for b in (1, 3, 5)])
+    for g, want in ((grid(8, 8), 12988816), (corner, 100352),
+                    (grid(2, 20), 10946), (grid(20, 2), 10946), (k33, 6)):
+        assert count_brute(g, cap=len(g)) == want
+    # K_{3,3} drawn on a line has edges that are not unit steps
+    with pytest.raises(NonPlanarEmbedding):
+        count_fkt(k33)
+
+
+def test_brute_runs_none_of_the_fkt_code(monkeypatch):
+    from crossdimer.families import (
+        assign_cross_weights, build_A, weight_point,
+    )
+    cross = assign_cross_weights(build_A(1, 2, 2, 0), weight_point(3, 5, 7))
+    want = count_fkt(cross)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran a step of the FKT count")
+
+    monkeypatch.setattr(matchcount.Grid, "of_graph", refuse)
+    for name in ("_peel", "_flips", "_det_residues", "_edge_weights"):
+        monkeypatch.setattr(matchcount, name, refuse)
+    # {bottom, top} and {left, right}
+    (sq,) = weighted_squares((Fraction(1, 2), Fraction(1, 3), 5))
+    assert count_brute(sq, cap=len(sq)) == Fraction(1, 6) + 5
+    assert count_brute(cross, cap=len(cross)) == want
+
+
 def face_area2(cycle):
     """Twice the signed (shoelace) area of a face cycle."""
     s = 0
@@ -308,15 +341,14 @@ def test_count_many_traces_no_faces(monkeypatch):
 
 @st.composite
 def holey_grids(draw):
-    """Subgraphs of a w x h grid (w, h <= 7, w * h <= 36), less the corner
-    (0, 0) when w * h is odd, with up to 4 dominoes (a point and its east
-    or north neighbour) dropped, so that the two classes stay balanced,
-    and each edge kept with probability 0.9: holes, bridges and several
-    components.  Some edges carry random Fraction weights.  (The area
-    bound keeps count_brute fast: the 7 x 7 grid less a corner has 100352
-    matchings.)"""
-    w = draw(st.integers(1, 7))
-    h = draw(st.integers(1, min(7, 36 // w)))
+    """Subgraphs of a w x h grid (w, h <= 7), less the corner (0, 0) when
+    w * h is odd, with up to 4 dominoes (a point and its east or north
+    neighbour) dropped, so that the two classes stay balanced, and each
+    edge kept with probability 0.9: holes, bridges and several
+    components.  Some edges carry random Fraction weights.  (count_brute's
+    states span the shorter side, so even the 7 x 7 grid less a corner,
+    with 100352 matchings, counts in milliseconds.)"""
+    w, h = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     pts = [(x, y) for x in range(w) for y in range(h)]
     drop = {(0, 0)} if w * h % 2 else set()
     for x, y in draw(st.lists(st.sampled_from(pts), max_size=4)):
