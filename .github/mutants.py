@@ -62,8 +62,8 @@ MUTANTS = [
     # the dict that a built Graph reads from its Grid leaves out the
     # north edges
     ("the kept Grid's dict drops its north edges", MATCHCOUNT,
-     "np.divmod(np.flatnonzero(self.edges), self.occ.size)",
-     "np.divmod(np.flatnonzero(self.edges[0]), self.occ.size)",
+     "_edge_keys(self, np.flatnonzero(self.edges))",
+     "_edge_keys(self, np.flatnonzero(self.edges[0]))",
      "tests/test_graph_pin.py::test_family_graphs_pinned"),
     # an isolated vertex no longer marks its graph unmatchable; only a
     # vertex that two leaves claim does
@@ -79,6 +79,17 @@ MUTANTS = [
     ("the entries across a cut are kept", MATCHCOUNT,
      " & (piece[mate] == pa[:, None])", "",
      "tests/test_matchcount.py::test_fkt_matches_brute_across_a_diagonal"),
+    # a level cuts its grid where the vertices up to it have more odd
+    # than even ones, as well as where they balance
+    ("the cuts accept an unbalanced part below", MATCHCOUNT,
+     "cut = (below == 0) & (tally > 0)", "cut = (below <= 0) & (tally > 0)",
+     "tests/test_matchcount.py::test_tr_1_2_pieces_match_brute"),
+    # the CRT primes cover the bound once, not the 2 * bound + 1 values
+    # from -bound to bound, so a large negative determinant reads positive
+    ("the CRT primes cover only one sign", MATCHCOUNT,
+     "_crt_primes(2 * bound + 1)", "_crt_primes(bound)",
+     "tests/test_matchcount.py::"
+     "test_det_exact_covers_both_signs_of_its_bound"),
     # a piece's columns are numbered from the grid's first column, not
     # from the piece's own
     ("a piece's columns are numbered from the grid's first column",

@@ -34,7 +34,9 @@ from .lattice import (
     NonClosing, ragged_steps, row_spans, stacked_grids, slit_base,
     unit_edge_table,
 )
-from .matchcount import TooLarge, int_array
+from .matchcount import (
+    Grid, NonPlanarEmbedding, TooLarge, _edge_keys, int_array,
+)
 
 
 class NotGridB(CrossdimerError):
@@ -202,51 +204,40 @@ WEIGHT_SYMBOLS.setflags(write=False)
 
 def cross_weightings(g, points):
     """Copies of g carrying the periodic cross weight pattern, one per
-    WeightPoint in points, that share g's structure (Graph.with_weights).
-    A Graph that keeps a Grid of the cross lattice gives each copy its
-    (w, d) from cross_weighted_grids as grid_weights.  Otherwise each edge
-    takes its symbol from the class of its lower-left end (WEIGHT_SYMBOLS),
-    and an edge off the cross lattice raises NotGridB."""
-    table, grid = WEIGHT_SYMBOLS, g.grid
-    if grid is not None and (_symbols_at(table, grid) >= 0)[grid.edges].all():
-        return [g.with_weights(wd)
-                for _, wd in cross_weighted_grids([grid], points)]
-    table = table.tolist()
-    by_symbol = [[], [], [], []]
-    for u, v in g.edges():
-        step = (v[0] - u[0], v[1] - u[1])
-        sym = table[step[1]][u[0] % 4][u[1] % 4] \
-            if step in ((1, 0), (0, 1)) else -1
-        if sym < 0:
-            raise NotGridB(f"edge {u}-{v} is not a cross-lattice edge")
-        by_symbol[sym].append((u, v))
-    return [g.with_weights({e: Fraction(t)
-                            for t, edges in zip(w.as_tuple(), by_symbol[1:])
-                            if t != 1 for e in edges}) for w in points]
+    WeightPoint in points: g.with_weights((w, d)) for each (w, d) that
+    cross_weighted_grids gives g's Grid.  An edge off the cross lattice,
+    or one that is not a unit step, raises NotGridB."""
+    try:
+        grid = g.grid or Grid.of_graph(g)
+    except NonPlanarEmbedding as exc:
+        raise NotGridB(str(exc)) from None
+    if len(off := np.flatnonzero(grid.edges & (_symbols_at(grid) < 0))):
+        (u, v), = _edge_keys(grid, off[:1])
+        raise NotGridB(f"edge {u}-{v} is not a cross-lattice edge")
+    return [g.with_weights(wd)
+            for _, wd in cross_weighted_grids([grid], points)]
 
 
-def _symbols_at(table, grid):
-    """A WEIGHT_SYMBOLS table at the cells of grid: table[:, x % 4, y % 4]
-    at the cell of (x, y)."""
+def _symbols_at(grid):
+    """WEIGHT_SYMBOLS[:, x % 4, y % 4] at the cell of each (x, y) of grid."""
     (x0, y0), (m, n) = grid.origin, grid.occ.shape
-    return table[:, np.arange(x0, x0 + m)[:, None] % 4,
-                 np.arange(y0, y0 + n) % 4]
+    return WEIGHT_SYMBOLS[:, np.arange(x0, x0 + m)[:, None] % 4,
+                          np.arange(y0, y0 + n) % 4]
 
 
 def cross_weighted_grids(grids, points):
     """(grid, (w, d)) for each Grid of the cross lattice in grids and, grid
     by grid, each WeightPoint in points, as count_many weights a Grid:
     d is the lcm of the point's denominators, and w is d times the weight
-    at table[:, x % 4, y % 4] of WEIGHT_SYMBOLS, in the smallest signed
-    dtype that holds it (int_array's objects past int64)."""
-    table = np.maximum(WEIGHT_SYMBOLS, 0)  # a cell with no edge weighs 1
+    at WEIGHT_SYMBOLS[:, x % 4, y % 4], in the smallest signed dtype that
+    holds it (int_array's objects past int64)."""
     ds = [lcm(*(t.denominator for t in w.as_tuple())) for w in points]
     scaled = [int_array([d] + [int(t * d) for t in w.as_tuple()])
               for w, d in zip(points, ds)]
     scaled = [v if v.dtype == object else  # every value is positive
               v.astype(np.min_scalar_type(-1 - int(v.max()))) for v in scaled]
     for grid in grids:
-        sym = _symbols_at(table, grid)
+        sym = np.maximum(_symbols_at(grid), 0)  # no edge: it weighs 1
         yield from ((grid, (vals[sym], d)) for vals, d in zip(scaled, ds))
 
 

@@ -71,15 +71,12 @@ class SuiteReport:
     name: str
     records: list = field(default_factory=list)
 
-    def add(self, check, spec, expected, computed, ok=None):
-        if ok is None:
-            ok = expected == computed
+    def add(self, check, spec, expected, computed):
         self.records.append({
             "suite": self.name, "check": check, "spec": spec,
             "expected": str(expected), "computed": str(computed),
-            "pass": bool(ok),
+            "pass": bool(expected == computed),
         })
-        return ok
 
     @property
     def passed(self):
@@ -160,22 +157,17 @@ def cached_count(specs, cache=None):
     counts are then stored.
     """
     keys, counts, todo, specs = [], {}, {}, list(specs)
-
-    def misses():
-        for spec, grid in zip(specs, grids(specs)):
-            key = count_key(spec.lat, grid)
-            keys.append(key)
-            if key in counts or key in todo:
-                continue
-            hit = cache.get(key) if cache is not None else None
-            if hit is None:
-                todo[key] = None
-                yield grid
-            else:
-                counts[key] = int(hit)
-
-    found = count_many(misses())
-    for key, n in zip(todo, found):
+    for spec, grid in zip(specs, grids(specs)):
+        key = count_key(spec.lat, grid)
+        keys.append(key)
+        if key in counts or key in todo:
+            continue
+        hit = cache.get(key) if cache is not None else None
+        if hit is None:
+            todo[key] = grid
+        else:
+            counts[key] = int(hit)
+    for key, n in zip(todo, count_many(todo.values())):
         counts[key] = n
         if cache is not None and not isinstance(n, Fraction):
             cache.put(key, n)
@@ -246,7 +238,7 @@ def suite_sanity(cfg):
         rep.add(check, spec_str, want, got)
     checked = sum(check == "oracle_equivalence" for check, *_ in checks)
     rep.add("oracle_equivalence_volume", ">=200 instances", True,
-            checked >= 200, ok=checked >= 200)
+            checked >= 200)
     return rep
 
 
@@ -309,10 +301,10 @@ def suite_theorem11(cfg):
     # graph splitting of TR_{2,6} into three bands
     g, east, mid, west = tr_three_way_split(2, 6)
     r1 = split_check(g, east, method="fkt")
-    rep.add("tr_split_east", "TR:2,6", True, r1["equal"], ok=r1["equal"])
+    rep.add("tr_split_east", "TR:2,6", True, r1["equal"])
     rest = g.induced([v for v in g.vertices if v not in east])
     r2 = split_check(rest, mid, method="fkt")
-    rep.add("tr_split_mid", "TR:2,6", True, r2["equal"], ok=r2["equal"])
+    rep.add("tr_split_mid", "TR:2,6", True, r2["equal"])
     rep.add("tr_split_unique_band", "TR:2,6 middle", 1, r2["M_h"])
     return rep
 
@@ -424,14 +416,13 @@ def suite_kuo(cfg):
                 res = kuo_check(g, *quad, method="auto")
             except BadVertexSelection:
                 continue
-            rep.add("kuo_identity", f"{spec_str} @ {quad}",
-                    True, res["equal"], ok=res["equal"])
+            rep.add("kuo_identity", f"{spec_str} @ {quad}", True, res["equal"])
             done += 1
-    rep.add("kuo_volume", ">=50 tuples", True, done >= 50, ok=done >= 50)
+    rep.add("kuo_volume", ">=50 tuples", True, done >= 50)
     g, quad = corner_kuo_quad(8, 8, 3)
     res = kuo_check(g, *quad, method="fkt")
     rep.add("kuo_corner_configuration", f"A1:8,8,3 @ {quad}",
-            True, res["equal"], ok=res["equal"])
+            True, res["equal"])
     return rep
 
 
@@ -495,7 +486,7 @@ def suite_recurrences(cfg):
         (Spec(*key) for key in graphs), CountCache(cfg.cache_path))))
     for (r, star, _, t), ok in zip(
             checks, verdicts(lambda *key: counts[key])):
-        rep.add(f"graph_{r}", str(Spec(star, t)), True, ok, ok=ok)
+        rep.add(f"graph_{r}", str(Spec(star, t)), True, ok)
     return rep
 
 
@@ -630,8 +621,7 @@ def suite_conjecture(cfg):
         family, (a, b, c), spec_str = spec.head[0], spec.nums, str(spec)
         vec = _probe_vector(family, a, b, c, PROBE_POINTS, probed)
         consistent = isinstance(vec, ConjectureExponents)
-        rep.add("probe_consistency", spec_str, True, consistent,
-                ok=consistent)
+        rep.add("probe_consistency", spec_str, True, consistent)
         if consistent:
             rep.add("probe_heldout", spec_str, reconstruct_weighted_count(
                 family, a, b, c, vec, HELD_OUT_POINT), got)

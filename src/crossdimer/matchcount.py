@@ -135,13 +135,15 @@ class Graph:
 
     def with_weights(self, weights):
         """This graph with the given edge weights in place of its own: a
-        dict, checked as Graph checks one, or, on a Graph that keeps a
-        Grid, its grid_weights (w, d), taken as they are.  The copy shares
-        self's structure, its grid or else its vertices and adj; no edge is
-        checked again."""
+        dict, checked as Graph checks one, or (w, d) as count_many weights
+        a Grid, kept as grid_weights where self keeps one and else read as
+        a dict (_weight_dict).  The copy shares self's structure, its grid
+        or else its vertices and adj; no edge is checked again."""
         g = Graph.__new__(Graph)
         g.grid, g.grid_weights = self.grid, None
-        if type(weights) is tuple and self.grid is not None:
+        if type(weights) is tuple and self.grid is None:
+            weights = _weight_dict(Grid.of_graph(self), *weights)
+        if type(weights) is tuple:
             g.grid_weights = weights
         else:
             g.weights = _checked_weights(self, weights)
@@ -237,20 +239,17 @@ class Grid:
 
     def vertices_adj(self):
         """(vertices, adj) as Graph holds them, made on the first call and
-        shared by every Graph that keeps this Grid: the edges entered east
-        ones first, each in x-major order of its lower-left end, between
-        the vertex tuples themselves."""
+        shared by every Graph that keeps this Grid: the edges entered as
+        _edge_keys decodes them, east ones first, each in x-major order of
+        its lower-left end."""
         if self._dict is not None:
             return self._dict
-        pts = list(map(tuple, self.points().tolist()))
+        pts = tuple(map(tuple, self.points().tolist()))
         adj = {v: set() for v in pts}
-        at = np.cumsum(self.occ.ravel()) - 1  # the vertex at each cell
-        d, cell = np.divmod(np.flatnonzero(self.edges), self.occ.size)
-        ends = at[cell + np.where(d, 1, self.occ.shape[1])].tolist()
-        for i, j in zip(at[cell].tolist(), ends):
-            adj[pts[i]].add(pts[j])
-            adj[pts[j]].add(pts[i])
-        self._dict = tuple(pts), adj
+        for u, v in _edge_keys(self, np.flatnonzero(self.edges)):
+            adj[u].add(v)
+            adj[v].add(u)
+        self._dict = pts, adj
         return self._dict
 
 
@@ -271,16 +270,15 @@ def _weight_dict(grid, w, d):
     """The weights dict, as Graph holds it, of grid weighted by (w, d) as
     count_many weights a Grid: Fraction(w, d) on each edge where w != d."""
     ids = np.flatnonzero(grid.edges & (w != d))
-    return dict(zip(_edge_keys(ids, grid.occ.shape, grid.origin),
+    return dict(zip(_edge_keys(grid, ids),
                     (Fraction(t, d) for t in w.ravel()[ids].tolist())))
 
 
-def _edge_keys(ids, shape, shift):
-    """The edge_keys of the edges at flat indices ids of raveled edges
-    arrays (as a Grid's) of shape (2,) + shape, whose cell [X, Y] is the
-    point (X, Y) + shift."""
-    d, x, y = np.unravel_index(ids, (2,) + tuple(shape))
-    x, y = (x + shift[0]).tolist(), (y + shift[1]).tolist()
+def _edge_keys(grid, ids):
+    """The edge_keys of the edges at flat indices ids of grid's raveled
+    edges array, in the order of ids."""
+    d, x, y = np.unravel_index(ids, grid.edges.shape)
+    x, y = (x + grid.origin[0]).tolist(), (y + grid.origin[1]).tolist()
     return [((u, v), (u + 1 - k, v + k)) for k, u, v in zip(d.tolist(), x, y)]
 
 
@@ -345,8 +343,7 @@ def reduce_forced(g):
         return g, 1
     keep = np.argwhere(occ.reshape(grid.occ.shape)) + grid.origin
     return g.induced(map(tuple, keep.tolist())), prod(
-        g.weight(u, v) for u, v in _edge_keys(
-            np.flatnonzero(forced), grid.occ.shape, grid.origin))
+        g.weight(u, v) for u, v in _edge_keys(grid, np.flatnonzero(forced)))
 
 
 # -- transfer-matrix oracle --------------------------------------------------

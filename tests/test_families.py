@@ -353,6 +353,37 @@ def test_weights_reject_full_grid():
         assign_cross_weights(g, weight_point(1, 1, 1))
 
 
+def test_cross_weights_on_a_hand_made_graph_never_walk_its_edges(
+        monkeypatch):
+    # a hand-made graph is cross-weighted from the Grid of its adj, as a
+    # built one is from the Grid it keeps, and its copies stay hand-made
+    from fractions import Fraction
+
+    from crossdimer.families import cross_weightings
+
+    g = build_A(1, 4, 4, 2)
+    twin = Graph(g.vertices, g.edges())
+    points = [weight_point(3, 5, 7), weight_point(Fraction(1, 2), 3, 1)]
+    want = cross_weightings(g, points)
+
+    def refuse(*args):
+        raise AssertionError("cross_weightings walked the edges")
+
+    with monkeypatch.context() as m:
+        m.setattr(Graph, "edges", refuse)
+        got = cross_weightings(twin, points)
+    for copy, built in zip(got, want):
+        assert copy.grid is None and copy.grid_weights is None
+        assert copy.adj is twin.adj and copy.weights == built.weights
+        assert count_fkt(copy) == count_fkt(built)
+
+
+def test_cross_weights_reject_an_edge_that_is_not_a_unit_step():
+    g = Graph([(0, 0), (1, 0), (0, 3)], [((0, 0), (1, 0)), ((0, 0), (0, 3))])
+    with pytest.raises(NotGridB, match=r"\(0, 0\)-\(0, 3\) is not a unit"):
+        assign_cross_weights(g, weight_point(1, 1, 1))
+
+
 def test_spec_names_each_family_once():
     from crossdimer.formulas import HypothesisViolated, phi, thm_TA
 

@@ -563,6 +563,14 @@ def test_det_exact_small():
     assert det_exact([[1, 2], [1, 2]], [[1, 0], [0, 1]]) == 3
 
 
+def test_det_exact_covers_both_signs_of_its_bound():
+    # |x| lies between half of and all of 1 073 741 789, the largest prime
+    # below 2^30, so one prime covers the bound |x| + 1 but not the 2|x| + 3
+    # values from -bound to bound: read modulo that prime alone, x is 65
+    x = -(2 ** 30 - 100)
+    assert det_exact([[x]], [[0]]) == x
+
+
 @pytest.mark.parametrize("vals, cols, size", [
     ([[2, 5]], [[0, 1]], 1),                  # column 1 of a 1 x 1 matrix
     ([[2], [7, 3]], [[0], [-1, 1]], 2),       # column -1
