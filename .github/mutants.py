@@ -20,6 +20,7 @@ from pathlib import Path
 MATCHCOUNT = "src/crossdimer/matchcount.py"
 FAMILIES = "src/crossdimer/families.py"
 FORMULAS = "src/crossdimer/formulas.py"
+HARNESS = "src/crossdimer/harness.py"
 FACE_TEST = \
     "tests/test_matchcount.py::test_plan_signs_make_each_face_clockwise_odd"
 BATCH_TEST = \
@@ -96,6 +97,11 @@ MUTANTS = [
      MATCHCOUNT, "cols[e] - r0,", "cols[e],",
      "tests/test_matchcount.py::"
      "test_tr_counts_as_pieces_between_its_two_cuts"),
+    # the corner quadruple's filter takes w and v from one class, so the
+    # first candidate has all four ends in one class
+    ("the corner quad ignores the classes", HARNESS,
+     "cls(w) != cls(v)", "cls(w) == cls(v)",
+     "tests/test_harness.py::test_corner_quad_found"),
     # the last term of g takes a quarter of (a - c)^2 in place of a third
     ("g_fn divides (a - c)^2 by 4", FORMULAS,
      "(a - c) ** 2 // 3", "(a - c) ** 2 // 4",

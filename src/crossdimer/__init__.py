@@ -7,7 +7,7 @@ from .matchcount import (
     Graph, count_brute, count_fkt, count_matchings, reduce_forced,
     kuo_check, split_check,
 )
-from .lattice import FULL_GRID, GRID_B, LatticeSpec, ContourSpec, trace_contour
+from .lattice import FULL_GRID, GRID_B, LatticeSpec
 from .families import (
     derive_params, build_A, build_F, build_TR, build_TA, build_TB,
     build_aztec_rectangle, build_augmented_aztec, TrimRectParams,

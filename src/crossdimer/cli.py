@@ -53,7 +53,7 @@ def _graph(args):
 def cmd_gen(args):
     g = _graph(args)
     if args.svg:
-        render_svg(g, args.svg, show_weights=args.weights is not None)
+        render_svg(g, args.svg)
         print(f"wrote {args.svg}", file=sys.stderr)
     print(g.to_json())
     return 0

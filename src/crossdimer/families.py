@@ -30,12 +30,11 @@ from .formulas import (
     thm_TB, thm_TR, trim_rect_triple,
 )
 from .lattice import (
-    COMPASS, CROSS_OFFSETS, FULL_GRID, GRID_B, ContourSpec, LatticeSpec,
-    NonClosing, ragged_steps, row_spans, stacked_grids, slit_base,
-    unit_edge_table,
+    COMPASS, CROSS_OFFSETS, FULL_GRID, GRID_B, LatticeSpec, NonClosing,
+    ragged_steps, row_spans, stacked_grids, slit_base, unit_edge_table,
 )
 from .matchcount import (
-    Grid, NonPlanarEmbedding, TooLarge, _edge_keys, int_array,
+    Grid, NonPlanarEmbedding, TooLarge, _edge_keys, _weight_dict, int_array,
 )
 
 
@@ -59,15 +58,6 @@ def _sides(i, tall):
     *comps, closing = _FAMILY_SIDES[i]
     return [(comp, 2 if len(comp) == 2 else 4)
             for comp in comps + [closing[tall]]]
-
-
-def family_contour(i, a, b, c):
-    """Six-sided contour of family i in {1,2,3}, anchored at a cross base."""
-    p = derive_params(a, b, c)
-    if i not in _FAMILY_SIDES:
-        raise InvalidParams(f"family index {i} not in 1..3")
-    return ContourSpec(family=f"C{i}", start=(0, 0), sides=tuple(
-        (comp, u * n) for (comp, u), n in zip(_sides(i, p.case_tall), p)))
 
 
 # Each contour's path in doubled coordinates per unit of its lengths,
@@ -205,8 +195,9 @@ WEIGHT_SYMBOLS.setflags(write=False)
 def cross_weightings(g, points):
     """Copies of g carrying the periodic cross weight pattern, one per
     WeightPoint in points: g.with_weights((w, d)) for each (w, d) that
-    cross_weighted_grids gives g's Grid.  An edge off the cross lattice,
-    or one that is not a unit step, raises NotGridB."""
+    cross_weighted_grids gives g's Grid, read as a dict (_weight_dict)
+    for a hand-made g, whose Grid is then made once.  An edge off the
+    cross lattice, or one that is not a unit step, raises NotGridB."""
     try:
         grid = g.grid or Grid.of_graph(g)
     except NonPlanarEmbedding as exc:
@@ -214,7 +205,7 @@ def cross_weightings(g, points):
     if len(off := np.flatnonzero(grid.edges & (_symbols_at(grid) < 0))):
         (u, v), = _edge_keys(grid, off[:1])
         raise NotGridB(f"edge {u}-{v} is not a cross-lattice edge")
-    return [g.with_weights(wd)
+    return [g.with_weights(wd if g.grid else _weight_dict(grid, *wd))
             for _, wd in cross_weighted_grids([grid], points)]
 
 

@@ -14,13 +14,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations, product
 from math import gcd, prod
 
 from .errors import CrossdimerError
 from .families import (
-    Spec, build_A, build_TR, check_trim_domain, cross_weighted_grids,
-    derive_params, family_geometry, grids, weight_point, InvalidParams,
+    BUILD_CAP, Spec, build_A, build_TR, check_trim_domain,
+    cross_weighted_grids, derive_params, family_geometry, grids,
+    weight_point, InvalidParams,
 )
 from .formulas import (
     C0, FOLD, phi, psi, phi_value, psi_value, recurrence_check,
@@ -49,21 +50,24 @@ CACHE_KEY_PREFIX = "points-v1:"
 
 @dataclass
 class SuiteConfig:
-    perimeter_cap: int = 28
     recurrence_grid: int = 20
     cache_path: str | None = None
     seed: int = 20260808
 
     def __post_init__(self):
-        for name in ("perimeter_cap", "recurrence_grid", "seed"):
+        for name in ("recurrence_grid", "seed"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int):
                 raise InvalidParams(f"{name} must be an integer, not {v!r}")
         if not isinstance(self.cache_path, (str, type(None))):
             raise InvalidParams(f"cache_path must be a string or null, not "
                                 f"{self.cache_path!r}")
-        if min(self.perimeter_cap, self.recurrence_grid) <= 0:
-            raise InvalidParams("caps must be positive")
+        if (G := self.recurrence_grid) <= 0:
+            raise InvalidParams("recurrence_grid must be positive")
+        if (G + 5) ** 3 > BUILD_CAP:  # suite_recurrences' table size
+            raise InvalidParams(f"recurrence_grid {G} is too large: a closed "
+                                f"form's table spans (G + 5)^3 points, above "
+                                f"the build cap of {BUILD_CAP}")
 
 
 @dataclass
@@ -188,13 +192,13 @@ def delannoy(m, n):
     return row[n]
 
 
-def valid_triples(b_range, perimeter_cap):
+def valid_triples(b_range, cap):
     """The family triples (a, b, c), ordered, with b >= 2 in b_range and
-    perimeter at most perimeter_cap: d, e >= 0 bound a and c directly."""
+    perimeter at most cap: d, e >= 0 bound a and c directly."""
     return [(a, b, c) for b in b_range if b >= 2
             for a in range(3 * b // 2 + 1)
             for c in range(min(2 * b - a, 3 * b - 2 * a) // 2 + 1)
-            if derive_params(a, b, c).perimeter <= perimeter_cap]
+            if derive_params(a, b, c).perimeter <= cap]
 
 
 # -- suites -----------------------------------------------------------------------
@@ -264,7 +268,7 @@ def claims_report(name, claims, cfg):
 def suite_theorem21(cfg):
     return claims_report("theorem21", [
         (f"{head[0]}_closed_form", Spec(head, t))
-        for t in valid_triples(range(2, 7), cfg.perimeter_cap)
+        for t in valid_triples(range(2, 7), 28)
         for i in (1, 2, 3) for head in (f"A{i}", f"F{i}")], cfg)
 
 
@@ -332,63 +336,55 @@ def suite_theorem13(cfg):
     return claims_report("theorem13", claims, cfg)
 
 
-def seeded_kuo_quads(g, rng, want=1):
-    """Class-alternating 4-tuples in cyclic order on faces of g."""
-    quads = []
+def seeded_kuo_quad(g, rng):
+    """A class-alternating 4-tuple in cyclic order on a face of g, drawn
+    with rng (a face and four of its places per draw, at most 400 draws),
+    or None if no draw gives one."""
     faces = [f for f in planar_faces(g) if len(set(f)) >= 4]
     faces.sort(key=len, reverse=True)
-    attempts = 0
-    while len(quads) < want and attempts < 400:
-        attempts += 1
+    for _ in range(400):
         face = rng.choice(faces)
-        n = len(face)
-        idx = sorted(rng.sample(range(n), 4))
+        idx = sorted(rng.sample(range(len(face)), 4))
         u, v, w, t = (face[i] for i in idx)
         if len({u, v, w, t}) < 4:
             continue
         pu, pv, pw, pt = ((p[0] + p[1]) % 2 for p in (u, v, w, t))
         if pu == pw and pv == pt and pu != pv:
-            quads.append((u, v, w, t))
-    return quads
+            return u, v, w, t
+    return None
 
 
 def corner_kuo_quad(a, b, c):
     """A corner condensation quadruple on the fully-stripped graph.
 
-    Deterministically picks one vertex near the west corner, two near the
-    south corner and one near the east corner, in valid parity classes and
-    cyclic order, such that the condensation identity holds with a nonzero
-    right-hand side.  Returns (graph, (u, v, w, t)).
+    Takes the first quadruple in valid parity classes of one vertex near
+    the west corner, two near the south corner and one near the east
+    corner, in cyclic order, and checks that the condensation identity
+    holds for it with a nonzero right-hand side.  Returns (graph,
+    (u, v, w, t)).
     """
     g = build_A(1, a, b, c)
     corners2 = family_geometry([Spec("A1", (a, b, c))])[0][0].tolist()
-    vs = list(g.vertices)
 
-    def nearest(corner2, k):
-        cx2, cy2 = corner2
-        return sorted(vs, key=lambda p: (abs(2 * p[0] - cx2)
-                                         + abs(2 * p[1] - cy2), p))[:k]
+    def nearest(j, k):
+        cx2, cy2 = corners2[j]
+        return sorted(g.vertices, key=lambda p: (abs(2 * p[0] - cx2)
+                                                 + abs(2 * p[1] - cy2), p))[:k]
 
-    west = nearest(corners2[0], 6)    # contour start = west corner
-    south = nearest(corners2[1], 8)   # after the first (SE) side
-    east = nearest(corners2[2], 6)    # after the second (NE) side
-    for u in west:
-        for v in south:
-            for w in south:
-                if w == v:
-                    continue
-                for t in east:
-                    pu, pv, pw, pt = ((p[0] + p[1]) % 2
-                                      for p in (u, v, w, t))
-                    if not (pu == pw and pv == pt and pu != pv):
-                        continue
-                    try:
-                        res = kuo_check(g, u, v, w, t, method="fkt")
-                    except BadVertexSelection:
-                        continue
-                    if res["equal"] and res["rhs"] > 0:
-                        return g, (u, v, w, t)
-    raise AssertionError(f"no corner condensation quadruple for {(a, b, c)}")
+    def cls(p):
+        return (p[0] + p[1]) % 2
+
+    # the contour starts at the west corner, then runs SE to the south
+    # corner and NE to the east corner
+    west, south, east = nearest(0, 6), nearest(1, 8), nearest(2, 6)
+    quad = next(((u, v, w, t)
+                 for u, v, w, t in product(west, south, south, east)
+                 if cls(u) == cls(w) != cls(v) == cls(t)), None)
+    res = quad and kuo_check(g, *quad, method="fkt")
+    if not (res and res["equal"] and res["rhs"] > 0):
+        raise AssertionError(
+            f"no corner condensation quadruple for {(a, b, c)}")
+    return g, quad
 
 
 def suite_kuo(cfg):
@@ -396,28 +392,21 @@ def suite_kuo(cfg):
     rng = random.Random(cfg.seed)
     specs = [Spec(f"{kind}{i}", t) for t in valid_triples(range(2, 7), 20)
              for i in (1, 2, 3) for kind in ("A", "F")]
-
-    def pool():
-        """The balanced graphs of 8 to 60 vertices among specs, each built
-        when the loop reaches it, then nine more passes over them."""
-        seen = []
-        for spec, grid in zip(specs, grids(specs)):
-            if 8 <= grid.n <= 60 and (g := grid.graph()).is_balanced():
-                seen.append((str(spec), g))
-                yield seen[-1]
-        yield from chain.from_iterable([seen] * 9)
-
+    # the balanced graphs of 8 to 60 vertices, each built when reached
+    pool = ((str(spec), g) for spec, grid in zip(specs, grids(specs))
+            if 8 <= grid.n <= 60 and (g := grid.graph()).is_balanced())
     done = 0
-    for spec_str, g in pool():
+    for spec_str, g in pool:
         if done >= 50:
             break
-        for quad in seeded_kuo_quads(g, rng, want=1):
-            try:
-                res = kuo_check(g, *quad, method="auto")
-            except BadVertexSelection:
-                continue
-            rep.add("kuo_identity", f"{spec_str} @ {quad}", True, res["equal"])
-            done += 1
+        if (quad := seeded_kuo_quad(g, rng)) is None:
+            continue
+        try:
+            res = kuo_check(g, *quad, method="auto")
+        except BadVertexSelection:
+            continue
+        rep.add("kuo_identity", f"{spec_str} @ {quad}", True, res["equal"])
+        done += 1
     rep.add("kuo_volume", ">=50 tuples", True, done >= 50)
     g, quad = corner_kuo_quad(8, 8, 3)
     res = kuo_check(g, *quad, method="fkt")
@@ -655,9 +644,9 @@ def run_suite(name, cfg=None):
 # -- SVG rendering ------------------------------------------------------------------
 
 
-def render_svg(g, out, show_weights=False):
+def render_svg(g, out):
     """Write a deterministic SVG 1.1 drawing of the graph, with a label on
-    each weighted edge when show_weights is set."""
+    each edge whose weight is not 1."""
     scale = 24
     vs = g.vertices
     if vs:
@@ -691,13 +680,12 @@ def render_svg(g, out, show_weights=False):
         lines.append(
             f'<circle cx="{sx(x)}" cy="{sy(y)}" r="4" fill="{fill}" '
             f'stroke="#000000"/>')
-    if show_weights:
-        for (u, v), w in sorted(g.weights.items()):
-            mx = (sx(u[0]) + sx(v[0])) / 2
-            my = (sy(u[1]) + sy(v[1])) / 2
-            lines.append(
-                f'<text x="{mx}" y="{my}" font-size="10" '
-                f'fill="#aa0000">{w}</text>')
+    for (u, v), w in sorted(g.weights.items()):
+        mx = (sx(u[0]) + sx(v[0])) / 2
+        my = (sy(u[1]) + sy(v[1])) / 2
+        lines.append(
+            f'<text x="{mx}" y="{my}" font-size="10" '
+            f'fill="#aa0000">{w}</text>')
     lines.append("</svg>")
     with open(out, "w") as fh:
         fh.write("\n".join(lines) + "\n")

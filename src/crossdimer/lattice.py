@@ -32,10 +32,6 @@ class NonClosing(CrossdimerError):
     pass
 
 
-class SelfIntersecting(CrossdimerError):
-    pass
-
-
 COMPASS = {
     "E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1),
     "NE": (1, 1), "NW": (-1, 1), "SE": (1, -1), "SW": (-1, -1),
@@ -113,58 +109,6 @@ class LatticeSpec:
 
 FULL_GRID = LatticeSpec(kind="full")
 GRID_B = LatticeSpec(kind="cross")
-
-
-# -- contours --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Closed polyline spec: a start base point and compass sides.
-
-    Side lengths are in lattice units (diagonal sides count diagonal unit
-    steps); the traced polygon itself lives at half-unit offsets, through
-    the cross center start + (1/2, 1/2).
-    """
-
-    family: str
-    start: tuple
-    sides: tuple  # ((compass, length), ...)
-
-
-def trace_contour(spec):
-    """Corners of the closed polygon, in doubled coordinates.
-
-    Validates closure, simplicity, and the side-length conventions
-    (diagonal sides even, horizontal sides divisible by 4).
-    """
-    x = 2 * spec.start[0] + 1
-    y = 2 * spec.start[1] + 1
-    corners = [(x, y)]
-    seen_midpoints = set()
-    total = 0
-    for comp, length in spec.sides:
-        if length < 0:
-            raise ValueError("negative side length")
-        dx, dy = COMPASS[comp]
-        diagonal = dx != 0 and dy != 0
-        if length and diagonal and length % 2:
-            raise SelfIntersecting(f"odd diagonal step count {length}")
-        if length and not diagonal and length % 4:
-            raise SelfIntersecting(f"horizontal length {length} not 4-aligned")
-        for _ in range(length):
-            mid = (2 * x + 2 * dx, 2 * y + 2 * dy)
-            if mid in seen_midpoints:
-                raise SelfIntersecting(f"boundary passes twice through {mid}")
-            seen_midpoints.add(mid)
-            x, y = x + 2 * dx, y + 2 * dy
-        total += length
-        corners.append((x, y))
-    if total == 0:
-        raise SelfIntersecting("degenerate empty polygon")
-    if corners[-1] != corners[0]:
-        raise NonClosing(f"ends at {corners[-1]}, started at {corners[0]}")
-    return corners
 
 
 def ragged_steps(counts):

@@ -197,14 +197,13 @@ class Grid:
     at (x, y).  A Grid carries no weights; its arrays are not changed.
     """
 
-    __slots__ = ("origin", "occ", "edges", "n", "_dict")
+    __slots__ = ("origin", "occ", "edges", "n")
 
     def __init__(self, origin, occ, edges):
         """The grid at origin (x0, y0) of the arrays occ and edges, which
         has no edge with an end outside occ."""
         self.origin, self.occ, self.edges = origin, occ, edges
         self.n = int(np.count_nonzero(occ))
-        self._dict = None
 
     @classmethod
     def of_graph(cls, g):
@@ -238,19 +237,15 @@ class Grid:
         return Graph(self)
 
     def vertices_adj(self):
-        """(vertices, adj) as Graph holds them, made on the first call and
-        shared by every Graph that keeps this Grid: the edges entered as
+        """(vertices, adj) as Graph holds them: the edges entered as
         _edge_keys decodes them, east ones first, each in x-major order of
         its lower-left end."""
-        if self._dict is not None:
-            return self._dict
         pts = tuple(map(tuple, self.points().tolist()))
         adj = {v: set() for v in pts}
         for u, v in _edge_keys(self, np.flatnonzero(self.edges)):
             adj[u].add(v)
             adj[v].add(u)
-        self._dict = pts, adj
-        return self._dict
+        return pts, adj
 
 
 def _edge_weights(grid, weights):

@@ -82,27 +82,32 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
     assert main(["formula", "TA:1,2,2,1"]) == 2
     assert main(["probe", "A1:2,2,0", "--points", "3,5"]) == 2
     assert main(["count", "A1:2,2,0", "--weights", "1/0,1,1"]) == 2
-    # a config file must be a JSON object of integer SuiteConfig fields
+    # a config file must be a JSON object of integer SuiteConfig fields;
+    # theorem21's perimeter cap of 28 is no setting
+    retired = tmp_path / "retired.json"
+    retired.write_text('{"perimeter_cap": 28}')
     unknown, array = tmp_path / "unknown.json", tmp_path / "array.json"
-    unknown.write_text('{"perimeter_cap": 12, "no_such_key": 1}')
+    unknown.write_text('{"recurrence_grid": 12, "no_such_key": 1}')
     array.write_text("[12]")
     fraction, flag = tmp_path / "fraction.json", tmp_path / "flag.json"
     fraction.write_text('{"recurrence_grid": 2.5}')
-    flag.write_text('{"perimeter_cap": true}')
+    flag.write_text('{"seed": true}')
     # an integer cache path would be opened as a file descriptor
     fd = tmp_path / "fd.json"
     fd.write_text('{"cache_path": 1}')
+    assert main(["verify", "theorem21", "--config", str(retired)]) == 2
     assert main(["verify", "sanity", "--config", str(unknown)]) == 2
     assert main(["verify", "sanity", "--config", str(array)]) == 2
     assert main(["verify", "recurrences", "--config", str(fraction)]) == 2
     assert main(["verify", "sanity", "--config", str(flag)]) == 2
     assert main(["verify", "theorem13", "--config", str(fd)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 16 and "(3, 5)" in err[-7]
+    assert len(err) == 17 and "(3, 5)" in err[-8]
+    assert "perimeter_cap" in err[-6]
     assert "b=1 < 2" in err[4] and "b=1 < 2" in err[5]
     assert "no_such_key" in err[-5] and "mapping" in err[-4]
     assert "recurrence_grid" in err[-3] and "2.5" in err[-3]
-    assert "perimeter_cap" in err[-2] and "True" in err[-2]
+    assert "seed" in err[-2] and "True" in err[-2]
     assert "cache_path" in err[-1] and err[-1].endswith("not 1")
     # the vertex caps are the package's BRUTE_CAP and FKT_CAP, not settings
     for key in ("vertex_cap_brute", "vertex_cap_fkt"):
@@ -130,7 +135,9 @@ def test_malformed_inputs_raise_invalid_params(capsys, tmp_path,
     # each exits 2 with one stderr line, through the named class alone
     bad, zero = tmp_path / "bad.json", tmp_path / "zero.json"
     bad.write_text("{bad")
-    zero.write_text('{"perimeter_cap": 0}')
+    zero.write_text('{"recurrence_grid": 0}')
+    big = tmp_path / "big.json"
+    big.write_text('{"recurrence_grid": 100000}')
     latin, huge = tmp_path / "latin.json", tmp_path / "huge.json"
     latin.write_bytes(b'{"seed": "\xff"}')
     huge.write_text('{"seed": ' + "1" * 5000 + "}")
@@ -147,6 +154,7 @@ def test_malformed_inputs_raise_invalid_params(capsys, tmp_path,
             (["verify", "nosuch"], InvalidParams),
             (["verify", "sanity", "--config", str(bad)], InvalidParams),
             (["verify", "sanity", "--config", str(zero)], InvalidParams),
+            (["verify", "recurrences", "--config", str(big)], InvalidParams),
             (["verify", "sanity", "--config", str(latin)], InvalidParams),
             (["verify", "sanity", "--config", str(huge)], InvalidParams),
             (["verify", "theorem11", "--config", str(cached)], CacheCorrupt)):

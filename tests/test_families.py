@@ -175,12 +175,12 @@ def test_weighted_copies_keep_the_grid():
               weight_point(Fraction(1, 2), 3, 1)):
         got, want = assign_cross_weights(g, w), assign_cross_weights(eager, w)
         assert got.grid is g.grid and want.grid is None
-        assert got.adj is g.adj and got.weights == want.weights
+        assert got.adj == g.adj and got.weights == want.weights
         assert count_fkt(got) == count_fkt(want)
     # a weight is checked against the edges of a built Graph too
     edge = g.edges()[0]
     doubled = g.with_weights({edge: 2})
-    assert doubled.grid is g.grid and doubled.adj is g.adj
+    assert doubled.grid is g.grid and doubled.adj == g.adj
     assert count_fkt(doubled) == count_fkt(eager.with_weights({edge: 2}))
     with pytest.raises(ValueError, match="not an edge"):
         g.with_weights({(edge[0], (edge[0][0] + 1, edge[0][1] + 1)): 2})
@@ -376,6 +376,30 @@ def test_cross_weights_on_a_hand_made_graph_never_walk_its_edges(
         assert copy.grid is None and copy.grid_weights is None
         assert copy.adj is twin.adj and copy.weights == built.weights
         assert count_fkt(copy) == count_fkt(built)
+
+
+def test_cross_weights_on_a_hand_made_graph_build_its_grid_once(
+        monkeypatch):
+    # the Grid that cross_weightings makes of a hand-made graph's adj also
+    # reads each copy's weights, so no copy builds one again
+    from crossdimer.families import cross_weightings
+
+    g = build_A(1, 9, 8, 2)
+    twin = Graph(g.vertices, g.edges())
+    points = [weight_point(3, 5, 7), weight_point(5, 7, 3),
+              weight_point(7, 3, 5), weight_point(3, 5, 11)]
+    built = []
+    of_graph = Grid.of_graph.__func__
+
+    def spy(cls, graph):
+        built.append(graph.grid is None)
+        return of_graph(cls, graph)
+
+    monkeypatch.setattr(Grid, "of_graph", classmethod(spy))
+    got = cross_weightings(twin, points)
+    assert built == [True]
+    for copy, want in zip(got, cross_weightings(g, points)):
+        assert copy.weights == want.weights
 
 
 def test_cross_weights_reject_an_edge_that_is_not_a_unit_step():

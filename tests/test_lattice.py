@@ -1,15 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contours import (
+    ContourSpec, SelfIntersecting, family_contour, trace_contour,
+)
 from crossdimer.families import (
     FAMILY_HEADS, SIDE_NAMES, _STRIP_RULES, _TRIM_RULES, Spec,
-    derive_params, family_contour, family_geometry,
+    derive_params, family_geometry,
 )
 from crossdimer.harness import valid_triples
 from crossdimer.lattice import (
-    CROSS_EDGES, CROSS_OFFSETS, FULL_GRID, GRID_B, ContourSpec, NonClosing,
-    SelfIntersecting, induced_subgraph, row_spans, slit_base, trace_contour,
-    zigzag_trim_row,
+    CROSS_EDGES, CROSS_OFFSETS, FULL_GRID, GRID_B, NonClosing,
+    induced_subgraph, row_spans, slit_base, zigzag_trim_row,
 )
 
 

@@ -885,7 +885,7 @@ def diagonal_cuts(g):
 
 def test_tr_counts_as_pieces_between_its_two_cuts(monkeypatch):
     from crossdimer.families import Spec, grids
-    from crossdimer.harness import SuiteConfig, valid_triples
+    from crossdimer.harness import valid_triples
 
     seen = spy_dets(monkeypatch)
     for a in range(1, 7):
@@ -901,9 +901,8 @@ def test_tr_counts_as_pieces_between_its_two_cuts(monkeypatch):
     # TR(5, 10): two family regions and the band between them
     assert [r for r, _ in seen[4]] == [380, 29, 351]
     # no theorem21 graph has a cut after peeling: one matrix each
-    specs = [Spec(head, t) for t in valid_triples(
-        range(2, 7), SuiteConfig().perimeter_cap)
-        for i in (1, 2, 3) for head in (f"A{i}", f"F{i}")]
+    specs = [Spec(head, t) for t in valid_triples(range(2, 7), 28)
+             for i in (1, 2, 3) for head in (f"A{i}", f"F{i}")]
     seen.clear()
     assert count_many(grids(specs)) == [s.closed_form().value()
                                         for s in specs]
