@@ -102,6 +102,10 @@ MUTANTS = [
     ("the corner quad ignores the classes", HARNESS,
      "cls(w) != cls(v)", "cls(w) == cls(v)",
      "tests/test_harness.py::test_corner_quad_found"),
+    # a TA or TB spec that breaks theorem 1.3's floor-sum rule is built
+    ("the trimmed rectangles skip the floor-sum rule", FAMILIES,
+     "        check_trim_constraint(*nums)\n", "",
+     "tests/test_families.py::test_trim_rect_params_constraint"),
     # the last term of g takes a quarter of (a - c)^2 in place of a third
     ("g_fn divides (a - c)^2 by 4", FORMULAS,
      "(a - c) ** 2 // 3", "(a - c) ** 2 // 4",

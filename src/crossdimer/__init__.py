@@ -10,8 +10,8 @@ from .matchcount import (
 from .lattice import FULL_GRID, GRID_B, LatticeSpec
 from .families import (
     derive_params, build_A, build_F, build_TR, build_TA, build_TB,
-    build_aztec_rectangle, build_augmented_aztec, TrimRectParams,
-    assign_cross_weights, weight_point, Spec,
+    build_aztec_rectangle, build_augmented_aztec, assign_cross_weights,
+    weight_point, Spec,
 )
 from .formulas import (
     g_fn, q_fn, alpha_fn, beta_fn, tau_fn, phi, psi, thm_TR, thm_TA, thm_TB,

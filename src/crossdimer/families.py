@@ -17,7 +17,7 @@ Spec.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
@@ -26,15 +26,16 @@ import numpy as np
 
 from .errors import CrossdimerError
 from .formulas import (
-    HypothesisViolated, InvalidParams, derive_params, phi, psi, thm_TA,
-    thm_TB, thm_TR, trim_rect_triple,
+    HypothesisViolated, InvalidParams, check_trim_constraint, derive_params,
+    phi, psi, thm_TA, thm_TB, thm_TR, trim_rect_triple,
 )
 from .lattice import (
     COMPASS, CROSS_OFFSETS, FULL_GRID, GRID_B, LatticeSpec, NonClosing,
     ragged_steps, row_spans, stacked_grids, slit_base, unit_edge_table,
 )
 from .matchcount import (
-    Grid, NonPlanarEmbedding, TooLarge, _edge_keys, _weight_dict, int_array,
+    BUILD_CAP, Graph, Grid, NonPlanarEmbedding, _edge_keys, _refuse,
+    _weight_dict, int_array,
 )
 
 
@@ -88,14 +89,14 @@ _TRIMMED = np.array([[[(SIDE_NAMES.index(side), int(delta))
                       for i in (1, 2, 3)] for kind in "AF"])
 
 
-def build_A(i, a, b, c, lat=GRID_B):
+def build_A(i, a, b, c):
     """The i-th family graph with all bounding diagonals stripped bare."""
-    return Spec(f"A{i}", (a, b, c), lat).graph()
+    return Spec(f"A{i}", (a, b, c)).graph()
 
 
-def build_F(i, a, b, c, lat=GRID_B):
+def build_F(i, a, b, c):
     """The i-th family graph that keeps its diagonal boundary rows."""
-    return Spec(f"F{i}", (a, b, c), lat).graph()
+    return Spec(f"F{i}", (a, b, c)).graph()
 
 
 # -- rotated rectangles ------------------------------------------------------------
@@ -120,34 +121,14 @@ def build_TR(a, b):
     return Spec("TR", (a, b)).graph()
 
 
-@dataclass(frozen=True)
-class TrimRectParams:
-    m: int
-    n: int
-    h1: int
-    h2: int
-    variant: str  # "TA" | "TB"
-
-    def __post_init__(self):
-        if self.variant not in ("TA", "TB"):
-            raise InvalidParams(f"variant must be TA or TB, not {self.variant}")
-        spec = Spec(self.variant, astuple(self)[:4])
-        if not 1 <= self.m <= self.n or min(self.h1, self.h2) < 0:
-            raise InvalidParams(f"{spec} needs 1 <= m <= n and h1, h2 >= 0")
-        if (self.h1 + 1) // 2 + (self.h2 + 1) // 2 != 2 * (self.n - self.m):
-            raise InvalidParams(f"{spec} fails the floor-sum constraint")
+def build_TA(m, n, h1, h2):
+    """Even trimmed rectangle; counted by phi_1 times a power of 3."""
+    return Spec("TA", (m, n, h1, h2)).graph()
 
 
-def build_TA(p):
-    if p.variant != "TA":
-        raise InvalidParams("params are not TA params")
-    return Spec("TA", (p.m, p.n, p.h1, p.h2)).graph()
-
-
-def build_TB(p):
-    if p.variant != "TB":
-        raise InvalidParams("params are not TB params")
-    return Spec("TB", (p.m, p.n, p.h1, p.h2)).graph()
+def build_TB(m, n, h1, h2):
+    """Odd trimmed rectangle; counted by psi_1 times a power of 3."""
+    return Spec("TB", (m, n, h1, h2)).graph()
 
 
 # -- cross weights ------------------------------------------------------------------
@@ -165,23 +146,13 @@ WEIGHT_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class WeightPoint:
-    x: Fraction
-    y: Fraction
-    z: Fraction
-
-    def __post_init__(self):
-        for t in (self.x, self.y, self.z):
-            if t <= 0:
-                raise InvalidParams("weights must be positive")
-
-    def as_tuple(self):
-        return (self.x, self.y, self.z)
-
-
 def weight_point(x, y, z):
-    return WeightPoint(Fraction(x), Fraction(y), Fraction(z))
+    """The cross weights (x, y, z) as a tuple of Fractions, each of which
+    must be positive (InvalidParams)."""
+    w = (Fraction(x), Fraction(y), Fraction(z))
+    if min(w) <= 0:
+        raise InvalidParams("weights must be positive")
+    return w
 
 
 # WEIGHT_TABLE as a read-only unit_edge_table array: 1, 2 or 3 where an
@@ -194,7 +165,7 @@ WEIGHT_SYMBOLS.setflags(write=False)
 
 def cross_weightings(g, points):
     """Copies of g carrying the periodic cross weight pattern, one per
-    WeightPoint in points: g.with_weights((w, d)) for each (w, d) that
+    weight_point tuple in points: g.with_weights((w, d)) for each (w, d) that
     cross_weighted_grids gives g's Grid, read as a dict (_weight_dict)
     for a hand-made g, whose Grid is then made once.  An edge off the
     cross lattice, or one that is not a unit step, raises NotGridB."""
@@ -218,12 +189,12 @@ def _symbols_at(grid):
 
 def cross_weighted_grids(grids, points):
     """(grid, (w, d)) for each Grid of the cross lattice in grids and, grid
-    by grid, each WeightPoint in points, as count_many weights a Grid:
+    by grid, each weight_point tuple in points, as count_many weights a Grid:
     d is the lcm of the point's denominators, and w is d times the weight
     at WEIGHT_SYMBOLS[:, x % 4, y % 4], in the smallest signed dtype that
     holds it (int_array's objects past int64)."""
-    ds = [lcm(*(t.denominator for t in w.as_tuple())) for w in points]
-    scaled = [int_array([d] + [int(t * d) for t in w.as_tuple()])
+    ds = [lcm(*(t.denominator for t in w)) for w in points]
+    scaled = [int_array([d] + [int(t * d) for t in w])
               for w, d in zip(points, ds)]
     scaled = [v if v.dtype == object else  # every value is positive
               v.astype(np.min_scalar_type(-1 - int(v.max()))) for v in scaled]
@@ -317,7 +288,7 @@ class Spec:
             FULL_GRID if self.head in ("AR", "AAR") else GRID_B)
 
     def graph(self):
-        return next(grids([self])).graph()
+        return Graph(next(grids([self])))
 
     def closed_form(self):
         """The FactoredCount that theorem 2.1 (A and F), 1.1 (TR) or 1.3
@@ -336,14 +307,6 @@ class Spec:
 
 
 GRID_BATCH = 256  # Specs per stacked array, which bounds its size
-BUILD_CAP = 2 ** 20  # points that a graph may be bounded by and be built
-
-
-def _refuse(spec, size):
-    """Raise TooLarge if spec spans size points, more than BUILD_CAP."""
-    if size > BUILD_CAP:
-        raise TooLarge(f"{spec} is too large to build: it spans {size} "
-                       f"points, above the build cap of {BUILD_CAP}")
 
 
 def family_geometry(specs):
@@ -403,7 +366,8 @@ def _rectangle(spec):
     west, cut to the rows top to bottom, less every fourth point of those
     two rows: at slit phase 3, or if ends from 3 columns in from the top
     row's east end and the bottom row's west end.  TooLarge first if its
-    box (2m + 1)(2n + 1) exceeds BUILD_CAP."""
+    box (2m + 1)(2n + 1) exceeds BUILD_CAP, then InvalidParams on numbers
+    out of range, or HypothesisViolated off theorem 1.3's floor-sum rule."""
     head, nums, tb = spec.head, spec.nums, spec.head == "TB"
     u, v = ALIGN_UV["west" if tb else "east"]
     # the cuts are rows counted from y0, the row just below the east corner
@@ -420,7 +384,9 @@ def _rectangle(spec):
         raise InvalidParams(f"unknown family {head!r}")
     _refuse(spec, max(2 * m + 1, 0) * max(2 * n + 1, 0))
     if head in ("TA", "TB"):
-        TrimRectParams(*nums, head)  # which checks them
+        if not 1 <= nums[0] <= nums[1] or min(nums[2:]) < 0:
+            raise InvalidParams(f"{spec} needs 1 <= m <= n and h1, h2 >= 0")
+        check_trim_constraint(*nums)
     elif head == "TR" and (a < 1 or b < 2 * a):
         raise InvalidParams(f"need a >= 1 and b >= 2a, got {(a, b)}")
     elif min(m, n) < 1:

@@ -8,7 +8,7 @@ values fall back to exact rationals and the factored form is flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
 from typing import NamedTuple
@@ -212,17 +212,19 @@ def thm_TR(a, b):
 
 
 def thm_TA(m, n, h1, h2):
+    """Theorem 1.3 for the even trimmed rectangle: phi_1 at its family
+    triple times 3^tau(h1, h2)."""
     check_trim_constraint(m, n, h1, h2)
-    a, b, c = trim_rect_triple(m, n, h1, h2, "TA")
-    return FactoredCount(alpha_fn(a, b, c), g_fn(a, b, c + 1),
-                         tau_fn(h1, h2), g_fn(a, b, c), q_fn(a, b, c))
+    return replace(phi(1, *trim_rect_triple(m, n, h1, h2, "TA")),
+                   exp3=tau_fn(h1, h2))
 
 
 def thm_TB(m, n, h1, h2):
+    """Theorem 1.3 for the odd trimmed rectangle: psi_1 at its family
+    triple times 3^tau(h1 + 1, h2 + 1)."""
     check_trim_constraint(m, n, h1, h2)
-    a, b, c = trim_rect_triple(m, n, h1, h2, "TB")
-    return FactoredCount(beta_fn(a, b, c), g_fn(a, b, c - 1),
-                         tau_fn(h1 + 1, h2 + 1), g_fn(a, b, c), q_fn(a, b, c))
+    return replace(psi(1, *trim_rect_triple(m, n, h1, h2, "TB")),
+                   exp3=tau_fn(h1 + 1, h2 + 1))
 
 
 # -- recurrences ---------------------------------------------------------------
@@ -360,16 +362,27 @@ def factor_small(n):
         n = int(n)
     if n <= 0 or n != int(n):
         raise NotInteger(f"{n} is not a positive integer")
-    n = int(n)
-    out = {}
-    for p in (2, 3, 5, 11):
+    exps, rest = _signed_exponents(int(n), 1, (2, 3, 5, 11))
+    return {**{f"exp{p}": e for p, e in zip((2, 3, 5, 11), exps)},
+            "cofactor": rest.numerator}
+
+
+def _signed_exponents(num, den, bases):
+    """The exponent of each base in num / den, negative where it divides
+    the denominator, and what is left once they are divided out."""
+    fr = Fraction(num, den)
+    num, den = fr.numerator, fr.denominator
+    out = []
+    for b in bases:
         e = 0
-        while n % p == 0:
-            n //= p
+        while num % b == 0:
+            num //= b
             e += 1
-        out[f"exp{p}"] = e
-    out["cofactor"] = n
-    return out
+        while den % b == 0:
+            den //= b
+            e -= 1
+        out.append(e)
+    return out, Fraction(num, den)
 
 
 # -- weighted prefactors -------------------------------------------------------

@@ -19,19 +19,19 @@ from math import gcd, prod
 
 from .errors import CrossdimerError
 from .families import (
-    BUILD_CAP, Spec, build_A, build_TR, check_trim_domain,
+    Spec, build_A, build_TR, check_trim_domain,
     cross_weighted_grids, derive_params, family_geometry, grids,
     weight_point, InvalidParams,
 )
 from .formulas import (
     C0, FOLD, phi, psi, phi_value, psi_value, recurrence_check,
     recurrence_holds, exponent_table, factor_small, alpha_w, beta_w,
-    HypothesisViolated,
+    HypothesisViolated, _signed_exponents,
 )
 from .lattice import FULL_GRID, GRID_B
 from .matchcount import (
-    BRUTE_CAP, FKT_CAP, BadVertexSelection, count_brute, count_many,
-    kuo_check, split_check, planar_faces,
+    BRUTE_CAP, BUILD_CAP, FKT_CAP, BadVertexSelection, Graph, count_brute,
+    count_many, kuo_check, split_check, planar_faces,
 )
 
 
@@ -222,7 +222,7 @@ def suite_sanity(cfg):
     pool += [Spec(f"{kind}{i}", t)
              for t in valid_triples(range(2, 7), 16) for i in (1, 2, 3)
              for kind in ("A", "F")]
-    pool = [(str(spec), grid.graph()) for spec, grid in zip(pool, grids(pool))]
+    pool = [(str(spec), Graph(grid)) for spec, grid in zip(pool, grids(pool))]
     rng = random.Random(cfg.seed)
     extended = list(pool)
     for spec_str, g in pool:
@@ -361,7 +361,7 @@ def corner_kuo_quad(a, b, c):
     the west corner, two near the south corner and one near the east
     corner, in cyclic order, and checks that the condensation identity
     holds for it with a nonzero right-hand side.  Returns (graph,
-    (u, v, w, t)).
+    (u, v, w, t), kuo_check's result).
     """
     g = build_A(1, a, b, c)
     corners2 = family_geometry([Spec("A1", (a, b, c))])[0][0].tolist()
@@ -384,7 +384,7 @@ def corner_kuo_quad(a, b, c):
     if not (res and res["equal"] and res["rhs"] > 0):
         raise AssertionError(
             f"no corner condensation quadruple for {(a, b, c)}")
-    return g, quad
+    return g, quad, res
 
 
 def suite_kuo(cfg):
@@ -394,7 +394,7 @@ def suite_kuo(cfg):
              for i in (1, 2, 3) for kind in ("A", "F")]
     # the balanced graphs of 8 to 60 vertices, each built when reached
     pool = ((str(spec), g) for spec, grid in zip(specs, grids(specs))
-            if 8 <= grid.n <= 60 and (g := grid.graph()).is_balanced())
+            if 8 <= grid.n <= 60 and (g := Graph(grid)).is_balanced())
     done = 0
     for spec_str, g in pool:
         if done >= 50:
@@ -408,8 +408,7 @@ def suite_kuo(cfg):
         rep.add("kuo_identity", f"{spec_str} @ {quad}", True, res["equal"])
         done += 1
     rep.add("kuo_volume", ">=50 tuples", True, done >= 50)
-    g, quad = corner_kuo_quad(8, 8, 3)
-    res = kuo_check(g, *quad, method="fkt")
+    _, quad, res = corner_kuo_quad(8, 8, 3)
     rep.add("kuo_corner_configuration", f"A1:8,8,3 @ {quad}",
             True, res["equal"])
     return rep
@@ -519,22 +518,6 @@ def screen_probe_point(pt):
         if gcd(p, q) != 1:
             raise BadProbePoint(f"{pt}: bases {p} and {q} share a factor")
     return bases
-
-
-def _signed_exponents(num, den, bases):
-    fr = Fraction(num, den)
-    num, den = fr.numerator, fr.denominator
-    out = []
-    for b in bases:
-        e = 0
-        while num % b == 0:
-            num //= b
-            e += 1
-        while den % b == 0:
-            den //= b
-            e -= 1
-        out.append(e)
-    return out, Fraction(num, den)
 
 
 def _weighted_counts(specs, points, cap):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossdimerError
-from .matchcount import Grid
+from .matchcount import Graph, Grid
 
 
 class NonClosing(CrossdimerError):
@@ -195,8 +195,8 @@ def stacked_grids(lats, spans, cleared):
 
 def induced_subgraph(lat, corners2):
     """Lattice graph induced by the points inside or on the polyline."""
-    return stacked_grids([lat], row_spans([corners2]),
-                         np.zeros((0, 3), dtype=np.int64))[0].graph()
+    return Graph(stacked_grids([lat], row_spans([corners2]),
+                               np.zeros((0, 3), dtype=np.int64))[0])
 
 
 # -- zigzag trims ----------------------------------------------------------------

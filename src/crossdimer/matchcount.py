@@ -22,10 +22,18 @@ from .errors import CrossdimerError
 
 BRUTE_CAP = 44
 FKT_CAP = 4000
+BUILD_CAP = 2 ** 20  # points that a graph may be bounded by and be built
 
 
 class TooLarge(CrossdimerError):
     pass
+
+
+def _refuse(what, size):
+    """Raise TooLarge if what spans size points, more than BUILD_CAP."""
+    if size > BUILD_CAP:
+        raise TooLarge(f"{what} is too large to build: it spans {size} "
+                       f"points, above the build cap of {BUILD_CAP}")
 
 
 class BadVertexSelection(CrossdimerError):
@@ -61,13 +69,13 @@ class Graph:
     (with_weights).
 
     A Graph is made in one of two ways.  Graph(vertices, edges, weights)
-    checks every edge and weight.  Graph(grid), which is Grid.graph, keeps
-    the Grid as grid, whose arrays hold only unit edges between occupied
-    cells, and reads vertices and adj from it (Grid.vertices_adj) when
-    either is first read; a hand-made Graph's grid is None.  A copy of a
-    built Graph may carry its weights as grid_weights, a pair (w, d) that
-    weights the Grid as count_many does, and make the weights dict from it
-    when that is first read; otherwise grid_weights is None.
+    checks every edge and weight.  Graph(grid) keeps the Grid as grid,
+    whose arrays hold only unit edges between occupied cells, and reads
+    vertices and adj from it (Grid.vertices_adj) when either is first
+    read; a hand-made Graph's grid is None.  A copy of a built Graph may
+    carry its weights as grid_weights, a pair (w, d) that weights the Grid
+    as count_many does, and make the weights dict from it when that is
+    first read; otherwise grid_weights is None.
     """
 
     __slots__ = ("vertices", "adj", "weights", "grid", "grid_weights")
@@ -209,7 +217,8 @@ class Grid:
     def of_graph(cls, g):
         """g's structure: the Grid that g keeps, or else one built from
         adj, which raises NonPlanarEmbedding unless every edge of g is a
-        unit step."""
+        unit step, and TooLarge before any array of its bounding box is
+        made if that box spans more than BUILD_CAP points."""
         if g.grid is not None:
             return g.grid
         n = len(g.adj)
@@ -222,7 +231,9 @@ class Grid:
         if 2 * (east.sum() + north.sum()) != sum(map(len, g.adj.values())):
             _require_unit_steps(g)
         lo = pts.min(0) if n else np.zeros(2, dtype=np.int64)
-        occ = np.zeros(tuple(pts.max(0) - lo + 1) if n else (0, 0), bool)
+        shape = tuple((pts.max(0) - lo + 1).tolist()) if n else (0, 0)
+        _refuse(f"a graph of {n} vertices", prod(shape))
+        occ = np.zeros(shape, bool)
         edges = np.zeros((2,) + occ.shape, dtype=bool)
         at = tuple((pts - lo).T)
         occ[at], edges[(0,) + at], edges[(1,) + at] = True, east, north
@@ -231,10 +242,6 @@ class Grid:
     def points(self):
         """The vertices as an int64 array of shape (n, 2), sorted."""
         return np.argwhere(self.occ) + self.origin
-
-    def graph(self):
-        """This structure as a Graph that keeps it: Graph(self)."""
-        return Graph(self)
 
     def vertices_adj(self):
         """(vertices, adj) as Graph holds them: the edges entered as

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossdimer.families import (
-    InvalidParams, NotGridB, TrimRectParams, assign_cross_weights,
+    InvalidParams, NotGridB, assign_cross_weights,
     build_A, build_F, build_TA, build_TB, build_TR, build_aztec_rectangle,
     build_augmented_aztec, derive_params, weight_point, Spec,
 )
@@ -96,8 +96,8 @@ def test_builders_construct_one_graph(monkeypatch):
         "A3": lambda: build_A(3, 6, 6, 1),
         "F2": lambda: build_F(2, 5, 8, 4),
         "TR": lambda: build_TR(2, 4),
-        "TA": lambda: build_TA(TrimRectParams(5, 7, 4, 3, variant="TA")),
-        "TB": lambda: build_TB(TrimRectParams(5, 7, 4, 3, variant="TB")),
+        "TA": lambda: build_TA(5, 7, 4, 3),
+        "TB": lambda: build_TB(5, 7, 4, 3),
     }
     for name, build in builds.items():
         made.clear()
@@ -262,15 +262,12 @@ def test_point_sets_count_like_their_graphs():
                 check_trim_domain(variant, m, n, h1, h2)
             except HypothesisViolated:
                 continue
-            specs.append((variant, (TrimRectParams(m, n, h1, h2, variant),)))
+            specs.append((variant, (m, n, h1, h2)))
     specs += [("TR", (a, 2 * a)) for a in (1, 2, 3)]
     def spec(kind, args):
         if kind in ("A", "F"):
             return Spec(f"{kind}{args[0]}", args[1:])
-        if kind == "TR":
-            return Spec("TR", args)
-        p, = args
-        return Spec(kind, (p.m, p.n, p.h1, p.h2))
+        return Spec(kind, args)
 
     builds = {"A": build_A, "F": build_F, "TA": build_TA, "TB": build_TB,
               "TR": build_TR}
@@ -285,16 +282,18 @@ def test_tr_b_independence():
 
 
 def test_trim_rect_params_constraint():
-    with pytest.raises(InvalidParams):
-        TrimRectParams(5, 7, 1, 1, variant="TA")
-    TrimRectParams(5, 7, 4, 3, variant="TA")
+    # the floor-sum rule of theorem 1.3, checked before anything is built
+    from crossdimer.formulas import HypothesisViolated
+
+    for build in (build_TA, build_TB):
+        with pytest.raises(HypothesisViolated, match=r"\(5, 7, 1, 1\)"):
+            build(5, 7, 1, 1)
+        assert len(build(5, 7, 4, 3)) > 0
 
 
 def test_ta_tb_counts():
-    assert count_fkt(build_TA(TrimRectParams(5, 7, 4, 3, variant="TA"))) \
-        == 1_125_000_000
-    assert count_fkt(build_TB(TrimRectParams(5, 7, 4, 3, variant="TB"))) \
-        == 72_000_000
+    assert count_fkt(build_TA(5, 7, 4, 3)) == 1_125_000_000
+    assert count_fkt(build_TB(5, 7, 4, 3)) == 72_000_000
 
 
 def test_vertical_reflection_count_identities():
@@ -326,10 +325,21 @@ def test_double_reflection_is_translation():
     # has g's arrays at another origin
     g = Grid.of_graph(build_A(1, 2, 2, 0))
     for fn in (mirror_x, mirror_y):
-        h = Grid.of_graph(moved(moved(moved(g.graph(), fn),
+        h = Grid.of_graph(moved(moved(moved(Graph(g), fn),
                                       lambda p: (p[0] + 4, p[1] + 4)), fn))
         assert (g.occ == h.occ).all() and (g.edges == h.edges).all()
         assert h.origin != g.origin
+
+
+def test_weight_point_is_a_tuple_of_positive_fractions():
+    from fractions import Fraction
+
+    w = weight_point(3, "1/2", Fraction(5, 7))
+    assert w == (3, Fraction(1, 2), Fraction(5, 7))
+    assert type(w) is tuple and {type(t) for t in w} == {Fraction}
+    for bad in ((0, 1, 1), (1, 0, 1), (1, 1, 0), (1, -2, 1)):
+        with pytest.raises(InvalidParams, match="positive"):
+            weight_point(*bad)
 
 
 def test_weights_unit_point_matches_unweighted():
@@ -485,7 +495,7 @@ def test_grids_batch_equals_each_spec_built_alone(specs):
             assert np.array_equal(grid.occ, other.occ)
             assert np.array_equal(grid.edges, other.edges)
         # the edges are those that the lattice has between the points
-        g = grid.graph()
+        g = Graph(grid)
         assert {tuple(sorted(e)) for e in g.edges()} == {
             (p, q) for p in g.vertices for q in ((p[0] + 1, p[1]),
                                                  (p[0], p[1] + 1))

@@ -10,12 +10,13 @@ rectangles' cuts or the cross weights moves them.
 import hashlib
 
 from crossdimer.families import (
-    Spec, TrimRectParams, assign_cross_weights, build_A, build_F, build_TA,
+    Spec, assign_cross_weights, build_A, build_F, build_TA,
     build_TB, build_TR, build_augmented_aztec, build_aztec_rectangle, grids,
     weight_point,
 )
 from crossdimer.harness import trim_rect_domain, valid_triples
 from crossdimer.lattice import FULL_GRID, GRID_B
+from crossdimer.matchcount import Graph
 
 PINNED_DIGEST = \
     "7af84db5b75a2d7a8b191418a5a1e37e42794dc2feedd28888ec0cb05f194dbc"
@@ -33,10 +34,8 @@ def family_graphs():
     for a in range(1, 5):
         yield f"TR:{a},{2 * a}", build_TR(a, 2 * a)
     for (m, n, h1, h2) in trim_rect_domain():
-        yield f"TA:{m},{n},{h1},{h2}", \
-            build_TA(TrimRectParams(m, n, h1, h2, variant="TA"))
-        yield f"TB:{m},{n},{h1},{h2}", \
-            build_TB(TrimRectParams(m, n, h1, h2, variant="TB"))
+        yield f"TA:{m},{n},{h1},{h2}", build_TA(m, n, h1, h2)
+        yield f"TB:{m},{n},{h1},{h2}", build_TB(m, n, h1, h2)
     for m in range(1, 6):
         for n in range(1, 6):
             for lat, tag in ((FULL_GRID, "full"), (GRID_B, "b")):
@@ -66,7 +65,7 @@ def test_rectangle_graphs_pinned_wide():
     specs += [Spec(head, (m, n), lat) for m in range(1, 8)
               for n in range(1, 8) for head in ("AR", "AAR")
               for lat in (FULL_GRID, GRID_B)]
-    lines = sorted(f"{spec} {grid.graph().graph_hash()}\n"
+    lines = sorted(f"{spec} {Graph(grid).graph_hash()}\n"
                    for spec, grid in zip(specs, grids(specs)))
     assert len(lines) == WIDE_GRAPHS
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()

@@ -467,9 +467,9 @@ def test_seeded_quads_valid():
 
 
 def test_corner_quad_found():
-    g, quad = corner_kuo_quad(8, 8, 3)
+    g, quad, found = corner_kuo_quad(8, 8, 3)
     res = kuo_check(g, *quad, method="fkt")
-    assert res["equal"] and res["rhs"] > 0
+    assert res == found and res["equal"] and res["rhs"] > 0
 
 
 def test_tr_split_structure():
@@ -514,6 +514,21 @@ def test_kuo_suite_fails_on_an_oracle_mismatch(monkeypatch):
     monkeypatch.setattr(matchcount, "count_brute", off_by_one)
     with pytest.raises(AssertionError, match="oracle mismatch"):
         run_suite("kuo", SuiteConfig())
+
+
+def test_kuo_suite_checks_the_corner_quadruple_once(monkeypatch):
+    # 50 seeded quadruples and the corner one on A1:8,8,3 (246 vertices),
+    # each checked once
+    from crossdimer import harness
+    sizes = []
+
+    def spy(g, *quad, **kwargs):
+        sizes.append(len(g))
+        return kuo_check(g, *quad, **kwargs)
+
+    monkeypatch.setattr(harness, "kuo_check", spy)
+    assert run_suite("kuo", SuiteConfig()).passed
+    assert len(sizes) == 51 and sizes.count(246) == 1
 
 
 def test_run_suite_unknown():

@@ -181,7 +181,7 @@ def plan_orientations(g):
     if plan is None:
         return None
     pieces, forced = plan
-    peeled = matchcount.Grid(grid.origin, grid.occ, forced).graph().adj
+    peeled = Graph(matchcount.Grid(grid.origin, grid.occ, forced)).adj
     live = g.without(v for v, s in peeled.items() if s)
     cuts = diagonal_cuts(live)
     assert len(pieces) == (len(cuts) + 1 if len(live) else 0)
@@ -553,6 +553,24 @@ def test_too_large_applies_after_forced_reduction():
         count_fkt(g, cap=15)
     # a graph with no perfect matching counts 0 whatever its size
     assert count_fkt(grid(9, 9), cap=4) == 0
+
+
+def test_a_hand_made_graph_past_the_build_cap_is_refused():
+    # two unit squares far apart: a Grid spans their whole bounding box,
+    # so one of more than BUILD_CAP points is refused before it is made
+    def two_squares(gap):
+        return Graph(square().vertices + grid(2, 2, gap).vertices,
+                     square().edges() + grid(2, 2, gap).edges())
+
+    assert count_fkt(two_squares(10 ** 5)) == 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match=str(matchcount.BUILD_CAP)):
+            count_fkt(two_squares(10 ** 7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
 
 
 def test_det_exact_small():
