@@ -106,6 +106,12 @@ MUTANTS = [
     ("the trimmed rectangles skip the floor-sum rule", FAMILIES,
      "        check_trim_constraint(*nums)\n", "",
      "tests/test_families.py::test_trim_rect_params_constraint"),
+    # a Graph walks its edges for a non-unit step only when the tally of
+    # unit edges says there is none, so it keeps a non-unit edge unchecked
+    # and its Grid drops that edge
+    ("Graph accepts an edge that is not a unit step", MATCHCOUNT,
+     "!= sum(map(len, adj.values())):", "== sum(map(len, adj.values())):",
+     "tests/test_matchcount.py::test_faces_reject_non_unit_edge"),
     # the last term of g takes a quarter of (a - c)^2 in place of a third
     ("g_fn divides (a - c)^2 by 4", FORMULAS,
      "(a - c) ** 2 // 3", "(a - c) ** 2 // 4",

@@ -73,7 +73,15 @@ def cmd_count(args):
 
 
 def cmd_formula(args):
-    print(json.dumps(Spec.parse(args.spec).closed_form().as_dict()))
+    spec = Spec.parse(args.spec)
+    form = spec.closed_form()
+    spec.check_size()  # as count does, before the value is evaluated
+    limit = sys.get_int_max_str_digits()  # it guards parsing, not output
+    sys.set_int_max_str_digits(0)
+    try:
+        print(json.dumps(form.as_dict()))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

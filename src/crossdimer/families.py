@@ -33,10 +33,7 @@ from .lattice import (
     COMPASS, CROSS_OFFSETS, FULL_GRID, GRID_B, LatticeSpec, NonClosing,
     ragged_steps, row_spans, stacked_grids, slit_base, unit_edge_table,
 )
-from .matchcount import (
-    BUILD_CAP, Graph, Grid, NonPlanarEmbedding, _edge_keys, _refuse,
-    _weight_dict, int_array,
-)
+from .matchcount import BUILD_CAP, Graph, _edge_keys, _refuse, int_array
 
 
 class NotGridB(CrossdimerError):
@@ -165,19 +162,14 @@ WEIGHT_SYMBOLS.setflags(write=False)
 
 def cross_weightings(g, points):
     """Copies of g carrying the periodic cross weight pattern, one per
-    weight_point tuple in points: g.with_weights((w, d)) for each (w, d) that
-    cross_weighted_grids gives g's Grid, read as a dict (_weight_dict)
-    for a hand-made g, whose Grid is then made once.  An edge off the
-    cross lattice, or one that is not a unit step, raises NotGridB."""
-    try:
-        grid = g.grid or Grid.of_graph(g)
-    except NonPlanarEmbedding as exc:
-        raise NotGridB(str(exc)) from None
-    if len(off := np.flatnonzero(grid.edges & (_symbols_at(grid) < 0))):
-        (u, v), = _edge_keys(grid, off[:1])
+    weight_point tuple in points: g.with_weights((w, d)) for each (w, d)
+    that cross_weighted_grids gives g's Grid.  An edge off the cross
+    lattice raises NotGridB."""
+    if len(off := np.flatnonzero(g.grid.edges & (_symbols_at(g.grid) < 0))):
+        (u, v), = _edge_keys(g.grid, off[:1])
         raise NotGridB(f"edge {u}-{v} is not a cross-lattice edge")
-    return [g.with_weights(wd if g.grid else _weight_dict(grid, *wd))
-            for _, wd in cross_weighted_grids([grid], points)]
+    return [g.with_weights(wd)
+            for _, wd in cross_weighted_grids([g.grid], points)]
 
 
 def _symbols_at(grid):
@@ -290,6 +282,15 @@ class Spec:
     def graph(self):
         return Graph(next(grids([self])))
 
+    def check_size(self):
+        """Raise TooLarge, as building would, if the graph's box spans more
+        than BUILD_CAP points; of a build's other checks, only A and F's
+        derive_params runs."""
+        if self.head in FAMILY_HEADS:
+            family_geometry([self])
+        else:
+            _rectangle_sides(self)
+
     def closed_form(self):
         """The FactoredCount that theorem 2.1 (A and F), 1.1 (TR) or 1.3
         (TA and TB) gives, once the parameters are checked to lie in its
@@ -359,17 +360,13 @@ def family_geometry(specs):
                                      start[run] + t[:, None] * step[run]])
 
 
-def _rectangle(spec):
-    """The ints (m, n, u, v, west, top, bottom, ends) of a TR, TA, TB, AR
-    or AAR spec: a rectangle of sides m (SE) and n (NE) from its east
-    corner (u, v) = (x + y, x - y), each row one point longer west if
-    west, cut to the rows top to bottom, less every fourth point of those
-    two rows: at slit phase 3, or if ends from 3 columns in from the top
-    row's east end and the bottom row's west end.  TooLarge first if its
-    box (2m + 1)(2n + 1) exceeds BUILD_CAP, then InvalidParams on numbers
-    out of range, or HypothesisViolated off theorem 1.3's floor-sum rule."""
-    head, nums, tb = spec.head, spec.nums, spec.head == "TB"
-    u, v = ALIGN_UV["west" if tb else "east"]
+def _rectangle_sides(spec):
+    """The ints (m, n, u, v, top, bottom) of a TR, TA, TB, AR or AAR spec:
+    a rectangle of sides m (SE) and n (NE) from its east corner (u, v) =
+    (x + y, x - y), cut to the rows top to bottom.  It checks only that
+    the box (2m + 1)(2n + 1) is within BUILD_CAP (TooLarge)."""
+    head, nums = spec.head, spec.nums
+    u, v = ALIGN_UV["west" if head == "TB" else "east"]
     # the cuts are rows counted from y0, the row just below the east corner
     if head == "TR":
         a, b = nums
@@ -383,16 +380,28 @@ def _rectangle(spec):
     else:
         raise InvalidParams(f"unknown family {head!r}")
     _refuse(spec, max(2 * m + 1, 0) * max(2 * n + 1, 0))
+    y0 = (u - v - 1) // 2
+    return m, n, u, v, y0 + cuts[0], y0 + cuts[1]
+
+
+def _rectangle(spec):
+    """(m, n, u, v, west, top, bottom, ends) of a rectangle spec: its
+    _rectangle_sides, each row one point longer west if west, less every
+    fourth point of the rows top and bottom, at slit phase 3 or, if ends,
+    from 3 columns in from the top row's east end and the bottom row's
+    west end.  After _rectangle_sides' TooLarge, InvalidParams on numbers
+    out of range, or HypothesisViolated off the floor-sum rule."""
+    m, n, u, v, top, bottom = _rectangle_sides(spec)
+    head, nums = spec.head, spec.nums
     if head in ("TA", "TB"):
         if not 1 <= nums[0] <= nums[1] or min(nums[2:]) < 0:
             raise InvalidParams(f"{spec} needs 1 <= m <= n and h1, h2 >= 0")
         check_trim_constraint(*nums)
-    elif head == "TR" and (a < 1 or b < 2 * a):
-        raise InvalidParams(f"need a >= 1 and b >= 2a, got {(a, b)}")
+    elif head == "TR" and (nums[0] < 1 or nums[1] < 2 * nums[0]):
+        raise InvalidParams(f"need a >= 1 and b >= 2a, got {nums}")
     elif min(m, n) < 1:
         raise InvalidParams("m, n must be >= 1")
-    y0 = (u - v - 1) // 2
-    return (m, n, u, v, head in ("TR", "AAR"), y0 + cuts[0], y0 + cuts[1],
+    return (m, n, u, v, head in ("TR", "AAR"), top, bottom,
             head in ("TA", "TB"))
 
 

@@ -124,6 +124,8 @@ class CountCache:
                             f"{self.path}: line {no}: {exc}") from None
 
     def _absorb(self, key, count):
+        if not (type(count) is str and count.isascii() and count.isdigit()):
+            raise CacheCorrupt(f"count {count!r} is not decimal digits")
         if key in self.mem and self.mem[key] != count:
             raise CacheCorrupt(
                 f"conflicting counts for {key}: {self.mem[key]} vs {count}")

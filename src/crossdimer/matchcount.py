@@ -63,25 +63,23 @@ class Graph:
 
     Vertices are (x, y) tuples; the bipartition is by (x + y) parity.
     adj maps each vertex, in sorted order, to its set of neighbours.
-    Edge weights default to 1 and are stored sparsely as exact Fractions
-    (or ints) only where they differ from 1.  No Graph changes its
-    structure after construction, so weighted copies share it
-    (with_weights).
+    Edge weights default to 1 and are exact Fractions (or ints) only
+    where they differ from 1.
 
-    A Graph is made in one of two ways.  Graph(vertices, edges, weights)
-    checks every edge and weight.  Graph(grid) keeps the Grid as grid,
-    whose arrays hold only unit edges between occupied cells, and reads
-    vertices and adj from it (Grid.vertices_adj) when either is first
-    read; a hand-made Graph's grid is None.  A copy of a built Graph may
-    carry its weights as grid_weights, a pair (w, d) that weights the Grid
-    as count_many does, and make the weights dict from it when that is
-    first read; otherwise grid_weights is None.
+    Every Graph keeps its structure as grid, a Grid of unit edges, which
+    weighted copies share (with_weights).  Graph(vertices, edges, weights)
+    checks every edge and weight and makes its Grid once (Grid.of_adj);
+    Graph(grid) reads vertices and adj from the Grid (Grid.vertices_adj)
+    when either is first read.  The weights are stored as grid_weights,
+    (w, d) as count_many weights a Grid, or None when all are 1; the
+    weights dict is the checked one given, or is made from grid_weights
+    when first read (_weight_dict).
     """
 
     __slots__ = ("vertices", "adj", "weights", "grid", "grid_weights")
 
     def __init__(self, vertices, edges=(), weights=None):
-        self.grid = self.grid_weights = None
+        self.grid_weights = None
         if isinstance(vertices, Grid):
             self.grid, self.weights = vertices, {}
             return
@@ -98,14 +96,12 @@ class Graph:
                 adj[v].add(u)
             else:
                 raise ValueError(f"edge {u}-{v} joins same parity class")
-        self.adj = adj
-        self.weights = _checked_weights(self, weights)
+        self.adj, self.grid = adj, Grid.of_adj(adj)
+        self.weights, self.grid_weights = _checked_weights(self, weights)
 
     def __getattr__(self, name):
-        # only an unset slot gets here: a built Graph's vertices and adj,
-        # and the weights of a copy with grid_weights, before their first
-        # read
-        if name in ("vertices", "adj") and self.grid is not None:
+        # only an unset slot gets here, before it is first decoded
+        if name in ("vertices", "adj"):
             self.vertices, self.adj = self.grid.vertices_adj()
         elif name == "weights" and self.grid_weights is not None:
             self.weights = _weight_dict(self.grid, *self.grid_weights)
@@ -116,7 +112,7 @@ class Graph:
     # -- basic accessors ------------------------------------------------
 
     def __len__(self):
-        return len(self.vertices) if self.grid is None else self.grid.n
+        return self.grid.n
 
     def edges(self):
         return [(u, v) for u in self.vertices for v in self.adj[u] if u < v]
@@ -144,19 +140,14 @@ class Graph:
     def with_weights(self, weights):
         """This graph with the given edge weights in place of its own: a
         dict, checked as Graph checks one, or (w, d) as count_many weights
-        a Grid, kept as grid_weights where self keeps one and else read as
-        a dict (_weight_dict).  The copy shares self's structure, its grid
-        or else its vertices and adj; no edge is checked again."""
+        a Grid, kept as grid_weights.  The copy shares self's Grid and
+        reads its vertices and adj from it; no edge is checked again."""
         g = Graph.__new__(Graph)
-        g.grid, g.grid_weights = self.grid, None
-        if type(weights) is tuple and self.grid is None:
-            weights = _weight_dict(Grid.of_graph(self), *weights)
+        g.grid = self.grid
         if type(weights) is tuple:
             g.grid_weights = weights
         else:
-            g.weights = _checked_weights(self, weights)
-        if self.grid is None:
-            g.vertices, g.adj = self.vertices, self.adj
+            g.weights, g.grid_weights = _checked_weights(self, weights)
         return g
 
     # -- canonical serialization ------------------------------------------
@@ -177,11 +168,11 @@ class Graph:
 
 
 def _checked_weights(g, weights):
-    """The weights that differ from 1, keyed by edge_key.  A weight on a
-    pair that is not an edge of g, one that is not an int or a Fraction
-    (bool is not allowed), or one that is not above 0 raises ValueError
-    naming the pair: the counts are |det|, which is the weighted count
-    only for positive weights."""
+    """The weights that differ from 1, keyed by edge_key, and their (w, d)
+    on g.grid (_edge_weights; None if there are none).  A weight on a pair
+    that is not an edge of g, one that is not an int or a Fraction (bool
+    is not allowed), or one that is not above 0 raises ValueError naming
+    the pair: counts are |det|, the weighted count for positive ones."""
     out = {}
     for (u, v), w in (weights or {}).items():
         if v not in g.adj.get(u, ()):
@@ -194,7 +185,7 @@ def _checked_weights(g, weights):
             raise ValueError(f"weight {w} on {u}-{v} is not positive")
         if w != 1:
             out[edge_key(u, v)] = w
-    return out
+    return out, _edge_weights(g.grid, out) if out else None
 
 
 class Grid:
@@ -214,22 +205,24 @@ class Grid:
         self.n = int(np.count_nonzero(occ))
 
     @classmethod
-    def of_graph(cls, g):
-        """g's structure: the Grid that g keeps, or else one built from
-        adj, which raises NonPlanarEmbedding unless every edge of g is a
-        unit step, and TooLarge before any array of its bounding box is
-        made if that box spans more than BUILD_CAP points."""
-        if g.grid is not None:
-            return g.grid
-        n = len(g.adj)
-        pts = np.fromiter(chain.from_iterable(g.adj), np.int64,
+    def of_adj(cls, adj):
+        """The Grid of a Graph's adj.  It raises NonPlanarEmbedding unless
+        every edge is a unit step, and TooLarge before any array of its
+        bounding box is made if that box spans more than BUILD_CAP
+        points."""
+        n = len(adj)
+        pts = np.fromiter(chain.from_iterable(adj), np.int64,
                           2 * n).reshape(n, 2)
         east, north = (np.fromiter(((x + dx, y + dy) in s
-                                    for (x, y), s in g.adj.items()), bool, n)
+                                    for (x, y), s in adj.items()), bool, n)
                        for dx, dy in ((1, 0), (0, 1)))
         # each unit edge is found once, at its lower-left end
-        if 2 * (east.sum() + north.sum()) != sum(map(len, g.adj.values())):
-            _require_unit_steps(g)
+        if 2 * (east.sum() + north.sum()) != sum(map(len, adj.values())):
+            for (x, y), s in adj.items():
+                for u, v in s:
+                    if abs(u - x) + abs(v - y) != 1:
+                        raise NonPlanarEmbedding(
+                            f"edge {(x, y)}-{(u, v)} is not a unit step")
         lo = pts.min(0) if n else np.zeros(2, dtype=np.int64)
         shape = tuple((pts.max(0) - lo + 1).tolist()) if n else (0, 0)
         _refuse(f"a graph of {n} vertices", prod(shape))
@@ -256,8 +249,8 @@ class Grid:
 
 
 def _edge_weights(grid, weights):
-    """A Graph's weights on its structure grid, as count_many weights a
-    Grid: (w, d), d the lcm of their denominators (an edge with none: 1)."""
+    """A Graph's weights dict on its grid, as count_many weights a Grid:
+    (w, d), d the lcm of their denominators (an edge with none: 1)."""
     d = lcm(*(t.denominator for t in weights.values()))
     vals = int_array([d] + [t.numerator * (d // t.denominator)
                             for t in weights.values()])
@@ -333,10 +326,9 @@ def reduce_forced(g):
     Returns (reduced graph, multiplier): M(g) = multiplier * M(reduced).
     With nothing forced, g itself comes back with multiplier 1.  A vertex
     left isolated, or claimed by two degree-1 vertices, short-circuits to
-    (empty graph, 0).  An edge that is not a unit step raises
-    NonPlanarEmbedding.
+    (empty graph, 0).
     """
-    grid = Grid.of_graph(g)
+    grid = g.grid
     occ, edges = grid.occ.ravel().copy(), grid.edges.ravel().copy()
     forced, bad = _peel(occ, edges, grid.occ.shape[1])
     if bad.any():
@@ -353,8 +345,9 @@ def reduce_forced(g):
 
 def count_brute(g, cap=BRUTE_CAP):
     """Exact weighted matching count by a transfer matrix over g's vertices
-    in sorted order.  It reads g.vertices, g.adj and g.weight alone, so it
-    shares no code with the FKT count and takes any bipartite graph.
+    in sorted order.  It reads len(g), g.vertices, g.adj and g.weight
+    alone, so it shares no code with the FKT count and takes any bipartite
+    graph that offers them, a Graph or another object (K_{3,3}, say).
 
     A state is the set of later vertices already matched to earlier ones,
     as a bitmask of their places in the order, and it carries the weighted
@@ -396,19 +389,8 @@ def _exact(t):
 _CCW_RANK = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
 
 
-def _require_unit_steps(g):
-    """Raise NonPlanarEmbedding unless every edge of g is a unit step of
-    Z^2: face tracing and the sign rule of _flips cover no other."""
-    for (x, y), s in g.adj.items():
-        for u, v in s:
-            if abs(u - x) + abs(v - y) != 1:
-                raise NonPlanarEmbedding(
-                    f"edge {(x, y)}-{(u, v)} is not a unit step")
-
-
 def _sorted_rotations(g):
     """Neighbors of each vertex in counterclockwise order (E, N, W, S)."""
-    _require_unit_steps(g)
     return {v: sorted(g.adj[v],
                       key=lambda u: _CCW_RANK[u[0] - v[0], u[1] - v[1]])
             for v in g.vertices}
@@ -957,31 +939,26 @@ def _plan(grids, cap):
 
 def count_many(graphs, cap=FKT_CAP):
     """Exact matching counts of graphs, in order, by Pfaffian orientations
-    and exact determinants.  Each is a Graph, a Grid, or a weighted Grid
-    (grid, (w, d)), whose edge at flat index k of grid.edges weighs
-    w.ravel()[k] / d, for w a signed integer or object array of ints.
+    and exact determinants.  Each is a Grid, a weighted Grid (grid, (w,
+    d)), whose edge at flat index k of grid.edges weighs w.ravel()[k] / d
+    for w a signed integer or object array of ints, or a Graph, read as
+    its grid weighted by its grid_weights (if not None).
 
-    Consecutive items that share one structure (a Grid, bare or kept by a
-    Graph, or a hand-made Graph's adj) share one Grid.  A Graph's weights
-    are its grid_weights, or else become such a (w, d) once.  The Grids
-    are sorted by size into chunks of about _CHUNK copies, each planned by
+    Consecutive items that share one Grid share its plan.  The Grids are
+    sorted by size into chunks of about _CHUNK copies, each planned by
     one _plan and eliminated by one _dets_exact, with each piece of a
     graph (_plan) as a matrix of its own.  A weighted count is the forced
     edges' weight product times the product of the pieces' |det(signs *
-    w)|, over d^(rows + forced edges).  A non-unit edge raises
-    NonPlanarEmbedding, even on a forced edge, and a graph left with more
-    than cap vertices after forced-edge reduction raises TooLarge.
+    w)|, over d^(rows + forced edges).  A graph left with more than cap
+    vertices after forced-edge reduction raises TooLarge.
     """
-    grids, copies, last = [], [], None  # structures; their (item, weights)
+    grids, copies = [], []  # structures; their (item, weights)
     for i, g in enumerate(graphs):
-        g, w = g if isinstance(g, tuple) else (g, None)
-        key = g if isinstance(g, Grid) else g.grid or g.adj
-        if key is not last:
-            last = key
-            grids.append(Grid.of_graph(g) if isinstance(g, Graph) else g)
+        g, w = (g.grid, g.grid_weights) if isinstance(g, Graph) else \
+            g if isinstance(g, tuple) else (g, None)
+        if not grids or g is not grids[-1]:
+            grids.append(g)
             copies.append([])
-        if isinstance(g, Graph) and (g.grid_weights or g.weights):
-            w = g.grid_weights or _edge_weights(grids[-1], g.weights)
         copies[-1].append((i, w))
     counts = [0] * sum(map(len, copies))
     order = sorted(range(len(grids)), key=lambda j: grids[j].n)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,55 @@ def test_formula_command(capsys):
     # inside theorem 1.3 (the theorem13 suite counts it as 5)
     assert main(["formula", "TA:1,1,0,0"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == "5"
+
+
+def formula(spec):
+    """crossdimer formula spec run as a command, with a 10 s timeout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "crossdimer.cli", "formula", spec],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": src})
+
+
+def test_formula_prints_a_long_value_within_the_cap():
+    # A1:120,120,0 spans 228484 points, within the build cap, and its
+    # value has 4776 digits, past the interpreter's default str limit
+    from crossdimer.formulas import phi
+
+    run = formula("A1:120,120,0")
+    assert run.returncode == 0 and run.stderr == ""
+    got = json.loads(run.stdout)["value"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(phi(1, 120, 120, 0).value())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(got) == 4776 and got == want
+
+
+def test_formula_refuses_a_spec_past_the_cap_as_count_does(capsys):
+    # its value, 5^(3 * 10^15) and more, would never be printed
+    run = formula("A1:99999999,99999999,0")
+    assert run.returncode == 2 and run.stdout == ""
+    assert len(run.stderr.splitlines()) == 1
+    assert main(["count", "A1:99999999,99999999,0"]) == 2
+    assert run.stderr == capsys.readouterr().err
+    assert "build cap of 1048576" in run.stderr
+
+
+def test_cache_lines_whose_count_is_not_decimal_digits_exit_2(capsys,
+                                                                tmp_path):
+    # such a line would be read as a count, or end the suite in int()
+    cache, config = tmp_path / "cache.jsonl", tmp_path / "config.json"
+    config.write_text(json.dumps({"cache_path": str(cache)}))
+    for count in ("abc", "1.5", [1], "-5"):
+        cache.write_text(json.dumps({"key": "k", "count": count}) + "\n")
+        assert main(["verify", "theorem13", "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert f"line 1: count {count!r} is not decimal digits" in err
 
 
 def test_gen_command(capsys, tmp_path):

@@ -7,7 +7,9 @@ from crossdimer.families import (
     build_augmented_aztec, derive_params, weight_point, Spec,
 )
 from crossdimer.lattice import FULL_GRID, GRID_B
-from crossdimer.matchcount import Graph, Grid, count_brute, count_fkt
+from crossdimer.matchcount import (
+    Graph, Grid, NonPlanarEmbedding, count_brute, count_fkt,
+)
 
 
 def moved(g, fn):
@@ -129,15 +131,14 @@ def test_built_graphs_count_from_their_grid(monkeypatch):
         made.clear()
         g = build()
         assert made == [1]
-        assert Grid.of_graph(g) is g.grid
         assert count_fkt(g) == want
 
 
 def test_built_graphs_read_like_eager_graphs():
     # the vertices and adj that a built Graph makes on first read are
     # those of Graph(vertices, edges), which checks every edge, on one
-    # spec per head on each lattice it lies on; and the eager graph's
-    # Grid is the kept one
+    # spec per head on each lattice it lies on; and the Grid that the
+    # eager graph makes of its adj has the kept one's arrays
     import numpy as np
 
     specs = [Spec(f"{kind}{i}", (5, 8, 4), lat) for kind in "AF"
@@ -150,13 +151,13 @@ def test_built_graphs_read_like_eager_graphs():
         g = spec.graph()
         n = len(g)  # from the Grid, before any dict exists
         eager = Graph(g.vertices, g.edges())
-        assert eager.grid is None and g.grid is not None
+        assert eager.grid is not g.grid
         assert n == len(g) == len(eager) == g.grid.n, str(spec)
         assert g.vertices == eager.vertices and g.adj == eager.adj
         assert sorted(g.edges()) == sorted(eager.edges())
         assert g.to_json() == eager.to_json()
         assert g.is_balanced() == eager.is_balanced()
-        grid = Grid.of_graph(eager)
+        grid = eager.grid
         assert grid.origin == g.grid.origin
         assert np.array_equal(grid.occ, g.grid.occ)
         assert np.array_equal(grid.edges, g.grid.edges)
@@ -164,17 +165,18 @@ def test_built_graphs_read_like_eager_graphs():
 
 def test_weighted_copies_keep_the_grid():
     # cross-weighted and with_weights copies of a built Graph share its
-    # Grid, and count as the copies of its eager twin do
+    # Grid, as those of its eager twin share the twin's, and they count
+    # alike
     from fractions import Fraction
 
     g = build_A(1, 4, 4, 2)
     plain = g.with_weights({})
-    assert plain.grid is g.grid and Grid.of_graph(plain) is g.grid
+    assert plain.grid is g.grid and plain.grid_weights is None
     eager = Graph(g.vertices, g.edges())
     for w in (weight_point(3, 5, 7), weight_point(1, 1, 1),
               weight_point(Fraction(1, 2), 3, 1)):
         got, want = assign_cross_weights(g, w), assign_cross_weights(eager, w)
-        assert got.grid is g.grid and want.grid is None
+        assert got.grid is g.grid and want.grid is eager.grid
         assert got.adj == g.adj and got.weights == want.weights
         assert count_fkt(got) == count_fkt(want)
     # a weight is checked against the edges of a built Graph too
@@ -188,10 +190,13 @@ def test_weighted_copies_keep_the_grid():
 
 def test_cross_weights_on_a_built_graph_come_from_its_grid(monkeypatch):
     # on one spec per head of the cross lattice, a cross-weighted copy of
-    # the built Graph carries its Grid's (w, d): counting it builds
-    # neither the edges, nor the weights dict, nor weight arrays from one,
-    # and it serialises and counts as the copy of its eager twin does
+    # the built Graph carries its Grid's (w, d), as the copy of its eager
+    # twin carries the twin's: counting it builds neither the edges, nor
+    # the weights dict, nor weight arrays from one, and it serialises and
+    # counts as the twin's copy does
     from fractions import Fraction
+
+    import numpy as np
 
     from crossdimer import matchcount
 
@@ -216,7 +221,9 @@ def test_cross_weights_on_a_built_graph_come_from_its_grid(monkeypatch):
     for j, (g, n) in enumerate(zip(copies, counts)):
         spec, w = specs[j // len(points)], points[j % len(points)]
         eager = assign_cross_weights(Graph(g.vertices, g.edges()), w)
-        assert g.grid_weights is not None and eager.grid_weights is None
+        assert g.grid_weights is not None and eager.grid_weights is not None
+        assert all(np.array_equal(a, b) for a, b in zip(g.grid_weights,
+                                                         eager.grid_weights))
         assert g.to_json() == eager.to_json(), str(spec)
         assert g.graph_hash() == eager.graph_hash()
         assert g.weights == eager.weights
@@ -323,10 +330,10 @@ def test_horizontal_reflection_count_identities():
 def test_double_reflection_is_translation():
     # a mirror, shifted by a period of the cross lattice and mirrored back,
     # has g's arrays at another origin
-    g = Grid.of_graph(build_A(1, 2, 2, 0))
+    g = build_A(1, 2, 2, 0).grid
     for fn in (mirror_x, mirror_y):
-        h = Grid.of_graph(moved(moved(moved(Graph(g), fn),
-                                      lambda p: (p[0] + 4, p[1] + 4)), fn))
+        h = moved(moved(moved(Graph(g), fn),
+                        lambda p: (p[0] + 4, p[1] + 4)), fn).grid
         assert (g.occ == h.occ).all() and (g.edges == h.edges).all()
         assert h.origin != g.origin
 
@@ -365,8 +372,8 @@ def test_weights_reject_full_grid():
 
 def test_cross_weights_on_a_hand_made_graph_never_walk_its_edges(
         monkeypatch):
-    # a hand-made graph is cross-weighted from the Grid of its adj, as a
-    # built one is from the Grid it keeps, and its copies stay hand-made
+    # a hand-made graph is cross-weighted from the Grid it made of its adj,
+    # as a built one is from the Grid it keeps, and its copies share it
     from fractions import Fraction
 
     from crossdimer.families import cross_weightings
@@ -383,39 +390,44 @@ def test_cross_weights_on_a_hand_made_graph_never_walk_its_edges(
         m.setattr(Graph, "edges", refuse)
         got = cross_weightings(twin, points)
     for copy, built in zip(got, want):
-        assert copy.grid is None and copy.grid_weights is None
-        assert copy.adj is twin.adj and copy.weights == built.weights
+        assert copy.grid is twin.grid and copy.grid_weights is not None
+        assert copy.adj == twin.adj and copy.weights == built.weights
         assert count_fkt(copy) == count_fkt(built)
 
 
 def test_cross_weights_on_a_hand_made_graph_build_its_grid_once(
         monkeypatch):
-    # the Grid that cross_weightings makes of a hand-made graph's adj also
-    # reads each copy's weights, so no copy builds one again
+    # a hand-made graph makes its Grid once, when it is made: neither
+    # cross_weightings nor the counts of its copies make another
     from crossdimer.families import cross_weightings
+    from crossdimer.matchcount import count_many
 
     g = build_A(1, 9, 8, 2)
-    twin = Graph(g.vertices, g.edges())
     points = [weight_point(3, 5, 7), weight_point(5, 7, 3),
               weight_point(7, 3, 5), weight_point(3, 5, 11)]
     built = []
-    of_graph = Grid.of_graph.__func__
+    of_adj = Grid.of_adj.__func__
 
-    def spy(cls, graph):
-        built.append(graph.grid is None)
-        return of_graph(cls, graph)
+    def spy(cls, adj):
+        built.append(len(adj))
+        return of_adj(cls, adj)
 
-    monkeypatch.setattr(Grid, "of_graph", classmethod(spy))
+    monkeypatch.setattr(Grid, "of_adj", classmethod(spy))
+    twin = Graph(g.vertices, g.edges())
+    assert built == [len(g)]
     got = cross_weightings(twin, points)
-    assert built == [True]
-    for copy, want in zip(got, cross_weightings(g, points)):
-        assert copy.weights == want.weights
+    want = cross_weightings(g, points)
+    assert count_many(got) == count_many(want)
+    assert built == [len(g)]
+    for copy, other in zip(got, want):
+        assert copy.weights == other.weights
 
 
 def test_cross_weights_reject_an_edge_that_is_not_a_unit_step():
-    g = Graph([(0, 0), (1, 0), (0, 3)], [((0, 0), (1, 0)), ((0, 0), (0, 3))])
-    with pytest.raises(NotGridB, match=r"\(0, 0\)-\(0, 3\) is not a unit"):
-        assign_cross_weights(g, weight_point(1, 1, 1))
+    # such a graph is refused when it is made, before it can be weighted
+    with pytest.raises(NonPlanarEmbedding,
+                       match=r"\(0, 0\)-\(0, 3\) is not a unit"):
+        Graph([(0, 0), (1, 0), (0, 3)], [((0, 0), (1, 0)), ((0, 0), (0, 3))])
 
 
 def test_spec_names_each_family_once():
@@ -490,7 +502,7 @@ def test_grids_batch_equals_each_spec_built_alone(specs):
     batch = list(grids(specs))
     assert len(batch) == len(specs)
     for spec, grid in zip(specs, batch):
-        for other in (next(grids([spec])), Grid.of_graph(spec.graph())):
+        for other in (next(grids([spec])), spec.graph().grid):
             assert grid.origin == other.origin
             assert np.array_equal(grid.occ, other.occ)
             assert np.array_equal(grid.edges, other.edges)

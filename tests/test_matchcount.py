@@ -66,7 +66,8 @@ def test_graph_rejects_bad_weights():
             Graph(sq.vertices, sq.edges(), {pair: w})
     g = sq.with_weights({((1, 0), (0, 0)): Fraction(2), ((0, 1), (1, 1)): 1})
     assert g.weights == {((0, 0), (1, 0)): 2}
-    assert g.adj is sq.adj and g.vertices is sq.vertices
+    assert g.grid is sq.grid
+    assert g.adj == sq.adj and g.vertices == sq.vertices
     # an integral weighted count is an int from both methods
     assert count_brute(g) == count_fkt(g) == 3
     assert type(count_brute(g)) is type(count_fkt(g)) is int
@@ -114,18 +115,37 @@ def test_brute_cap():
         count_brute(g, cap=10)
 
 
+class Bare:
+    """A graph as count_brute reads one, with no Grid: its sorted vertices,
+    adj, weight and len, every weight 1."""
+
+    def __init__(self, edges):
+        self.adj = {}
+        for u, v in edges:
+            self.adj.setdefault(u, set()).add(v)
+            self.adj.setdefault(v, set()).add(u)
+        self.vertices = tuple(sorted(self.adj))
+
+    def __len__(self):
+        return len(self.vertices)
+
+    def weight(self, u, v):
+        return 1
+
+
 def test_brute_counts_known_graphs():
     # the 2 x 20 ladder is counted both ways up: the transfer matrix walks
     # the longer side either way
     corner = grid(7, 7).without([(0, 0)])
-    k33 = Graph([(x, 0) for x in range(6)],
-                [((a, 0), (b, 0)) for a in (0, 2, 4) for b in (1, 3, 5)])
+    k33 = [((a, 0), (b, 0)) for a in (0, 2, 4) for b in (1, 3, 5)]
     for g, want in ((grid(8, 8), 12988816), (corner, 100352),
-                    (grid(2, 20), 10946), (grid(20, 2), 10946), (k33, 6)):
+                    (grid(2, 20), 10946), (grid(20, 2), 10946),
+                    (Bare(k33), 6)):
         assert count_brute(g, cap=len(g)) == want
-    # K_{3,3} drawn on a line has edges that are not unit steps
+    # K_{3,3} drawn on a line has edges that are not unit steps, so it is
+    # no Graph
     with pytest.raises(NonPlanarEmbedding):
-        count_fkt(k33)
+        Graph([(x, 0) for x in range(6)], k33)
 
 
 def test_brute_runs_none_of_the_fkt_code(monkeypatch):
@@ -134,15 +154,15 @@ def test_brute_runs_none_of_the_fkt_code(monkeypatch):
     )
     cross = assign_cross_weights(build_A(1, 2, 2, 0), weight_point(3, 5, 7))
     want = count_fkt(cross)
+    (sq,) = weighted_squares((Fraction(1, 2), Fraction(1, 3), 5))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle ran a step of the FKT count")
 
-    monkeypatch.setattr(matchcount.Grid, "of_graph", refuse)
+    monkeypatch.setattr(matchcount.Grid, "of_adj", refuse)
     for name in ("_peel", "_flips", "_det_residues", "_edge_weights"):
         monkeypatch.setattr(matchcount, name, refuse)
     # {bottom, top} and {left, right}
-    (sq,) = weighted_squares((Fraction(1, 2), Fraction(1, 3), 5))
     assert count_brute(sq, cap=len(sq)) == Fraction(1, 6) + 5
     assert count_brute(cross, cap=len(cross)) == want
 
@@ -176,7 +196,7 @@ def plan_orientations(g):
     live vertices are those that no forced edge covers, and the pieces lie
     between the levels of diagonal_cuts.  None when g has no perfect
     matching."""
-    grid = matchcount.Grid.of_graph(g)
+    grid = g.grid
     (plan,) = matchcount._plan([grid], len(g))
     if plan is None:
         return None
@@ -445,12 +465,30 @@ def test_count_many_shares_plans_across_weightings(batch):
     assert count_many(batch) == [count_brute(x, cap=len(x)) for x in batch]
 
 
+def test_hand_made_weights_are_put_on_the_grid_once(monkeypatch):
+    # a hand-made weighted Graph stores its weights as grid_weights when it
+    # is made: counting it, or a copy with the same weights, reads them as
+    # they are, and serialising it reads the dict it was given
+    sq = Graph(square().vertices, square().edges(),
+               {((0, 0), (1, 0)): Fraction(1, 2), ((0, 0), (0, 1)): 3})
+    copy = square().with_weights(sq.weights)
+
+    def refuse(*args):
+        raise AssertionError("the weights were put on the Grid again")
+
+    monkeypatch.setattr(matchcount, "_edge_weights", refuse)
+    monkeypatch.setattr(matchcount, "_weight_dict", refuse)
+    # {bottom, top} and {left, right}
+    assert count_many([sq, copy]) == [Fraction(7, 2)] * 2
+    assert count_brute(sq) == Fraction(1, 2) + 3
+    assert '"weights":[[0,1,"3"],[0,2,"1/2"]]' in sq.to_json()
+
+
 def test_count_many_weights_beyond_int64():
     # the object-array fallback: the exact count, with no wrap-around
     (big,) = weighted_squares((Fraction(2 ** 40, 3), Fraction(1, 2 ** 40),
                                2 ** 62))
-    w, d = matchcount._edge_weights(matchcount.Grid.of_graph(big),
-                                    big.weights)
+    w, d = big.grid_weights
     assert w.dtype == object and d == 3 * 2 ** 40
     # {bottom, top} and {left, right}
     assert count_many([big]) == [Fraction(1, 3) + 2 ** 62] == \
@@ -480,7 +518,7 @@ def test_count_many_plans_each_structure_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    spy(matchcount.Grid, "of_graph", "grid")
+    spy(matchcount.Grid, "of_adj", "grid")
     spy(Graph, "__init__", "Graph")
     spy(LatticeSpec, "edge_offset", "edge_offset")
     plan = matchcount._plan
@@ -491,16 +529,17 @@ def test_count_many_plans_each_structure_once(monkeypatch):
 
     monkeypatch.setattr(matchcount, "_plan", plan_spy)
     assert count_many(cross_weightings(g, points)) == want
-    # the four weightings share one structure, planned once; the weight
-    # symbols come from the residue table, with no edge_offset lookups
+    # the four weightings share one structure, planned once, and no Grid
+    # is made; the weight symbols come from the residue table, with no
+    # edge_offset lookups
     assert planned == [1]
-    assert calls == {"grid": 1}
+    assert not calls
     # the conjecture path counts the weightings of the family's point set
     # on its Grid, with no Graph
     calls.clear()
     assert _weighted_counts([Spec("A1", (4, 4, 2))], pts, FKT_CAP) == [want]
     assert planned == [1, 1]
-    assert not calls  # no Graph.__init__, Grid.of_graph or edge_offset
+    assert not calls  # no Graph.__init__, Grid.of_adj or edge_offset
 
 
 def unmatchable():
@@ -1061,12 +1100,12 @@ def test_faces_start_at_least_dart_in_order():
 
 
 def test_faces_reject_non_unit_edge():
-    g = Graph([(0, 0), (1, 0), (0, 1), (2, 2)],
+    # face tracing and the sign rule cover unit steps only, so a Graph
+    # with another edge is refused when it is made, naming the edge
+    with pytest.raises(NonPlanarEmbedding,
+                       match=r"\(1, 0\)-\(2, 2\) is not a unit step"):
+        Graph([(0, 0), (1, 0), (0, 1), (2, 2)],
               [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (2, 2))])
-    with pytest.raises(NonPlanarEmbedding):
-        planar_faces(g)
-    with pytest.raises(NonPlanarEmbedding):
-        count_fkt(g)
 
 
 @settings(max_examples=40, deadline=None)
