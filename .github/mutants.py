@@ -112,6 +112,18 @@ MUTANTS = [
     ("Graph accepts an edge that is not a unit step", MATCHCOUNT,
      "!= sum(map(len, adj.values())):", "== sum(map(len, adj.values())):",
      "tests/test_matchcount.py::test_faces_reject_non_unit_edge"),
+    # a subgraph's mask keeps the north edge from a kept vertex into a
+    # dropped one
+    ("the mask keeps north edges into a dropped vertex", MATCHCOUNT,
+     "        edges[1, :, :-1] &= occ[:, 1:]\n", "",
+     "tests/test_matchcount.py::"
+     "test_masked_subgraphs_are_the_constructors_graphs"),
+    # split_check takes the class of a crossing edge's lower-left end,
+    # whichever of its ends lies in H
+    ("split_check reads the class of each crossing edge's lower-left end",
+     MATCHCOUNT, "(cls == in_h)[cross]", "cls[cross]",
+     "tests/test_matchcount.py::"
+     "test_split_check_gives_the_edge_walks_verdicts"),
     # the last term of g takes a quarter of (a - c)^2 in place of a third
     ("g_fn divides (a - c)^2 by 4", FORMULAS,
      "(a - c) ** 2 // 3", "(a - c) ** 2 // 4",

@@ -15,7 +15,7 @@ import sys
 
 from .errors import CrossdimerError
 from .families import (
-    FAMILY_HEADS, GRID_B, Spec, InvalidParams, assign_cross_weights,
+    FAMILY_HEADS, GRID_B, Spec, InvalidParams, assign_cross_weights, grids,
     weight_point,
 )
 from .harness import (
@@ -75,7 +75,7 @@ def cmd_count(args):
 def cmd_formula(args):
     spec = Spec.parse(args.spec)
     form = spec.closed_form()
-    spec.check_size()  # as count does, before the value is evaluated
+    next(grids([spec]))  # refuses what count refuses, before the value
     limit = sys.get_int_max_str_digits()  # it guards parsing, not output
     sys.set_int_max_str_digits(0)
     try:

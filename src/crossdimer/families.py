@@ -209,13 +209,6 @@ SPEC_PARAMS = {**dict.fromkeys(FAMILY_HEADS, "a,b,c"), "TR": "a,b",
 LATTICE_TAGS = {"full": FULL_GRID, "b": GRID_B, "cross": GRID_B}
 
 
-def _trim_sides(variant, m, n):
-    """The sides (SE, NE) of the rotated rectangle that the TA or TB spec
-    with these m and n trims: 2m and 2n, less 1 each for TB."""
-    tb = variant == "TB"
-    return 2 * m - tb, 2 * n - tb
-
-
 def check_trim_domain(variant, m, n, h1, h2):
     """Raise HypothesisViolated unless theorem 1.3 covers this trimmed
     rectangle: its core triple must be a valid family triple, and neither
@@ -225,7 +218,7 @@ def check_trim_domain(variant, m, n, h1, h2):
         derive_params(*trim_rect_triple(m, n, h1, h2, variant))
     except InvalidParams as exc:
         raise HypothesisViolated(f"{spec} has no valid core: {exc}") from None
-    short_side = _trim_sides(variant, m, n)[0]
+    short_side = 2 * m - (variant == "TB")  # its rectangle's SE side
     if h1 >= short_side or h2 >= short_side:
         raise HypothesisViolated(
             f"{spec}: a cut leaves its corner (side {short_side})")
@@ -281,15 +274,6 @@ class Spec:
 
     def graph(self):
         return Graph(next(grids([self])))
-
-    def check_size(self):
-        """Raise TooLarge, as building would, if the graph's box spans more
-        than BUILD_CAP points; of a build's other checks, only A and F's
-        derive_params runs."""
-        if self.head in FAMILY_HEADS:
-            family_geometry([self])
-        else:
-            _rectangle_sides(self)
 
     def closed_form(self):
         """The FactoredCount that theorem 2.1 (A and F), 1.1 (TR) or 1.3
@@ -360,11 +344,16 @@ def family_geometry(specs):
                                      start[run] + t[:, None] * step[run]])
 
 
-def _rectangle_sides(spec):
-    """The ints (m, n, u, v, top, bottom) of a TR, TA, TB, AR or AAR spec:
-    a rectangle of sides m (SE) and n (NE) from its east corner (u, v) =
-    (x + y, x - y), cut to the rows top to bottom.  It checks only that
-    the box (2m + 1)(2n + 1) is within BUILD_CAP (TooLarge)."""
+def _rectangle(spec):
+    """(m, n, u, v, west, top, bottom, ends) of a TR, TA, TB, AR or AAR
+    spec: a rectangle of sides m (SE) and n (NE) from its east corner
+    (u, v) = (x + y, x - y), each row one point longer west if west, cut
+    to the rows top to bottom, less every fourth point of the rows top
+    and bottom, at slit phase 3 or, if ends, from 3 columns in from the
+    top row's east end and the bottom row's west end.  It raises TooLarge
+    if the box (2m + 1)(2n + 1) spans more than BUILD_CAP points, then
+    InvalidParams on numbers out of range, or HypothesisViolated off the
+    floor-sum rule."""
     head, nums = spec.head, spec.nums
     u, v = ALIGN_UV["west" if head == "TB" else "east"]
     # the cuts are rows counted from y0, the row just below the east corner
@@ -372,7 +361,8 @@ def _rectangle_sides(spec):
         a, b = nums
         m, n, cuts = 2 * b + 2 * a - 2, 2 * b + 4 * a - 2, (2 * a, 1 - 4 * a)
     elif head in ("TA", "TB"):
-        m, n = _trim_sides(head, *nums[:2])
+        # sides 2m and 2n, less 1 each for TB
+        m, n = (2 * t - (head == "TB") for t in nums[:2])
         cuts = (m - nums[2], 1 - n + nums[3])
     elif head in ("AR", "AAR"):
         m, n, cuts = *nums, (nums[0] + 1, -nums[1])  # each past an end
@@ -380,19 +370,6 @@ def _rectangle_sides(spec):
     else:
         raise InvalidParams(f"unknown family {head!r}")
     _refuse(spec, max(2 * m + 1, 0) * max(2 * n + 1, 0))
-    y0 = (u - v - 1) // 2
-    return m, n, u, v, y0 + cuts[0], y0 + cuts[1]
-
-
-def _rectangle(spec):
-    """(m, n, u, v, west, top, bottom, ends) of a rectangle spec: its
-    _rectangle_sides, each row one point longer west if west, less every
-    fourth point of the rows top and bottom, at slit phase 3 or, if ends,
-    from 3 columns in from the top row's east end and the bottom row's
-    west end.  After _rectangle_sides' TooLarge, InvalidParams on numbers
-    out of range, or HypothesisViolated off the floor-sum rule."""
-    m, n, u, v, top, bottom = _rectangle_sides(spec)
-    head, nums = spec.head, spec.nums
     if head in ("TA", "TB"):
         if not 1 <= nums[0] <= nums[1] or min(nums[2:]) < 0:
             raise InvalidParams(f"{spec} needs 1 <= m <= n and h1, h2 >= 0")
@@ -401,7 +378,8 @@ def _rectangle(spec):
         raise InvalidParams(f"need a >= 1 and b >= 2a, got {nums}")
     elif min(m, n) < 1:
         raise InvalidParams("m, n must be >= 1")
-    return (m, n, u, v, head in ("TR", "AAR"), top, bottom,
+    y0 = (u - v - 1) // 2
+    return (m, n, u, v, head in ("TR", "AAR"), y0 + cuts[0], y0 + cuts[1],
             head in ("TA", "TB"))
 
 

@@ -308,7 +308,7 @@ def suite_theorem11(cfg):
     g, east, mid, west = tr_three_way_split(2, 6)
     r1 = split_check(g, east, method="fkt")
     rep.add("tr_split_east", "TR:2,6", True, r1["equal"])
-    rest = g.induced([v for v in g.vertices if v not in east])
+    rest = g.without(east)
     r2 = split_check(rest, mid, method="fkt")
     rep.add("tr_split_mid", "TR:2,6", True, r2["equal"])
     rep.add("tr_split_unique_band", "TR:2,6 middle", 1, r2["M_h"])
@@ -634,13 +634,8 @@ def render_svg(g, out):
     each edge whose weight is not 1."""
     scale = 24
     vs = g.vertices
-    if vs:
-        xmin = min(v[0] for v in vs)
-        xmax = max(v[0] for v in vs)
-        ymin = min(v[1] for v in vs)
-        ymax = max(v[1] for v in vs)
-    else:
-        xmin = xmax = ymin = ymax = 0
+    xs, ys = zip(*vs) if vs else ((0,), (0,))
+    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
     pad = 1
     W = (xmax - xmin + 2 * pad) * scale
     H = (ymax - ymin + 2 * pad) * scale

@@ -70,10 +70,11 @@ class Graph:
     weighted copies share (with_weights).  Graph(vertices, edges, weights)
     checks every edge and weight and makes its Grid once (Grid.of_adj);
     Graph(grid) reads vertices and adj from the Grid (Grid.vertices_adj)
-    when either is first read.  The weights are stored as grid_weights,
-    (w, d) as count_many weights a Grid, or None when all are 1; the
-    weights dict is the checked one given, or is made from grid_weights
-    when first read (_weight_dict).
+    when either is first read; a subgraph's Grid is its parent's under a
+    mask (_masked).  The weights are stored as grid_weights, (w, d) as
+    count_many weights a Grid, or None when all are 1; the weights dict
+    is the checked one given, or is made from grid_weights when first
+    read (_weight_dict).
     """
 
     __slots__ = ("vertices", "adj", "weights", "grid", "grid_weights")
@@ -81,21 +82,19 @@ class Graph:
     def __init__(self, vertices, edges=(), weights=None):
         self.grid_weights = None
         if isinstance(vertices, Grid):
-            self.grid, self.weights = vertices, {}
+            self.grid = vertices
             return
         self.vertices = tuple(sorted(set(vertices)))
-        vs = set(self.vertices)
         adj = {v: set() for v in self.vertices}
         for u, v in edges:
             if u == v:
                 raise ValueError("self-loop")
-            if u not in vs or v not in vs:
+            if u not in adj or v not in adj:
                 raise ValueError("edge endpoint not a vertex")
-            if (u[0] + u[1] + v[0] + v[1]) % 2:
-                adj[u].add(v)
-                adj[v].add(u)
-            else:
+            if not (u[0] + u[1] + v[0] + v[1]) % 2:
                 raise ValueError(f"edge {u}-{v} joins same parity class")
+            adj[u].add(v)
+            adj[v].add(u)
         self.adj, self.grid = adj, Grid.of_adj(adj)
         self.weights, self.grid_weights = _checked_weights(self, weights)
 
@@ -103,8 +102,9 @@ class Graph:
         # only an unset slot gets here, before it is first decoded
         if name in ("vertices", "adj"):
             self.vertices, self.adj = self.grid.vertices_adj()
-        elif name == "weights" and self.grid_weights is not None:
-            self.weights = _weight_dict(self.grid, *self.grid_weights)
+        elif name == "weights":
+            self.weights = {} if self.grid_weights is None else \
+                _weight_dict(self.grid, *self.grid_weights)
         else:
             raise AttributeError(name)
         return getattr(self, name)
@@ -122,20 +122,26 @@ class Graph:
 
     def is_balanced(self):
         """Whether both (x + y) parity classes have equally many vertices."""
-        return 2 * sum((x + y) % 2 for x, y in self.vertices) == len(self)
+        return 2 * int(self.grid.classes()[self.grid.occ].sum()) == len(self)
 
     # -- derived graphs --------------------------------------------------
 
     def induced(self, keep):
-        keep = set(keep)
-        edges = [(u, v) for u, v in self.edges() if u in keep and v in keep]
-        w = {e: w for e, w in self.weights.items()
-             if e[0] in keep and e[1] in keep}
-        return Graph([v for v in self.vertices if v in keep], edges, w)
+        """The subgraph on the vertices among the points keep (others are
+        ignored), masked as _masked masks one."""
+        return self._masked(self.grid.cells(keep))
 
     def without(self, drop):
-        drop = set(drop)
-        return self.induced(v for v in self.vertices if v not in drop)
+        """The subgraph on the vertices not among the points drop."""
+        return self._masked(~self.grid.cells(drop))
+
+    def _masked(self, keep):
+        """self's Grid under the mask keep (Grid.induced), weighted by
+        self's grid_weights on the same box.  No edge or weight is checked
+        again; the weights equal self's, but read as Fractions."""
+        g = Graph(self.grid.induced(keep))
+        g.grid_weights = self.grid_weights
+        return g
 
     def with_weights(self, weights):
         """This graph with the given edge weights in place of its own: a
@@ -193,7 +199,9 @@ class Grid:
     [x - x0, y - y0] for origin (x0, y0), so that ravel order is the
     x-major order of Graph.vertices: occ marks the n vertices, and
     edges[0] and edges[1] the edges (x, y)-(x+1, y) and (x, y)-(x, y+1)
-    at (x, y).  A Grid carries no weights; its arrays are not changed.
+    at (x, y).  The box contains the vertices but need not be tight: a
+    subgraph (induced) keeps its parent's box.  A Grid carries no
+    weights; its arrays are not changed.
     """
 
     __slots__ = ("origin", "occ", "edges", "n")
@@ -231,6 +239,31 @@ class Grid:
         at = tuple((pts - lo).T)
         occ[at], edges[(0,) + at], edges[(1,) + at] = True, east, north
         return cls(tuple(lo.tolist()), occ, edges)
+
+    def cells(self, points):
+        """A mask shaped like occ, True at those of the points (x, y), read
+        as Python ints (one may lie past int64), that lie in the box."""
+        at = np.fromiter(chain.from_iterable(points), object).reshape(
+            -1, 2) - self.origin
+        at = at[((at >= 0) & (at < self.occ.shape)).all(1)]
+        mask = np.zeros(self.occ.shape, bool)
+        mask[tuple(at.astype(np.int64).T)] = True
+        return mask
+
+    def induced(self, keep):
+        """The subgraph on the box's vertices where the mask keep (or one
+        bool) is True, with the edges whose two ends are both kept, masked
+        as stacked_grids masks them."""
+        occ = self.occ & keep
+        edges = self.edges & occ
+        edges[0, :-1] &= occ[1:]
+        edges[1, :, :-1] &= occ[:, 1:]
+        return Grid(self.origin, occ, edges)
+
+    def classes(self):
+        """(x + y) % 2 at each cell of the box, an array shaped like occ."""
+        (x0, y0), (w, h) = self.origin, self.occ.shape
+        return (np.arange(x0, x0 + w)[:, None] + np.arange(y0, y0 + h)) % 2
 
     def points(self):
         """The vertices as an int64 array of shape (n, 2), sorted."""
@@ -324,20 +357,23 @@ def reduce_forced(g):
     """Repeatedly match degree-1 vertices away.
 
     Returns (reduced graph, multiplier): M(g) = multiplier * M(reduced).
-    With nothing forced, g itself comes back with multiplier 1.  A vertex
-    left isolated, or claimed by two degree-1 vertices, short-circuits to
-    (empty graph, 0).
+    The reduced graph is g masked to the vertices left (Graph._masked),
+    and the multiplier the forced edges' weight product.  With nothing
+    forced, g itself comes back with multiplier 1.  A vertex left
+    isolated, or claimed by two degree-1 vertices, short-circuits to (g
+    masked to no vertex, 0).
     """
     grid = g.grid
     occ, edges = grid.occ.ravel().copy(), grid.edges.ravel().copy()
     forced, bad = _peel(occ, edges, grid.occ.shape[1])
     if bad.any():
-        return Graph([], []), 0
+        return g._masked(False), 0
     if occ.sum() == len(g):
         return g, 1
-    keep = np.argwhere(occ.reshape(grid.occ.shape)) + grid.origin
-    return g.induced(map(tuple, keep.tolist())), prod(
-        g.weight(u, v) for u, v in _edge_keys(grid, np.flatnonzero(forced)))
+    w, d = g.grid_weights or (np.ones(grid.edges.shape, np.int64), 1)
+    fw = w[forced.reshape(w.shape)].tolist()
+    return (g._masked(occ.reshape(grid.occ.shape)),
+            _exact(Fraction(prod(fw), d ** len(fw))))
 
 
 # -- transfer-matrix oracle --------------------------------------------------
@@ -1028,13 +1064,12 @@ def _count_each(graphs, method):
 def kuo_check(g, u, v, w, t, method="auto"):
     """Verify the condensation identity for four face-cyclic vertices.
 
-    u, w must share one parity class and v, t the other; the four must
-    appear in cyclic order (either rotation sense) on a single face.
-    Returns a dict with both sides of the identity.
+    u, v, w, t must be four distinct vertices, u, w of one parity class
+    and v, t of the other, in cyclic order (either rotation sense) on a
+    single face.  Returns a dict with both sides of the identity.
     """
-    for p in (u, v, w, t):
-        if p not in g.adj:
-            raise BadVertexSelection(f"{p} not a vertex")
+    if len({u, v, w, t}) < 4 or len(g.induced((u, v, w, t))) < 4:
+        raise BadVertexSelection("u, v, w, t must be four distinct vertices")
     if not g.is_balanced():
         raise BadVertexSelection("graph is not balanced")
     pu, pv, pw, pt = ((p[0] + p[1]) % 2 for p in (u, v, w, t))
@@ -1050,20 +1085,14 @@ def kuo_check(g, u, v, w, t, method="auto"):
 
 
 def _on_common_face_in_order(g, quad):
+    """Whether the points quad lie on one face cycle in this cyclic order,
+    in either rotation sense, at some of their places on it."""
     for cycle in planar_faces(g):
-        index = {}
-        for i, p in enumerate(cycle):
-            index.setdefault(p, []).append(i)
-        if any(p not in index for p in quad):
-            continue
         n = len(cycle)
-        for picks in product(*(index[p] for p in quad)):
-            a, b, c, d = picks
-            fwd = ((b - a) % n, (c - a) % n, (d - a) % n)
-            if 0 < fwd[0] < fwd[1] < fwd[2]:
-                return True
-            rev = ((d - a) % n, (c - a) % n, (b - a) % n)
-            if 0 < rev[0] < rev[1] < rev[2]:
+        for a, *rest in product(*([i for i, p in enumerate(cycle) if p == q]
+                                  for q in quad)):
+            b, c, d = ((i - a) % n for i in rest)
+            if 0 < b < c < d or 0 < d < c < b:
                 return True
     return False
 
@@ -1073,25 +1102,23 @@ def split_check(g, h_vertices, method="auto"):
 
     Separating: no edge joins V(H) in one fixed class to G - H.
     Balancing: H has equally many vertices of both classes.
+    H and G - H are g's Grid under two masks (induced and without), and
+    the edges that cross between them are g's edges in neither.
     """
     h_set = set(h_vertices)
-    if not h_set <= set(g.vertices):
+    h, rest = g.induced(h_set), g.without(h_set)
+    if len(h) != len(h_set):
         raise ConditionsViolated("H is not a vertex subset of G")
-    rest = [v for v in g.vertices if v not in h_set]
-    h_even = sum(1 for v in h_set if (v[0] + v[1]) % 2 == 0)
-    h_odd = len(h_set) - h_even
-    if h_even != h_odd:
+    cls, in_h = g.grid.classes(), h.grid.occ
+    if 2 * (h_odd := int(cls[in_h].sum())) != len(h):
         raise ConditionsViolated(
-            f"balancing condition fails: {h_even} vs {h_odd}")
-    crossing_parity = set()
-    for x, y in g.edges():
-        if (x in h_set) != (y in h_set):
-            inner = x if x in h_set else y
-            crossing_parity.add((inner[0] + inner[1]) % 2)
-    if len(crossing_parity) > 1:
+            f"balancing condition fails: {len(h) - h_odd} vs {h_odd}")
+    # a crossing edge's end in H is its lower-left end, at its cell, if
+    # that cell is in H, and otherwise its other end, of the other class
+    cross = (g.grid.edges & ~h.grid.edges & ~rest.grid.edges).any(0)
+    if len(np.unique((cls == in_h)[cross])) > 1:
         raise ConditionsViolated(
             "separating condition fails: both classes of H meet G-H")
-    m_g, m_h, m_r = _count_each([g, g.induced(h_set), g.induced(rest)],
-                                method)
+    m_g, m_h, m_r = _count_each([g, h, rest], method)
     return {"M_g": m_g, "M_h": m_h, "M_rest": m_r,
             "equal": m_g == m_h * m_r}

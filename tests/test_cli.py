@@ -82,6 +82,35 @@ def test_formula_refuses_a_spec_past_the_cap_as_count_does(capsys):
     assert "build cap of 1048576" in run.stderr
 
 
+def test_formula_refuses_what_count_refuses(capsys):
+    # formula asks the build itself, so on this box every TA or TB spec
+    # that it gives a value for builds, and the 85 that have a closed form
+    # but no graph exit 2 with count's message
+    from itertools import product
+    from crossdimer.errors import CrossdimerError
+    from crossdimer.families import Spec, grids
+
+    refused = {}
+    for head, *nums in product(("TA", "TB"), range(-1, 7),
+                               *[range(-1, 9)] * 3):
+        spec = Spec(head, tuple(nums))
+        try:
+            spec.closed_form()
+        except CrossdimerError:
+            continue
+        rc = main(["formula", str(spec)])
+        out, err = capsys.readouterr()
+        if rc == 0:
+            next(grids([spec]))  # raises if it does not build
+            continue
+        refused[str(spec)] = err
+        assert (rc, out) == (2, "") and main(["count", str(spec)]) == 2
+        assert capsys.readouterr().err == err
+    assert len(refused) == 85
+    assert refused["TB:6,8,-1,7"] == \
+        "error: TB:6,8,-1,7 needs 1 <= m <= n and h1, h2 >= 0\n"
+
+
 def test_cache_lines_whose_count_is_not_decimal_digits_exit_2(capsys,
                                                                 tmp_path):
     # such a line would be read as a count, or end the suite in int()

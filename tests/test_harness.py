@@ -483,6 +483,47 @@ def test_tr_split_structure():
     assert count_fkt(g.induced(east)) * count_fkt(g.induced(west)) == 100
 
 
+def test_suites_grid_no_subgraph_from_its_adjacency(monkeypatch):
+    # every subgraph that these suites take is a mask of its parent's
+    # Grid, so Grid.of_adj, which grids a hand-made graph, never runs
+    from crossdimer import matchcount
+
+    calls, of_adj = [], matchcount.Grid.of_adj.__func__
+
+    def spy(cls, adj):
+        calls.append(len(adj))
+        return of_adj(cls, adj)
+
+    monkeypatch.setattr(matchcount.Grid, "of_adj", classmethod(spy))
+    monkeypatch.delenv("CROSSDIMER_CACHE", raising=False)
+    for name in ("kuo", "sanity", "theorem11"):
+        assert run_suite(name, SuiteConfig()).passed
+    assert calls == []
+
+
+def test_kuo_and_split_checks_run_on_masks(monkeypatch):
+    # neither check grids a subgraph from a dict nor checks its weights
+    # again
+    import random
+    from crossdimer import matchcount
+    from crossdimer.matchcount import split_check
+
+    g = build_A(1, 3, 3, 0)
+    quad = seeded_kuo_quad(g, random.Random(7))
+    tr, east, mid, _ = tr_three_way_split(1, 2)
+    want = (kuo_check(g, *quad), split_check(tr, east),
+            split_check(tr.without(east), mid))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subgraph was made from a dict")
+
+    monkeypatch.setattr(matchcount.Grid, "of_adj", classmethod(refuse))
+    monkeypatch.setattr(matchcount, "_checked_weights", refuse)
+    assert (kuo_check(g, *quad), split_check(tr, east),
+            split_check(tr.without(east), mid)) == want
+    assert want[0]["equal"] and want[1]["equal"] and want[2]["M_h"] == 1
+
+
 def test_suite_config_bounds_the_recurrence_grid():
     # the recurrences suite tabulates each closed form on (G + 5)^3
     # points, so G = 96 is the largest grid within BUILD_CAP

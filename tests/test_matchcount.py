@@ -4,6 +4,7 @@ import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import isqrt, prod
 from unittest import mock
 
@@ -365,9 +366,9 @@ def holey_grids(draw):
     w * h is odd, with up to 4 dominoes (a point and its east or north
     neighbour) dropped, so that the two classes stay balanced, and each
     edge kept with probability 0.9: holes, bridges and several
-    components.  Some edges carry random Fraction weights.  (count_brute's
-    states span the shorter side, so even the 7 x 7 grid less a corner,
-    with 100352 matchings, counts in milliseconds.)"""
+    components.  Some edges carry random int or Fraction weights.
+    (count_brute's states span the shorter side, so even the 7 x 7 grid
+    less a corner, with 100352 matchings, counts in milliseconds.)"""
     w, h = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     pts = [(x, y) for x in range(w) for y in range(h)]
     drop = {(0, 0)} if w * h % 2 else set()
@@ -383,8 +384,8 @@ def holey_grids(draw):
             if q in kept and draw(st.integers(0, 9)):
                 edges.append(((x, y), q))
                 if draw(st.integers(0, 3)) == 0:
-                    weights[(x, y), q] = Fraction(draw(st.integers(1, 9)),
-                                                  draw(st.integers(1, 9)))
+                    weights[(x, y), q] = draw(st.integers(1, 9) | st.builds(
+                        Fraction, st.integers(1, 9), st.integers(1, 9)))
     return Graph(pts, edges, weights)
 
 
@@ -1141,6 +1142,10 @@ def test_kuo_rejects_bad_selection():
     vs = sorted(g.vertices)
     with pytest.raises(BadVertexSelection):
         kuo_check(g, vs[0], vs[1], vs[2], vs[3])
+    # u = w: the bridge vertex (2, 0) is twice on the path's one face, so
+    # the class and face-order checks alone would let it pass
+    with pytest.raises(BadVertexSelection, match="four distinct"):
+        kuo_check(path(4), (2, 0), (3, 0), (2, 0), (1, 0))
 
 
 def test_split_whole_graph_trivial():
@@ -1154,6 +1159,116 @@ def test_split_unbalanced_rejected():
     ev = [v for v in g.vertices if (v[0] + v[1]) % 2 == 0]
     with pytest.raises(ConditionsViolated):
         split_check(g, ev[:2])
+
+
+def constructed_subgraph(g, keep):
+    """The subgraph of g on the vertices in keep, as the constructor makes
+    it from the kept vertices, edges and weights."""
+    keep = set(keep)
+    return Graph([v for v in g.vertices if v in keep],
+                 [(u, v) for u, v in g.edges() if u in keep and v in keep],
+                 {e: w for e, w in g.weights.items() if keep.issuperset(e)})
+
+
+def assert_same_graph(got, want):
+    assert got.vertices == want.vertices and got.adj == want.adj
+    assert got.weights == want.weights
+    assert got.graph_hash() == want.graph_hash()
+
+
+@st.composite
+def points_around(draw, g):
+    """A set of points: vertices of g, and points of its box and of a
+    margin of 2 around it, most of which are no vertex, or one far
+    outside, past int64."""
+    xs, ys = zip(*g.vertices) if len(g) else ((0,), (0,))
+    around = st.tuples(st.integers(min(xs) - 2, max(xs) + 2),
+                       st.integers(min(ys) - 2, max(ys) + 2)) \
+        | st.just((2 ** 64, -2 ** 64))
+    return draw(st.sets(st.sampled_from(g.vertices) | around if len(g)
+                        else around, max_size=12))
+
+
+@st.composite
+def subgraph_cases(draw):
+    """A holey grid and a set of points around it (points_around)."""
+    g = draw(holey_grids())
+    return g, draw(points_around(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(subgraph_cases())
+# the north edge (0, 0)-(0, 1) goes with its upper end
+@example((grid(2, 2), {(0, 1)}))
+def test_masked_subgraphs_are_the_constructors_graphs(case):
+    # induced and without mask g's Grid; the constructor walks the kept
+    # edges and weights and grids them afresh, on a tight box
+    g, pts = case
+    for got, keep in ((g.induced(pts), pts),
+                      (g.without(pts), set(g.vertices) - set(pts))):
+        want = constructed_subgraph(g, keep)
+        assert_same_graph(got, want)
+        assert count_fkt(got) == count_fkt(want)
+        (r_got, m_got), (r_want, m_want) = map(reduce_forced, (got, want))
+        assert_same_graph(r_got, r_want)
+        assert m_got == m_want
+
+
+def split_by_walk(g, h_vertices):
+    """split_check's result on g and H, or the message of its
+    ConditionsViolated, by a walk over g's vertices and edges."""
+    h_set = set(h_vertices)
+    if not h_set <= set(g.vertices):
+        return "H is not a vertex subset of G"
+    h_even = sum(1 for v in h_set if (v[0] + v[1]) % 2 == 0)
+    h_odd = len(h_set) - h_even
+    if h_even != h_odd:
+        return f"balancing condition fails: {h_even} vs {h_odd}"
+    crossing_parity = set()
+    for x, y in g.edges():
+        if (x in h_set) != (y in h_set):
+            inner = x if x in h_set else y
+            crossing_parity.add((inner[0] + inner[1]) % 2)
+    if len(crossing_parity) > 1:
+        return "separating condition fails: both classes of H meet G-H"
+    m_g, m_h, m_r = (count_brute(t, cap=len(t)) for t in (
+        g, constructed_subgraph(g, h_set),
+        constructed_subgraph(g, set(g.vertices) - h_set)))
+    return {"M_g": m_g, "M_h": m_h, "M_rest": m_r, "equal": m_g == m_h * m_r}
+
+
+@st.composite
+def split_cases(draw):
+    """A holey grid and a set H of its dominoes' ends (balanced unless two
+    dominoes share an end), with, at times, a point from around it."""
+    g = draw(holey_grids())
+    edges = g.edges()
+    dominoes = draw(st.lists(st.sampled_from(edges), max_size=5)) \
+        if edges else []
+    extra = draw(points_around(g)) if draw(st.integers(0, 4)) == 0 else ()
+    return g, set(chain.from_iterable(dominoes)) | set(list(extra)[:1])
+
+
+T_SHAPE = Graph([(0, 0), (1, 0), (2, 0), (1, 1)],
+                [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((1, 0), (1, 1))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_cases())
+# both edges that leave H = {(1, 0), (1, 1)} leave from (1, 0), once
+# from its lower-left end and once from its upper-right one
+@example((T_SHAPE, {(1, 0), (1, 1)}))
+@example((T_SHAPE, {(0, 0), (1, 0)}))
+@example((T_SHAPE, {(0, 0), (5, 5)}))
+def test_split_check_gives_the_edge_walks_verdicts(case):
+    g, h = case
+    want = split_by_walk(g, h)
+    if isinstance(want, str):
+        with pytest.raises(ConditionsViolated) as err:
+            split_check(g, h)
+        assert str(err.value) == want
+    else:
+        assert split_check(g, h) == want
 
 
 def test_count_matchings_auto_cross_checks():
