@@ -60,11 +60,11 @@ MUTANTS = [
     ("the end-anchored trims start 1 column in", FAMILIES,
      "[hi + 1, left - 1]", "[hi - 1, left + 1]",
      "tests/test_graph_pin.py::test_family_graphs_pinned"),
-    # the dict that a built Graph reads from its Grid leaves out the
+    # the adj that a built Graph decodes from its arrays leaves out the
     # north edges
-    ("the kept Grid's dict drops its north edges", MATCHCOUNT,
-     "_edge_keys(self, np.flatnonzero(self.edges))",
-     "_edge_keys(self, np.flatnonzero(self.edges[0]))",
+    ("a built Graph's decoded adj drops its north edges", MATCHCOUNT,
+     "_edge_keys(self, np.flatnonzero(self.links))",
+     "_edge_keys(self, np.flatnonzero(self.links[0]))",
      "tests/test_graph_pin.py::test_family_graphs_pinned"),
     # an isolated vertex no longer marks its graph unmatchable; only a
     # vertex that two leaves claim does
@@ -108,14 +108,19 @@ MUTANTS = [
      "tests/test_families.py::test_trim_rect_params_constraint"),
     # a Graph walks its edges for a non-unit step only when the tally of
     # unit edges says there is none, so it keeps a non-unit edge unchecked
-    # and its Grid drops that edge
+    # and its links drop that edge
     ("Graph accepts an edge that is not a unit step", MATCHCOUNT,
      "!= sum(map(len, adj.values())):", "== sum(map(len, adj.values())):",
      "tests/test_matchcount.py::test_faces_reject_non_unit_edge"),
     # a subgraph's mask keeps the north edge from a kept vertex into a
     # dropped one
     ("the mask keeps north edges into a dropped vertex", MATCHCOUNT,
-     "        edges[1, :, :-1] &= occ[:, 1:]\n", "",
+     "        links[1, :, :-1] &= occ[:, 1:]\n", "",
+     "tests/test_matchcount.py::"
+     "test_masked_subgraphs_are_the_constructors_graphs"),
+    # a subgraph's mask reads a point off Z^2 as the vertex it truncates to
+    ("the mask truncates a point off Z^2 to a vertex", MATCHCOUNT,
+     " & (at % 1 == 0)", "",
      "tests/test_matchcount.py::"
      "test_masked_subgraphs_are_the_constructors_graphs"),
     # split_check takes the class of a crossing edge's lower-left end,

@@ -10,9 +10,9 @@ each cut row.  Which sides are stripped per family (with the tall/flat
 case split), the trim phases, and the rectangles' corner classes are
 frozen calibration results; the acceptance suite is the authority that
 they are right.  Spec names one graph as the CLI and the suite records
-spell it, and gives its graph and closed form; grids builds the Grids of
-many Specs in one stacked array, and every build_* is the graph of its
-Spec.
+spell it, and gives its graph and closed form; grids builds the graphs
+of many Specs in one stacked array, and every build_* is the graph of
+its Spec.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .lattice import (
     COMPASS, CROSS_OFFSETS, FULL_GRID, GRID_B, LatticeSpec, NonClosing,
     ragged_steps, row_spans, stacked_grids, slit_base, unit_edge_table,
 )
-from .matchcount import BUILD_CAP, Graph, _edge_keys, _refuse, int_array
+from .matchcount import BUILD_CAP, _edge_keys, _refuse, int_array
 
 
 class NotGridB(CrossdimerError):
@@ -160,44 +160,34 @@ WEIGHT_SYMBOLS = np.array(unit_edge_table(
 WEIGHT_SYMBOLS.setflags(write=False)
 
 
-def cross_weightings(g, points):
-    """Copies of g carrying the periodic cross weight pattern, one per
-    weight_point tuple in points: g.with_weights((w, d)) for each (w, d)
-    that cross_weighted_grids gives g's Grid.  An edge off the cross
-    lattice raises NotGridB."""
-    if len(off := np.flatnonzero(g.grid.edges & (_symbols_at(g.grid) < 0))):
-        (u, v), = _edge_keys(g.grid, off[:1])
-        raise NotGridB(f"edge {u}-{v} is not a cross-lattice edge")
-    return [g.with_weights(wd)
-            for _, wd in cross_weighted_grids([g.grid], points)]
-
-
-def _symbols_at(grid):
-    """WEIGHT_SYMBOLS[:, x % 4, y % 4] at the cell of each (x, y) of grid."""
-    (x0, y0), (m, n) = grid.origin, grid.occ.shape
-    return WEIGHT_SYMBOLS[:, np.arange(x0, x0 + m)[:, None] % 4,
-                          np.arange(y0, y0 + n) % 4]
-
-
-def cross_weighted_grids(grids, points):
-    """(grid, (w, d)) for each Grid of the cross lattice in grids and, grid
-    by grid, each weight_point tuple in points, as count_many weights a Grid:
-    d is the lcm of the point's denominators, and w is d times the weight
-    at WEIGHT_SYMBOLS[:, x % 4, y % 4], in the smallest signed dtype that
-    holds it (int_array's objects past int64)."""
+def cross_weightings(graphs, points):
+    """Copies of each graph in graphs carrying the periodic cross weight
+    pattern, graph by graph, one per weight_point tuple in points:
+    g.with_weights((w, d)), d the lcm of the point's denominators and w d
+    times the weight at WEIGHT_SYMBOLS[:, x % 4, y % 4], in the smallest
+    signed dtype that holds it (int_array's objects past int64).  A graph
+    with an edge off the cross lattice raises NotGridB."""
     ds = [lcm(*(t.denominator for t in w)) for w in points]
     scaled = [int_array([d] + [int(t * d) for t in w])
               for w, d in zip(points, ds)]
     scaled = [v if v.dtype == object else  # every value is positive
               v.astype(np.min_scalar_type(-1 - int(v.max()))) for v in scaled]
-    for grid in grids:
-        sym = np.maximum(_symbols_at(grid), 0)  # no edge: it weighs 1
-        yield from ((grid, (vals[sym], d)) for vals, d in zip(scaled, ds))
+    for g in graphs:
+        # WEIGHT_SYMBOLS at the cell of each (x, y) of g's box
+        (x0, y0), (m, n) = g.origin, g.occ.shape
+        sym = WEIGHT_SYMBOLS[:, np.arange(x0, x0 + m)[:, None] % 4,
+                             np.arange(y0, y0 + n) % 4]
+        if len(off := np.flatnonzero(g.links & (sym < 0))):
+            (u, v), = _edge_keys(g, off[:1])
+            raise NotGridB(f"edge {u}-{v} is not a cross-lattice edge")
+        sym = np.maximum(sym, 0)  # no edge: it weighs 1
+        yield from (g.with_weights((vals[sym], d))
+                    for vals, d in zip(scaled, ds))
 
 
 def assign_cross_weights(g, w):
     """Attach the periodic cross weight pattern to every edge of g."""
-    return cross_weightings(g, [w])[0]
+    return next(cross_weightings([g], [w]))
 
 
 # -- family spec strings ---------------------------------------------------------------
@@ -273,7 +263,7 @@ class Spec:
             FULL_GRID if self.head in ("AR", "AAR") else GRID_B)
 
     def graph(self):
-        return Graph(next(grids([self])))
+        return next(grids([self]))
 
     def closed_form(self):
         """The FactoredCount that theorem 2.1 (A and F), 1.1 (TR) or 1.3
@@ -413,10 +403,10 @@ def rectangle_geometry(specs):
 
 
 def grids(specs):
-    """The Grids of the graphs that specs name, in order, GRID_BATCH at a
-    time in one stacked array (stacked_grids): rows less cleared points,
-    from family_geometry (A and F) or rectangle_geometry, which refuse
-    any spec past BUILD_CAP before a row of its batch is computed."""
+    """The graphs that specs name, in order, GRID_BATCH at a time in one
+    stacked array (stacked_grids): rows less cleared points, from
+    family_geometry (A and F) or rectangle_geometry, which refuse any spec
+    past BUILD_CAP before a row of its batch is computed."""
     specs = iter(specs)
     while batch := list(islice(specs, GRID_BATCH)):
         fam = np.array([spec.head in FAMILY_HEADS for spec in batch])

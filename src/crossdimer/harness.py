@@ -19,9 +19,8 @@ from math import gcd, prod
 
 from .errors import CrossdimerError
 from .families import (
-    Spec, build_A, build_TR, check_trim_domain,
-    cross_weighted_grids, derive_params, family_geometry, grids,
-    weight_point, InvalidParams,
+    Spec, build_A, build_TR, check_trim_domain, cross_weightings,
+    derive_params, family_geometry, grids, weight_point, InvalidParams,
 )
 from .formulas import (
     C0, FOLD, phi, psi, phi_value, psi_value, recurrence_check,
@@ -30,7 +29,7 @@ from .formulas import (
 )
 from .lattice import FULL_GRID, GRID_B
 from .matchcount import (
-    BRUTE_CAP, BUILD_CAP, FKT_CAP, BadVertexSelection, Graph, count_brute,
+    BRUTE_CAP, BUILD_CAP, FKT_CAP, BadVertexSelection, count_brute,
     count_many, kuo_check, split_check, planar_faces,
 )
 
@@ -143,12 +142,12 @@ class CountCache:
                                      "method": "fkt"}) + "\n")
 
 
-def count_key(lat, grid):
-    """The cache key of the graph that lattice lat induces on a point set,
-    given as its Grid: CACHE_KEY_PREFIX and the sha256 of the lattice kind
-    and the sorted little-endian int64 point array."""
+def count_key(lat, g):
+    """The cache key of the graph g that lattice lat induces on a point
+    set: CACHE_KEY_PREFIX and the sha256 of the lattice kind and the sorted
+    little-endian int64 point array."""
     digest = hashlib.sha256(lat.kind.encode() + b"\0")
-    digest.update(grid.points().astype("<i8").tobytes())
+    digest.update(g.points().astype("<i8").tobytes())
     return CACHE_KEY_PREFIX + digest.hexdigest()
 
 
@@ -156,21 +155,20 @@ def cached_count(specs, cache=None):
     """Exact FKT counts of the graphs that an iterable of Specs names, in
     order.
 
-    The Specs become Grids a bounded batch at a time (families.grids), and
-    each is keyed once (count_key).  The distinct graphs that the cache
-    does not hold are counted together by one count_many, straight from
-    their Grids, so a graph repeated in the input is counted once; integer
-    counts are then stored.
+    The Specs become graphs a bounded batch at a time (families.grids),
+    and each is keyed once (count_key).  The distinct graphs that the cache
+    does not hold are counted together by one count_many, so a graph
+    repeated in the input is counted once; integer counts are then stored.
     """
     keys, counts, todo, specs = [], {}, {}, list(specs)
-    for spec, grid in zip(specs, grids(specs)):
-        key = count_key(spec.lat, grid)
+    for spec, g in zip(specs, grids(specs)):
+        key = count_key(spec.lat, g)
         keys.append(key)
         if key in counts or key in todo:
             continue
         hit = cache.get(key) if cache is not None else None
         if hit is None:
-            todo[key] = grid
+            todo[key] = g
         else:
             counts[key] = int(hit)
     for key, n in zip(todo, count_many(todo.values())):
@@ -215,7 +213,7 @@ def suite_sanity(cfg):
              for mn in ((2, 3), (3, 5))]
     laws += [("delannoy_law", Spec("AAR", (m, n), FULL_GRID), delannoy(m, n))
              for m in range(1, 6) for n in range(1, 6)]
-    checks = [(check, str(spec), want, grid) for (check, spec, want), grid
+    checks = [(check, str(spec), want, g) for (check, spec, want), g
               in zip(laws, grids(spec for _, spec, _ in laws))]
     # oracle equivalence over the small-instance pool
     pool = [Spec(head, (m, n), lat)
@@ -224,7 +222,7 @@ def suite_sanity(cfg):
     pool += [Spec(f"{kind}{i}", t)
              for t in valid_triples(range(2, 7), 16) for i in (1, 2, 3)
              for kind in ("A", "F")]
-    pool = [(str(spec), Graph(grid)) for spec, grid in zip(pool, grids(pool))]
+    pool = [(str(spec), g) for spec, g in zip(pool, grids(pool))]
     rng = random.Random(cfg.seed)
     extended = list(pool)
     for spec_str, g in pool:
@@ -395,8 +393,8 @@ def suite_kuo(cfg):
     specs = [Spec(f"{kind}{i}", t) for t in valid_triples(range(2, 7), 20)
              for i in (1, 2, 3) for kind in ("A", "F")]
     # the balanced graphs of 8 to 60 vertices, each built when reached
-    pool = ((str(spec), g) for spec, grid in zip(specs, grids(specs))
-            if 8 <= grid.n <= 60 and (g := Graph(grid)).is_balanced())
+    pool = ((str(spec), g) for spec, g in zip(specs, grids(specs))
+            if 8 <= len(g) <= 60 and g.is_balanced())
     done = 0
     for spec_str, g in pool:
         if done >= 50:
@@ -526,14 +524,14 @@ def _weighted_counts(specs, points, cap):
     """Exact counts of the family graphs that the Specs in specs name, at
     each of the screened points: one list per spec.
 
-    Every point is screened before anything is counted.  Each graph is a
-    Grid made from its point set once, with no Graph, and the weighted
-    copies of all of them are counted by one count_many.
+    Every point is screened before anything is counted.  Each graph is
+    built from its point set once, and the weighted copies of all of them,
+    which share its arrays, are counted by one count_many.
     """
     for pt in points:
         screen_probe_point(pt)
     wps, k = [weight_point(*map(int, pt)) for pt in points], len(points)
-    counts = count_many(cross_weighted_grids(grids(specs), wps), cap=cap)
+    counts = count_many(cross_weightings(grids(specs), wps), cap=cap)
     return [counts[j * k:(j + 1) * k] for j in range(len(specs))]
 
 

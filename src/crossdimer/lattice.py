@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossdimerError
-from .matchcount import Graph, Grid
+from .matchcount import Graph
 
 
 class NonClosing(CrossdimerError):
@@ -149,13 +149,13 @@ def row_spans(corners2):
 
 
 def stacked_grids(lats, spans, cleared):
-    """The Grids of the graphs that the lattices lats induce on point sets,
-    built side by side in one stacked array: graph k has the points of its
-    rows (k, y, lo, hi) in the int array spans, x from lo to hi, less its
-    points (k, x, y) in the int array cleared.  Its point (x, y) lies at
+    """The Graphs that the lattices lats induce on point sets, built side
+    by side in one stacked array: graph k has the points of its rows (k,
+    y, lo, hi) in the int array spans, x from lo to hi, less its points
+    (k, x, y) in the int array cleared.  Its point (x, y) lies at
     cell (x - dx, y - dy), dx and dy multiples of 4 so that every cell
     keeps its lattice class, with an empty column between graphs; the
-    edges come from UNIT_EDGES once, and each Grid is a view of its part.
+    edges come from UNIT_EDGES once, and each Graph is a view of its part.
     """
     k, y, x_lo, x_hi = spans.T
     bounds = np.full((4, len(lats)), -2 ** 62)  # -x0, x1, -y0, y1 per graph
@@ -188,15 +188,15 @@ def stacked_grids(lats, spans, cleared):
     rows = np.logical_or.reduceat(occ, base, axis=0)
     y0, y1 = rows.argmax(1), h - rows[:, ::-1].argmax(1)
     on = rows.any(1)  # a graph with no points: origin (0, 0), size 0
-    return [Grid((a + ox, c + oy), occ[a:b, c:d], edges[:, a:b, c:d])
+    return [Graph.of((a + ox, c + oy), occ[a:b, c:d], edges[:, a:b, c:d])
             for a, b, c, d, ox, oy in np.where(
                 on, [x0, x1, y0, y1, dx, dy], 0).T.tolist()]
 
 
 def induced_subgraph(lat, corners2):
     """Lattice graph induced by the points inside or on the polyline."""
-    return Graph(stacked_grids([lat], row_spans([corners2]),
-                               np.zeros((0, 3), dtype=np.int64))[0])
+    return stacked_grids([lat], row_spans([corners2]),
+                         np.zeros((0, 3), dtype=np.int64))[0]
 
 
 # -- zigzag trims ----------------------------------------------------------------

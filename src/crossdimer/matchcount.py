@@ -59,31 +59,34 @@ def edge_key(u, v):
 
 
 class Graph:
-    """Undirected graph on integer lattice points.
+    """Undirected graph on integer lattice points, joined by unit steps.
 
-    Vertices are (x, y) tuples; the bipartition is by (x + y) parity.
-    adj maps each vertex, in sorted order, to its set of neighbours.
-    Edge weights default to 1 and are exact Fractions (or ints) only
-    where they differ from 1.
+    Vertices are (x, y) tuples; the bipartition is by (x + y) parity.  A
+    Graph holds boolean arrays on a box that contains its vertices but
+    need not be tight (a subgraph keeps its parent's), indexed [x - x0, y
+    - y0] for origin (x0, y0), so that ravel order is the x-major order of
+    vertices: occ marks the n vertices, and links[0] and links[1] the
+    edges (x, y)-(x+1, y) and (x, y)-(x, y+1) at (x, y).  Its weights are
+    wd = (w, d), w an integer array shaped like links (int64, or Python
+    ints in an object array) whose edge at flat index k weighs
+    w.ravel()[k] / d, or None when all are 1.  The arrays are not changed,
+    and weighted copies share them (with_weights).
 
-    Every Graph keeps its structure as grid, a Grid of unit edges, which
-    weighted copies share (with_weights).  Graph(vertices, edges, weights)
-    checks every edge and weight and makes its Grid once (Grid.of_adj);
-    Graph(grid) reads vertices and adj from the Grid (Grid.vertices_adj)
-    when either is first read; a subgraph's Grid is its parent's under a
-    mask (_masked).  The weights are stored as grid_weights, (w, d) as
-    count_many weights a Grid, or None when all are 1; the weights dict
-    is the checked one given, or is made from grid_weights when first
-    read (_weight_dict).
+    Graph(vertices, edges, weights) checks every edge and weight and makes
+    the arrays and wd; Graph.of wraps arrays made elsewhere (the builders,
+    _masked).  vertices, adj (each vertex, in sorted order, to its set of
+    neighbours) and weights (those that differ from 1, keyed by edge_key,
+    as Fractions) are decoded from the arrays when first read.
     """
 
-    __slots__ = ("vertices", "adj", "weights", "grid", "grid_weights")
+    __slots__ = ("origin", "occ", "links", "n", "wd", "vertices", "adj",
+                 "weights")
 
     def __init__(self, vertices, edges=(), weights=None):
-        self.grid_weights = None
-        if isinstance(vertices, Grid):
-            self.grid = vertices
-            return
+        """The graph of the given vertices, edges and weights dict.  It
+        raises NonPlanarEmbedding unless every edge is a unit step, and
+        TooLarge before any array of its box is made if that box spans
+        more than BUILD_CAP points."""
         self.vertices = tuple(sorted(set(vertices)))
         adj = {v: set() for v in self.vertices}
         for u, v in edges:
@@ -95,16 +98,50 @@ class Graph:
                 raise ValueError(f"edge {u}-{v} joins same parity class")
             adj[u].add(v)
             adj[v].add(u)
-        self.adj, self.grid = adj, Grid.of_adj(adj)
-        self.weights, self.grid_weights = _checked_weights(self, weights)
+        self.adj, n = adj, len(adj)
+        east, north = (np.fromiter(((x + dx, y + dy) in s
+                                    for (x, y), s in adj.items()), bool, n)
+                       for dx, dy in ((1, 0), (0, 1)))
+        # each unit edge is found once, at its lower-left end
+        if 2 * (east.sum() + north.sum()) != sum(map(len, adj.values())):
+            for (x, y), s in adj.items():
+                for u, v in s:
+                    if abs(u - x) + abs(v - y) != 1:
+                        raise NonPlanarEmbedding(
+                            f"edge {(x, y)}-{(u, v)} is not a unit step")
+        # the box in Python ints, which may lie past int64
+        xs, ys = zip(*adj) if n else ((0,), (0,))
+        x0, y0 = min(xs), min(ys)
+        shape = (max(xs) - x0 + 1, max(ys) - y0 + 1) if n else (0, 0)
+        _refuse(f"a graph of {n} vertices", prod(shape))
+        at = tuple(np.array([(x - x0, y - y0) for x, y in adj], np.int64)
+                   .reshape(n, 2).T)
+        occ, links = np.zeros(shape, bool), np.zeros((2,) + shape, bool)
+        occ[at], links[(0,) + at], links[(1,) + at] = True, east, north
+        self.origin, self.occ, self.links, self.n = (x0, y0), occ, links, n
+        self.wd = _checked_weights(self, weights)
+
+    @classmethod
+    def of(cls, origin, occ, links, wd=None):
+        """The graph of the arrays occ and links at origin, weighted by wd,
+        as Graph holds them; links has no edge with an end outside occ.
+        Nothing is checked or copied."""
+        g = cls.__new__(cls)
+        g.origin, g.occ, g.links, g.wd = origin, occ, links, wd
+        g.n = int(np.count_nonzero(occ))
+        return g
 
     def __getattr__(self, name):
         # only an unset slot gets here, before it is first decoded
         if name in ("vertices", "adj"):
-            self.vertices, self.adj = self.grid.vertices_adj()
+            self.vertices = tuple(map(tuple, self.points().tolist()))
+            self.adj = {v: set() for v in self.vertices}
+            for u, v in _edge_keys(self, np.flatnonzero(self.links)):
+                self.adj[u].add(v)
+                self.adj[v].add(u)
         elif name == "weights":
-            self.weights = {} if self.grid_weights is None else \
-                _weight_dict(self.grid, *self.grid_weights)
+            self.weights = {} if self.wd is None else \
+                _weight_dict(self, *self.wd)
         else:
             raise AttributeError(name)
         return getattr(self, name)
@@ -112,7 +149,7 @@ class Graph:
     # -- basic accessors ------------------------------------------------
 
     def __len__(self):
-        return self.grid.n
+        return self.n
 
     def edges(self):
         return [(u, v) for u in self.vertices for v in self.adj[u] if u < v]
@@ -120,40 +157,61 @@ class Graph:
     def weight(self, u, v):
         return self.weights.get(edge_key(u, v), 1)
 
+    def points(self):
+        """The vertices as an int64 array of shape (n, 2), sorted."""
+        return np.argwhere(self.occ) + self.origin
+
+    def classes(self):
+        """(x + y) % 2 at each cell of the box, an array shaped like occ."""
+        (x0, y0), (w, h) = self.origin, self.occ.shape
+        return (np.arange(x0, x0 + w)[:, None] + np.arange(y0, y0 + h)) % 2
+
     def is_balanced(self):
         """Whether both (x + y) parity classes have equally many vertices."""
-        return 2 * int(self.grid.classes()[self.grid.occ].sum()) == len(self)
+        return 2 * int(self.classes()[self.occ].sum()) == len(self)
 
     # -- derived graphs --------------------------------------------------
 
     def induced(self, keep):
         """The subgraph on the vertices among the points keep (others are
         ignored), masked as _masked masks one."""
-        return self._masked(self.grid.cells(keep))
+        return self._masked(self._cells(keep))
 
     def without(self, drop):
         """The subgraph on the vertices not among the points drop."""
-        return self._masked(~self.grid.cells(drop))
+        return self._masked(~self._cells(drop))
+
+    def _cells(self, points):
+        """A mask shaped like occ, True at those of the points (x, y), read
+        as Python numbers (an int may lie past int64), that lie in the box
+        and have integer coordinates: the others are no vertex."""
+        at = np.fromiter(chain.from_iterable(points), object).reshape(
+            -1, 2) - self.origin
+        at = at[((at >= 0) & (at < self.occ.shape) & (at % 1 == 0)).all(1)]
+        mask = np.zeros(self.occ.shape, bool)
+        mask[tuple(at.astype(np.int64).T)] = True
+        return mask
 
     def _masked(self, keep):
-        """self's Grid under the mask keep (Grid.induced), weighted by
-        self's grid_weights on the same box.  No edge or weight is checked
-        again; the weights equal self's, but read as Fractions."""
-        g = Graph(self.grid.induced(keep))
-        g.grid_weights = self.grid_weights
-        return g
+        """The subgraph on the box's vertices where the mask keep (or one
+        bool) is True, with the edges whose two ends are both kept, masked
+        as stacked_grids masks them, and self's wd on the same box.  No
+        edge or weight is checked again."""
+        occ = self.occ & keep
+        links = self.links & occ
+        links[0, :-1] &= occ[1:]
+        links[1, :, :-1] &= occ[:, 1:]
+        return Graph.of(self.origin, occ, links, self.wd)
 
     def with_weights(self, weights):
         """This graph with the given edge weights in place of its own: a
-        dict, checked as Graph checks one, or (w, d) as count_many weights
-        a Grid, kept as grid_weights.  The copy shares self's Grid and
-        reads its vertices and adj from it; no edge is checked again."""
+        dict, checked as Graph checks one, or wd itself.  The copy shares
+        self's arrays and n, and decodes its own vertices and adj; no edge
+        is checked again."""
         g = Graph.__new__(Graph)
-        g.grid = self.grid
-        if type(weights) is tuple:
-            g.grid_weights = weights
-        else:
-            g.weights, g.grid_weights = _checked_weights(self, weights)
+        g.origin, g.occ, g.links = self.origin, self.occ, self.links
+        g.n, g.wd = self.n, (weights if type(weights) is tuple
+                             else _checked_weights(self, weights))
         return g
 
     # -- canonical serialization ------------------------------------------
@@ -174,11 +232,11 @@ class Graph:
 
 
 def _checked_weights(g, weights):
-    """The weights that differ from 1, keyed by edge_key, and their (w, d)
-    on g.grid (_edge_weights; None if there are none).  A weight on a pair
-    that is not an edge of g, one that is not an int or a Fraction (bool
-    is not allowed), or one that is not above 0 raises ValueError naming
-    the pair: counts are |det|, the weighted count for positive ones."""
+    """The wd on g of the weights dict, whose weights of 1 are left out
+    (_edge_weights; None if none is left).  A weight on a pair that is not
+    an edge of g, one that is not an int or a Fraction (bool is not
+    allowed), or one that is not above 0 raises ValueError naming the
+    pair: counts are |det|, the weighted count for positive ones."""
     out = {}
     for (u, v), w in (weights or {}).items():
         if v not in g.adj.get(u, ()):
@@ -191,122 +249,36 @@ def _checked_weights(g, weights):
             raise ValueError(f"weight {w} on {u}-{v} is not positive")
         if w != 1:
             out[edge_key(u, v)] = w
-    return out, _edge_weights(g.grid, out) if out else None
+    return _edge_weights(g, out) if out else None
 
 
-class Grid:
-    """A unit-step graph as boolean arrays on its bounding box, indexed
-    [x - x0, y - y0] for origin (x0, y0), so that ravel order is the
-    x-major order of Graph.vertices: occ marks the n vertices, and
-    edges[0] and edges[1] the edges (x, y)-(x+1, y) and (x, y)-(x, y+1)
-    at (x, y).  The box contains the vertices but need not be tight: a
-    subgraph (induced) keeps its parent's box.  A Grid carries no
-    weights; its arrays are not changed.
-    """
-
-    __slots__ = ("origin", "occ", "edges", "n")
-
-    def __init__(self, origin, occ, edges):
-        """The grid at origin (x0, y0) of the arrays occ and edges, which
-        has no edge with an end outside occ."""
-        self.origin, self.occ, self.edges = origin, occ, edges
-        self.n = int(np.count_nonzero(occ))
-
-    @classmethod
-    def of_adj(cls, adj):
-        """The Grid of a Graph's adj.  It raises NonPlanarEmbedding unless
-        every edge is a unit step, and TooLarge before any array of its
-        bounding box is made if that box spans more than BUILD_CAP
-        points."""
-        n = len(adj)
-        pts = np.fromiter(chain.from_iterable(adj), np.int64,
-                          2 * n).reshape(n, 2)
-        east, north = (np.fromiter(((x + dx, y + dy) in s
-                                    for (x, y), s in adj.items()), bool, n)
-                       for dx, dy in ((1, 0), (0, 1)))
-        # each unit edge is found once, at its lower-left end
-        if 2 * (east.sum() + north.sum()) != sum(map(len, adj.values())):
-            for (x, y), s in adj.items():
-                for u, v in s:
-                    if abs(u - x) + abs(v - y) != 1:
-                        raise NonPlanarEmbedding(
-                            f"edge {(x, y)}-{(u, v)} is not a unit step")
-        lo = pts.min(0) if n else np.zeros(2, dtype=np.int64)
-        shape = tuple((pts.max(0) - lo + 1).tolist()) if n else (0, 0)
-        _refuse(f"a graph of {n} vertices", prod(shape))
-        occ = np.zeros(shape, bool)
-        edges = np.zeros((2,) + occ.shape, dtype=bool)
-        at = tuple((pts - lo).T)
-        occ[at], edges[(0,) + at], edges[(1,) + at] = True, east, north
-        return cls(tuple(lo.tolist()), occ, edges)
-
-    def cells(self, points):
-        """A mask shaped like occ, True at those of the points (x, y), read
-        as Python ints (one may lie past int64), that lie in the box."""
-        at = np.fromiter(chain.from_iterable(points), object).reshape(
-            -1, 2) - self.origin
-        at = at[((at >= 0) & (at < self.occ.shape)).all(1)]
-        mask = np.zeros(self.occ.shape, bool)
-        mask[tuple(at.astype(np.int64).T)] = True
-        return mask
-
-    def induced(self, keep):
-        """The subgraph on the box's vertices where the mask keep (or one
-        bool) is True, with the edges whose two ends are both kept, masked
-        as stacked_grids masks them."""
-        occ = self.occ & keep
-        edges = self.edges & occ
-        edges[0, :-1] &= occ[1:]
-        edges[1, :, :-1] &= occ[:, 1:]
-        return Grid(self.origin, occ, edges)
-
-    def classes(self):
-        """(x + y) % 2 at each cell of the box, an array shaped like occ."""
-        (x0, y0), (w, h) = self.origin, self.occ.shape
-        return (np.arange(x0, x0 + w)[:, None] + np.arange(y0, y0 + h)) % 2
-
-    def points(self):
-        """The vertices as an int64 array of shape (n, 2), sorted."""
-        return np.argwhere(self.occ) + self.origin
-
-    def vertices_adj(self):
-        """(vertices, adj) as Graph holds them: the edges entered as
-        _edge_keys decodes them, east ones first, each in x-major order of
-        its lower-left end."""
-        pts = tuple(map(tuple, self.points().tolist()))
-        adj = {v: set() for v in pts}
-        for u, v in _edge_keys(self, np.flatnonzero(self.edges)):
-            adj[u].add(v)
-            adj[v].add(u)
-        return pts, adj
-
-
-def _edge_weights(grid, weights):
-    """A Graph's weights dict on its grid, as count_many weights a Grid:
-    (w, d), d the lcm of their denominators (an edge with none: 1)."""
+def _edge_weights(g, weights):
+    """The wd of a weights dict, keyed by edge_key, on g's links: d the lcm
+    of their denominators, and w d times each weight (an edge with none:
+    1)."""
     d = lcm(*(t.denominator for t in weights.values()))
     vals = int_array([d] + [t.numerator * (d // t.denominator)
                             for t in weights.values()])
-    w = np.full(grid.edges.shape, vals[0], dtype=vals.dtype)
+    w = np.full(g.links.shape, vals[0], dtype=vals.dtype)
     x, y, _, y1 = np.fromiter(chain.from_iterable(chain.from_iterable(
         weights)), np.int64, 4 * len(weights)).reshape(-1, 4).T
-    w[y1 - y, x - grid.origin[0], y - grid.origin[1]] = vals[1:]
+    w[y1 - y, x - g.origin[0], y - g.origin[1]] = vals[1:]
     return w, d
 
 
-def _weight_dict(grid, w, d):
-    """The weights dict, as Graph holds it, of grid weighted by (w, d) as
-    count_many weights a Grid: Fraction(w, d) on each edge where w != d."""
-    ids = np.flatnonzero(grid.edges & (w != d))
-    return dict(zip(_edge_keys(grid, ids),
+def _weight_dict(g, w, d):
+    """The weights dict, as Graph decodes it, of g weighted by (w, d):
+    Fraction(w, d) on each edge where w != d."""
+    ids = np.flatnonzero(g.links & (w != d))
+    return dict(zip(_edge_keys(g, ids),
                     (Fraction(t, d) for t in w.ravel()[ids].tolist())))
 
 
-def _edge_keys(grid, ids):
-    """The edge_keys of the edges at flat indices ids of grid's raveled
-    edges array, in the order of ids."""
-    d, x, y = np.unravel_index(ids, grid.edges.shape)
-    x, y = (x + grid.origin[0]).tolist(), (y + grid.origin[1]).tolist()
+def _edge_keys(g, ids):
+    """The edge_keys of the edges at flat indices ids of g's raveled links,
+    in the order of ids."""
+    d, x, y = np.unravel_index(ids, g.links.shape)
+    x, y = (x + g.origin[0]).tolist(), (y + g.origin[1]).tolist()
     return [((u, v), (u + 1 - k, v + k)) for k, u, v in zip(d.tolist(), x, y)]
 
 
@@ -325,7 +297,7 @@ def _degrees(east, north, h):
 
 def _peel(occ, edges, h):
     """Match forced edges away, in place, on the raveled occ and edges of
-    one Grid or more side by side, of height h, without reading weights.
+    one Graph or more side by side, of height h, without reading weights.
 
     In rounds, every vertex of degree 1 is matched to its neighbour, and
     both leave with their edges.  Returns (forced, bad): the matched
@@ -363,16 +335,15 @@ def reduce_forced(g):
     isolated, or claimed by two degree-1 vertices, short-circuits to (g
     masked to no vertex, 0).
     """
-    grid = g.grid
-    occ, edges = grid.occ.ravel().copy(), grid.edges.ravel().copy()
-    forced, bad = _peel(occ, edges, grid.occ.shape[1])
+    occ, links = g.occ.ravel().copy(), g.links.ravel().copy()
+    forced, bad = _peel(occ, links, g.occ.shape[1])
     if bad.any():
         return g._masked(False), 0
     if occ.sum() == len(g):
         return g, 1
-    w, d = g.grid_weights or (np.ones(grid.edges.shape, np.int64), 1)
+    w, d = g.wd or (np.ones(g.links.shape, np.int64), 1)
     fw = w[forced.reshape(w.shape)].tolist()
-    return (g._masked(occ.reshape(grid.occ.shape)),
+    return (g._masked(occ.reshape(g.occ.shape)),
             _exact(Fraction(prod(fw), d ** len(fw))))
 
 
@@ -467,10 +438,10 @@ def planar_faces(g):
 
 
 def _flips(occ, x0, y0):
-    """Kasteleyn's square-lattice rule on the vertex array occ of a Grid
+    """Kasteleyn's square-lattice rule on the vertex array occ of a Graph
     (or of several side by side) with origin (x0, y0), which matters mod
     2 only: per cell, whether its east edge points west, and whether its
-    north edge points south, as an array shaped like Grid.edges.  A
+    north edge points south, as an array shaped like Graph.links.  A
     horizontal edge in row y points east iff y is even, and a vertical
     edge (x, y)-(x, y+1) north iff x + rank is even, rank being the number
     of vertices left of (x, y) in its row.
@@ -867,18 +838,18 @@ def det_exact(vals, cols):
 _CHUNK = 64
 
 
-def _plan(grids, cap):
-    """The Kasteleyn matrices of grids, planned on one stacked array.
+def _plan(graphs, cap):
+    """The Kasteleyn matrices of graphs, planned on one stacked array.
 
-    The grids lie side by side, with empty columns between them, and
-    _peel reduces all of them at once.  Per grid the result is None when
+    The graphs lie side by side, with empty columns between them, and
+    _peel reduces all of them at once.  Per graph the result is None when
     it has no perfect matching (_peel's bad vertices, or classes of
     unequal size), and otherwise (pieces, forced): the forced edges as a
-    mask shaped like the grid's edges, and per piece of what is left
+    mask shaped like the graph's links, and per piece of what is left
     (lens, cols, signs, at): the row lengths, columns and +-1 entries of
     its Kasteleyn matrix, and in the rows of at the index (d, x, y) of
-    each entry's edge in the grid's edges.  The matching count of the
-    grid is the product of its pieces' |det|.
+    each entry's edge in the graph's links.  The matching count of the
+    graph is the product of its pieces' |det|.
 
     The pieces come from cuts along x + y.  A cut lies above each level l
     (a diagonal x + y = l) below which the vertices left are balanced.
@@ -889,7 +860,7 @@ def _plan(grids, cap):
     below, so a perfect matching matches them to all of those and uses no
     edge across the cut (the splitting lemma).  The count, weighted or
     not, is the product of the counts of the pieces between consecutive
-    cuts.  A grid with no cut is one piece.
+    cuts.  A graph with no cut is one piece.
 
     Row i and column j of a piece are its i-th even and j-th odd vertex in
     level order: by level x + y, then by x.  An edge joins two consecutive
@@ -898,31 +869,31 @@ def _plan(grids, cap):
     the levels.  (A fixed band is narrower in x-major order, but the
     envelope is smaller in level order.)  An entry is + when _flips
     orients its edge out of the even vertex, with ranks over whole rows of
-    the stack, as for a whole grid: a piece lies between two diagonals, so
+    the stack, as for a whole graph: a piece lies between two diagonals, so
     no vertex of another piece lies inside one of its cycles (_flips).  A
-    grid left with more than cap vertices raises TooLarge.
+    graph left with more than cap vertices raises TooLarge.
     """
-    # a grid's point (x, y) goes to cell (x - dx, y - dy), dx a multiple
+    # a graph's point (x, y) goes to cell (x - dx, y - dy), dx a multiple
     # of 4 and dy of 2, so parities (and Kasteleyn's rule) are kept
-    boxes, x = [], 1  # each grid's cells [:, X, Y] in the stack
-    for g in grids:
+    boxes, x = [], 1  # each graph's cells [:, X, Y] in the stack
+    for g in graphs:
         x += (g.origin[0] - x) % 4
         y = g.origin[1] % 2
         boxes.append(np.s_[:, x:x + g.occ.shape[0], y:y + g.occ.shape[1]])
         x += g.occ.shape[0] + 1
     h = max([1] + [box[2].stop for box in boxes])
     occ, edges = np.zeros((x, h), dtype=bool), np.zeros((2, x, h), dtype=bool)
-    owner = np.full(x, len(grids))  # gap columns belong to no grid
-    for j, (g, box) in enumerate(zip(grids, boxes)):
-        occ[box[1:]], edges[box] = g.occ, g.edges
+    owner = np.full(x, len(graphs))  # gap columns belong to no graph
+    for j, (g, box) in enumerate(zip(graphs, boxes)):
+        occ[box[1:]], edges[box] = g.occ, g.links
         owner[box[1]] = j
     forced, bad = _peel(occ.ravel(), edges.ravel(), h)
 
     # each vertex's level x + y, counted from its box's left edge, so
-    # that a grid's levels lie in range(span); a level holds one class
+    # that a graph's levels lie in range(span); a level holds one class
     # only, and the running sum over the levels of even minus odd
     # vertices is 0 below each cut
-    n, span = x * h, max([0] + [g.occ.shape[0] for g in grids]) + h
+    n, span = x * h, max([0] + [g.occ.shape[0] for g in graphs]) + h
     vs = np.flatnonzero(occ)
     vx, vy = np.divmod(vs, h)
     own, x0 = owner[vx], np.array([box[1].start for box in boxes] + [0])
@@ -938,7 +909,7 @@ def _plan(grids, cap):
         raise TooLarge(f"{int(size[~dead].max())} vertices after forced-edge "
                        f"reduction exceed {cap}")
     cut = (below == 0) & (tally > 0)
-    # each vertex's piece: its grid's first key, plus the cuts below it
+    # each vertex's piece: its graph's first key, plus the cuts below it
     piece = np.full(n, -1)
     piece[vs] = (np.cumsum(cut, 1) - cut).ravel()[key] + own * span
     # rows and columns: even and odd vertices by piece, then by level,
@@ -956,12 +927,12 @@ def _plan(grids, cap):
              * [1, -1, 1, -1])[valid]
     cols = col[mate[valid]]
     lens = valid.sum(1, dtype=np.int32)
-    # each entry's edge as its index (d, x, y) in its grid's edges
+    # each entry's edge as its index (d, x, y) in its graph's links
     d, ex, ey = np.unravel_index(slot[valid], (2, x, h))
     k = owner[ex]
     at = np.stack((d, ex - x0[k], ey - y0[k]))
-    forced = forced.reshape(2, x, h)  # a grid's box of it is like g.edges
-    pieces = [[] for _ in grids]
+    forced = forced.reshape(2, x, h)  # a graph's box of it is like g.links
+    pieces = [[] for _ in graphs]
     first = np.flatnonzero(np.diff(pa, prepend=-1))
     rows = first.tolist() + [len(a)]
     ends = [0] + np.cumsum(lens).tolist()
@@ -975,35 +946,34 @@ def _plan(grids, cap):
 
 def count_many(graphs, cap=FKT_CAP):
     """Exact matching counts of graphs, in order, by Pfaffian orientations
-    and exact determinants.  Each is a Grid, a weighted Grid (grid, (w,
-    d)), whose edge at flat index k of grid.edges weighs w.ravel()[k] / d
-    for w a signed integer or object array of ints, or a Graph, read as
-    its grid weighted by its grid_weights (if not None).
+    and exact determinants.  Each is a Graph, read as its arrays weighted
+    by its wd.
 
-    Consecutive items that share one Grid share its plan.  The Grids are
-    sorted by size into chunks of about _CHUNK copies, each planned by
-    one _plan and eliminated by one _dets_exact, with each piece of a
-    graph (_plan) as a matrix of its own.  A weighted count is the forced
+    Consecutive graphs that share their arrays (with_weights copies) share
+    one plan.  The structures are sorted by size into chunks of about
+    _CHUNK copies, each planned by one _plan and eliminated by one
+    _dets_exact, with each piece of a graph (_plan) as a matrix of its
+    own.  A weighted count is the forced
     edges' weight product times the product of the pieces' |det(signs *
     w)|, over d^(rows + forced edges).  A graph left with more than cap
     vertices after forced-edge reduction raises TooLarge.
     """
-    grids, copies = [], []  # structures; their (item, weights)
+    structs, copies, last = [], [], None  # one graph per run; its (i, wd)
     for i, g in enumerate(graphs):
-        g, w = (g.grid, g.grid_weights) if isinstance(g, Graph) else \
-            g if isinstance(g, tuple) else (g, None)
-        if not grids or g is not grids[-1]:
-            grids.append(g)
+        key = (g.origin, id(g.occ), id(g.links))
+        if key != last:
+            structs.append(g)
             copies.append([])
-        copies[-1].append((i, w))
+            last = key
+        copies[-1].append((i, g.wd))
     counts = [0] * sum(map(len, copies))
-    order = sorted(range(len(grids)), key=lambda j: grids[j].n)
+    order = sorted(range(len(structs)), key=lambda j: structs[j].n)
     # a chunk: the structures whose first copy is in one run of _CHUNK copies
     before = accumulate((len(copies[j]) for j in order), initial=0)
     for _, run in groupby(zip(order, before), lambda t: t[1] // _CHUNK):
         chunk = [j for j, _ in run]
         mats, owners = [], []
-        for j, plan in zip(chunk, _plan([grids[j] for j in chunk], cap)):
+        for j, plan in zip(chunk, _plan([structs[j] for j in chunk], cap)):
             if plan is None:
                 continue
             pieces, forced = plan
@@ -1102,20 +1072,20 @@ def split_check(g, h_vertices, method="auto"):
 
     Separating: no edge joins V(H) in one fixed class to G - H.
     Balancing: H has equally many vertices of both classes.
-    H and G - H are g's Grid under two masks (induced and without), and
-    the edges that cross between them are g's edges in neither.
+    H and G - H are g under two masks (induced and without), and the
+    edges that cross between them are g's edges in neither.
     """
     h_set = set(h_vertices)
     h, rest = g.induced(h_set), g.without(h_set)
     if len(h) != len(h_set):
         raise ConditionsViolated("H is not a vertex subset of G")
-    cls, in_h = g.grid.classes(), h.grid.occ
+    cls, in_h = g.classes(), h.occ
     if 2 * (h_odd := int(cls[in_h].sum())) != len(h):
         raise ConditionsViolated(
             f"balancing condition fails: {len(h) - h_odd} vs {h_odd}")
     # a crossing edge's end in H is its lower-left end, at its cell, if
     # that cell is in H, and otherwise its other end, of the other class
-    cross = (g.grid.edges & ~h.grid.edges & ~rest.grid.edges).any(0)
+    cross = (g.links & ~h.links & ~rest.links).any(0)
     if len(np.unique((cls == in_h)[cross])) > 1:
         raise ConditionsViolated(
             "separating condition fails: both classes of H meet G-H")

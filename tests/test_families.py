@@ -8,7 +8,7 @@ from crossdimer.families import (
 )
 from crossdimer.lattice import FULL_GRID, GRID_B
 from crossdimer.matchcount import (
-    Graph, Grid, NonPlanarEmbedding, count_brute, count_fkt,
+    Graph, NonPlanarEmbedding, count_brute, count_fkt,
 )
 
 
@@ -16,6 +16,13 @@ def moved(g, fn):
     """g with each point p at fn(p), for fn a map of Z^2 that keeps parity."""
     return Graph(map(fn, g.vertices), [(fn(u), fn(v)) for u, v in g.edges()],
                  {(fn(u), fn(v)): w for (u, v), w in g.weights.items()})
+
+
+def shares_arrays(a, b):
+    """Whether the graphs a and b are one structure: the same box, vertex
+    and edge arrays, and vertex count."""
+    return (a.origin == b.origin and a.occ is b.occ and a.links is b.links
+            and a.n == b.n)
 
 
 def mirror_x(p):
@@ -84,15 +91,21 @@ def test_tr_values():
 
 
 def test_builders_construct_one_graph(monkeypatch):
-    # strips, trims and cuts compose point sets; the graph is built once
+    # strips, trims and cuts compose point sets; the graph is made once,
+    # from its arrays (Graph.of), and no Graph is made from a dict
     made = []
-    init = Graph.__init__
+    init, of = Graph.__init__, Graph.of.__func__
 
     def spy(self, *args, **kwargs):
-        made.append(1)
+        made.append("init")
         init(self, *args, **kwargs)
 
+    def of_spy(cls, *args):
+        made.append("of")
+        return of(cls, *args)
+
     monkeypatch.setattr(Graph, "__init__", spy)
+    monkeypatch.setattr(Graph, "of", classmethod(of_spy))
     builds = {
         "A1": lambda: build_A(1, 9, 8, 2),
         "A3": lambda: build_A(3, 6, 6, 1),
@@ -104,13 +117,13 @@ def test_builders_construct_one_graph(monkeypatch):
     for name, build in builds.items():
         made.clear()
         assert len(build()) > 0
-        assert len(made) == 1, name
+        assert made == ["of"], name
 
 
 def test_built_graphs_count_from_their_grid(monkeypatch):
-    # a built Graph keeps its Grid, and counting it reads no dict: with
-    # the dict builder made to raise, the counts still equal the closed
-    # forms, and each build still runs Graph.__init__ once
+    # a built Graph holds its arrays, and counting it decodes no dict:
+    # with the decoding made to raise, the counts still equal the closed
+    # forms, and no build runs Graph.__init__
     from crossdimer.formulas import phi_value, thm_TR
 
     made = []
@@ -120,25 +133,25 @@ def test_built_graphs_count_from_their_grid(monkeypatch):
         made.append(1)
         init(self, *args, **kwargs)
 
-    def no_dict(self):
-        raise AssertionError("the vertices and adj dict was built")
+    def no_dict(self, name):
+        raise AssertionError(f"{name} was decoded")
 
     monkeypatch.setattr(Graph, "__init__", spy)
-    monkeypatch.setattr(Grid, "vertices_adj", no_dict)
+    monkeypatch.setattr(Graph, "__getattr__", no_dict)
     for build, want in ((lambda: build_TR(3, 6), thm_TR(3, 6).value()),
                         (lambda: build_TR(5, 10), thm_TR(5, 10).value()),
                         (lambda: build_A(1, 8, 8, 3), phi_value(1, 8, 8, 3))):
         made.clear()
         g = build()
-        assert made == [1]
+        assert made == []
         assert count_fkt(g) == want
 
 
 def test_built_graphs_read_like_eager_graphs():
     # the vertices and adj that a built Graph makes on first read are
     # those of Graph(vertices, edges), which checks every edge, on one
-    # spec per head on each lattice it lies on; and the Grid that the
-    # eager graph makes of its adj has the kept one's arrays
+    # spec per head on each lattice it lies on; and the arrays that the
+    # eager graph makes of its adj are the built one's
     import numpy as np
 
     specs = [Spec(f"{kind}{i}", (5, 8, 4), lat) for kind in "AF"
@@ -149,40 +162,39 @@ def test_built_graphs_read_like_eager_graphs():
               for lat in (FULL_GRID, GRID_B)]
     for spec in specs:
         g = spec.graph()
-        n = len(g)  # from the Grid, before any dict exists
+        n = len(g)  # from the arrays, before any dict exists
         eager = Graph(g.vertices, g.edges())
-        assert eager.grid is not g.grid
-        assert n == len(g) == len(eager) == g.grid.n, str(spec)
+        assert eager.occ is not g.occ and eager.links is not g.links
+        assert n == len(g) == len(eager) == g.n == eager.n, str(spec)
         assert g.vertices == eager.vertices and g.adj == eager.adj
         assert sorted(g.edges()) == sorted(eager.edges())
         assert g.to_json() == eager.to_json()
         assert g.is_balanced() == eager.is_balanced()
-        grid = eager.grid
-        assert grid.origin == g.grid.origin
-        assert np.array_equal(grid.occ, g.grid.occ)
-        assert np.array_equal(grid.edges, g.grid.edges)
+        assert eager.origin == g.origin
+        assert np.array_equal(eager.occ, g.occ)
+        assert np.array_equal(eager.links, g.links)
 
 
 def test_weighted_copies_keep_the_grid():
     # cross-weighted and with_weights copies of a built Graph share its
-    # Grid, as those of its eager twin share the twin's, and they count
+    # arrays, as those of its eager twin share the twin's, and they count
     # alike
     from fractions import Fraction
 
     g = build_A(1, 4, 4, 2)
     plain = g.with_weights({})
-    assert plain.grid is g.grid and plain.grid_weights is None
+    assert shares_arrays(plain, g) and plain.wd is None
     eager = Graph(g.vertices, g.edges())
     for w in (weight_point(3, 5, 7), weight_point(1, 1, 1),
               weight_point(Fraction(1, 2), 3, 1)):
         got, want = assign_cross_weights(g, w), assign_cross_weights(eager, w)
-        assert got.grid is g.grid and want.grid is eager.grid
+        assert shares_arrays(got, g) and shares_arrays(want, eager)
         assert got.adj == g.adj and got.weights == want.weights
         assert count_fkt(got) == count_fkt(want)
     # a weight is checked against the edges of a built Graph too
     edge = g.edges()[0]
     doubled = g.with_weights({edge: 2})
-    assert doubled.grid is g.grid and doubled.adj == g.adj
+    assert shares_arrays(doubled, g) and doubled.adj == g.adj
     assert count_fkt(doubled) == count_fkt(eager.with_weights({edge: 2}))
     with pytest.raises(ValueError, match="not an edge"):
         g.with_weights({(edge[0], (edge[0][0] + 1, edge[0][1] + 1)): 2})
@@ -190,10 +202,10 @@ def test_weighted_copies_keep_the_grid():
 
 def test_cross_weights_on_a_built_graph_come_from_its_grid(monkeypatch):
     # on one spec per head of the cross lattice, a cross-weighted copy of
-    # the built Graph carries its Grid's (w, d), as the copy of its eager
-    # twin carries the twin's: counting it builds neither the edges, nor
-    # the weights dict, nor weight arrays from one, and it serialises and
-    # counts as the twin's copy does
+    # the built Graph carries (w, d) on its arrays, as the copy of its
+    # eager twin carries them on the twin's: counting it builds neither
+    # the edges, nor the weights dict, nor weight arrays from one, nor
+    # decodes any dict, and it serialises and counts as the twin's copy
     from fractions import Fraction
 
     import numpy as np
@@ -215,15 +227,14 @@ def test_cross_weights_on_a_built_graph_come_from_its_grid(monkeypatch):
     with monkeypatch.context() as m:
         for owner, name in ((matchcount, "_edge_weights"),
                             (matchcount, "_weight_dict"), (Graph, "edges"),
-                            (Grid, "vertices_adj")):
+                            (Graph, "__getattr__")):
             m.setattr(owner, name, refuse)
         counts = [count_fkt(g) for g in copies]
     for j, (g, n) in enumerate(zip(copies, counts)):
         spec, w = specs[j // len(points)], points[j % len(points)]
         eager = assign_cross_weights(Graph(g.vertices, g.edges()), w)
-        assert g.grid_weights is not None and eager.grid_weights is not None
-        assert all(np.array_equal(a, b) for a, b in zip(g.grid_weights,
-                                                         eager.grid_weights))
+        assert g.wd is not None and eager.wd is not None
+        assert all(np.array_equal(a, b) for a, b in zip(g.wd, eager.wd))
         assert g.to_json() == eager.to_json(), str(spec)
         assert g.graph_hash() == eager.graph_hash()
         assert g.weights == eager.weights
@@ -243,9 +254,9 @@ def test_a_batch_of_rectangles_spans_no_family_rows(monkeypatch):
         return row_spans(corners2)
 
     monkeypatch.setattr(families, "row_spans", spy)
-    grid = next(families.grids([Spec("TR", (2, 4))]))
+    g = next(families.grids([Spec("TR", (2, 4))]))
     assert calls == [1]
-    assert grid.n == len(build_TR(2, 4))
+    assert len(g) == len(build_TR(2, 4))
     corners, cleared = families.family_geometry([])
     assert corners.shape == (0, 7, 2) and cleared.shape == (0, 3)
 
@@ -330,11 +341,10 @@ def test_horizontal_reflection_count_identities():
 def test_double_reflection_is_translation():
     # a mirror, shifted by a period of the cross lattice and mirrored back,
     # has g's arrays at another origin
-    g = build_A(1, 2, 2, 0).grid
+    g = build_A(1, 2, 2, 0)
     for fn in (mirror_x, mirror_y):
-        h = moved(moved(moved(Graph(g), fn),
-                        lambda p: (p[0] + 4, p[1] + 4)), fn).grid
-        assert (g.occ == h.occ).all() and (g.edges == h.edges).all()
+        h = moved(moved(moved(g, fn), lambda p: (p[0] + 4, p[1] + 4)), fn)
+        assert (g.occ == h.occ).all() and (g.links == h.links).all()
         assert h.origin != g.origin
 
 
@@ -372,8 +382,9 @@ def test_weights_reject_full_grid():
 
 def test_cross_weights_on_a_hand_made_graph_never_walk_its_edges(
         monkeypatch):
-    # a hand-made graph is cross-weighted from the Grid it made of its adj,
-    # as a built one is from the Grid it keeps, and its copies share it
+    # a hand-made graph is cross-weighted from the arrays it made of its
+    # adj, as a built one is from the arrays it was made of, and its copies
+    # share them
     from fractions import Fraction
 
     from crossdimer.families import cross_weightings
@@ -381,24 +392,26 @@ def test_cross_weights_on_a_hand_made_graph_never_walk_its_edges(
     g = build_A(1, 4, 4, 2)
     twin = Graph(g.vertices, g.edges())
     points = [weight_point(3, 5, 7), weight_point(Fraction(1, 2), 3, 1)]
-    want = cross_weightings(g, points)
+    want = list(cross_weightings([g], points))
 
     def refuse(*args):
         raise AssertionError("cross_weightings walked the edges")
 
     with monkeypatch.context() as m:
         m.setattr(Graph, "edges", refuse)
-        got = cross_weightings(twin, points)
+        got = list(cross_weightings([twin], points))
+    assert len(got) == len(want) == 2
     for copy, built in zip(got, want):
-        assert copy.grid is twin.grid and copy.grid_weights is not None
+        assert shares_arrays(copy, twin) and copy.wd is not None
         assert copy.adj == twin.adj and copy.weights == built.weights
         assert count_fkt(copy) == count_fkt(built)
 
 
 def test_cross_weights_on_a_hand_made_graph_build_its_grid_once(
         monkeypatch):
-    # a hand-made graph makes its Grid once, when it is made: neither
-    # cross_weightings nor the counts of its copies make another
+    # a hand-made graph makes its arrays once, when it is made: neither
+    # cross_weightings nor the counts of its copies make a Graph from a
+    # dict again
     from crossdimer.families import cross_weightings
     from crossdimer.matchcount import count_many
 
@@ -406,17 +419,17 @@ def test_cross_weights_on_a_hand_made_graph_build_its_grid_once(
     points = [weight_point(3, 5, 7), weight_point(5, 7, 3),
               weight_point(7, 3, 5), weight_point(3, 5, 11)]
     built = []
-    of_adj = Grid.of_adj.__func__
+    init = Graph.__init__
 
-    def spy(cls, adj):
-        built.append(len(adj))
-        return of_adj(cls, adj)
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(len(self))
 
-    monkeypatch.setattr(Grid, "of_adj", classmethod(spy))
+    monkeypatch.setattr(Graph, "__init__", spy)
     twin = Graph(g.vertices, g.edges())
     assert built == [len(g)]
-    got = cross_weightings(twin, points)
-    want = cross_weightings(g, points)
+    got = list(cross_weightings([twin], points))
+    want = list(cross_weightings([g], points))
     assert count_many(got) == count_many(want)
     assert built == [len(g)]
     for copy, other in zip(got, want):
@@ -489,25 +502,24 @@ def _batch_specs():
 @settings(max_examples=60, deadline=None)
 @given(_batch_specs())
 def test_grids_batch_equals_each_spec_built_alone(specs):
-    # one stacked array for the batch gives each graph's Grid exactly as a
-    # batch of one and as the Grid of its Graph give it, with the edges of
+    # one stacked array for the batch gives each graph's arrays exactly as
+    # a batch of one and as its Spec's graph give them, with the edges of
     # its lattice, and counts that match the closed forms where theorems
     # 2.1, 1.1 and 1.3 give them
     import numpy as np
 
     from crossdimer.families import check_trim_domain, grids
     from crossdimer.formulas import HypothesisViolated
-    from crossdimer.matchcount import Grid, count_many
+    from crossdimer.matchcount import count_many
 
     batch = list(grids(specs))
     assert len(batch) == len(specs)
-    for spec, grid in zip(specs, batch):
-        for other in (next(grids([spec])), spec.graph().grid):
-            assert grid.origin == other.origin
-            assert np.array_equal(grid.occ, other.occ)
-            assert np.array_equal(grid.edges, other.edges)
+    for spec, g in zip(specs, batch):
+        for other in (next(grids([spec])), spec.graph()):
+            assert g.origin == other.origin and g.n == other.n
+            assert np.array_equal(g.occ, other.occ)
+            assert np.array_equal(g.links, other.links)
         # the edges are those that the lattice has between the points
-        g = Graph(grid)
         assert {tuple(sorted(e)) for e in g.edges()} == {
             (p, q) for p in g.vertices for q in ((p[0] + 1, p[1]),
                                                  (p[0], p[1] + 1))
@@ -523,19 +535,19 @@ def test_grids_batch_equals_each_spec_built_alone(specs):
         assert got == spec.closed_form().value(), str(spec)
 
 
-def test_cross_weighted_grids_use_the_smallest_signed_dtype():
+def test_cross_weightings_use_the_smallest_signed_dtype():
     # scaled weights of 7, 200 and 2^70 need int8, int16 and Python ints,
     # and the counts equal those of the weighted graphs
     import numpy as np
 
-    from crossdimer.families import cross_weighted_grids, grids
+    from crossdimer.families import cross_weightings, grids
     from crossdimer.matchcount import count_many
 
     spec = Spec("A1", (4, 4, 2))
     points = [weight_point(3, 5, 7), weight_point(200, 5, 7),
               weight_point(2 ** 70, 3, 5)]
-    copies = list(cross_weighted_grids(grids([spec]), points))
-    assert [w.dtype for _, (w, _) in copies] == [np.int8, np.int16, object]
+    copies = list(cross_weightings(grids([spec]), points))
+    assert [g.wd[0].dtype for g in copies] == [np.int8, np.int16, object]
     g = spec.graph()
     assert count_many(copies) == [count_fkt(assign_cross_weights(g, w))
                                   for w in points]
@@ -560,15 +572,15 @@ def test_build_bounds_hold_the_graphs():
               for n in range(1, 6) for head in ("AR", "AAR")
               for lat in (FULL_GRID, GRID_B)]
     specs.append(Spec("AR", (1, 3000), FULL_GRID))
-    for spec, grid in zip(specs, grids(specs)):
+    for spec, g in zip(specs, grids(specs)):
         m, n = _rectangle(spec)[:2]
-        assert grid.n <= (2 * m + 1) * (2 * n + 1), str(spec)
+        assert len(g) <= (2 * m + 1) * (2 * n + 1), str(spec)
     assert (2 * m + 1) * (2 * n + 1) == 18003
     fam = [Spec(f"{kind}{i}", t) for t in valid_triples(range(2, 8), 28)
            for i in (1, 2, 3) for kind in ("A", "F")]
     corners, _ = family_geometry(fam)
     box = ((corners.max(1) - corners.min(1)) // 2).prod(1)
-    assert np.all([grid.n for grid in grids(fam)] <= box)
+    assert np.all([len(g) for g in grids(fam)] <= box)
 
 
 def reference_rectangle(spec):
@@ -623,8 +635,8 @@ def test_rectangle_geometry_matches_the_point_sets():
               for n in range(1, 5) for head in ("AR", "AAR")
               for lat in (FULL_GRID, GRID_B)]
     assert {"TA:1,3,1,6", "TB:1,2,0,4"} <= set(map(str, specs))
-    for spec, grid in zip(specs, grids(specs)):
-        x, y = np.nonzero(grid.occ)
-        got = set(zip((x + grid.origin[0]).tolist(),
-                      (y + grid.origin[1]).tolist()))
+    for spec, g in zip(specs, grids(specs)):
+        x, y = np.nonzero(g.occ)
+        got = set(zip((x + g.origin[0]).tolist(),
+                      (y + g.origin[1]).tolist()))
         assert got == reference_rectangle(spec), str(spec)

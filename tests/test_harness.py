@@ -239,9 +239,8 @@ def _graph_recurrence_reference(triples):
 
     @functools.cache
     def gm(kind, i, t):
-        g = build_A(i, *t) if kind == "A" else build_F(i, *t)
-        grid, = grids([Spec(f"{kind}{i}", t)])
-        keys[kind, i, t] = harness.count_key(GRID_B, grid)
+        g, = grids([Spec(f"{kind}{i}", t)])
+        keys[kind, i, t] = harness.count_key(GRID_B, g)
         return count_fkt(g)
 
     want = []
@@ -484,17 +483,18 @@ def test_tr_split_structure():
 
 
 def test_suites_grid_no_subgraph_from_its_adjacency(monkeypatch):
-    # every subgraph that these suites take is a mask of its parent's
-    # Grid, so Grid.of_adj, which grids a hand-made graph, never runs
-    from crossdimer import matchcount
+    # every graph that these suites take is built from arrays or is a
+    # mask of its parent, so Graph.__init__, which makes a hand-made
+    # graph's arrays from its dicts, never runs
+    from crossdimer.matchcount import Graph
 
-    calls, of_adj = [], matchcount.Grid.of_adj.__func__
+    calls, init = [], Graph.__init__
 
-    def spy(cls, adj):
-        calls.append(len(adj))
-        return of_adj(cls, adj)
+    def spy(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(matchcount.Grid, "of_adj", classmethod(spy))
+    monkeypatch.setattr(Graph, "__init__", spy)
     monkeypatch.delenv("CROSSDIMER_CACHE", raising=False)
     for name in ("kuo", "sanity", "theorem11"):
         assert run_suite(name, SuiteConfig()).passed
@@ -517,7 +517,7 @@ def test_kuo_and_split_checks_run_on_masks(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a subgraph was made from a dict")
 
-    monkeypatch.setattr(matchcount.Grid, "of_adj", classmethod(refuse))
+    monkeypatch.setattr(matchcount.Graph, "__init__", refuse)
     monkeypatch.setattr(matchcount, "_checked_weights", refuse)
     assert (kuo_check(g, *quad), split_check(tr, east),
             split_check(tr.without(east), mid)) == want

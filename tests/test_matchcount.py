@@ -67,7 +67,7 @@ def test_graph_rejects_bad_weights():
             Graph(sq.vertices, sq.edges(), {pair: w})
     g = sq.with_weights({((1, 0), (0, 0)): Fraction(2), ((0, 1), (1, 1)): 1})
     assert g.weights == {((0, 0), (1, 0)): 2}
-    assert g.grid is sq.grid
+    assert g.occ is sq.occ and g.links is sq.links and g.n == sq.n
     assert g.adj == sq.adj and g.vertices == sq.vertices
     # an integral weighted count is an int from both methods
     assert count_brute(g) == count_fkt(g) == 3
@@ -117,8 +117,8 @@ def test_brute_cap():
 
 
 class Bare:
-    """A graph as count_brute reads one, with no Grid: its sorted vertices,
-    adj, weight and len, every weight 1."""
+    """A graph as count_brute reads one, with no arrays: its sorted
+    vertices, adj, weight and len, every weight 1."""
 
     def __init__(self, edges):
         self.adj = {}
@@ -160,7 +160,7 @@ def test_brute_runs_none_of_the_fkt_code(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle ran a step of the FKT count")
 
-    monkeypatch.setattr(matchcount.Grid, "of_adj", refuse)
+    monkeypatch.setattr(matchcount.Graph, "of", refuse)
     for name in ("_peel", "_flips", "_det_residues", "_edge_weights"):
         monkeypatch.setattr(matchcount, name, refuse)
     # {bottom, top} and {left, right}
@@ -197,12 +197,11 @@ def plan_orientations(g):
     live vertices are those that no forced edge covers, and the pieces lie
     between the levels of diagonal_cuts.  None when g has no perfect
     matching."""
-    grid = g.grid
-    (plan,) = matchcount._plan([grid], len(g))
+    (plan,) = matchcount._plan([g], len(g))
     if plan is None:
         return None
     pieces, forced = plan
-    peeled = Graph(matchcount.Grid(grid.origin, grid.occ, forced)).adj
+    peeled = Graph.of(g.origin, g.occ, forced).adj
     live = g.without(v for v, s in peeled.items() if s)
     cuts = diagonal_cuts(live)
     assert len(pieces) == (len(cuts) + 1 if len(live) else 0)
@@ -467,20 +466,23 @@ def test_count_many_shares_plans_across_weightings(batch):
 
 
 def test_hand_made_weights_are_put_on_the_grid_once(monkeypatch):
-    # a hand-made weighted Graph stores its weights as grid_weights when it
-    # is made: counting it, or a copy with the same weights, reads them as
-    # they are, and serialising it reads the dict it was given
-    sq = Graph(square().vertices, square().edges(),
-               {((0, 0), (1, 0)): Fraction(1, 2), ((0, 0), (0, 1)): 3})
-    copy = square().with_weights(sq.weights)
+    # a hand-made weighted Graph stores its weights once, as wd, when it is
+    # made: counting it, or a copy with the same weights, reads them as
+    # they are, with no dict; its weights dict is decoded from wd, and
+    # serialises as the dict it was given
+    given = {((0, 0), (1, 0)): Fraction(1, 2), ((0, 0), (0, 1)): 3}
+    sq = Graph(square().vertices, square().edges(), given)
+    copy = square().with_weights(given)
 
     def refuse(*args):
-        raise AssertionError("the weights were put on the Grid again")
+        raise AssertionError("the weights were put on the arrays again")
 
     monkeypatch.setattr(matchcount, "_edge_weights", refuse)
-    monkeypatch.setattr(matchcount, "_weight_dict", refuse)
-    # {bottom, top} and {left, right}
-    assert count_many([sq, copy]) == [Fraction(7, 2)] * 2
+    with monkeypatch.context() as m:
+        m.setattr(matchcount, "_weight_dict", refuse)
+        # {bottom, top} and {left, right}
+        assert count_many([sq, copy]) == [Fraction(7, 2)] * 2
+    assert sq.weights == copy.weights == given
     assert count_brute(sq) == Fraction(1, 2) + 3
     assert '"weights":[[0,1,"3"],[0,2,"1/2"]]' in sq.to_json()
 
@@ -489,7 +491,7 @@ def test_count_many_weights_beyond_int64():
     # the object-array fallback: the exact count, with no wrap-around
     (big,) = weighted_squares((Fraction(2 ** 40, 3), Fraction(1, 2 ** 40),
                                2 ** 62))
-    w, d = big.grid_weights
+    w, d = big.wd
     assert w.dtype == object and d == 3 * 2 ** 40
     # {bottom, top} and {left, right}
     assert count_many([big]) == [Fraction(1, 3) + 2 ** 62] == \
@@ -519,8 +521,8 @@ def test_count_many_plans_each_structure_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    spy(matchcount.Grid, "of_adj", "grid")
     spy(Graph, "__init__", "Graph")
+    spy(Graph, "of", "of")
     spy(LatticeSpec, "edge_offset", "edge_offset")
     plan = matchcount._plan
 
@@ -529,18 +531,17 @@ def test_count_many_plans_each_structure_once(monkeypatch):
         return plan(grids, cap)
 
     monkeypatch.setattr(matchcount, "_plan", plan_spy)
-    assert count_many(cross_weightings(g, points)) == want
-    # the four weightings share one structure, planned once, and no Grid
+    assert count_many(cross_weightings([g], points)) == want
+    # the four weightings share one structure, planned once, and no Graph
     # is made; the weight symbols come from the residue table, with no
     # edge_offset lookups
     assert planned == [1]
     assert not calls
-    # the conjecture path counts the weightings of the family's point set
-    # on its Grid, with no Graph
-    calls.clear()
+    # the conjecture path makes one Graph of the family's point set, from
+    # its arrays, and counts its weightings
     assert _weighted_counts([Spec("A1", (4, 4, 2))], pts, FKT_CAP) == [want]
     assert planned == [1, 1]
-    assert not calls  # no Graph.__init__, Grid.of_adj or edge_offset
+    assert calls == {"of": 1}  # no Graph.__init__ or edge_offset
 
 
 def unmatchable():
@@ -596,8 +597,9 @@ def test_too_large_applies_after_forced_reduction():
 
 
 def test_a_hand_made_graph_past_the_build_cap_is_refused():
-    # two unit squares far apart: a Grid spans their whole bounding box,
-    # so one of more than BUILD_CAP points is refused before it is made
+    # two unit squares far apart: a Graph's arrays span their whole
+    # bounding box, so one of more than BUILD_CAP points is refused before
+    # it is made
     def two_squares(gap):
         return Graph(square().vertices + grid(2, 2, gap).vertices,
                      square().edges() + grid(2, 2, gap).edges())
@@ -611,6 +613,12 @@ def test_a_hand_made_graph_past_the_build_cap_is_refused():
     finally:
         tracemalloc.stop()
     assert peak < 10 ** 6
+    # so is a box of 2^63 points or more, read from Python ints before
+    # numpy meets its size
+    for x0, x1 in ((0, 2 ** 70), (-2 ** 62, 2 ** 62 + 1),
+                   (-2 ** 63, 2 ** 63 - 1)):
+        with pytest.raises(TooLarge, match=str(matchcount.BUILD_CAP)):
+            Graph([(x0, 0), (x1, 0)])
 
 
 def test_det_exact_small():
@@ -1179,12 +1187,14 @@ def assert_same_graph(got, want):
 @st.composite
 def points_around(draw, g):
     """A set of points: vertices of g, and points of its box and of a
-    margin of 2 around it, most of which are no vertex, or one far
-    outside, past int64."""
+    margin of 2 around it, most of which are no vertex, or such a point
+    moved off Z^2 by a Fraction or a float, or one far outside, past
+    int64."""
     xs, ys = zip(*g.vertices) if len(g) else ((0,), (0,))
-    around = st.tuples(st.integers(min(xs) - 2, max(xs) + 2),
-                       st.integers(min(ys) - 2, max(ys) + 2)) \
-        | st.just((2 ** 64, -2 ** 64))
+    box = st.tuples(st.integers(min(xs) - 2, max(xs) + 2),
+                    st.integers(min(ys) - 2, max(ys) + 2))
+    around = box | box.map(lambda p: (p[0] + Fraction(1, 2), p[1])) \
+        | box.map(lambda p: (p[0], p[1] - 0.5)) | st.just((2 ** 64, -2 ** 64))
     return draw(st.sets(st.sampled_from(g.vertices) | around if len(g)
                         else around, max_size=12))
 
@@ -1200,9 +1210,11 @@ def subgraph_cases(draw):
 @given(subgraph_cases())
 # the north edge (0, 0)-(0, 1) goes with its upper end
 @example((grid(2, 2), {(0, 1)}))
+# points off Z^2 are no vertex, not the vertex they truncate to
+@example((grid(2, 2), {(Fraction(1, 2), 1), (1, 0.5)}))
 def test_masked_subgraphs_are_the_constructors_graphs(case):
-    # induced and without mask g's Grid; the constructor walks the kept
-    # edges and weights and grids them afresh, on a tight box
+    # induced and without mask g's arrays; the constructor walks the kept
+    # edges and weights and makes arrays afresh, on a tight box
     g, pts = case
     for got, keep in ((g.induced(pts), pts),
                       (g.without(pts), set(g.vertices) - set(pts))):
@@ -1260,6 +1272,8 @@ T_SHAPE = Graph([(0, 0), (1, 0), (2, 0), (1, 1)],
 @example((T_SHAPE, {(1, 0), (1, 1)}))
 @example((T_SHAPE, {(0, 0), (1, 0)}))
 @example((T_SHAPE, {(0, 0), (5, 5)}))
+# (0.5, 0) is no vertex of the path, though it truncates to one
+@example((path(4), {(0.5, 0), (1, 0)}))
 def test_split_check_gives_the_edge_walks_verdicts(case):
     g, h = case
     want = split_by_walk(g, h)
