@@ -129,6 +129,12 @@ MUTANTS = [
      MATCHCOUNT, "(cls == in_h)[cross]", "cls[cross]",
      "tests/test_matchcount.py::"
      "test_split_check_gives_the_edge_walks_verdicts"),
+    # the engine keys a graph by its vertices alone, so of two graphs on
+    # one point set the second takes the first one's count
+    ("the engine keys graphs without their edges or lattice kind", HARNESS,
+     "    digest.update(g.links[:, at[:, 0], at[:, 1]].tobytes())\n", "",
+     "tests/test_harness.py::"
+     "test_settle_counts_two_graphs_on_one_point_set_apart"),
     # the last term of g takes a quarter of (a - c)^2 in place of a third
     ("g_fn divides (a - c)^2 by 4", FORMULAS,
      "(a - c) ** 2 // 3", "(a - c) ** 2 // 4",

@@ -8,10 +8,10 @@ values fall back to exact rationals and the factored form is flagged.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,15 +30,7 @@ class NotInteger(CrossdimerError):
     pass
 
 
-class FamilyParams(NamedTuple):
-    a: int
-    b: int
-    c: int
-    d: int
-    e: int
-    f: int
-    perimeter: int
-    case_tall: bool
+FamilyParams = namedtuple("FamilyParams", "a b c d e f perimeter case_tall")
 
 
 def derive_params(a, b, c):
@@ -81,21 +73,9 @@ def beta_fn(a, b, c):
 
 
 def tau_fn(u, v):
-    """Power of 3 contributed by the cut-off corner pieces.
-
-    Cases follow the parities of the arguments themselves; each selected
-    value is even, so its half is integral.
-    """
-    ue, ve = u % 2 == 0, v % 2 == 0
-    if ue and ve:
-        val = u + v
-    elif ue:
-        val = u
-    elif ve:
-        val = v
-    else:
-        return 0
-    return val // 2
+    """Power of 3 contributed by the cut-off corner pieces: half the sum of
+    those of the arguments that are even."""
+    return (u * (u % 2 == 0) + v * (v % 2 == 0)) // 2
 
 
 @dataclass(frozen=True)
@@ -121,9 +101,7 @@ class FactoredCount:
         for base, e in ((2, self.exp2), (3, self.exp3),
                         (5, self.exp5), (11, self.exp11)):
             v *= Fraction(base) ** e
-        if v.denominator == 1:
-            return int(v)
-        return v
+        return int(v) if v.denominator == 1 else v
 
     def exponents(self):
         """The exponents of 2, 3, 5 and 11 of a count of int arrays, shape
@@ -142,34 +120,22 @@ class FactoredCount:
 
 def phi(i, a, b, c):
     """Closed form for the matching count of the i-th A-family graph."""
-    al = alpha_fn(a, b, c)
-    e5 = g_fn(a, b, c)
-    e11 = q_fn(a, b, c)
-    if i == 1:
-        e2 = g_fn(a, b, c + 1)
-    elif i == 2:
-        e2 = g_fn(a, b, c - 1) - (a - c + 1) // 3 + (a - b)
-    elif i == 3:
-        e2 = g_fn(a, b, c - 1) - (a - c + 1) // 3
-    else:
+    if i not in (1, 2, 3):
         raise ValueError(f"family index {i} not in 1..3")
-    return FactoredCount(al, e2, 0, e5, e11)
+    e2 = g_fn(a, b, c + 1) if i == 1 else (
+        g_fn(a, b, c - 1) - (a - c + 1) // 3 + (a - b) * (i == 2))
+    return FactoredCount(alpha_fn(a, b, c), e2, 0, g_fn(a, b, c),
+                         q_fn(a, b, c))
 
 
 def psi(i, a, b, c):
     """Closed form for the matching count of the i-th F-family graph."""
-    be = beta_fn(a, b, c)
-    e5 = g_fn(a, b, c)
-    e11 = q_fn(a, b, c)
-    if i == 1:
-        e2 = g_fn(a, b, c - 1)
-    elif i == 2:
-        e2 = g_fn(a, b, c + 1) + (a - c + 1) // 3 - (a - b)
-    elif i == 3:
-        e2 = g_fn(a, b, c + 1) + (a - c + 1) // 3
-    else:
+    if i not in (1, 2, 3):
         raise ValueError(f"family index {i} not in 1..3")
-    return FactoredCount(be, e2, 0, e5, e11)
+    e2 = g_fn(a, b, c - 1) if i == 1 else (
+        g_fn(a, b, c + 1) + (a - c + 1) // 3 - (a - b) * (i == 2))
+    return FactoredCount(beta_fn(a, b, c), e2, 0, g_fn(a, b, c),
+                         q_fn(a, b, c))
 
 
 def phi_value(i, a, b, c):
@@ -273,10 +239,17 @@ def recurrence_check(r, star, diamond=None, a=0, b=0, c=0):
     the pair; checking the mirrored second identity is done by swapping the
     arguments at the call site.
     """
-    sides, fns = _sides(r, star, diamond)
-    lhs, rhs1, rhs2 = (prod(fns[f](*_args(lin, k, a, b, c))
-                            for f, lin, k in side) for side in sides)
-    return {"lhs": lhs, "rhs": rhs1 + rhs2, "equal": lhs == rhs1 + rhs2}
+    _, fns = _sides(r, star, diamond)
+    v = [fns[f](*args) for f, args in recurrence_terms(r, a, b, c)]
+    lhs, rhs = v[0] * v[1], v[2] * v[3] + v[4] * v[5]
+    return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
+
+
+def recurrence_terms(r, a, b, c):
+    """The six terms of recurrence r at (a, b, c), two per side, as (f,
+    args): the star (f = 0) or the diamond (f = 1) at the point args."""
+    return [(f, _args(lin, k, a, b, c))
+            for side in RECURRENCES[r] for f, lin, k in side]
 
 
 def exponent_table(f, i, lo, hi):

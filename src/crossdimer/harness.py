@@ -1,8 +1,11 @@
-"""Verification suites, the weighted-probe machinery, SVG export, cache.
+"""Verification suites, the engine that settles their claims, the
+weighted-probe machinery, SVG export, and the count cache.
 
-Each suite re-derives a block of the closed-form claims from scratch and
-compares exact graph counts against exact formula values, one record per
-check.  Suites are deterministic given the seed in SuiteConfig.
+A suite counts nothing itself: it yields Claims, each the graphs whose
+exact counts it reads and how those counts become its records, validated
+as it is made.  settle counts the graphs of all claims of a run, each
+distinct unweighted one once; run_suite("all") settles the seven suites
+together.  Suites are deterministic given the seed in SuiteConfig.
 """
 
 from __future__ import annotations
@@ -14,8 +17,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations, product
-from math import gcd, prod
+from functools import partial
+from itertools import accumulate, combinations, islice, product
+from math import comb, gcd, prod
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import CrossdimerError
 from .families import (
@@ -23,14 +30,15 @@ from .families import (
     derive_params, family_geometry, grids, weight_point, InvalidParams,
 )
 from .formulas import (
-    C0, FOLD, phi, psi, phi_value, psi_value, recurrence_check,
-    recurrence_holds, exponent_table, factor_small, alpha_w, beta_w,
-    HypothesisViolated, _signed_exponents,
+    C0, FOLD, phi, psi, phi_value, psi_value, recurrence_holds,
+    recurrence_terms, exponent_table, factor_small,
+    alpha_w, beta_w, HypothesisViolated, _signed_exponents,
 )
 from .lattice import FULL_GRID, GRID_B
 from .matchcount import (
     BRUTE_CAP, BUILD_CAP, FKT_CAP, BadVertexSelection, count_brute,
-    count_many, kuo_check, split_check, planar_faces,
+    count_many, kuo_graphs, kuo_sides, oracle_check, split_graphs,
+    split_sides, planar_faces,
 )
 
 
@@ -44,7 +52,7 @@ class BadProbePoint(CrossdimerError):
 
 DEFAULT_CACHE_ENV = "CROSSDIMER_CACHE"
 # The version of count_key's format; keys of other formats never match.
-CACHE_KEY_PREFIX = "points-v1:"
+CACHE_KEY_PREFIX = "graph-v2:"
 
 
 @dataclass
@@ -74,9 +82,9 @@ class SuiteReport:
     name: str
     records: list = field(default_factory=list)
 
-    def add(self, check, spec, expected, computed):
+    def add(self, suite, check, spec, expected, computed):
         self.records.append({
-            "suite": self.name, "check": check, "spec": spec,
+            "suite": suite, "check": check, "spec": spec,
             "expected": str(expected), "computed": str(computed),
             "pass": bool(expected == computed),
         })
@@ -95,8 +103,9 @@ class SuiteReport:
 class CountCache:
     """Append-only JSON-lines store of exact counts keyed by count_key.
 
-    Lines keyed otherwise (the graph_hash keys of earlier versions) still
-    load and are checked for conflicts, but no count_key matches them.
+    Lines keyed otherwise (the graph_hash and points-v1 keys of earlier
+    versions) still load and are checked for conflicts, but no count_key
+    matches them.
     """
 
     def __init__(self, path=None):
@@ -142,28 +151,24 @@ class CountCache:
                                      "method": "fkt"}) + "\n")
 
 
-def count_key(lat, g):
-    """The cache key of the graph g that lattice lat induces on a point
-    set: CACHE_KEY_PREFIX and the sha256 of the lattice kind and the sorted
-    little-endian int64 point array."""
-    digest = hashlib.sha256(lat.kind.encode() + b"\0")
-    digest.update(g.points().astype("<i8").tobytes())
+def count_key(g):
+    """The cache key of the unweighted graph g: CACHE_KEY_PREFIX and the
+    sha256 of its vertices, sorted, as little-endian int64 pairs, then of
+    whether each is the lower-left end of an east edge, and of a north
+    one."""
+    at = np.argwhere(g.occ)
+    digest = hashlib.sha256((at + g.origin).astype("<i8").tobytes())
+    digest.update(g.links[:, at[:, 0], at[:, 1]].tobytes())
     return CACHE_KEY_PREFIX + digest.hexdigest()
 
 
-def cached_count(specs, cache=None):
-    """Exact FKT counts of the graphs that an iterable of Specs names, in
-    order.
-
-    The Specs become graphs a bounded batch at a time (families.grids),
-    and each is keyed once (count_key).  The distinct graphs that the cache
-    does not hold are counted together by one count_many, so a graph
-    repeated in the input is counted once; integer counts are then stored.
-    """
-    keys, counts, todo, specs = [], {}, {}, list(specs)
-    for spec, g in zip(specs, grids(specs)):
-        key = count_key(spec.lat, g)
-        keys.append(key)
+def cached_count(graphs, cache=None):
+    """Exact FKT counts of unweighted graphs, in order: each is keyed once
+    (count_key), and the distinct ones that the cache does not hold are
+    counted together by one count_many, then stored."""
+    keys, counts, todo = [], {}, {}
+    for g in graphs:
+        keys.append(key := count_key(g))
         if key in counts or key in todo:
             continue
         hit = cache.get(key) if cache is not None else None
@@ -173,23 +178,55 @@ def cached_count(specs, cache=None):
             counts[key] = int(hit)
     for key, n in zip(todo, count_many(todo.values())):
         counts[key] = n
-        if cache is not None and not isinstance(n, Fraction):
+        if cache is not None:
             cache.put(key, n)
     return [counts[key] for key in keys]
 
 
-# -- small oracles ----------------------------------------------------------------
+# -- claims and the engine ---------------------------------------------------------
+
+
+class Claim(NamedTuple):
+    """A statement on the exact counts of graphs: records(their counts, in
+    order) gives its records, each (check, spec, expected, computed)."""
+
+    graphs: tuple
+    records: Callable
+
+
+def fact(check, spec, expected, computed):
+    """A claim on no graph, whose one record is known beforehand."""
+    return Claim((), lambda _: [(check, spec, expected, computed)])
+
+
+def claim(check, spec, expected, graphs, read=sum):
+    """A claim of one record: read(the counts of graphs) is expected.  The
+    default reads the count of one graph."""
+    return Claim(tuple(graphs), lambda counts: [
+        (check, spec, expected, read(counts))])
+
+
+def settle(claims, cache=None):
+    """The records of each of claims, in order, from one exact count of
+    each graph object they read: the unweighted ones by one cached_count,
+    each distinct graph once, and the weighted copies by one count_many,
+    in claim order, so that the copies of one structure share its plan."""
+    claims = list(claims)
+    graphs = list({id(g): g for c in claims for g in c.graphs}.values())
+    plain = [g for g in graphs if g.wd is None]
+    weighted = [g for g in graphs if g.wd is not None]
+    count = dict(zip(map(id, plain + weighted), cached_count(plain, cache)
+                     + (count_many(weighted) if weighted else [])))
+    return [c.records([count[id(g)] for g in c.graphs]) for c in claims]
+
+
+# -- suites: each yields its claims ------------------------------------------------
 
 
 def delannoy(m, n):
-    """Lattice paths (0,0) -> (m,n) with north, northeast and east steps."""
-    row = [1] * (n + 1)
-    for _ in range(m):
-        new = [1] * (n + 1)
-        for j in range(1, n + 1):
-            new[j] = new[j - 1] + row[j] + row[j - 1]
-        row = new
-    return row[n]
+    """Lattice paths (0,0) -> (m,n) with north, northeast and east steps,
+    C(m, k) C(n, k) 2^k of them with k steps east and k north."""
+    return sum(comb(m, k) * comb(n, k) * 2 ** k for k in range(min(m, n) + 1))
 
 
 def valid_triples(b_range, cap):
@@ -201,20 +238,15 @@ def valid_triples(b_range, cap):
             if derive_params(a, b, c).perimeter <= cap]
 
 
-# -- suites -----------------------------------------------------------------------
-
-
 def suite_sanity(cfg):
-    rep = SuiteReport("sanity")
-    # (check, spec, expected, graph), all counted by one count_many
     laws = [("aztec_diamond_law", Spec("AR", (n, n), FULL_GRID),
              2 ** (n * (n + 1) // 2)) for n in range(1, 8)]
     laws += [("null_case", Spec("AR", mn, FULL_GRID), 0)
              for mn in ((2, 3), (3, 5))]
     laws += [("delannoy_law", Spec("AAR", (m, n), FULL_GRID), delannoy(m, n))
              for m in range(1, 6) for n in range(1, 6)]
-    checks = [(check, str(spec), want, g) for (check, spec, want), g
-              in zip(laws, grids(spec for _, spec, _ in laws))]
+    for (check, spec, want), g in zip(laws, grids(s for _, s, _ in laws)):
+        yield claim(check, str(spec), want, [g])
     # oracle equivalence over the small-instance pool
     pool = [Spec(head, (m, n), lat)
             for m in range(1, 4) for n in range(1, 4)
@@ -228,59 +260,38 @@ def suite_sanity(cfg):
     for spec_str, g in pool:
         if len(g) < 8 or len(g) > BRUTE_CAP + 2:
             continue
-        ev = sorted(v for v in g.vertices if (v[0] + v[1]) % 2 == 0)
-        od = sorted(v for v in g.vertices if (v[0] + v[1]) % 2 == 1)
+        ev, od = ([v for v in g.vertices if sum(v) % 2 == k] for k in (0, 1))
         if ev and od:
             for k in range(2):
                 u, v = rng.choice(ev), rng.choice(od)
                 extended.append((f"{spec_str}-minus{k}:{u},{v}",
                                  g.without((u, v))))
-    checks += [("oracle_equivalence", spec_str, count_brute(g), g)
-               for spec_str, g in extended if len(g) <= BRUTE_CAP]
-    counts = count_many([g for *_, g in checks])
-    for (check, spec_str, want, _), got in zip(checks, counts):
-        rep.add(check, spec_str, want, got)
-    checked = sum(check == "oracle_equivalence" for check, *_ in checks)
-    rep.add("oracle_equivalence_volume", ">=200 instances", True,
-            checked >= 200)
-    return rep
+    extended = [(s, g) for s, g in extended if len(g) <= BRUTE_CAP]
+    for spec_str, g in extended:
+        yield claim("oracle_equivalence", spec_str, count_brute(g), [g])
+    yield fact("oracle_equivalence_volume", ">=200 instances", True,
+               len(extended) >= 200)
 
 
-def claims_report(name, claims, cfg):
-    """The report of suite name with one record per (check, Spec) claim on
-    the count of the spec's graph: that it is the spec's closed form or,
-    for theorem13's small_prime_factors claims, that no prime but 2, 3, 5
-    and 11 divides it.  One cached_count counts the distinct graphs,
-    straight from their point sets."""
-    rep = SuiteReport(name)
-    specs = list(dict.fromkeys(spec for _, spec in claims))
-    counts = dict(zip(specs, cached_count(specs, CountCache(cfg.cache_path))))
-    for check, spec in claims:
-        got = counts[spec]
-        if check == "small_prime_factors":
-            cofactor = factor_small(got)["cofactor"] if got > 0 else 0
-            rep.add(check, str(spec), 1, cofactor)
-        else:
-            rep.add(check, str(spec), spec.closed_form().value(), got)
-    return rep
+def closed_forms(check, specs):
+    """A claim per Spec of specs that its graph counts as its closed form,
+    with the check that check(spec) names."""
+    for spec, g in zip(specs, grids(specs)):
+        yield claim(check(spec), str(spec), spec.closed_form().value(), [g])
 
 
 def suite_theorem21(cfg):
-    return claims_report("theorem21", [
-        (f"{head[0]}_closed_form", Spec(head, t))
-        for t in valid_triples(range(2, 7), 28)
-        for i in (1, 2, 3) for head in (f"A{i}", f"F{i}")], cfg)
+    return closed_forms(lambda spec: f"{spec.head[0]}_closed_form", [
+        Spec(head, t) for t in valid_triples(range(2, 7), 28)
+        for i in (1, 2, 3) for head in (f"A{i}", f"F{i}")])
 
 
-def tr_three_way_split(a, b):
-    """The two staircase cuts of the trimmed augmented rectangle.
-
-    Returns (g, part_east, part_mid, part_west) where the two outer bands
-    realize the two family factors of the count (one per side) and the
-    middle band has a unique matching.  The bands lie between the balanced
-    x + y levels (as in matchcount._plan), each counted once; the outer
-    bands are the first and the last.
-    """
+def tr_bands(a, b):
+    """(g, east, mid, west, claim): TR(a, b), its last band between its
+    balanced x + y levels (as in matchcount._plan), the bands between and
+    its first, and a claim with no record that raises AssertionError
+    unless the outer bands realize the two family factors of the count
+    and the others have one matching each."""
     g = build_TR(a, b)
     size = Counter(x + y for x, y in g.vertices)
     levels = sorted(size)
@@ -288,29 +299,37 @@ def tr_three_way_split(a, b):
         size[t] * (1 - 2 * (t % 2)) for t in levels)) if s == 0]
     bands = [{v for v in g.vertices if lo < v[0] + v[1] <= hi}
              for lo, hi in zip([levels[0] - 1] + cuts, cuts)]
-    counts = count_many([g.induced(h) for h in bands])
     factors = sorted((phi_value(3, 2 * a, 3 * a, 2 * a),
                       psi_value(3, 2 * a, 3 * a, 2 * a)))
-    if (len(bands) < 2 or sorted((counts[0], counts[-1])) != factors
-            or set(counts[1:-1]) - {1}):
-        raise AssertionError("the outer bands do not realize the two "
-                             "family factors")
-    return g, bands[-1], set().union(*bands[1:-1]), bands[0]
+
+    def realized(m):
+        if len(m) < 2 or sorted((m[0], m[-1])) != factors or {*m[1:-1]} - {1}:
+            raise AssertionError("the outer bands do not realize the two "
+                                 "family factors")
+        return []
+    return (g, bands[-1], set().union(*bands[1:-1]), bands[0],
+            Claim(tuple(map(g.induced, bands)), realized))
+
+
+def tr_three_way_split(a, b):
+    """(g, part_east, part_mid, part_west) of tr_bands, its claim settled."""
+    *split, check = tr_bands(a, b)
+    settle([check])
+    return tuple(split)
 
 
 def suite_theorem11(cfg):
-    rep = claims_report("theorem11", [
-        ("tr_value", Spec("TR", t)) for t in ((1, 2), (1, 3), (1, 4), (2, 4))],
-        cfg)
+    yield from closed_forms(lambda _: "tr_value", [
+        Spec("TR", t) for t in ((1, 2), (1, 3), (1, 4), (2, 4))])
     # graph splitting of TR_{2,6} into three bands
-    g, east, mid, west = tr_three_way_split(2, 6)
-    r1 = split_check(g, east, method="fkt")
-    rep.add("tr_split_east", "TR:2,6", True, r1["equal"])
-    rest = g.without(east)
-    r2 = split_check(rest, mid, method="fkt")
-    rep.add("tr_split_mid", "TR:2,6", True, r2["equal"])
-    rep.add("tr_split_unique_band", "TR:2,6 middle", 1, r2["M_h"])
-    return rep
+    g, east, mid, _, check = tr_bands(2, 6)
+    yield check
+    yield claim("tr_split_east", "TR:2,6", True, split_graphs(g, east),
+                lambda counts: split_sides(counts)["equal"])
+    yield Claim(split_graphs(g.without(east), mid), lambda counts: [
+        ("tr_split_mid", "TR:2,6", True, split_sides(counts)["equal"]),
+        ("tr_split_unique_band", "TR:2,6 middle", 1,
+         split_sides(counts)["M_h"])])
 
 
 def trim_rect_domain(m_cap=5, n_cap=7):
@@ -323,17 +342,20 @@ def trim_rect_domain(m_cap=5, n_cap=7):
 
 
 def suite_theorem13(cfg):
-    claims = []
+    specs = []
     for t in trim_rect_domain():
         for variant in ("TA", "TB"):
             try:
                 check_trim_domain(variant, *t)
             except HypothesisViolated:
                 continue
-            spec = Spec(variant, t)
-            claims += [("trim_rect_value", spec),
-                       ("small_prime_factors", spec)]
-    return claims_report("theorem13", claims, cfg)
+            specs.append(Spec(variant, t))
+    # each count is the closed form, with no prime but 2, 3, 5 and 11
+    for spec, g in zip(specs, grids(specs)):
+        yield claim("trim_rect_value", str(spec), spec.closed_form().value(),
+                    [g])
+        yield claim("small_prime_factors", str(spec), 1, [g], lambda n: (
+            factor_small(n[0])["cofactor"] if n[0] > 0 else 0))
 
 
 def seeded_kuo_quad(g, rng):
@@ -348,8 +370,7 @@ def seeded_kuo_quad(g, rng):
         u, v, w, t = (face[i] for i in idx)
         if len({u, v, w, t}) < 4:
             continue
-        pu, pv, pw, pt = ((p[0] + p[1]) % 2 for p in (u, v, w, t))
-        if pu == pw and pv == pt and pu != pv:
+        if sum(u) % 2 == sum(w) % 2 != sum(v) % 2 == sum(t) % 2:
             return u, v, w, t
     return None
 
@@ -359,9 +380,8 @@ def corner_kuo_quad(a, b, c):
 
     Takes the first quadruple in valid parity classes of one vertex near
     the west corner, two near the south corner and one near the east
-    corner, in cyclic order, and checks that the condensation identity
-    holds for it with a nonzero right-hand side.  Returns (graph,
-    (u, v, w, t), kuo_check's result).
+    corner, in cyclic order.  Returns (graph, (u, v, w, t)), or raises
+    AssertionError if there is none.
     """
     g = build_A(1, a, b, c)
     corners2 = family_geometry([Spec("A1", (a, b, c))])[0][0].tolist()
@@ -380,15 +400,13 @@ def corner_kuo_quad(a, b, c):
     quad = next(((u, v, w, t)
                  for u, v, w, t in product(west, south, south, east)
                  if cls(u) == cls(w) != cls(v) == cls(t)), None)
-    res = quad and kuo_check(g, *quad, method="fkt")
-    if not (res and res["equal"] and res["rhs"] > 0):
+    if quad is None:
         raise AssertionError(
             f"no corner condensation quadruple for {(a, b, c)}")
-    return g, quad, res
+    return g, quad
 
 
 def suite_kuo(cfg):
-    rep = SuiteReport("kuo")
     rng = random.Random(cfg.seed)
     specs = [Spec(f"{kind}{i}", t) for t in valid_triples(range(2, 7), 20)
              for i in (1, 2, 3) for kind in ("A", "F")]
@@ -402,20 +420,23 @@ def suite_kuo(cfg):
         if (quad := seeded_kuo_quad(g, rng)) is None:
             continue
         try:
-            res = kuo_check(g, *quad, method="auto")
+            graphs = kuo_graphs(g, *quad)
         except BadVertexSelection:
             continue
-        rep.add("kuo_identity", f"{spec_str} @ {quad}", True, res["equal"])
+        # checked against count_brute too, as kuo_check's method="auto" is
+        yield claim("kuo_identity", f"{spec_str} @ {quad}", True, graphs,
+                    lambda m, gs=graphs: kuo_sides(
+                        oracle_check(gs, m))["equal"])
         done += 1
-    rep.add("kuo_volume", ">=50 tuples", True, done >= 50)
-    _, quad, res = corner_kuo_quad(8, 8, 3)
-    rep.add("kuo_corner_configuration", f"A1:8,8,3 @ {quad}",
-            True, res["equal"])
-    return rep
+    yield fact("kuo_volume", ">=50 tuples", True, done >= 50)
+    # the corner identity must also be nontrivial
+    g, quad = corner_kuo_quad(8, 8, 3)
+    yield claim("kuo_corner_configuration", f"A1:8,8,3 @ {quad}", True,
+                kuo_graphs(g, *quad), lambda counts: (
+                    (res := kuo_sides(counts))["equal"] and res["rhs"] > 0))
 
 
 def suite_recurrences(cfg):
-    rep = SuiteReport("recurrences")
     G = cfg.recurrence_grid
     # each closed form tabulated once per call, on the box padded by the
     # shifts of RECURRENCES
@@ -430,10 +451,10 @@ def suite_recurrences(cfg):
         (f"phi{i}", f"psi{4 - i}"), (f"psi{i}", f"phi{4 - i}"))]
     for r, s, d, points in cases:
         bad = ~recurrence_holds(r, fn[s], fn.get(d), points)
-        rep.add(f"formula_{r}", s if d is None else f"({s},{d})", 0,
-                int(bad.sum()))
+        yield fact(f"formula_{r}", s if d is None else f"({s},{d})", 0,
+                   int(bad.sum()))
     # phi1(a - 2, b - 2, -1) against phi1(3b - 2a, 2b - a, 1) on the plane
-    rep.add("formula_reflection_c0", "phi1", 0, int(
+    yield fact("formula_reflection_c0", "phi1", 0, int(
         (fn["phi1"](C0, (-2, -2, -1), plane)
          != fn["phi1"](FOLD, (0, 0, 1), plane)).any(0).sum()))
     # graph-level recurrences, within the stated hypotheses; a check is
@@ -441,8 +462,7 @@ def suite_recurrences(cfg):
     checks = []
     for t in valid_triples(range(2, 8), 20):
         a, b, c = t
-        p = derive_params(*t)
-        d, e = p.d, p.e
+        d, e = derive_params(*t)[3:5]
         r4_r5 = a >= 2 and b >= 5 and c >= 2 and a <= c + d
         for r, holds in (
                 ("R1", b >= 5 and c >= 2 and a > c + d),
@@ -453,29 +473,21 @@ def suite_recurrences(cfg):
                 continue
             for kind, other in (("A", "F"), ("F", "A")):
                 for i in (1, 2, 3):
-                    star = f"{kind}{i}"
-                    if r == "R5":
-                        checks.append((r, star, f"{other}{4 - i}", t))
-                    elif r == "R3" and i > 1:
-                        checks.append(("R6", star, f"{kind}{5 - i}", t))
-                    else:
-                        checks.append((r, star, None, t))
-
-    def verdicts(value):
-        def closed(head):
-            if head is not None:
-                return lambda *t: value(head, t)
-        return [recurrence_check(r, closed(s), closed(d), *t)["equal"]
-                for r, s, d, t in checks]
-
-    graphs = {}  # every (head, triple) a check reads, first seen first
-    verdicts(lambda *key: graphs.setdefault(key, 0))
-    counts = dict(zip(graphs, cached_count(
-        (Spec(*key) for key in graphs), CountCache(cfg.cache_path))))
-    for (r, star, _, t), ok in zip(
-            checks, verdicts(lambda *key: counts[key])):
-        rep.add(f"graph_{r}", str(Spec(star, t)), True, ok)
-    return rep
+                    # R5 pairs the star with a diamond; R3 is R6 for i > 1
+                    r6 = r == "R3" and i > 1
+                    checks.append(("R6" if r6 else r, f"{kind}{i}",
+                                   f"{other}{4 - i}" if r == "R5" else
+                                   f"{kind}{5 - i}" if r6 else None, t))
+    # the graph of each (head, triple) that a check's terms read, built
+    # once; a check's six counts make two sides as Kuo's identity's do
+    terms = [[((s, d)[f], args) for f, args in recurrence_terms(r, *t)]
+             for r, s, d, t in checks]
+    keys = list(dict.fromkeys(key for ts in terms for key in ts))
+    graph = dict(zip(keys, grids(Spec(*key) for key in keys)))
+    for (r, s, _, t), ts in zip(checks, terms):
+        yield claim(f"graph_{r}", str(Spec(s, t)), True,
+                    [graph[key] for key in ts],
+                    lambda counts: kuo_sides(counts)["equal"])
 
 
 # -- weighted conjecture probe ------------------------------------------------------
@@ -496,22 +508,20 @@ class Inconsistent:
     residues: tuple
 
 
-def _p5(x, y, z):
-    return x * x + 2 * x * y * z + 2 * y * y * z * z
-
-
-def _p11(x, y, z):
-    return 2 * x * x + 5 * x * y * z + 4 * y * y * z * z
+def _bases(x, y, z):
+    """The six divisor bases at the point (x, y, z): 2, x, y, z, p5 and
+    p11."""
+    return (2, x, y, z, x * x + 2 * x * y * z + 2 * y * y * z * z,
+            2 * x * x + 5 * x * y * z + 4 * y * y * z * z)
 
 
 def screen_probe_point(pt):
     """Require the six divisor bases to be pairwise coprime and non-unit."""
     if len(pt) != 3:
         raise BadProbePoint(f"{pt}: a probe point has three coordinates")
-    x, y, z = pt
     if any(t != int(t) or t < 1 for t in pt):
         raise BadProbePoint(f"{pt}: coordinates must be positive integers")
-    bases = [2, int(x), int(y), int(z), _p5(x, y, z), _p11(x, y, z)]
+    bases = _bases(*map(int, pt))
     if any(v < 2 for v in bases):
         raise BadProbePoint(f"{pt}: a base collides with the unit")
     for p, q in combinations(bases, 2):
@@ -520,19 +530,14 @@ def screen_probe_point(pt):
     return bases
 
 
-def _weighted_counts(specs, points, cap):
-    """Exact counts of the family graphs that the Specs in specs name, at
-    each of the screened points: one list per spec.
-
-    Every point is screened before anything is counted.  Each graph is
-    built from its point set once, and the weighted copies of all of them,
-    which share its arrays, are counted by one count_many.
-    """
+def probe_weightings(specs, points):
+    """An iterator of the copies of the family graphs that specs name
+    weighted at each of points (cross_weightings), spec by spec, once every
+    point is screened; the copies of a graph share its arrays."""
     for pt in points:
         screen_probe_point(pt)
-    wps, k = [weight_point(*map(int, pt)) for pt in points], len(points)
-    counts = count_many(cross_weightings(grids(specs), wps), cap=cap)
-    return [counts[j * k:(j + 1) * k] for j in range(len(specs))]
+    return cross_weightings(grids(specs),
+                            [weight_point(*map(int, pt)) for pt in points])
 
 
 def _probe_vector(family, a, b, c, points, counts):
@@ -547,10 +552,9 @@ def _probe_vector(family, a, b, c, points, counts):
         x, y, z = (int(t) for t in pt)
         num, den = prefactor(a, b, c, (x, y, z))
         exps, residue = _signed_exponents(  # of w over the prefactor
-            w * den, num, (2, x, y, z, _p5(x, y, z), _p11(x, y, z)))
+            w * den, num, _bases(x, y, z))
         residues.append(residue)
-        ev = ConjectureExponents(X=exps[0], T=exps[1], Q=exps[2], K=exps[3],
-                                 Y=exps[4], Z=exps[5])
+        ev = ConjectureExponents(**dict(zip("XTQKYZ", exps)))
         if residue != 1 or vec not in (None, ev):
             return Inconsistent(tuple(str(r) for r in residues))
         vec = ev
@@ -564,17 +568,15 @@ def conjecture_probe(family, i, a, b, c, points, cap=FKT_CAP):
     counted; the vector is returned only when identical across all points
     with residue exactly 1.
     """
-    (counts,) = _weighted_counts([Spec(f"{family}{i}", (a, b, c))], points,
-                                 cap)
-    return _probe_vector(family, a, b, c, points, counts)
+    copies = probe_weightings([Spec(f"{family}{i}", (a, b, c))], points)
+    return _probe_vector(family, a, b, c, points, count_many(copies, cap))
 
 
 def reconstruct_weighted_count(family, a, b, c, vec, pt):
     """The weighted count at the integer point pt that vec predicts."""
-    x, y, z = pt
     num, den = (alpha_w if family == "A" else beta_w)(a, b, c, pt)
-    powers = ((2, vec.X), (_p5(x, y, z), vec.Y), (_p11(x, y, z), vec.Z),
-              (x, vec.T), (y, vec.Q), (z, vec.K))
+    powers = tuple(zip(_bases(*pt), (vec.X, vec.T, vec.Q, vec.K, vec.Y,
+                                     vec.Z)))
     return Fraction(num * prod(b ** e for b, e in powers if e > 0),
                     den * prod(b ** -e for b, e in powers if e < 0))
 
@@ -583,21 +585,26 @@ PROBE_POINTS = ((3, 5, 7), (5, 7, 3), (7, 3, 5))
 HELD_OUT_POINT = (3, 5, 11)
 
 
+def _probe_records(spec, counts):
+    """Whether the counts of spec's graph at PROBE_POINTS read one exponent
+    vector, and if so whether it predicts the count at HELD_OUT_POINT."""
+    family, (a, b, c), spec_str = spec.head[0], spec.nums, str(spec)
+    vec = _probe_vector(family, a, b, c, PROBE_POINTS, counts[:-1])
+    if not isinstance(vec, ConjectureExponents):
+        return [("probe_consistency", spec_str, True, False)]
+    return [("probe_consistency", spec_str, True, True),
+            ("probe_heldout", spec_str, reconstruct_weighted_count(
+                family, a, b, c, vec, HELD_OUT_POINT), counts[-1])]
+
+
 def suite_conjecture(cfg):
-    rep = SuiteReport("conjecture")
     specs = [Spec(f"{family}{i}", t) for t in valid_triples(range(2, 7), 16)
              for i in (1, 2, 3) for family in ("A", "F")]
-    counts = _weighted_counts(specs, PROBE_POINTS + (HELD_OUT_POINT,),
-                              FKT_CAP)
-    for spec, (*probed, got) in zip(specs, counts):
-        family, (a, b, c), spec_str = spec.head[0], spec.nums, str(spec)
-        vec = _probe_vector(family, a, b, c, PROBE_POINTS, probed)
-        consistent = isinstance(vec, ConjectureExponents)
-        rep.add("probe_consistency", spec_str, True, consistent)
-        if consistent:
-            rep.add("probe_heldout", spec_str, reconstruct_weighted_count(
-                family, a, b, c, vec, HELD_OUT_POINT), got)
-    return rep
+    points = PROBE_POINTS + (HELD_OUT_POINT,)
+    copies = probe_weightings(specs, points)
+    for spec in specs:
+        yield Claim(tuple(islice(copies, len(points))),
+                    partial(_probe_records, spec))
 
 
 SUITES = {
@@ -612,16 +619,20 @@ SUITES = {
 
 
 def run_suite(name, cfg=None):
+    """The report of suite name, or of all seven in order for "all", with
+    their claims settled in one run."""
     cfg = cfg or SuiteConfig()
-    if name == "all":
-        rep = SuiteReport("all")
-        for sub in SUITES.values():
-            rep.records.extend(sub(cfg).records)
-        return rep
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise InvalidParams(f"unknown suite {name!r}; options: "
                             f"{', '.join(list(SUITES) + ['all'])}")
-    return SUITES[name](cfg)
+    claims = [(sub, c) for sub in (SUITES if name == "all" else [name])
+              for c in SUITES[sub](cfg)]
+    rep = SuiteReport(name)
+    for (sub, _), records in zip(claims, settle(
+            [c for _, c in claims], CountCache(cfg.cache_path))):
+        for record in records:
+            rep.add(sub, *record)
+    return rep
 
 
 # -- SVG rendering ------------------------------------------------------------------
@@ -630,40 +641,28 @@ def run_suite(name, cfg=None):
 def render_svg(g, out):
     """Write a deterministic SVG 1.1 drawing of the graph, with a label on
     each edge whose weight is not 1."""
-    scale = 24
-    vs = g.vertices
-    xs, ys = zip(*vs) if vs else ((0,), (0,))
-    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
-    pad = 1
-    W = (xmax - xmin + 2 * pad) * scale
-    H = (ymax - ymin + 2 * pad) * scale
+    xs, ys = zip(*g.vertices) if g.vertices else ((0,), (0,))
+    x0, y1 = min(xs) - 1, max(ys) + 1  # a unit of padding on each side
+    W, H = (max(xs) + 1 - x0) * 24, (y1 + 1 - min(ys)) * 24
 
-    def sx(x):
-        return (x - xmin + pad) * scale
+    def at(p):  # the SVG coordinates of the point p, 24 per unit
+        return (p[0] - x0) * 24, (y1 - p[1]) * 24
 
-    def sy(y):
-        return (ymax - y + pad) * scale
-
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{W}" height="{H}" viewBox="0 0 {W} {H}">',
-    ]
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             f'width="{W}" height="{H}" viewBox="0 0 {W} {H}">']
     for u, v in sorted(g.edges()):
-        lines.append(
-            f'<line x1="{sx(u[0])}" y1="{sy(u[1])}" x2="{sx(v[0])}" '
-            f'y2="{sy(v[1])}" stroke="#333333" stroke-width="2"/>')
-    for x, y in vs:
-        fill = "#000000" if (x + y) % 2 == 0 else "#ffffff"
-        lines.append(
-            f'<circle cx="{sx(x)}" cy="{sy(y)}" r="4" fill="{fill}" '
-            f'stroke="#000000"/>')
+        (ux, uy), (vx, vy) = at(u), at(v)
+        lines.append(f'<line x1="{ux}" y1="{uy}" x2="{vx}" y2="{vy}" '
+                     f'stroke="#333333" stroke-width="2"/>')
+    for p in g.vertices:
+        fill = "#000000" if sum(p) % 2 == 0 else "#ffffff"
+        lines.append(f'<circle cx="{at(p)[0]}" cy="{at(p)[1]}" r="4" '
+                     f'fill="{fill}" stroke="#000000"/>')
     for (u, v), w in sorted(g.weights.items()):
-        mx = (sx(u[0]) + sx(v[0])) / 2
-        my = (sy(u[1]) + sy(v[1])) / 2
-        lines.append(
-            f'<text x="{mx}" y="{my}" font-size="10" '
-            f'fill="#aa0000">{w}</text>')
+        (ux, uy), (vx, vy) = at(u), at(v)
+        lines.append(f'<text x="{(ux + vx) / 2}" y="{(uy + vy) / 2}" '
+                     f'font-size="10" fill="#aa0000">{w}</text>')
     lines.append("</svg>")
     with open(out, "w") as fh:
         fh.write("\n".join(lines) + "\n")

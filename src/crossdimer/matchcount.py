@@ -86,7 +86,8 @@ class Graph:
         """The graph of the given vertices, edges and weights dict.  It
         raises NonPlanarEmbedding unless every edge is a unit step, and
         TooLarge before any array of its box is made if that box spans
-        more than BUILD_CAP points."""
+        more than BUILD_CAP points or has a coordinate, or one past its
+        far corner, outside int64."""
         self.vertices = tuple(sorted(set(vertices)))
         adj = {v: set() for v in self.vertices}
         for u, v in edges:
@@ -114,6 +115,8 @@ class Graph:
         x0, y0 = min(xs), min(ys)
         shape = (max(xs) - x0 + 1, max(ys) - y0 + 1) if n else (0, 0)
         _refuse(f"a graph of {n} vertices", prod(shape))
+        if min(x0, y0) < -2 ** 63 or max(max(xs), max(ys)) + 1 >= 2 ** 63:
+            raise TooLarge(f"a graph of {n} vertices has a point past int64")
         at = tuple(np.array([(x - x0, y - y0) for x, y in adj], np.int64)
                    .reshape(n, 2).T)
         occ, links = np.zeros(shape, bool), np.zeros((2,) + shape, bool)
@@ -419,17 +422,12 @@ def planar_faces(g):
     for start in sorted((u, v) for u in g.vertices for v in g.adj[u]):
         if start in used:
             continue
-        cycle = []
-        dart = start
-        while True:
+        cycle, dart = [], start
+        while not cycle or dart != start:
             cycle.append(dart[0])
             used.add(dart)
             u, v = dart
-            nbrs = rot[v]
-            i = pos[v][u]
-            dart = (v, nbrs[(i - 1) % len(nbrs)])
-            if dart == start:
-                break
+            dart = (v, rot[v][(pos[v][u] - 1) % len(rot[v])])
         faces.append(cycle)
     return faces
 
@@ -477,17 +475,14 @@ def _flips(occ, x0, y0):
 _PRIME_POOL = []
 
 
-def _is_probable_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
+def _is_prime(n):
+    """Whether the odd n, 7 < n < 3.2 * 10^9, is prime: Miller-Rabin to the
+    bases 2, 3, 5 and 7, which is exact below 3215031751 (Jaeschke)."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in (2, 3, 5, 7):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -506,7 +501,7 @@ def _crt_primes(need):
     while cover < need:
         if k == len(_PRIME_POOL):
             n = _PRIME_POOL[-1] - 2 if _PRIME_POOL else (1 << 30) - 1
-            while not _is_probable_prime(n):
+            while not _is_prime(n):
                 n -= 2
             _PRIME_POOL.append(n)
         cover *= _PRIME_POOL[k]
@@ -1013,16 +1008,20 @@ def count_matchings(g, method="auto"):
 
 def _count_each(graphs, method):
     """count_matchings of each graph, with every FKT count from one
-    count_many; `auto` checks each graph of at most BRUTE_CAP vertices
-    against count_brute."""
+    count_many; `auto` checks them with oracle_check."""
     if method == "brute":
         return [count_brute(g) for g in graphs]
     if method not in ("fkt", "auto"):
         raise ValueError(f"unknown method {method!r}")
-    counts, check = count_many(graphs), method == "auto"
+    counts = count_many(graphs)
+    return oracle_check(graphs, counts) if method == "auto" else counts
+
+
+def oracle_check(graphs, counts):
+    """counts, once each of graphs of at most BRUTE_CAP vertices has its
+    count in counts by count_brute as well; otherwise AssertionError."""
     for g, nf in zip(graphs, counts):
-        nb = count_brute(g) if check and len(g) <= BRUTE_CAP else nf
-        if nb != nf:
+        if len(g) <= BRUTE_CAP and (nb := count_brute(g)) != nf:
             raise AssertionError(f"oracle mismatch: brute={nb} fkt={nf} "
                                  f"for {g.graph_hash()}")
     return counts
@@ -1031,13 +1030,13 @@ def _count_each(graphs, method):
 # -- identity checkers ---------------------------------------------------------
 
 
-def kuo_check(g, u, v, w, t, method="auto"):
-    """Verify the condensation identity for four face-cyclic vertices.
-
-    u, v, w, t must be four distinct vertices, u, w of one parity class
-    and v, t of the other, in cyclic order (either rotation sense) on a
-    single face.  Returns a dict with both sides of the identity.
-    """
+def kuo_graphs(g, u, v, w, t):
+    """The six graphs of the condensation identity for four face-cyclic
+    vertices: g, and g less {u, v, w, t}, {u, v}, {w, t}, {t, u} and
+    {v, w}.  u, v, w, t must be four distinct vertices, u, w of one parity
+    class and v, t of the other, in cyclic order (either rotation sense)
+    on a single face of the balanced graph g, or BadVertexSelection is
+    raised."""
     if len({u, v, w, t}) < 4 or len(g.induced((u, v, w, t))) < 4:
         raise BadVertexSelection("u, v, w, t must be four distinct vertices")
     if not g.is_balanced():
@@ -1047,11 +1046,22 @@ def kuo_check(g, u, v, w, t, method="auto"):
         raise BadVertexSelection("u,w and v,t must oppose by parity class")
     if not _on_common_face_in_order(g, (u, v, w, t)):
         raise BadVertexSelection("vertices not in cyclic order on one face")
-    m_g, m_all, m_uv, m_wt, m_tu, m_vw = _count_each(
-        [g] + [g.without(d) for d in ((u, v, w, t), (u, v), (w, t), (t, u),
-                                      (v, w))], method)
-    lhs, rhs = m_g * m_all, m_uv * m_wt + m_tu * m_vw
+    return [g] + [g.without(d) for d in ((u, v, w, t), (u, v), (w, t),
+                                         (t, u), (v, w))]
+
+
+def kuo_sides(m):
+    """Both sides of the condensation identity, from the counts m of the
+    six graphs of kuo_graphs."""
+    lhs, rhs = m[0] * m[1], m[2] * m[3] + m[4] * m[5]
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
+
+
+def kuo_check(g, u, v, w, t, method="auto"):
+    """Verify the condensation identity for four face-cyclic vertices
+    (kuo_graphs), counting by method.  Returns a dict with both sides of
+    the identity."""
+    return kuo_sides(_count_each(kuo_graphs(g, u, v, w, t), method))
 
 
 def _on_common_face_in_order(g, quad):
@@ -1067,13 +1077,14 @@ def _on_common_face_in_order(g, quad):
     return False
 
 
-def split_check(g, h_vertices, method="auto"):
-    """Check the two splitting conditions and the product identity.
+def split_graphs(g, h_vertices):
+    """The three graphs of the splitting identity: g, H and G - H.
 
-    Separating: no edge joins V(H) in one fixed class to G - H.
-    Balancing: H has equally many vertices of both classes.
     H and G - H are g under two masks (induced and without), and the
-    edges that cross between them are g's edges in neither.
+    edges that cross between them are g's edges in neither.  Unless H is
+    a vertex subset of g that meets both conditions, ConditionsViolated
+    is raised.  Separating: no edge joins V(H) in one fixed class to
+    G - H.  Balancing: H has equally many vertices of both classes.
     """
     h_set = set(h_vertices)
     h, rest = g.induced(h_set), g.without(h_set)
@@ -1089,6 +1100,18 @@ def split_check(g, h_vertices, method="auto"):
     if len(np.unique((cls == in_h)[cross])) > 1:
         raise ConditionsViolated(
             "separating condition fails: both classes of H meet G-H")
-    m_g, m_h, m_r = _count_each([g, h, rest], method)
+    return [g, h, rest]
+
+
+def split_sides(counts):
+    """The product identity M(G) = M(H) M(G - H), from the counts of the
+    three graphs of split_graphs."""
+    m_g, m_h, m_r = counts
     return {"M_g": m_g, "M_h": m_h, "M_rest": m_r,
             "equal": m_g == m_h * m_r}
+
+
+def split_check(g, h_vertices, method="auto"):
+    """Check the two splitting conditions and the product identity
+    (split_graphs), counting by method."""
+    return split_sides(_count_each(split_graphs(g, h_vertices), method))

@@ -12,7 +12,7 @@ from crossdimer.harness import (
     reconstruct_weighted_count, render_svg, run_suite, screen_probe_point,
     seeded_kuo_quad, tr_three_way_split,
 )
-from crossdimer.lattice import CROSS_OFFSETS, GRID_B, unit_edge_table
+from crossdimer.lattice import CROSS_OFFSETS, unit_edge_table
 from crossdimer.matchcount import FKT_CAP, Graph, count_fkt, kuo_check
 
 
@@ -56,9 +56,9 @@ def test_cached_count_hashes_once_counts_duplicates_once(monkeypatch):
     count_key = harness.count_key
     count_many = harness.count_many
 
-    def key_spy(lat, grid):
-        keyed.append(grid)
-        return count_key(lat, grid)
+    def key_spy(g):
+        keyed.append(g)
+        return count_key(g)
 
     def count_spy(graphs):
         graphs = list(graphs)
@@ -68,10 +68,10 @@ def test_cached_count_hashes_once_counts_duplicates_once(monkeypatch):
     monkeypatch.setattr(harness, "count_key", key_spy)
     monkeypatch.setattr(harness, "count_many", count_spy)
     monkeypatch.delenv("CROSSDIMER_CACHE", raising=False)
-    items = [Spec("A1", (2, 2, 0)), Spec("F1", (3, 3, 1)),
-             Spec("A1", (2, 2, 0)), Spec("TR", (1, 2))]
-    want = [count_fkt(g) for g in (build_A(1, 2, 2, 0), build_F(1, 3, 3, 1),
-                                   build_A(1, 2, 2, 0), build_TR(1, 2))]
+    # the first and the third are one graph, built twice
+    items = [build_A(1, 2, 2, 0), build_F(1, 3, 3, 1), build_A(1, 2, 2, 0),
+             build_TR(1, 2)]
+    want = [count_fkt(g) for g in items]
     cache = CountCache(None)
     assert cached_count(iter(items), cache) == want
     assert len(keyed) == 4 and batches == [3]
@@ -79,6 +79,22 @@ def test_cached_count_hashes_once_counts_duplicates_once(monkeypatch):
     assert cached_count(items[:2], cache) == want[:2]
     assert len(keyed) == 6 and batches == [3, 0]
     assert all(k.startswith(harness.CACHE_KEY_PREFIX) for k in cache.mem)
+
+
+def test_a_points_v1_cache_line_loads_and_matches_no_graph(tmp_path):
+    # a line keyed in the earlier points-v1 format (the lattice kind and
+    # the sorted points) still loads, but no graph's key is that key, so
+    # even a wrong count on it is not believed
+    import hashlib
+
+    g = build_TR(1, 2)
+    digest = hashlib.sha256(b"cross\0" + g.points().astype("<i8").tobytes())
+    path = tmp_path / "old.jsonl"
+    path.write_text(json.dumps({"key": "points-v1:" + digest.hexdigest(),
+                                "count": "7", "method": "fkt"}) + "\n")
+    cache = CountCache(str(path))
+    assert cached_count([g], cache) == [100]
+    assert len(cache.mem) == 2 and len(path.read_text().splitlines()) == 2
 
 
 def test_probe_screen_rejects_unit_and_collisions():
@@ -168,6 +184,42 @@ def test_suite_conjecture_matches_per_point_counts(monkeypatch):
     assert len(want) > 12 and got == want
 
 
+def test_suite_conjecture_records_inconsistent_probes(monkeypatch):
+    # under a broken weight table most probes read no one vector: such a
+    # spec gets a failing consistency record and no held-out record, and
+    # the suite's records are conjecture_probe's verdicts spec by spec
+    import crossdimer.families as fams
+    from crossdimer.families import assign_cross_weights, weight_point
+    from crossdimer.harness import (
+        HELD_OUT_POINT, PROBE_POINTS, valid_triples,
+    )
+
+    broken = dict(fams.WEIGHT_TABLE)
+    broken[((0, 0), (0, 1))] = "x"
+    monkeypatch.setattr(fams, "WEIGHT_SYMBOLS", symbols(broken))
+    monkeypatch.setattr(harness, "valid_triples",
+                        lambda r, cap: valid_triples(r, min(cap, 10)))
+    want = []
+    for (a, b, c) in valid_triples(range(2, 7), 10):
+        for i in (1, 2, 3):
+            for family, build in (("A", build_A), ("F", build_F)):
+                spec = f"{family}{i}:{a},{b},{c}"
+                vec = conjecture_probe(family, i, a, b, c, PROBE_POINTS)
+                ok = isinstance(vec, ConjectureExponents)
+                want.append(("probe_consistency", spec, "True", str(ok), ok))
+                if ok:
+                    exp = reconstruct_weighted_count(family, a, b, c, vec,
+                                                     HELD_OUT_POINT)
+                    got = count_fkt(assign_cross_weights(
+                        build(i, a, b, c), weight_point(*HELD_OUT_POINT)))
+                    want.append(("probe_heldout", spec, str(exp), str(got),
+                                 exp == got))
+    got = [(r["check"], r["spec"], r["expected"], r["computed"], r["pass"])
+           for r in run_suite("conjecture", SuiteConfig()).records]
+    assert got == want
+    assert 0 < [w[3] for w in want].count("False") < len(want)
+
+
 # sha256 of json.dumps(records, sort_keys=True) for the full conjecture
 # suite, as counted from built Graphs with per-entry Fraction weights
 CONJECTURE_RECORDS_SHA256 = \
@@ -210,15 +262,21 @@ def test_suite_records_pinned(name):
 
 
 def test_weighted_counts_match_weighted_graphs():
+    # settled together, the weighted copies of six graphs at four points
+    # count as each copy counts alone
+    from itertools import islice
+
     from crossdimer.families import assign_cross_weights, weight_point
     from crossdimer.harness import HELD_OUT_POINT, PROBE_POINTS
 
     specs = [("A", 1, 2, 2, 0), ("F", 1, 2, 2, 0), ("A", 2, 4, 4, 2),
              ("F", 3, 4, 4, 2), ("A", 3, 3, 3, 1), ("F", 2, 5, 4, 1)]
     points = PROBE_POINTS + (HELD_OUT_POINT,)
-    got = harness._weighted_counts(
+    copies = harness.probe_weightings(
         [Spec(f"{family}{i}", (a, b, c)) for family, i, a, b, c in specs],
-        points, FKT_CAP)
+        points)
+    got = harness.settle([harness.Claim(tuple(islice(copies, 4)), list)
+                          for _ in specs])
     want = [[count_fkt(assign_cross_weights(
         (build_A if family == "A" else build_F)(i, a, b, c),
         weight_point(*pt))) for pt in points]
@@ -240,7 +298,7 @@ def _graph_recurrence_reference(triples):
     @functools.cache
     def gm(kind, i, t):
         g, = grids([Spec(f"{kind}{i}", t)])
-        keys[kind, i, t] = harness.count_key(GRID_B, g)
+        keys[kind, i, t] = harness.count_key(g)
         return count_fkt(g)
 
     want = []
@@ -314,8 +372,8 @@ def test_suite_recurrences_matches_per_graph_counts(monkeypatch):
         batches.append(len(graphs))
         return count_many(graphs)
 
-    def key_spy(lat, grid):
-        keyed.append(count_key(lat, grid))
+    def key_spy(g):
+        keyed.append(count_key(g))
         return keyed[-1]
 
     monkeypatch.setattr(harness, "count_many", count_spy)
@@ -417,21 +475,23 @@ def test_formula_records_match_scalar_recurrence_check(monkeypatch, mutant):
     assert (sum(w[2] for w in want) > 0) == mutant
 
 
-def test_theorem11_counts_in_four_batches(monkeypatch):
+def test_theorem11_counts_in_one_batch(monkeypatch):
     from crossdimer import matchcount
 
     monkeypatch.delenv("CROSSDIMER_CACHE", raising=False)
     batches, count_many = [], matchcount.count_many
 
     def spy(graphs, cap=FKT_CAP):
-        batches.append(1)
+        graphs = list(graphs)
+        batches.append([g.wd is None for g in graphs])
         return count_many(graphs, cap)
 
     monkeypatch.setattr(harness, "count_many", spy)
     monkeypatch.setattr(matchcount, "count_many", spy)
     assert run_suite("theorem11", SuiteConfig()).passed
-    # the claims, the bands of the split, and one per split_check
-    assert len(batches) == 4
+    # the TR values, the bands of the split and the graphs of both splits
+    # are counted by one count_many, of unweighted graphs only
+    assert len(batches) == 1 and batches[0] and all(batches[0])
 
 
 def test_render_svg(tmp_path):
@@ -466,9 +526,9 @@ def test_seeded_quads_valid():
 
 
 def test_corner_quad_found():
-    g, quad, found = corner_kuo_quad(8, 8, 3)
+    g, quad = corner_kuo_quad(8, 8, 3)
     res = kuo_check(g, *quad, method="fkt")
-    assert res == found and res["equal"] and res["rhs"] > 0
+    assert len(g) == 246 and res["equal"] and res["rhs"] > 0
 
 
 def test_tr_split_structure():
@@ -558,23 +618,71 @@ def test_kuo_suite_fails_on_an_oracle_mismatch(monkeypatch):
 
 
 def test_kuo_suite_checks_the_corner_quadruple_once(monkeypatch):
-    # 50 seeded quadruples and the corner one on A1:8,8,3 (246 vertices),
-    # each checked once
-    from crossdimer import harness
-    sizes = []
+    # 50 seeded quadruples, checked against the oracle too, and the corner
+    # one on A1:8,8,3 (246 vertices), each a claim on its six graphs, all
+    # settled by one engine run
+    settled, settle = [], harness.settle
+    checked, oracle_check = [], harness.oracle_check
 
-    def spy(g, *quad, **kwargs):
-        sizes.append(len(g))
-        return kuo_check(g, *quad, **kwargs)
+    def spy(claims, cache=None):
+        claims = list(claims)
+        settled.append([len(c.graphs[0]) for c in claims
+                        if len(c.graphs) == 6])
+        return settle(claims, cache)
 
-    monkeypatch.setattr(harness, "kuo_check", spy)
+    def oracle_spy(graphs, counts):
+        checked.append(len(graphs[0]))
+        return oracle_check(graphs, counts)
+
+    monkeypatch.setattr(harness, "settle", spy)
+    monkeypatch.setattr(harness, "oracle_check", oracle_spy)
     assert run_suite("kuo", SuiteConfig()).passed
-    assert len(sizes) == 51 and sizes.count(246) == 1
+    (quads,) = settled
+    assert len(quads) == 51 and quads.count(246) == 1 and quads[-1] == 246
+    assert checked == quads[:50]
 
 
 def test_run_suite_unknown():
     with pytest.raises(InvalidParams):
         run_suite("nope")
+
+
+def test_all_is_the_seven_suites_in_order():
+    records = []
+    for name in harness.SUITES:
+        records += run_suite(name, SuiteConfig()).records
+    assert run_suite("all", SuiteConfig()).records == records
+
+
+def test_all_counts_each_distinct_graph_once(monkeypatch):
+    # 1190 distinct unweighted graphs in one count_many, and the weighted
+    # copies in one more; counted suite by suite they were 1622 graphs
+    monkeypatch.delenv("CROSSDIMER_CACHE", raising=False)
+    batches, count_many = [], harness.count_many
+
+    def spy(graphs, cap=FKT_CAP):
+        graphs = list(graphs)
+        batches.append(graphs)
+        return count_many(graphs, cap)
+
+    monkeypatch.setattr(harness, "count_many", spy)
+    assert run_suite("all", SuiteConfig()).passed
+    assert len(batches) <= 3
+    assert sum(g.wd is None for b in batches for g in b) <= 1190
+
+
+def test_settle_counts_two_graphs_on_one_point_set_apart():
+    # one point set, two edge sets: the engine keys each graph by its
+    # edges too, so neither takes the other's count
+    points = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    rungs = [((0, 0), (1, 0)), ((0, 1), (1, 1))]
+    square = Graph(points, rungs + [((0, 0), (0, 1)), ((1, 0), (1, 1))])
+    ladder = Graph(points, rungs)
+    assert harness.count_key(square) != harness.count_key(ladder)
+    claims = [harness.claim("count", name, None, [g])
+              for name, g in (("square", square), ("rungs", ladder))]
+    assert harness.settle(claims) == [[("count", "square", None, 2)],
+                                      [("count", "rungs", None, 1)]]
 
 
 def test_cache_env_override(tmp_path, monkeypatch):

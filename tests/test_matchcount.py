@@ -500,11 +500,12 @@ def test_count_many_weights_beyond_int64():
 
 def test_count_many_plans_each_structure_once(monkeypatch):
     from crossdimer.families import (
-        Spec, assign_cross_weights, build_A, cross_weightings, weight_point,
+        assign_cross_weights, build_A, cross_weightings, weight_point,
     )
-    from crossdimer.harness import _weighted_counts
+    from crossdimer.harness import (
+        conjecture_probe, reconstruct_weighted_count,
+    )
     from crossdimer.lattice import LatticeSpec
-    from crossdimer.matchcount import FKT_CAP
 
     g = build_A(1, 4, 4, 2)
     pts = ((3, 5, 7), (5, 7, 3), (7, 3, 5), (3, 5, 11))
@@ -538,8 +539,11 @@ def test_count_many_plans_each_structure_once(monkeypatch):
     assert planned == [1]
     assert not calls
     # the conjecture path makes one Graph of the family's point set, from
-    # its arrays, and counts its weightings
-    assert _weighted_counts([Spec("A1", (4, 4, 2))], pts, FKT_CAP) == [want]
+    # its arrays, and counts its weightings, whose counts its exponent
+    # vector gives back
+    vec = conjecture_probe("A", 1, 4, 4, 2, pts)
+    assert [reconstruct_weighted_count("A", 4, 4, 2, vec, pt)
+            for pt in pts] == want
     assert planned == [1, 1]
     assert calls == {"of": 1}  # no Graph.__init__ or edge_offset
 
@@ -619,6 +623,25 @@ def test_a_hand_made_graph_past_the_build_cap_is_refused():
                    (-2 ** 63, 2 ** 63 - 1)):
         with pytest.raises(TooLarge, match=str(matchcount.BUILD_CAP)):
             Graph([(x0, 0), (x1, 0)])
+
+
+def test_a_hand_made_graph_past_int64_is_refused():
+    # a point past int64 is refused before any array is made, so none of
+    # these calls can meet numpy's OverflowError; up to int64's ends, all
+    # of them work
+    def domino(x0):
+        return Graph([(x0, 0), (x0 + 1, 0)], [((x0, 0), (x0 + 1, 0))])
+
+    for x0 in (2 ** 70, 2 ** 63 - 2, -2 ** 63 - 1, -2 ** 80):
+        with pytest.raises(TooLarge, match="past int64"):
+            domino(x0)
+    for x0 in (2 ** 63 - 3, -2 ** 63, 2 ** 62):
+        g = domino(x0)
+        assert g.without([(x0, 0)]).vertices == ((x0 + 1, 0),)
+        assert split_check(g, g.vertices)["equal"]
+        edge = ((x0, 0), (x0 + 1, 0))
+        assert Graph(g.vertices, g.edges(), {edge: 3}).weights == {edge: 3}
+        assert count_fkt(g) == count_brute(g) == 1
 
 
 def test_det_exact_small():
